@@ -17,7 +17,6 @@ a middle transversal (at the price of directness).
 from __future__ import annotations
 
 import random as _random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import config
@@ -417,76 +416,56 @@ def extend_to_middle_transversal(
 # -- exhaustive enumeration ---------------------------------------------------
 
 
-def _enumerate_from_roots(
-    order: int,
-    seed_mask: int,
-    coset_masks: list[int],
-    roots: list[int],
-    limit: int,
-) -> list[int]:
-    """All outputs of the chain search whose first pick lies in roots,
-    enumerated by increasing-order branches so each output set shows up
-    exactly once.  Returns output masks; may overshoot limit by one to let
-    the caller distinguish 'full' from 'too many'."""
-    results: list[int] = []
-    # stack holds (candidate mask after the last pick, chosen mask, last pick)
-    for g0 in roots:
-        stack = [(seed_mask & ~coset_masks[g0], 1 << g0, g0)]
-        while stack:
-            c, chosen, last = stack.pop()
-            if c == 0:
-                results.append(chosen)
-                if len(results) > limit:
-                    return results
-                continue
-            # keep only candidates above the last pick; anything smaller is
-            # reached by the branch that picked it earlier
-            rest = c >> (last + 1) << (last + 1)
-            for nxt in bit_indices(rest):
-                stack.append((c & ~coset_masks[nxt], chosen | 1 << nxt, nxt))
-    return results
-
-
 def _enumerate(
     g: Group,
     seed_mask: int,
     coset_masks: list[int],
     limit: int | None,
-    jobs: int,
 ) -> set[ElementSet]:
-    cap = config.enum_limit() if limit is None else limit
-    roots = list(bit_indices(seed_mask))
-    if jobs > 1 and len(roots) > 1:
-        chunks = [roots[i::jobs] for i in range(jobs)]
-        chunks = [c for c in chunks if c]
-        masks: list[int] = []
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [
-                pool.submit(_enumerate_from_roots, g.order, seed_mask, coset_masks, c, cap)
-                for c in chunks
-            ]
-            for fut in futures:
-                masks.extend(fut.result())
-    else:
-        masks = _enumerate_from_roots(g.order, seed_mask, coset_masks, roots, cap)
-    if len(masks) > cap:
-        raise EnumerationLimitExceeded(
-            f"enumeration exceeded the cap of {cap} results; raise the limit to continue"
-        )
-    return {g.subset_from_mask(m) for m in masks}
+    """Every output of the chain search started on seed_mask, each once.
+
+    The search branches on the cell of the lowest uncovered candidate, the
+    "choose a column" rule of exact cover (Knuth, Dancing Links): every pick
+    in that cell removes the same coset, so every node has a live child,
+    every leaf is an output, and no set is reached twice.  The result count
+    is therefore the product of the cell sizes, checked against the cap
+    before any branching.
+    """
+    cap = config.enum_cap(limit)
+    total = 1
+    c = seed_mask
+    while c:
+        cell = c & coset_masks[(c & -c).bit_length() - 1]
+        total *= cell.bit_count()
+        if total > cap:
+            raise EnumerationLimitExceeded(
+                f"enumeration exceeds the cap of {cap} results; raise the limit to continue"
+            )
+        c &= ~cell
+    results: list[int] = []
+    # stack holds (candidate mask after the picks so far, chosen mask)
+    stack = [(seed_mask, 0)]
+    while stack:
+        c, chosen = stack.pop()
+        if c == 0:
+            results.append(chosen)
+            continue
+        cell = c & coset_masks[(c & -c).bit_length() - 1]
+        for nxt in bit_indices(cell):
+            stack.append((c & ~coset_masks[nxt], chosen | 1 << nxt))
+    return {g.subset_from_mask(m) for m in results}
 
 
 def enumerate_all_right_transversals(
     h: ElementSet,
     *,
     limit: int | None = None,
-    jobs: int = 1,
 ) -> set[ElementSet]:
     """Every right transversal of H, via exhaustive branching of the search."""
     g = h.group
     h.require_subgroup("H")
     cosets = [_right_coset_mask(g, h.mask, x) for x in range(g.order)]
-    return _enumerate(g, g.full_mask, cosets, limit, jobs)
+    return _enumerate(g, g.full_mask, cosets, limit)
 
 
 def enumerate_all_middle_transversals(
@@ -494,7 +473,6 @@ def enumerate_all_middle_transversals(
     k: ElementSet,
     *,
     limit: int | None = None,
-    jobs: int = 1,
 ) -> set[ElementSet]:
     """Every middle transversal of (H, K)."""
     g = h.group
@@ -503,7 +481,7 @@ def enumerate_all_middle_transversals(
         raise GroupMismatch("H and K belong to different groups")
     k.require_subgroup("K")
     cosets = [_double_coset_mask(g, h.mask, x, k.mask) for x in range(g.order)]
-    return _enumerate(g, g.full_mask, cosets, limit, jobs)
+    return _enumerate(g, g.full_mask, cosets, limit)
 
 
 def enumerate_all_middle_subfactors(
@@ -511,7 +489,6 @@ def enumerate_all_middle_subfactors(
     k: ElementSet,
     *,
     limit: int | None = None,
-    jobs: int = 1,
 ) -> set[ElementSet]:
     """Every maximal direct middle X for (H, K); raises MidEmpty when none exist."""
     g = h.group
@@ -523,4 +500,4 @@ def enumerate_all_middle_subfactors(
     if not mid:
         raise MidEmpty(f"the middle director of H={h!r} and K={k!r} is empty")
     cosets = [_double_coset_mask(g, h.mask, x, k.mask) for x in range(g.order)]
-    return _enumerate(g, mid.mask, cosets, limit, jobs)
+    return _enumerate(g, mid.mask, cosets, limit)

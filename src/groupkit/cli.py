@@ -14,7 +14,7 @@ import sys
 import time
 import warnings as _warnings
 
-from . import oracle, products, verify
+from . import config, oracle, products, verify
 from .algorithms import (
     SMALLEST,
     ChoicePolicy,
@@ -338,6 +338,7 @@ def _cmd_mid(args: argparse.Namespace) -> RunReport:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
+    limit = config.enum_cap(args.limit, "--limit")
     g = _load_group(args.group)
     h = _parse_required_subgroup(g, "-H", args.subgroup_h)
     k = None
@@ -347,13 +348,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
     algo_sets = oracle_sets = None
     if args.via in ("algorithm", "both"):
         if args.what == "right-transversals":
-            algo_sets = enumerate_all_right_transversals(h, limit=args.limit, jobs=args.jobs)
+            algo_sets = enumerate_all_right_transversals(h, limit=limit)
         elif args.what == "middle-transversals":
             assert k is not None
-            algo_sets = enumerate_all_middle_transversals(h, k, limit=args.limit, jobs=args.jobs)
+            algo_sets = enumerate_all_middle_transversals(h, k, limit=limit)
         else:
             assert k is not None
-            algo_sets = enumerate_all_middle_subfactors(h, k, limit=args.limit, jobs=args.jobs)
+            algo_sets = enumerate_all_middle_subfactors(h, k, limit=limit)
         if os.environ.get(FAULT_ENV) == "drop-algorithm-set" and algo_sets:
             # test hook: force a cross-check mismatch deterministically
             algo_sets = set(algo_sets)
@@ -361,13 +362,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
         result["count_algorithm"] = len(algo_sets)
     if args.via in ("oracle", "both"):
         if args.what == "right-transversals":
-            oracle_sets = oracle.all_right_transversals(h, limit=args.limit)
+            oracle_sets = oracle.all_right_transversals(h, limit=limit)
         elif args.what == "middle-transversals":
             assert k is not None
-            oracle_sets = oracle.all_middle_transversals(h, k, limit=args.limit)
+            oracle_sets = oracle.all_middle_transversals(h, k, limit=limit)
         else:
             assert k is not None
-            oracle_sets = oracle.all_maximal_direct_triples(h, k, limit=args.limit)
+            oracle_sets = oracle.all_maximal_direct_triples(h, k, limit=limit)
         result["count_oracle"] = len(oracle_sets)
     exit_code = 0
     if args.via == "both":
@@ -386,7 +387,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
         "what": args.what,
         "via": args.via,
         "limit": args.limit,
-        "jobs": args.jobs,
         "list": bool(args.list),
     }
     if k is not None:
@@ -478,7 +478,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--via", choices=("algorithm", "oracle", "both"), default="both")
     p.add_argument("--limit", type=int, help="cap on the number of results")
     p.add_argument("--list", action="store_true", help="include the sets in the output")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for the search side")
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("verify-paper", help="replay the bundled worked examples")

@@ -45,3 +45,13 @@ def max_order() -> int:
 def enum_limit() -> int:
     """Default cap on exhaustive enumeration result counts."""
     return _positive_int_env(ENUM_LIMIT_ENV, DEFAULT_ENUM_LIMIT)
+
+
+def enum_cap(limit: int | None, name: str = "limit") -> int:
+    """The enumeration cap: limit when given, else the default; a cap below 1
+    is refused, as it is for the environment variable."""
+    if limit is None:
+        return enum_limit()
+    if limit < 1:
+        raise InvalidSpec(f"{name} must be a positive integer, got {limit!r}")
+    return limit

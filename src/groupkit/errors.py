@@ -58,4 +58,4 @@ class TraceMismatch(GroupKitError):
 
 
 class EnumerationLimitExceeded(GroupKitError):
-    """An enumeration produced more results than the configured cap."""
+    """An enumeration would produce more results than the configured cap."""

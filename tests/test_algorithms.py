@@ -1,12 +1,16 @@
+import time
+
 import pytest
 
 from groupkit import (
     ChoicePolicy,
     EnumerationLimitExceeded,
     G0NotInMid,
+    InvalidSpec,
     MidEmpty,
     ScriptedChoiceInvalid,
     TraceMismatch,
+    build_group,
     enumerate_all_middle_subfactors,
     enumerate_all_middle_transversals,
     enumerate_all_right_transversals,
@@ -247,14 +251,40 @@ def test_enumeration_limit_env(z12, monkeypatch):
         enumerate_all_right_transversals(h)
 
 
-def test_parallel_enumeration_matches(d12, empty_mid_pair):
-    h, k = empty_mid_pair
-    seq = enumerate_all_middle_transversals(h, k, jobs=1)
-    par = enumerate_all_middle_transversals(h, k, jobs=2)
-    assert seq == par
-    h3 = d12.subset([0, 2, 4])
-    assert (enumerate_all_right_transversals(h3, jobs=2)
-            == enumerate_all_right_transversals(h3))
+def test_enumeration_cap_checked_before_branching():
+    # 2^512 right transversals: the cap must fail before the first branch
+    g = build_group({"kind": "cyclic", "n": 1024})
+    h = g.subset([0, 512])
+    started = time.perf_counter()
+    with pytest.raises(EnumerationLimitExceeded):
+        enumerate_all_right_transversals(h)
+    assert time.perf_counter() - started < 5.0
+
+
+@pytest.mark.parametrize("what", ["right-transversals", "middle-transversals",
+                                  "middle-subfactors"])
+def test_enumeration_cap_is_exact(z12, d12, what):
+    if what == "right-transversals":
+        args = (z12.subset([0, 3, 6, 9]),)
+        search, brute = enumerate_all_right_transversals, oracle.all_right_transversals
+    elif what == "middle-transversals":
+        args = (parse_subset(d12, "1,a^3,ba^3,b"), parse_subset(d12, "1,a^3,ba,ba^4"))
+        search, brute = enumerate_all_middle_transversals, oracle.all_middle_transversals
+    else:
+        args = (parse_subset(d12, "1,ab"), parse_subset(d12, "1,a^3,b,ba^3"))
+        search, brute = enumerate_all_middle_subfactors, oracle.all_maximal_direct_triples
+    want = brute(*args)
+    count = len(want)
+    for enumerate_all in (search, brute):
+        assert enumerate_all(*args, limit=count) == want
+        with pytest.raises(EnumerationLimitExceeded):
+            enumerate_all(*args, limit=count - 1)
+
+
+@pytest.mark.parametrize("limit", [0, -3])
+def test_enumeration_rejects_non_positive_limit(z12, limit):
+    with pytest.raises(InvalidSpec, match="limit must be a positive integer"):
+        enumerate_all_right_transversals(z12.subset([0, 6]), limit=limit)
 
 
 def test_policy_descriptions():

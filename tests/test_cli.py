@@ -137,16 +137,6 @@ def test_enumerate_list_sorted(capsys):
     assert all(len(s) == 1 for s in sets)
 
 
-def test_enumerate_jobs(capsys):
-    code, data = run_json(capsys, [
-        "enumerate", "--group", D12, "-H", H_EMPTY, "-K", K_EMPTY,
-        "--what", "middle-transversals", "--jobs", "2",
-    ])
-    assert code == 0
-    assert data["result"]["count_algorithm"] == 32
-    assert data["result"]["match"] is True
-
-
 def test_verify_paper(capsys):
     code, data = run_json(capsys, ["verify-paper"])
     assert code == 0
@@ -273,6 +263,14 @@ def test_enumeration_limit_exits_5(capsys):
                  "--what", "right-transversals", "--limit", "5"])
     assert code == 5
     assert "limit exceeded:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_non_positive_limit_exits_2(capsys, limit):
+    code = main(["enumerate", "--group", "cyclic:12", "-H", "0,3,6,9",
+                 "--what", "right-transversals", "--limit", limit])
+    assert code == 2
+    assert f"--limit must be a positive integer, got {limit}" in capsys.readouterr().err
 
 
 def test_max_order_env_exits_5(capsys, monkeypatch):

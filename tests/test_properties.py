@@ -6,6 +6,7 @@ honest during everyday development.
 
 import pytest
 
+from groupkit import build_group
 import suites
 
 
@@ -25,6 +26,21 @@ def test_enumeration_agreement_small(small):
     bad, stats = suites.run_enumeration_agreement(small, limit=10 ** 5)
     assert bad == []
     assert stats["pairs"] > 0
+
+
+def test_enumeration_agreement_wider_fleet():
+    # Two groups outside the builtin fleet: every subgroup pair of C2 x D6,
+    # and one subgroup per conjugacy class of S4 (all 900 pairs take seconds).
+    c2d6 = build_group({"kind": "direct_product",
+                        "factors": [{"kind": "cyclic", "n": 2}, {"kind": "dihedral", "n": 3}]})
+    bad, stats = suites.run_enumeration_agreement([c2d6])
+    assert bad == []
+    assert stats["subgroups"] == 16 and stats["pairs"] == 256
+    s4 = build_group({"kind": "symmetric", "n": 4})
+    bad, stats = suites.run_enumeration_agreement(
+        [s4], subgroups=suites.conjugacy_class_representatives)
+    assert bad == []
+    assert stats["subgroups"] == 11 and stats["pairs"] == 121
 
 
 def test_trace_invariants_small(small):
