@@ -1,23 +1,27 @@
 """Chain-intersection searches for transversals and direct middles.
 
-All three searches share one loop shape: keep a candidate set, start it from
-a seed, repeatedly remove the coset of the element just chosen, and pick the
-next element from what is left.  The candidate chain C^(-1) ⊇ C^(0) ⊇ ... is
-recorded in the trace; the run ends when the chain hits the empty set.
+Everything here runs over one partition of G per subgroup pair: the blocks
+H*x*K (the right cosets H*x when K is omitted), built once by _coset_blocks.
+A search keeps a candidate set, starts it from a seed, repeatedly removes
+the block of the element just chosen, and picks the next element from what
+is left.  The candidate chain C^(-1) ⊇ C^(0) ⊇ ... is recorded in the trace;
+the run ends when the chain hits the empty set.
 
-- rta:  seed G, remove right cosets H*g        -> right transversal of H
-- mta:  seed G, remove double cosets H*g*K     -> middle transversal
-- msfa: seed Mid(H, K), remove double cosets   -> maximal direct middle X
+- rta:  seed G, blocks H*g                    -> right transversal of H
+- mta:  seed G, blocks H*g*K                  -> middle transversal
+- msfa: seed Mid(H, K), blocks H*g*K          -> maximal direct middle X
 
-A finished msfa run covers Mid but not necessarily G; the extension keeps
-removing double cosets starting from the uncovered remainder and grows X to
-a middle transversal (at the price of directness).
+A finished msfa run covers Mid but not necessarily G; the extension runs the
+same chain from the uncovered remainder and grows X to a middle transversal
+(at the price of directness).  AlgoTrace.validate() replays a run through
+the same chain step, and the exhaustive enumerations branch over the same
+blocks.
 """
 
 from __future__ import annotations
 
 import random as _random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import config
 from .errors import (
@@ -29,7 +33,7 @@ from .errors import (
     TraceMismatch,
 )
 from .groups import ElementSet, Group, bit_indices
-from .products import mid_director_subgroups
+from .products import _middle_cell_mask, mid_director_subgroups
 
 __all__ = [
     "ChoicePolicy",
@@ -121,10 +125,12 @@ class _Chooser:
 class AlgoTrace:
     """Complete record of one chain-intersection run.
 
-    chosen holds g_0..g_N; chain_sizes holds |C^(-1)|..|C^(N)| with the last
-    entry 0; chain_sets mirrors chain_sizes when the run recorded full sets.
-    For extension runs the chain fields cover only the continuation part and
-    extension_start gives the number of inherited picks.
+    chosen holds g_0..g_N; seed is the starting candidate set C^(-1);
+    chain_sizes holds |C^(-1)|..|C^(N)| with the last entry 0; chain_sets
+    mirrors chain_sizes when the run recorded full sets.  For extension runs
+    the chain fields cover only the continuation part, seed is what the
+    inherited picks leave uncovered, and extension_start is the index of the
+    last inherited pick.
     """
 
     algorithm: str
@@ -132,36 +138,42 @@ class AlgoTrace:
     h: ElementSet
     k: ElementSet | None
     chosen: list[int]
+    seed: ElementSet
     chain_sizes: list[int]
     chain_sets: list[ElementSet] | None
     output: ElementSet
     n_steps: int
     policy: str = "smallest"
     extension_start: int | None = None
-    warnings: list[str] = field(default_factory=list)
 
     def validate(self) -> None:
-        """Internal-consistency checks; raises TraceMismatch on any failure."""
-        if len(self.chosen) != len(set(self.chosen)):
-            raise TraceMismatch("chosen elements repeat")
-        if self.output.mask != _mask_of(self.chosen):
-            raise TraceMismatch("output does not equal the set of chosen elements")
-        if self.chain_sizes[-1] != 0:
+        """Replay the recorded picks through the chain step over the blocks
+        of (h, k); raises TraceMismatch when the seed, a pick, the chain or
+        the output disagrees with the replay."""
+        g = self.group
+        blocks = _coset_blocks(self.h, self.k)
+        c = g.full_mask
+        if self.algorithm == "MSFA":
+            c = mid_director_subgroups(self.h, self.k).mask
+        chain = [c]
+        for step, pick in enumerate(self.chosen):
+            if pick < 0 or c >> pick & 1 == 0:
+                raise TraceMismatch(f"pick {step} ({pick}) is not a live candidate")
+            c &= ~blocks[pick]
+            chain.append(c)
+        if self.extension_start is not None:
+            # the recorded chain starts after the last inherited pick
+            chain = chain[self.extension_start + 1 :]
+        if chain[:1] != [self.seed.mask]:
+            raise TraceMismatch("recorded seed differs from its recomputation")
+        if c:
             raise TraceMismatch("chain does not end empty")
-        if self.extension_start is None and len(self.chain_sizes) != len(self.chosen) + 1:
-            raise TraceMismatch("chain length disagrees with the number of picks")
-        if self.extension_start is not None and len(self.chain_sizes) != len(
-            self.chosen
-        ) - self.extension_start:
-            raise TraceMismatch("continuation chain length disagrees with the added picks")
-        if any(a <= b for a, b in zip(self.chain_sizes, self.chain_sizes[1:])):
-            raise TraceMismatch("chain sizes fail to decrease strictly")
-        if self.chain_sets is not None:
-            if [len(c) for c in self.chain_sets] != self.chain_sizes:
-                raise TraceMismatch("chain sets disagree with chain sizes")
-            for earlier, later in zip(self.chain_sets, self.chain_sets[1:]):
-                if not later <= earlier:
-                    raise TraceMismatch("chain sets fail to nest")
+        if [m.bit_count() for m in chain] != self.chain_sizes:
+            raise TraceMismatch("chain sizes differ from the replay")
+        if self.chain_sets is not None and [s.mask for s in self.chain_sets] != chain:
+            raise TraceMismatch("chain sets differ from the replay")
+        if self.output.mask != _mask_of(self.chosen) or self.n_steps != len(self.chosen) - 1:
+            raise TraceMismatch("output or step count disagrees with the picks")
 
 
 def _mask_of(indices) -> int:
@@ -171,77 +183,101 @@ def _mask_of(indices) -> int:
     return mask
 
 
-def _right_coset_mask(g: Group, hmask: int, x: int) -> int:
-    t = g.table
-    out = 0
-    for a in bit_indices(hmask):
-        out |= 1 << t[a][x]
-    return out
+def _coset_blocks(h: ElementSet, k: ElementSet | None) -> list[int]:
+    """The mask of the block H*x*K holding each element x of G (the right
+    coset H*x when k is None).  Covers G from the lowest uncovered element,
+    one block at a time: (number of blocks)*|H|*|K| table lookups."""
+    g = h.group
+    kmask = 1 << g.identity if k is None else k.mask
+    blocks = [0] * g.order
+    uncovered = g.full_mask
+    while uncovered:
+        block = _middle_cell_mask(g, h.mask, (uncovered & -uncovered).bit_length() - 1, kmask)
+        for y in bit_indices(block):
+            blocks[y] = block
+        uncovered &= ~block
+    return blocks
 
 
-def _double_coset_mask(g: Group, hmask: int, x: int, kmask: int) -> int:
-    t = g.table
-    out = 0
-    for a in bit_indices(hmask):
-        ax = t[a][x]
-        row = t[ax]
-        for b in bit_indices(kmask):
-            out |= 1 << row[b]
-    return out
-
-
-class _CosetCache:
-    """Per-run memo of coset masks keyed by representative."""
-
-    def __init__(self, g: Group, hmask: int, kmask: int | None) -> None:
-        self.g = g
-        self.hmask = hmask
-        self.kmask = kmask
-        self._memo: dict[int, int] = {}
-
-    def mask(self, x: int) -> int:
-        hit = self._memo.get(x)
-        if hit is None:
-            if self.kmask is None:
-                hit = _right_coset_mask(self.g, self.hmask, x)
-            else:
-                hit = _double_coset_mask(self.g, self.hmask, x, self.kmask)
-            self._memo[x] = hit
-        return hit
-
-
-def _run_chain(
-    g: Group,
-    cosets: _CosetCache,
-    seed_mask: int,
-    g0: int,
-    chooser: _Chooser,
-    record: str,
-):
-    chosen = [g0]
-    c = seed_mask
-    chain_masks = [c]
-    while True:
-        c &= ~cosets.mask(chosen[-1])
-        chain_masks.append(c)
-        if c == 0:
-            break
-        chosen.append(chooser.pick(g, c))
-    sizes = [m.bit_count() for m in chain_masks]
-    sets = [g.subset_from_mask(m) for m in chain_masks] if record == "full" else None
-    return chosen, sizes, sets
-
-
-def _common_setup(h: ElementSet, k: ElementSet | None, policy, chooser):
+def _common_setup(h: ElementSet, k: ElementSet | None) -> Group:
     g = h.group
     h.require_subgroup("H")
     if k is not None:
         if k.group is not g:
             raise GroupMismatch("H and K belong to different groups")
         k.require_subgroup("K")
-    if chooser is None:
-        chooser = policy.start()
-    return g, chooser
+    return g
+
+
+def _mid_seed(h: ElementSet, k: ElementSet) -> ElementSet:
+    mid = mid_director_subgroups(h, k)
+    if not mid:
+        raise MidEmpty(
+            f"the middle director of H={h!r} and K={k!r} is empty; "
+            "no direct middle exists"
+        )
+    return mid
+
+
+def _run_chain(
+    algorithm: str,
+    h: ElementSet,
+    k: ElementSet | None,
+    blocks: list[int],
+    seed: ElementSet,
+    chosen: list[int],
+    pick: int,
+    chooser: _Chooser,
+    record: str,
+    extension_start: int | None = None,
+) -> AlgoTrace:
+    """Append pick to chosen, remove its block from the candidates, and let
+    the chooser pick again until no candidate is left."""
+    g = h.group
+    c = seed.mask
+    chain = [c]
+    while True:
+        chosen.append(pick)
+        c &= ~blocks[pick]
+        chain.append(c)
+        if c == 0:
+            break
+        pick = chooser.pick(g, c)
+    return AlgoTrace(
+        algorithm=algorithm,
+        group=g,
+        h=h,
+        k=k,
+        chosen=chosen,
+        seed=seed,
+        chain_sizes=[m.bit_count() for m in chain],
+        chain_sets=[g.subset_from_mask(m) for m in chain] if record == "full" else None,
+        output=g.subset_from_mask(_mask_of(chosen)),
+        n_steps=len(chosen) - 1,
+        policy=chooser.policy.describe(),
+        extension_start=extension_start,
+    )
+
+
+def _search(
+    algorithm: str,
+    h: ElementSet,
+    k: ElementSet | None,
+    g0: int | None,
+    policy: ChoicePolicy,
+    record: str,
+    chooser: _Chooser | None,
+) -> AlgoTrace:
+    g = _common_setup(h, k)
+    seed = _mid_seed(h, k) if algorithm == "MSFA" else g.full_set()
+    chooser = chooser or policy.start()
+    if g0 is None:
+        g0 = chooser.pick(g, seed.mask)
+    else:
+        g._check_index(g0)
+        if g0 not in seed:
+            raise G0NotInMid(f"g0={g.names[g0]!r} lies outside the middle director")
+    return _run_chain(algorithm, h, k, _coset_blocks(h, k), seed, [], g0, chooser, record)
 
 
 def rta(
@@ -253,25 +289,7 @@ def rta(
     chooser: _Chooser | None = None,
 ) -> AlgoTrace:
     """Right-transversal search for a subgroup H."""
-    g, chooser = _common_setup(h, None, policy, chooser)
-    cosets = _CosetCache(g, h.mask, None)
-    if g0 is None:
-        g0 = chooser.pick(g, g.full_mask)
-    else:
-        g._check_index(g0)
-    chosen, sizes, sets = _run_chain(g, cosets, g.full_mask, g0, chooser, record)
-    return AlgoTrace(
-        algorithm="RTA",
-        group=g,
-        h=h,
-        k=None,
-        chosen=chosen,
-        chain_sizes=sizes,
-        chain_sets=sets,
-        output=g.subset_from_mask(_mask_of(chosen)),
-        n_steps=len(chosen) - 1,
-        policy=chooser.policy.describe(),
-    )
+    return _search("RTA", h, None, g0, policy, record, chooser)
 
 
 def mta(
@@ -284,25 +302,7 @@ def mta(
     chooser: _Chooser | None = None,
 ) -> AlgoTrace:
     """Middle-transversal search for a subgroup pair (H, K)."""
-    g, chooser = _common_setup(h, k, policy, chooser)
-    cosets = _CosetCache(g, h.mask, k.mask)
-    if g0 is None:
-        g0 = chooser.pick(g, g.full_mask)
-    else:
-        g._check_index(g0)
-    chosen, sizes, sets = _run_chain(g, cosets, g.full_mask, g0, chooser, record)
-    return AlgoTrace(
-        algorithm="MTA",
-        group=g,
-        h=h,
-        k=k,
-        chosen=chosen,
-        chain_sizes=sizes,
-        chain_sets=sets,
-        output=g.subset_from_mask(_mask_of(chosen)),
-        n_steps=len(chosen) - 1,
-        policy=chooser.policy.describe(),
-    )
+    return _search("MTA", h, k, g0, policy, record, chooser)
 
 
 def msfa(
@@ -315,57 +315,7 @@ def msfa(
     chooser: _Chooser | None = None,
 ) -> AlgoTrace:
     """Maximal-direct-middle search, seeded with the middle director."""
-    g, chooser = _common_setup(h, k, policy, chooser)
-    mid = mid_director_subgroups(h, k)
-    if not mid:
-        raise MidEmpty(
-            f"the middle director of H={h!r} and K={k!r} is empty; "
-            "no direct middle exists"
-        )
-    cosets = _CosetCache(g, h.mask, k.mask)
-    if g0 is None:
-        g0 = chooser.pick(g, mid.mask)
-    else:
-        g._check_index(g0)
-        if g0 not in mid:
-            raise G0NotInMid(f"g0={g.names[g0]!r} lies outside the middle director")
-    chosen, sizes, sets = _run_chain(g, cosets, mid.mask, g0, chooser, record)
-    return AlgoTrace(
-        algorithm="MSFA",
-        group=g,
-        h=h,
-        k=k,
-        chosen=chosen,
-        chain_sizes=sizes,
-        chain_sets=sets,
-        output=g.subset_from_mask(_mask_of(chosen)),
-        n_steps=len(chosen) - 1,
-        policy=chooser.policy.describe(),
-    )
-
-
-def _replay_msfa(trace: AlgoTrace, h: ElementSet, k: ElementSet, cosets: _CosetCache):
-    """Re-derive the msfa chain from its chosen picks; returns the union of
-    removed double cosets.  Raises TraceMismatch when anything disagrees."""
-    g = h.group
-    if trace.algorithm != "MSFA":
-        raise TraceMismatch(f"expected an MSFA trace, got {trace.algorithm}")
-    if trace.group is not g or trace.h != h or trace.k != k:
-        raise TraceMismatch("trace was produced for a different group or subgroup pair")
-    mid = mid_director_subgroups(h, k)
-    c = mid.mask
-    covered = 0
-    for step, pick in enumerate(trace.chosen):
-        if c >> pick & 1 == 0:
-            raise TraceMismatch(f"pick {step} ({g.names[pick]!r}) is not a valid candidate")
-        dc = cosets.mask(pick)
-        covered |= dc
-        c &= ~dc
-    if c != 0:
-        raise TraceMismatch("trace stops before its candidate chain is exhausted")
-    if trace.output.mask != _mask_of(trace.chosen):
-        raise TraceMismatch("trace output disagrees with its picks")
-    return covered
+    return _search("MSFA", h, k, g0, policy, record, chooser)
 
 
 def extend_to_middle_transversal(
@@ -383,32 +333,29 @@ def extend_to_middle_transversal(
     is a middle transversal containing the msfa output; the added picks lie
     outside the middle director, so directness is given up.
     """
-    g, chooser = _common_setup(h, k, policy, chooser)
-    cosets = _CosetCache(g, h.mask, k.mask)
-    covered = _replay_msfa(trace, h, k, cosets)
-    if covered == g.full_mask:
+    g = _common_setup(h, k)
+    if trace.algorithm != "MSFA":
+        raise TraceMismatch(f"expected an MSFA trace, got {trace.algorithm}")
+    if trace.group is not g or trace.h != h or trace.k != k:
+        raise TraceMismatch("trace was produced for a different group or subgroup pair")
+    trace.validate()
+    blocks = _coset_blocks(h, k)
+    uncovered = g.full_mask
+    for pick in trace.chosen:
+        uncovered &= ~blocks[pick]
+    if uncovered == 0:
         return trace
-    chosen = list(trace.chosen)
-    c = g.full_mask & ~covered
-    chain_masks = [c]
-    while c:
-        pick = chooser.pick(g, c)
-        chosen.append(pick)
-        c &= ~cosets.mask(pick)
-        chain_masks.append(c)
-    sizes = [m.bit_count() for m in chain_masks]
-    sets = [g.subset_from_mask(m) for m in chain_masks] if record == "full" else None
-    return AlgoTrace(
-        algorithm="Extension",
-        group=g,
-        h=h,
-        k=k,
-        chosen=chosen,
-        chain_sizes=sizes,
-        chain_sets=sets,
-        output=g.subset_from_mask(_mask_of(chosen)),
-        n_steps=len(chosen) - 1,
-        policy=chooser.policy.describe(),
+    chooser = chooser or policy.start()
+    return _run_chain(
+        "Extension",
+        h,
+        k,
+        blocks,
+        g.subset_from_mask(uncovered),
+        list(trace.chosen),
+        chooser.pick(g, uncovered),
+        chooser,
+        record,
         extension_start=trace.n_steps,
     )
 
@@ -419,7 +366,7 @@ def extend_to_middle_transversal(
 def _enumerate(
     g: Group,
     seed_mask: int,
-    coset_masks: list[int],
+    blocks: list[int],
     limit: int | None,
 ) -> set[ElementSet]:
     """Every output of the chain search started on seed_mask, each once.
@@ -435,7 +382,7 @@ def _enumerate(
     total = 1
     c = seed_mask
     while c:
-        cell = c & coset_masks[(c & -c).bit_length() - 1]
+        cell = c & blocks[(c & -c).bit_length() - 1]
         total *= cell.bit_count()
         if total > cap:
             raise EnumerationLimitExceeded(
@@ -450,9 +397,9 @@ def _enumerate(
         if c == 0:
             results.append(chosen)
             continue
-        cell = c & coset_masks[(c & -c).bit_length() - 1]
+        cell = c & blocks[(c & -c).bit_length() - 1]
         for nxt in bit_indices(cell):
-            stack.append((c & ~coset_masks[nxt], chosen | 1 << nxt))
+            stack.append((c & ~blocks[nxt], chosen | 1 << nxt))
     return {g.subset_from_mask(m) for m in results}
 
 
@@ -462,10 +409,8 @@ def enumerate_all_right_transversals(
     limit: int | None = None,
 ) -> set[ElementSet]:
     """Every right transversal of H, via exhaustive branching of the search."""
-    g = h.group
-    h.require_subgroup("H")
-    cosets = [_right_coset_mask(g, h.mask, x) for x in range(g.order)]
-    return _enumerate(g, g.full_mask, cosets, limit)
+    g = _common_setup(h, None)
+    return _enumerate(g, g.full_mask, _coset_blocks(h, None), limit)
 
 
 def enumerate_all_middle_transversals(
@@ -475,13 +420,8 @@ def enumerate_all_middle_transversals(
     limit: int | None = None,
 ) -> set[ElementSet]:
     """Every middle transversal of (H, K)."""
-    g = h.group
-    h.require_subgroup("H")
-    if k.group is not g:
-        raise GroupMismatch("H and K belong to different groups")
-    k.require_subgroup("K")
-    cosets = [_double_coset_mask(g, h.mask, x, k.mask) for x in range(g.order)]
-    return _enumerate(g, g.full_mask, cosets, limit)
+    g = _common_setup(h, k)
+    return _enumerate(g, g.full_mask, _coset_blocks(h, k), limit)
 
 
 def enumerate_all_middle_subfactors(
@@ -491,13 +431,5 @@ def enumerate_all_middle_subfactors(
     limit: int | None = None,
 ) -> set[ElementSet]:
     """Every maximal direct middle X for (H, K); raises MidEmpty when none exist."""
-    g = h.group
-    h.require_subgroup("H")
-    if k.group is not g:
-        raise GroupMismatch("H and K belong to different groups")
-    k.require_subgroup("K")
-    mid = mid_director_subgroups(h, k)
-    if not mid:
-        raise MidEmpty(f"the middle director of H={h!r} and K={k!r} is empty")
-    cosets = [_double_coset_mask(g, h.mask, x, k.mask) for x in range(g.order)]
-    return _enumerate(g, mid.mask, cosets, limit)
+    g = _common_setup(h, k)
+    return _enumerate(g, _mid_seed(h, k).mask, _coset_blocks(h, k), limit)

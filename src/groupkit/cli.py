@@ -261,13 +261,12 @@ def _cmd_msfa(args: argparse.Namespace) -> RunReport:
     chooser = policy.start()
     trace = msfa(h, k, g0=g0, policy=policy, record=args.trace, chooser=chooser)
     trace.validate()
-    mid = products.mid_director_subgroups(h, k)
+    mid = trace.seed
     hxk = products.set_product(products.set_product(h, trace.output), k)
     direct = products.is_direct_triple(h, trace.output, k)
-    maximal = all(
-        x in trace.output or not products.is_direct_triple(h, trace.output.with_element(x), k)
-        for x in mid
-    )
+    # Mid is a union of (H, K) blocks, so a direct X is maximal exactly when
+    # H*X*K already covers Mid
+    maximal = mid <= hxk
     result = {
         "trace": trace_payload(trace),
         "x": set_names(trace.output),
@@ -314,7 +313,7 @@ def _cmd_mid(args: argparse.Namespace) -> RunReport:
         by_conj = products.mid_director_subgroups(h, k)
     mid = by_conj if by_conj is not None else by_def
     assert mid is not None
-    case = products.classify_mid(h, k)
+    case = products.MidCase.of(mid)
     result = {
         "method": args.method,
         "tag": case.tag.value,

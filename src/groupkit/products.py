@@ -69,11 +69,7 @@ def double_coset(h: ElementSet, x: int, k: ElementSet) -> ElementSet:
     h.require_subgroup("H")
     k.require_subgroup("K")
     g._check_index(x)
-    t = g.table
-    hx = 0
-    for a in bit_indices(h.mask):
-        hx |= 1 << t[a][x]
-    return g.subset_from_mask(_product_mask(g, hx, k.mask))
+    return g.subset_from_mask(_middle_cell_mask(g, h.mask, x, k.mask))
 
 
 def _middle_cell_mask(g: Group, amask: int, x: int, bmask: int) -> int:
@@ -154,27 +150,29 @@ class MidCase:
     tag: MidTag
     mid: ElementSet
 
+    @staticmethod
+    def _tag_of(mid: ElementSet) -> MidTag:
+        size = len(mid)
+        if size == 0:
+            return MidTag.EMPTY
+        return MidTag.FULL if size == mid.group.order else MidTag.PROPER_NONEMPTY
+
     def __post_init__(self) -> None:
-        size = len(self.mid)
-        order = self.mid.group.order
-        expected = (
-            MidTag.EMPTY if size == 0 else MidTag.FULL if size == order else MidTag.PROPER_NONEMPTY
-        )
-        if self.tag is not expected:
-            raise ValueError(f"tag {self.tag} inconsistent with a mid of size {size}/{order}")
+        if self.tag is not self._tag_of(self.mid):
+            raise ValueError(
+                f"tag {self.tag} inconsistent with a mid of size "
+                f"{len(self.mid)}/{self.mid.group.order}"
+            )
+
+    @classmethod
+    def of(cls, mid: ElementSet) -> "MidCase":
+        """The classification of an already computed middle director."""
+        return cls(cls._tag_of(mid), mid)
 
 
 def classify_mid(h: ElementSet, k: ElementSet) -> MidCase:
     """Compute and classify the middle director of two subgroups."""
-    mid = mid_director_subgroups(h, k)
-    size = len(mid)
-    if size == 0:
-        tag = MidTag.EMPTY
-    elif size == mid.group.order:
-        tag = MidTag.FULL
-    else:
-        tag = MidTag.PROPER_NONEMPTY
-    return MidCase(tag, mid)
+    return MidCase.of(mid_director_subgroups(h, k))
 
 
 def is_right_transversal(h: ElementSet, t: ElementSet) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from . import oracle, products
 from .algorithms import ChoicePolicy, extend_to_middle_transversal, msfa, mta, rta
 from .errors import MidEmpty
-from .groups import ElementSet, Group, bit_indices, build_group
+from .groups import ElementSet, Group, build_group
 from .words import parse_element, parse_subset
 
 EXAMPLES = ("1.3", "2.5", "2.14")
@@ -44,13 +44,6 @@ def _listing(checks: list, name: str, computed: ElementSet, listed: ElementSet) 
         }
     )
     return False
-
-
-def _left_coset_mask(g: Group, x: int, kmask: int) -> int:
-    out = 0
-    for b in bit_indices(kmask):
-        out |= 1 << g.table[x][b]
-    return out
 
 
 def _example_1_3() -> dict:
@@ -275,10 +268,9 @@ def _example_2_14() -> dict:
 
 
 def _right_in_left(g: Group, h: ElementSet, x: int, k: ElementSet) -> bool:
-    hx = 0
-    for a in bit_indices(h.mask):
-        hx |= 1 << g.table[a][x]
-    xk = _left_coset_mask(g, x, k.mask)
+    one = 1 << g.identity
+    hx = products._middle_cell_mask(g, h.mask, x, one)
+    xk = products._middle_cell_mask(g, one, x, k.mask)
     return hx & ~xk == 0
 
 

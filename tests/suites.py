@@ -24,7 +24,7 @@ from groupkit import (
     mta,
     rta,
 )
-from groupkit import oracle, products
+from groupkit import algorithms, oracle, products
 from groupkit.groups import ElementSet, Group, bit_indices
 
 
@@ -415,6 +415,50 @@ def suite_identity_in_mid(groups: list[Group], seed: int = 8) -> list[str]:
     return bad
 
 
+def suite_block_partition(groups: list[Group]) -> list[str]:
+    """The search-side block list gives, block for block, the right-coset
+    and double-coset partitions of the oracle."""
+    bad = []
+    for g in groups:
+        for h, k in subgroup_pairs(g):
+            for kk, partition in ((None, oracle.right_coset_partition(h)),
+                                  (k, oracle.double_coset_partition(h, k))):
+                blocks = algorithms._coset_blocks(h, kk)
+                if any(blocks[x] >> x & 1 == 0 for x in range(g.order)):
+                    bad.append(f"{g.description}: an element outside its block, H={h!r} K={kk!r}")
+                # distinct blocks in order of first appearance, i.e. of least member
+                got = [g.subset_from_mask(m) for m in dict.fromkeys(blocks)]
+                if got != list(partition.blocks):
+                    bad.append(f"{g.description}: blocks differ from the oracle, H={h!r} K={kk!r}")
+    return bad
+
+
+def suite_maximal_covers_mid(groups: list[Group], seed: int = 9) -> list[str]:
+    """For direct X: Mid ⊆ HXK iff no x in Mid outside X keeps H(X∪{x})K
+    direct; checked on every subset of size at most 4 of random msfa outputs."""
+    rng = random.Random(seed)
+    bad = []
+    for g in groups:
+        for h, k in subgroup_pairs(g):
+            mid = products.mid_director_subgroups(h, k)
+            if not mid:
+                continue
+            out = msfa(h, k, policy=ChoicePolicy.random(rng.randrange(10 ** 6))).output
+            for size in range(1, min(len(out), 4) + 1):
+                for xs in itertools.combinations(out, size):
+                    x = g.subset(xs)
+                    if not products.is_direct_triple(h, x, k):
+                        continue
+                    covers = mid <= _hxk(h, x, k)
+                    maximal = all(
+                        y in x or not products.is_direct_triple(h, x.with_element(y), k)
+                        for y in mid
+                    )
+                    if covers != maximal:
+                        bad.append(f"{g.description}: H={h!r} K={k!r} X={x!r}: {covers},{maximal}")
+    return bad
+
+
 ALL_SUITES = [
     ("empty director", suite_empty_director),
     ("direct triple split", suite_direct_triple_split),
@@ -428,6 +472,8 @@ ALL_SUITES = [
     ("abelian subgroup dichotomy", suite_abelian_subgroup_dichotomy),
     ("abelian subset dichotomy", suite_abelian_subset_dichotomy),
     ("identity in Mid", suite_identity_in_mid),
+    ("block partition", suite_block_partition),
+    ("maximal covers Mid", suite_maximal_covers_mid),
 ]
 
 

@@ -181,6 +181,37 @@ def test_trace_validate_catches_tampering(z12):
         trace.validate()
 
 
+def test_trace_validate_replays_picks(z12):
+    # a forged run whose chain fields are consistent but whose picks share a coset
+    h = z12.subset([0, 3, 6, 9])
+    trace = rta(h)
+    trace.chosen = [0, 3, 6]
+    trace.output = z12.subset([0, 3, 6])
+    with pytest.raises(TraceMismatch):
+        trace.validate()
+
+
+def test_trace_validate_checks_seed(d12, proper_mid_pair):
+    h, k = proper_mid_pair
+    trace = msfa(h, k, g0=0)
+    assert trace.seed == products.mid_director_subgroups(h, k)
+    trace.validate()
+    trace.seed = d12.full_set()
+    with pytest.raises(TraceMismatch):
+        trace.validate()
+
+
+def test_extension_validate_replays_picks(d12, proper_mid_pair):
+    h, k = proper_mid_pair
+    ext = extend_to_middle_transversal(h, k, msfa(h, k, g0=0))
+    assert ext.seed == products.set_product(h, k).complement()
+    ext.validate()
+    ext.chosen[-1] = parse_element(d12, "a")  # inside HK, the block msfa covered
+    ext.output = d12.subset(ext.chosen)
+    with pytest.raises(TraceMismatch):
+        ext.validate()
+
+
 def test_extension_replay_rejects_foreign_trace(d12, z12, proper_mid_pair):
     h, k = proper_mid_pair
     other = rta(z12.subset([0, 3, 6, 9]))

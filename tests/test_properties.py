@@ -43,6 +43,13 @@ def test_enumeration_agreement_wider_fleet():
     assert stats["subgroups"] == 11 and stats["pairs"] == 121
 
 
+def test_block_partition_and_maximality_on_c2d6():
+    c2d6 = build_group({"kind": "direct_product",
+                        "factors": [{"kind": "cyclic", "n": 2}, {"kind": "dihedral", "n": 3}]})
+    assert suites.suite_block_partition([c2d6]) == []
+    assert suites.suite_maximal_covers_mid([c2d6]) == []
+
+
 def test_trace_invariants_small(small):
     bad, runs = suites.run_trace_invariants(small, n_runs=120, seed=11)
     assert bad == []
