@@ -16,7 +16,8 @@ ENUM_LIMIT_ENV = "GROUPKIT_ENUM_LIMIT"
 DEFAULT_MAX_ORDER = 4096
 DEFAULT_ENUM_LIMIT = 10 ** 6
 
-# Full associativity check up to this order; sampled triples above it.
+# Exact associativity check (Light's test, O(n^2 log n) table lookups) up to
+# this order; seeded sampled triples above it.
 FULL_ASSOCIATIVITY_BOUND = 256
 ASSOCIATIVITY_SAMPLES_PER_ELEMENT = 10
 

@@ -9,11 +9,12 @@ bitmasks, which keeps the set algebra in this package cheap.
 from __future__ import annotations
 
 import itertools
-import math
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import config
 from .errors import (
@@ -42,12 +43,101 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _typecode(n: int) -> str:
+    """The smallest unsigned array typecode that holds 0..n-1."""
+    return next(tc for tc in "BHIL" if n <= 1 << 8 * array(tc).itemsize)
+
+
+def _table_rows(cells: bytes, n: int) -> tuple[memoryview, ...]:
+    """Read-only row views over a row-major n*n table."""
+    flat = memoryview(cells).cast(_typecode(n))
+    return tuple(flat[i * n:(i + 1) * n] for i in range(n))
+
+
+def _table_row(i: int, row: Sequence[int], n: int, typecode: str) -> array:
+    """Row i of a caller's table as an array of typecode.  A malformed row
+    fails with the message of a cell-by-cell check: its length, else its
+    first cell that is not an int (bools excluded) in 0..n-1."""
+    row = tuple(row)
+    if len(row) != n:
+        raise InvalidSpec(f"table row {i} has length {len(row)}, expected {n}")
+    if all(issubclass(t, int) and t is not bool for t in set(map(type, row))):
+        try:
+            cells = array(typecode, row)
+        except OverflowError:  # a negative or too wide cell; reported below
+            pass
+        else:
+            if max(cells) < n:
+                return cells
+    bad = next(
+        v for v in row if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n
+    )
+    try:
+        shown = repr(bad)
+    except ValueError:  # an int too long to print in decimal
+        shown = f"an integer of {bad.bit_length()} bits"
+    raise InvalidSpec(f"table row {i} holds {shown}, expected 0..{n - 1}")
+
+
+def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """f(seq) = tuple(seq[i] for i in indices), at C speed.  A bare
+    itemgetter of one index would return the item, not a 1-tuple."""
+    if len(indices) == 1:
+        (only,) = indices
+        return lambda seq: (seq[only],)
+    return itemgetter(*indices)
+
+
+def _light_failure(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+    """Light's associativity test: a triple (x, s, y) with (x*s)*y != x*(s*y),
+    or None when the table is associative.
+
+    Every s taken is checked against all x and y, and the s are taken
+    greedily: the lowest element not yet reached as a left-bracketed product
+    of those already checked.  The elements that pass are closed under the
+    product, so once every element is reached the table is associative.  In a
+    group each new s at least doubles the reached subgroup, so at most
+    log2(n) + 1 of them are checked, each at n*n lookups.
+    """
+    n = len(table)
+    rows = [tuple(r) for r in table]
+    gens: list[int] = []
+    reached: list[int] = []
+    seen = bytearray(n)
+    low = 0
+    while len(reached) < n:
+        while seen[low]:
+            low += 1
+        s = low
+        via_s = _gather(rows[s])
+        for x, row in enumerate(rows):
+            lhs, rhs = rows[row[s]], via_s(row)
+            if lhs != rhs:
+                return x, s, next(y for y in range(n) if lhs[y] != rhs[y])
+        gens.append(s)
+        seen[s] = 1
+        reached.append(s)
+        # Iterating the growing list closes it under right products.
+        for r in reached:
+            row = rows[r]
+            for g in gens:
+                c = row[g]
+                if not seen[c]:
+                    seen[c] = 1
+                    reached.append(c)
+    return None
+
+
 class Group:
     """A finite group on 0..order-1 given by its multiplication table.
 
-    table[x][y] is the product x*y.  Construction validates the Latin-square
-    property, a two-sided identity, two-sided inverses, and associativity
-    (fully up to order 256, by seeded sampling above that).
+    table[x][y] is the product x*y.  Each row is a read-only memoryview over
+    one shared bytes buffer, cast to the smallest unsigned typecode that holds
+    the order ('B' up to order 256, 'H' up to 65536), so the table is
+    immutable and costs one or two bytes per cell.  Construction validates the
+    Latin property of rows and columns, a two-sided identity, two-sided
+    inverses, and associativity: exactly by Light's test up to order 256, by
+    seeded sampling above that.
     """
 
     __slots__ = (
@@ -79,17 +169,38 @@ class Group:
             raise InvalidSpec("a group needs at least one element")
         if len(names) != n:
             raise InvalidSpec(f"{n} table rows but {len(names)} names")
-        rows = []
-        for i, row in enumerate(table):
-            row = tuple(row)
-            if len(row) != n:
-                raise InvalidSpec(f"table row {i} has length {len(row)}, expected {n}")
-            for v in row:
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                    raise InvalidSpec(f"table row {i} holds {v!r}, expected 0..{n - 1}")
-            rows.append(row)
+        typecode = _typecode(n)
+        cells = b"".join(_table_row(i, row, n, typecode) for i, row in enumerate(table))
+        self._setup(n, cells, names, kind, description, generator_names)
+
+    @classmethod
+    def _from_cells(
+        cls,
+        n: int,
+        cells: bytes,
+        names: Sequence[str],
+        *,
+        kind: str,
+        description: str,
+        generator_names: dict[str, int] | None = None,
+    ) -> "Group":
+        """A group from a builder's row-major table, n*n cells of typecode
+        _typecode(n), validated like any other table."""
+        self = cls.__new__(cls)
+        self._setup(n, cells, names, kind, description, generator_names)
+        return self
+
+    def _setup(
+        self,
+        n: int,
+        cells: bytes,
+        names: Sequence[str],
+        kind: str,
+        description: str | None,
+        generator_names: dict[str, int] | None,
+    ) -> None:
         self.order = n
-        self.table = tuple(rows)
+        self.table = _table_rows(cells, n)
         self.names = tuple(str(s) for s in names)
         if len(set(self.names)) != n:
             raise InvalidSpec("element names must be pairwise distinct")
@@ -98,9 +209,10 @@ class Group:
         self.full_mask = (1 << n) - 1
         self._abelian: bool | None = None
 
-        self._check_latin()
-        self.identity = self._find_identity()
-        self.inverse = self._find_inverses()
+        flat = array(_typecode(n), cells)
+        self._check_latin(flat)
+        self.identity = self._find_identity(flat)
+        self.inverse = self._find_inverses(flat)
         self._check_associativity()
 
         gen = dict(generator_names or {})
@@ -126,31 +238,36 @@ class Group:
         self._loose_names = loose
 
     # -- validation -------------------------------------------------------
+    # Each check runs over whole rows or strided columns of the flat table,
+    # so its inner loop is in C.
 
-    def _check_latin(self) -> None:
+    def _check_latin(self, flat: array) -> None:
         n = self.order
-        full = frozenset(range(n))
+        ident = list(range(n))
         for i, row in enumerate(self.table):
-            if set(row) != full:
+            if sorted(row) != ident:
                 raise NotAGroup(f"row {i} is not a permutation of the elements")
         for j in range(n):
-            if {self.table[i][j] for i in range(n)} != full:
+            if sorted(flat[j::n]) != ident:
                 raise NotAGroup(f"column {j} is not a permutation of the elements")
 
-    def _find_identity(self) -> int:
+    def _find_identity(self, flat: array) -> int:
+        # The columns are permutations, so only the e with e*0 = 0 can be it.
         n = self.order
-        id_row = tuple(range(n))
-        for e in range(n):
-            if self.table[e] == id_row and all(self.table[i][e] == i for i in range(n)):
-                return e
+        e = flat[0::n].index(0)
+        ident = array(flat.typecode, range(n))
+        if flat[e * n:(e + 1) * n] == ident and flat[e::n] == ident:
+            return e
         raise NotAGroup("no two-sided identity element")
 
-    def _find_inverses(self) -> tuple[int, ...]:
+    def _find_inverses(self, flat: array) -> tuple[int, ...]:
+        n = self.order
         e = self.identity
+        t = self.table
         inv = []
-        for i, row in enumerate(self.table):
-            j = row.index(e)
-            if self.table[j][i] != e:
+        for i in range(n):
+            j = flat.index(e, i * n, (i + 1) * n) - i * n
+            if t[j][i] != e:
                 raise NotAGroup(f"element {i} has no two-sided inverse")
             inv.append(j)
         return tuple(inv)
@@ -159,13 +276,10 @@ class Group:
         n = self.order
         t = self.table
         if n <= config.FULL_ASSOCIATIVITY_BOUND:
-            for i in range(n):
-                ti = t[i]
-                for j in range(n):
-                    lhs = t[ti[j]]
-                    tj = t[j]
-                    if any(lhs[k] != ti[tj[k]] for k in range(n)):
-                        raise NotAGroup(f"associativity fails at i={i}, j={j}")
+            failure = _light_failure(t)
+            if failure is not None:
+                i, j, k = failure
+                raise NotAGroup(f"associativity fails at i={i}, j={j}, k={k}")
         else:
             rng = random.Random(0xA55C ^ n)
             for _ in range(config.ASSOCIATIVITY_SAMPLES_PER_ELEMENT * n):
@@ -494,14 +608,43 @@ class GroupSpec:
 
 def _check_order(order: int, limit: int, what: str) -> None:
     if order > limit:
-        raise SizeLimitExceeded(f"{what} has order {order}, above the limit {limit}")
+        raise SizeLimitExceeded(f"{what} has order above the limit {limit}")
 
 
-def _build_cyclic(n: int, limit: int) -> Group:
-    _check_order(n, limit, f"cyclic group of order {n}")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+def _capped_prod(values: Iterable[int], limit: int) -> int:
+    """The product of positive values, or limit + 1 once it passes limit, so
+    a huge spec is refused without computing its order in full."""
+    out = 1
+    for v in values:
+        out *= v
+        if out > limit:
+            return limit + 1
+    return out
+
+
+def _least_order(spec: GroupSpec, limit: int) -> int:
+    """The order spec builds, capped at limit + 1, found without building
+    anything.  A permutation closure counts as 1: its order is known only
+    once the closure is built, which checks the limit as it grows."""
+    if spec.kind == "cyclic":
+        return min(spec.n or 1, limit + 1)
+    if spec.kind == "dihedral":
+        return min(2 * (spec.n or 1), limit + 1)
+    if spec.kind == "symmetric":
+        return _capped_prod(range(2, (spec.n or 1) + 1), limit)
+    if spec.kind == "direct_product":
+        return _capped_prod((_least_order(f, limit) for f in spec.factors or ()), limit)
+    if spec.kind == "cayley":
+        return min(len(spec.table or ()), limit + 1)
+    return 1
+
+
+def _build_cyclic(n: int) -> Group:
+    # Row i is the doubled 0..n-1 sliced at i.
+    doubled = memoryview(array(_typecode(n), range(n)) * 2)
+    cells = b"".join(doubled[i:i + n] for i in range(n))
     names = [str(i) for i in range(n)]
-    return Group(table, names, kind="cyclic", description=f"cyclic:{n}")
+    return Group._from_cells(n, cells, names, kind="cyclic", description=f"cyclic:{n}")
 
 
 def _rot_name(i: int) -> str:
@@ -512,24 +655,26 @@ def _refl_name(i: int) -> str:
     return "b" if i == 0 else "ba" if i == 1 else f"ba^{i}"
 
 
-def _build_dihedral(n: int, limit: int) -> Group:
-    # order 2n; indices 0..n-1 are a^i, n..2n-1 are b*a^i
-    _check_order(2 * n, limit, f"dihedral group on {n} rotations")
+def _build_dihedral(n: int) -> Group:
+    # order 2n; indices 0..n-1 are a^i, n..2n-1 are b*a^i, and
+    # a^i a^j = a^(i+j), a^i ba^j = ba^(j-i), ba^i a^j = ba^(i+j), ba^i ba^j = a^(j-i)
     size = 2 * n
-    table = [[0] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = (i + j) % n
-            table[i][n + j] = n + (j - i) % n
-            table[n + i][j] = n + (i + j) % n
-            table[n + i][n + j] = (j - i) % n
+    typecode = _typecode(size)
+    rot = memoryview(array(typecode, range(n)) * 2)  # rot[k] = a^(k mod n)
+    refl = memoryview(array(typecode, range(n, size)) * 2)  # refl[k] = ba^(k mod n)
+    halves = [(rot[i:i + n], refl[n - i:size - i]) for i in range(n)]
+    halves += [(refl[i:i + n], rot[n - i:size - i]) for i in range(n)]
+    cells = b"".join(itertools.chain.from_iterable(halves))
     names = [_rot_name(i) for i in range(n)] + [_refl_name(i) for i in range(n)]
     gens = {"a": 1 % n, "b": n}
-    return Group(table, names, kind="dihedral", description=f"dihedral:{n}", generator_names=gens)
+    return Group._from_cells(
+        size, cells, names, kind="dihedral", description=f"dihedral:{n}", generator_names=gens
+    )
 
 
-def _cycle_name(perm: Sequence[int]) -> str:
-    """Disjoint-cycle notation on 1-based points; '()' for the identity."""
+def _cycle_name(perm: Sequence[int], points: Sequence[int]) -> str:
+    """Disjoint-cycle notation, position i standing for the 1-based point
+    points[i]; '()' for the identity."""
     seen = [False] * len(perm)
     parts = []
     for start in range(len(perm)):
@@ -543,7 +688,7 @@ def _cycle_name(perm: Sequence[int]) -> str:
             cyc.append(j)
             seen[j] = True
             j = perm[j]
-        parts.append("(" + " ".join(str(p + 1) for p in cyc) + ")")
+        parts.append("(" + " ".join(str(points[p]) for p in cyc) + ")")
     return "".join(parts) or "()"
 
 
@@ -552,61 +697,92 @@ def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
     return tuple(q[x] for x in p)
 
 
-def _build_symmetric(n: int, limit: int) -> Group:
-    order = math.factorial(n)
-    _check_order(order, limit, f"symmetric group on {n} points")
+def _permutation_cells(
+    elements: Sequence[tuple[int, ...]],
+    index: dict[tuple[int, ...], int],
+    gens: Sequence[tuple[int, ...]],
+) -> bytes:
+    """The table of the permutation group elements, elements[0] the identity,
+    generated by right products of gens.  Only the generator rows take dict
+    lookups: the others follow a BFS tree from the identity, since
+    row(p*g)[y] = p*(g*y) is row(p) read at the indices row(g)."""
+    n = len(elements)
+    steps = [
+        (index[g], _gather([index[_compose(g, q)] for q in elements])) for g in gens
+    ]
+    rows: list[tuple[int, ...] | None] = [None] * n
+    rows[0] = tuple(range(n))
+    queue = [0]
+    for p in queue:
+        row = rows[p]
+        for g, via_g in steps:
+            child = row[g]
+            if rows[child] is None:
+                rows[child] = via_g(row)
+                queue.append(child)
+    return array(_typecode(n), itertools.chain.from_iterable(rows)).tobytes()
+
+
+def _build_symmetric(n: int) -> Group:
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
-    table = [[index[_compose(p, q)] for q in perms] for p in perms]
-    names = [_cycle_name(p) for p in perms]
-    return Group(table, names, kind="symmetric", description=f"symmetric:{n}")
+    # perms[1] swaps the last two points; with the n-cycle it generates S_n.
+    gens = perms[1:2] + [tuple(range(1, n)) + (0,)]
+    cells = _permutation_cells(perms, index, gens)
+    names = [_cycle_name(p, range(1, n + 1)) for p in perms]
+    return Group._from_cells(
+        len(perms), cells, names, kind="symmetric", description=f"symmetric:{n}"
+    )
+
+
+def _product_cells(
+    a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]], typecode: str
+) -> bytes:
+    """The table of A x B with (x, y) at index x*|B| + y: row (x1, y1) is,
+    for x2 in turn, row y1 of B shifted up by |B| times x1*x2 in A."""
+    nb = len(b_rows)
+    shifts = [range(k * nb, (k + 1) * nb) for k in range(len(a_rows))]
+    # shifted[y][k] = row y of B plus k*|B|
+    shifted = [
+        [array(typecode, via_y(shift)).tobytes() for shift in shifts]
+        for via_y in map(_gather, b_rows)
+    ]
+    return b"".join(
+        itertools.chain.from_iterable(
+            via_x(shifted_y) for via_x in map(_gather, a_rows) for shifted_y in shifted
+        )
+    )
 
 
 def _build_direct_product(spec: GroupSpec, limit: int) -> Group:
     factors = [_build(f, limit) for f in spec.factors or ()]
-    order = math.prod(f.order for f in factors)
+    order = _capped_prod((f.order for f in factors), limit)
     _check_order(order, limit, "direct product")
-    sizes = [f.order for f in factors]
-
-    def split(idx: int) -> list[int]:
-        parts = []
-        for size in reversed(sizes):
-            parts.append(idx % size)
-            idx //= size
-        return parts[::-1]
-
-    def join(parts: Sequence[int]) -> int:
-        idx = 0
-        for size, p in zip(sizes, parts):
-            idx = idx * size + p
-        return idx
-
-    decomp = [split(i) for i in range(order)]
-    table = [
-        [
-            join([f.table[xi][yi] for f, xi, yi in zip(factors, xs, ys)])
-            for ys in decomp
-        ]
-        for xs in decomp
+    # Fold the factors in pairwise, from the trivial group.
+    rows: Sequence[Sequence[int]] = ((0,),)
+    for f in factors:
+        n = len(rows) * f.order
+        cells = _product_cells(rows, f.table, _typecode(n))
+        rows = _table_rows(cells, n)
+    names = [
+        "(" + ",".join(parts) + ")" for parts in itertools.product(*(f.names for f in factors))
     ]
-    names = ["(" + ",".join(f.names[xi] for f, xi in zip(factors, xs)) + ")" for xs in decomp]
     desc = "x".join(f.description for f in factors)
-    return Group(table, names, kind="direct_product", description=desc)
+    return Group._from_cells(order, cells, names, kind="direct_product", description=desc)
 
 
-def _perm_from_cycles(cycles: Sequence[Sequence[int]], degree: int) -> tuple[int, ...]:
-    perm = list(range(degree))
+def _perm_from_cycles(
+    cycles: Sequence[Sequence[int]], position: dict[int, int]
+) -> tuple[int, ...]:
+    """The product of the cycles, applied left to right, as a permutation of
+    the positions of the points."""
+    perm = tuple(range(len(position)))
     for cycle in cycles:
-        if len(cycle) != len(set(cycle)):
-            raise InvalidSpec(f"cycle {list(cycle)} repeats a point")
-        for p in cycle:
-            if not 1 <= p <= degree:
-                raise InvalidSpec(f"cycle point {p} outside 1..{degree}")
-        step = list(range(degree))
-        for pos, p in enumerate(cycle):
-            step[p - 1] = cycle[(pos + 1) % len(cycle)] - 1
-        perm = list(_compose(perm, step))
-    return tuple(perm)
+        step = list(range(len(position)))
+        for p, q in zip(cycle, cycle[1:] + cycle[:1]):
+            step[position[p]] = position[q]
+        perm = _compose(perm, step)
+    return perm
 
 
 _GEN_SYMBOLS = "abcdefghijklmnopqrstuvwxyz"
@@ -614,8 +790,20 @@ _GEN_SYMBOLS = "abcdefghijklmnopqrstuvwxyz"
 
 def _build_permutation(spec: GroupSpec, limit: int) -> Group:
     degree = spec.degree or 1
-    gens = [_perm_from_cycles(cycles, degree) for cycles in spec.generators or ()]
-    identity = tuple(range(degree))
+    generators = spec.generators or ()
+    for cycles in generators:
+        for cycle in cycles:
+            if len(cycle) != len(set(cycle)):
+                raise InvalidSpec(f"cycle {list(cycle)} repeats a point")
+            for p in cycle:
+                if not 1 <= p <= degree:
+                    raise InvalidSpec(f"cycle point {p} outside 1..{degree}")
+    # Every other point is fixed by the whole group, so the closure runs on
+    # the points the generators name: its cost does not grow with degree.
+    points = sorted({p for cycles in generators for cycle in cycles for p in cycle})
+    position = {p: i for i, p in enumerate(points)}
+    gens = [_perm_from_cycles(cycles, position) for cycles in generators]
+    identity = tuple(range(len(points)))
     elements = [identity]
     index = {identity: 0}
     queue = deque([identity])
@@ -631,13 +819,14 @@ def _build_permutation(spec: GroupSpec, limit: int) -> Group:
                 index[r] = len(elements)
                 elements.append(r)
                 queue.append(r)
-    table = [[index[_compose(p, q)] for q in elements] for p in elements]
-    names = [_cycle_name(p) for p in elements]
+    cells = _permutation_cells(elements, index, gens)
+    names = [_cycle_name(p, points) for p in elements]
     gen_names = {
         _GEN_SYMBOLS[i]: index[g] for i, g in enumerate(gens) if i < len(_GEN_SYMBOLS)
     }
-    return Group(
-        table,
+    return Group._from_cells(
+        len(elements),
+        cells,
         names,
         kind="permutation",
         description=f"permutation:deg{degree}",
@@ -646,16 +835,17 @@ def _build_permutation(spec: GroupSpec, limit: int) -> Group:
 
 
 def _build(spec: GroupSpec, limit: int) -> Group:
+    what = "direct product" if spec.kind == "direct_product" else f"{spec.kind} group"
+    _check_order(_least_order(spec, limit), limit, what)
     if spec.kind == "cyclic":
-        return _build_cyclic(spec.n or 1, limit)
+        return _build_cyclic(spec.n or 1)
     if spec.kind == "dihedral":
-        return _build_dihedral(spec.n or 1, limit)
+        return _build_dihedral(spec.n or 1)
     if spec.kind == "symmetric":
-        return _build_symmetric(spec.n or 1, limit)
+        return _build_symmetric(spec.n or 1)
     if spec.kind == "direct_product":
         return _build_direct_product(spec, limit)
     if spec.kind == "cayley":
-        _check_order(len(spec.table or ()), limit, "cayley group")
         return Group(spec.table or (), spec.names or (), kind="cayley", description="cayley")
     if spec.kind == "permutation":
         return _build_permutation(spec, limit)

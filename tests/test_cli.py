@@ -327,3 +327,15 @@ def test_all_reports_validate(capsys):
         ["verify-paper", "--example", "1.3"],
     ):
         run_json(capsys, argv)
+
+
+@pytest.mark.parametrize("group", [
+    "symmetric:2000",
+    '{"kind":"direct_product","factors":[{"kind":"cyclic","n":2048},'
+    '{"kind":"cyclic","n":4096}]}',
+])
+def test_huge_group_spec_exits_5(capsys, group):
+    assert main(["rta", "--group", group, "-H", "1"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("limit exceeded: ")
+    assert "Traceback" not in err

@@ -218,3 +218,33 @@ def test_large_group_sampled_validation():
     g = build_group({"kind": "cyclic", "n": 300})
     assert g.order == 300
     assert g.multiply(299, 1) == 0
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "symmetric", "n": 1700},
+    {"kind": "direct_product", "factors": [{"kind": "cyclic", "n": 2048},
+                                           {"kind": "cyclic", "n": 4096}]},
+    {"kind": "direct_product", "factors": [{"kind": "symmetric", "n": 10 ** 6},
+                                           {"kind": "cyclic", "n": 2}]},
+])
+def test_order_is_refused_from_the_spec(spec):
+    # refused before any factor or factorial is built, and the message
+    # names the limit rather than the order
+    with pytest.raises(SizeLimitExceeded, match="above the limit 4096$"):
+        build_group(spec)
+
+
+def test_permutation_closure_ignores_unmoved_points():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        g = build_group({"kind": "permutation", "degree": 10 ** 6,
+                         "generators": [[[1, 2]], [[999999, 10 ** 6]]]})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 6
+    assert g.order == 4
+    assert g.names == ("()", "(1 2)", "(999999 1000000)", "(1 2)(999999 1000000)")
+    assert g.description == "permutation:deg1000000"
