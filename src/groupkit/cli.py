@@ -404,13 +404,10 @@ def _cmd_verify(args: argparse.Namespace) -> RunReport:
     except ValueError as exc:
         raise InvalidSpec(str(exc)) from None
     # the verification runs fixed reference groups; report the first one
-    first = (examples or list(verify.EXAMPLES))[0]
-    g = build_group(
-        {"kind": "cyclic", "n": 12} if first == "1.3" else {"kind": "dihedral", "n": 6}
-    )
+    first = (examples or verify.EXAMPLES)[0]
     report = RunReport(
         command="verify-paper",
-        group=g,
+        group=build_group(verify.GROUPS[first]),
         inputs={"examples": list(examples) if examples else list(verify.EXAMPLES)},
         result=result,
     )

@@ -16,11 +16,6 @@ ENUM_LIMIT_ENV = "GROUPKIT_ENUM_LIMIT"
 DEFAULT_MAX_ORDER = 4096
 DEFAULT_ENUM_LIMIT = 10 ** 6
 
-# Exact associativity check (Light's test, O(n^2 log n) table lookups) up to
-# this order; seeded sampled triples above it.
-FULL_ASSOCIATIVITY_BOUND = 256
-ASSOCIATIVITY_SAMPLES_PER_ELEMENT = 10
-
 # Brute-force subgroup enumeration refuses larger groups by default.
 DEFAULT_SUBGROUP_ENUM_BOUND = 24
 

@@ -9,7 +9,6 @@ bitmasks, which keeps the set algebra in this package cheap.
 from __future__ import annotations
 
 import itertools
-import random
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -48,9 +47,8 @@ def _typecode(n: int) -> str:
     return next(tc for tc in "BHIL" if n <= 1 << 8 * array(tc).itemsize)
 
 
-def _table_rows(cells: bytes, n: int) -> tuple[memoryview, ...]:
-    """Read-only row views over a row-major n*n table."""
-    flat = memoryview(cells).cast(_typecode(n))
+def _table_rows(flat: memoryview, n: int) -> tuple[memoryview, ...]:
+    """Read-only row views over a row-major n*n table's flat view."""
     return tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
 
@@ -88,40 +86,60 @@ def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     return itemgetter(*indices)
 
 
-def _light_failure(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
-    """Light's associativity test: a triple (x, s, y) with (x*s)*y != x*(s*y),
-    or None when the table is associative.
+# Cells in each block of rows that a pass of Light's test fills and compares at
+# once.  At the order cap 2**16 doubles a pass, and 2**20 is no faster.
+_LIGHT_BLOCK_CELLS = 1 << 18
 
-    Every s taken is checked against all x and y, and the s are taken
-    greedily: the lowest element not yet reached as a left-bracketed product
-    of those already checked.  The elements that pass are closed under the
-    product, so once every element is reached the table is associative.  In a
-    group each new s at least doubles the reached subgroup, so at most
-    log2(n) + 1 of them are checked, each at n*n lookups.
+
+def _light_failure(flat: memoryview, n: int, identity: int | None) -> tuple[int, int, int] | None:
+    """Light's associativity test on the row-major n*n table flat: a triple
+    (x, s, y) with (x*s)*y != x*(s*y), or None when the table is associative.
+
+    Each pass checks one s against every x and y, taking the lowest s not yet
+    reached as a left-bracketed product of those that passed.  On any magma
+    the elements that pass are closed under the product, so the table is
+    associative once all are reached.  A given two-sided identity passes
+    trivially and is reached without a pass.  With the identity and two-sided
+    inverses verified, at most floor(log2 n) + 1 passes run: x = s^-1, then
+    y = s^-1, in (x*s)*y = x*(s*y) show that every s that passes has injective
+    row and column maps, so the reached set is a finite cancellative monoid,
+    that is a subgroup, and by Lagrange each newly passed s at least doubles it.
+
+    A pass runs over blocks of rows x with no lookup per cell: the left side
+    of row x is row x*s, and the right side, x*(s*y) over y, is row x with its
+    columns permuted by row s, filled one strided column at a time.
     """
-    n = len(table)
-    rows = [tuple(r) for r in table]
+    block = min(n, _LIGHT_BLOCK_CELLS // n)
+    lhs = memoryview(bytearray(block * n * flat.itemsize)).cast(flat.format)
+    rhs = memoryview(bytearray(block * n * flat.itemsize)).cast(flat.format)
     gens: list[int] = []
     reached: list[int] = []
     seen = bytearray(n)
-    low = 0
+    if identity is not None:
+        seen[identity] = 1
+        reached.append(identity)
     while len(reached) < n:
-        while seen[low]:
-            low += 1
-        s = low
-        via_s = _gather(rows[s])
-        for x, row in enumerate(rows):
-            lhs, rhs = rows[row[s]], via_s(row)
-            if lhs != rhs:
-                return x, s, next(y for y in range(n) if lhs[y] != rhs[y])
+        s = seen.index(0)
+        row_s = flat[s * n:(s + 1) * n].tolist()
+        col_s = flat[s::n].tolist()
+        for x0 in range(0, n, block):
+            cells = min(block, n - x0) * n
+            for i, xs in enumerate(col_s[x0:x0 + block]):
+                lhs[i * n:(i + 1) * n] = flat[xs * n:(xs + 1) * n]
+            for y, sy in enumerate(row_s):
+                rhs[y:cells:n] = flat[x0 * n + sy:x0 * n + cells:n]
+            # The buffers agree whenever a block starts (zeroed, or the last
+            # block passed), so comparing them whole covers a short last block.
+            if lhs.obj != rhs.obj:
+                k = next(k for k in range(cells) if lhs[k] != rhs[k])
+                return x0 + k // n, s, k % n
         gens.append(s)
         seen[s] = 1
         reached.append(s)
         # Iterating the growing list closes it under right products.
         for r in reached:
-            row = rows[r]
             for g in gens:
-                c = row[g]
+                c = flat[r * n + g]
                 if not seen[c]:
                     seen[c] = 1
                     reached.append(c)
@@ -135,9 +153,9 @@ class Group:
     one shared bytes buffer, cast to the smallest unsigned typecode that holds
     the order ('B' up to order 256, 'H' up to 65536), so the table is
     immutable and costs one or two bytes per cell.  Construction validates the
-    Latin property of rows and columns, a two-sided identity, two-sided
-    inverses, and associativity: exactly by Light's test up to order 256, by
-    seeded sampling above that.
+    group axioms exactly, at every order: a two-sided identity, two-sided
+    inverses, then associativity by Light's test (_light_failure), at most
+    floor(log2 n) + 1 passes of n*n cells.
     """
 
     __slots__ = (
@@ -200,7 +218,8 @@ class Group:
         generator_names: dict[str, int] | None,
     ) -> None:
         self.order = n
-        self.table = _table_rows(cells, n)
+        flat = memoryview(cells).cast(_typecode(n))
+        self.table = _table_rows(flat, n)
         self.names = tuple(str(s) for s in names)
         if len(set(self.names)) != n:
             raise InvalidSpec("element names must be pairwise distinct")
@@ -209,11 +228,10 @@ class Group:
         self.full_mask = (1 << n) - 1
         self._abelian: bool | None = None
 
-        flat = array(_typecode(n), cells)
-        self._check_latin(flat)
         self.identity = self._find_identity(flat)
         self.inverse = self._find_inverses(flat)
-        self._check_associativity()
+        if failure := _light_failure(flat, n, self.identity):
+            raise NotAGroup("associativity fails at i={}, j={}, k={}".format(*failure))
 
         gen = dict(generator_names or {})
         for sym, idx in gen.items():
@@ -238,54 +256,40 @@ class Group:
         self._loose_names = loose
 
     # -- validation -------------------------------------------------------
-    # Each check runs over whole rows or strided columns of the flat table,
-    # so its inner loop is in C.
+    # Each check compares or searches whole rows and columns of the flat
+    # table, so its inner loop is in C.
 
-    def _check_latin(self, flat: array) -> None:
+    def _find_identity(self, flat: memoryview) -> int:
+        # The columns need not be permutations, so e*0 = 0 alone does not
+        # single out the identity: its whole row and column must be 0..n-1.
         n = self.order
-        ident = list(range(n))
-        for i, row in enumerate(self.table):
-            if sorted(row) != ident:
-                raise NotAGroup(f"row {i} is not a permutation of the elements")
-        for j in range(n):
-            if sorted(flat[j::n]) != ident:
-                raise NotAGroup(f"column {j} is not a permutation of the elements")
-
-    def _find_identity(self, flat: array) -> int:
-        # The columns are permutations, so only the e with e*0 = 0 can be it.
-        n = self.order
-        e = flat[0::n].index(0)
-        ident = array(flat.typecode, range(n))
-        if flat[e * n:(e + 1) * n] == ident and flat[e::n] == ident:
-            return e
+        ident = memoryview(array(flat.format, range(n)))
+        for e, row in enumerate(self.table):
+            if row == ident and flat[e::n] == ident:
+                return e
         raise NotAGroup("no two-sided identity element")
 
-    def _find_inverses(self, flat: array) -> tuple[int, ...]:
+    def _find_inverses(self, flat: memoryview) -> tuple[int, ...]:
         n = self.order
         e = self.identity
-        t = self.table
+        size = flat.itemsize
+        cells: bytes = flat.obj  # the buffer the table views
+        target = array(flat.format, [e]).tobytes()
         inv = []
         for i in range(n):
-            j = flat.index(e, i * n, (i + 1) * n) - i * n
-            if t[j][i] != e:
+            start, stop = i * n * size, (i + 1) * n * size
+            pos = cells.find(target, start, stop)
+            while pos >= 0 and (pos - start) % size:  # straddles two cells
+                pos = cells.find(target, pos + 1, stop)
+            if pos < 0:
                 raise NotAGroup(f"element {i} has no two-sided inverse")
+            j = (pos - start) // size
+            if flat[j * n + i] != e:
+                raise NotAGroup(
+                    f"element {i} has a right inverse {j} that is not a left inverse"
+                )
             inv.append(j)
         return tuple(inv)
-
-    def _check_associativity(self) -> None:
-        n = self.order
-        t = self.table
-        if n <= config.FULL_ASSOCIATIVITY_BOUND:
-            failure = _light_failure(t)
-            if failure is not None:
-                i, j, k = failure
-                raise NotAGroup(f"associativity fails at i={i}, j={j}, k={k}")
-        else:
-            rng = random.Random(0xA55C ^ n)
-            for _ in range(config.ASSOCIATIVITY_SAMPLES_PER_ELEMENT * n):
-                i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-                if t[t[i][j]][k] != t[i][t[j][k]]:
-                    raise NotAGroup(f"associativity fails at i={i}, j={j}, k={k}")
 
     # -- arithmetic -------------------------------------------------------
 
@@ -763,7 +767,7 @@ def _build_direct_product(spec: GroupSpec, limit: int) -> Group:
     for f in factors:
         n = len(rows) * f.order
         cells = _product_cells(rows, f.table, _typecode(n))
-        rows = _table_rows(cells, n)
+        rows = _table_rows(memoryview(cells).cast(_typecode(n)), n)
     names = [
         "(" + ",".join(parts) + ")" for parts in itertools.product(*(f.names for f in factors))
     ]

@@ -16,7 +16,13 @@ from .errors import MidEmpty
 from .groups import ElementSet, Group, build_group
 from .words import parse_element, parse_subset
 
-EXAMPLES = ("1.3", "2.5", "2.14")
+# The group each worked example runs on, in the examples' order.
+GROUPS = {
+    "1.3": {"kind": "cyclic", "n": 12},
+    "2.5": {"kind": "dihedral", "n": 6},
+    "2.14": {"kind": "dihedral", "n": 6},
+}
+EXAMPLES = tuple(GROUPS)
 
 
 def _check(checks: list, name: str, ok: bool, detail: str = "") -> bool:
@@ -46,9 +52,8 @@ def _listing(checks: list, name: str, computed: ElementSet, listed: ElementSet) 
     return False
 
 
-def _example_1_3() -> dict:
+def _example_1_3(g: Group) -> dict:
     checks: list = []
-    g = build_group({"kind": "cyclic", "n": 12})
     h = parse_subset(g, "0,3,6,9")
     _check(checks, "H is a subgroup", h.is_subgroup())
     trace = rta(h, g0=0, policy=ChoicePolicy.scripted([1, 2]), record="full")
@@ -86,9 +91,8 @@ def _example_1_3() -> dict:
     return {"example": "1.3", "title": "right transversal run on the cyclic group of order 12", "checks": checks}
 
 
-def _example_2_5() -> dict:
+def _example_2_5(g: Group) -> dict:
     checks: list = []
-    g = build_group({"kind": "dihedral", "n": 6})
     h = parse_subset(g, "1,a^3,ba^3,b")
     k = parse_subset(g, "1,a^3,ba,ba^4")
     _check(checks, "H and K are subgroups", h.is_subgroup() and k.is_subgroup())
@@ -182,9 +186,8 @@ def _example_2_5() -> dict:
     }
 
 
-def _example_2_14() -> dict:
+def _example_2_14(g: Group) -> dict:
     checks: list = []
-    g = build_group({"kind": "dihedral", "n": 6})
     h = parse_subset(g, "1,ab")
     k = parse_subset(g, "1,a^3,b,ba^3")
     _check(checks, "H and K are subgroups", h.is_subgroup() and k.is_subgroup())
@@ -287,7 +290,7 @@ def run(examples: tuple[str, ...] | list[str] | None = None) -> dict:
     for name in names:
         if name not in _RUNNERS:
             raise ValueError(f"unknown example {name!r}; choose from {', '.join(EXAMPLES)}")
-        sections.append(_RUNNERS[name]())
+        sections.append(_RUNNERS[name](build_group(GROUPS[name])))
     counts = {"pass": 0, "warn": 0, "fail": 0}
     for section in sections:
         for check in section["checks"]:

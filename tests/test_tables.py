@@ -2,15 +2,19 @@
 input path, each checked against a naive reference kept in this file."""
 
 import itertools
+import json
 import math
 import random
+import re
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupkit import InvalidSpec, NotAGroup, build_group
-from groupkit.groups import _light_failure
+from groupkit.cli import main
+from groupkit.groups import _LIGHT_BLOCK_CELLS, _light_failure, _typecode
 
 LOOP5 = [
     [0, 1, 2, 3, 4],
@@ -29,6 +33,12 @@ def naive_associative(table):
         for j in range(n)
         for k in range(n)
     )
+
+
+def light_failure(table):
+    """_light_failure on a list of rows, given no identity: exact on any magma."""
+    flat = array(_typecode(len(table)), itertools.chain.from_iterable(table))
+    return _light_failure(memoryview(flat), len(table), None)
 
 
 def small_builder_specs():
@@ -60,12 +70,12 @@ def small_builder_specs():
 def test_light_agrees_with_naive_on_builders(spec):
     table = [list(row) for row in build_group(spec).table]
     assert naive_associative(table)
-    assert _light_failure(table) is None
+    assert light_failure(table) is None
 
 
 def test_light_agrees_with_naive_on_the_order_5_loop():
     assert not naive_associative(LOOP5)
-    x, s, y = _light_failure(LOOP5)
+    x, s, y = light_failure(LOOP5)
     assert LOOP5[LOOP5[x][s]][y] != LOOP5[x][LOOP5[s][y]]
 
 
@@ -127,7 +137,7 @@ def test_light_agrees_with_naive_on_perturbed_tables():
         g = rng.choice(bases)
         _, table = _perturbed([list(row) for row in g.table], rng)
         associative = naive_associative(table)
-        failure = _light_failure(table)
+        failure = light_failure(table)
         assert (failure is None) == associative
         if failure is not None:
             x, s, y = failure
@@ -141,6 +151,135 @@ def test_light_agrees_with_naive_on_perturbed_tables():
         rejected_by_associativity += "associat" in str(caught.value)
     assert seen[True] > 20 and seen[False] > 20
     assert rejected_by_associativity > 5
+
+
+# -- exact validation at every order ---------------------------------------------------
+
+
+ASSOCIATIVITY_FAILURE = re.compile(r"associativity fails at i=(\d+), j=(\d+), k=(\d+)$")
+
+
+def cayley(table):
+    return {"kind": "cayley", "names": [str(i) for i in range(len(table))], "table": table}
+
+
+def rejection(table):
+    """The NotAGroup that build_group raises on table, after checking that an
+    associativity failure names a triple that really fails."""
+    with pytest.raises(NotAGroup) as caught:
+        build_group(cayley(table))
+    found = ASSOCIATIVITY_FAILURE.search(str(caught.value))
+    if found:
+        x, s, y = map(int, found.groups())
+        assert table[table[x][s]][y] != table[x][table[s][y]]
+    return caught.value
+
+
+def z300_with_an_intercalate_switched():
+    """Z300 with 3 and 153 swapped at (1,2), (1,152), (151,2) and (151,152):
+    a Latin square with identity 0 and inverses, but not associative."""
+    t = [[(i + j) % 300 for j in range(300)] for i in range(300)]
+    for i, j in [(1, 2), (1, 152), (151, 2), (151, 152)]:
+        t[i][j] = 156 - t[i][j]
+    return t
+
+
+NOT_GROUPS = [
+    ([[1, 1], [1, 1]], "no two-sided identity element"),
+    ([[0, 1, 2], [1, 1, 1], [2, 0, 0]], "element 1 has no two-sided inverse"),
+    # index 1 is a two-sided identity although column 0 holds 0 twice
+    ([[0, 0, 2], [0, 1, 2], [2, 2, 1]], "element 0 has no two-sided inverse"),
+    ([[0, 1, 2], [1, 2, 0], [2, 2, 0]], "element 1 has a right inverse 2 that is not a left"),
+]
+
+
+@pytest.mark.parametrize("table, message", NOT_GROUPS)
+def test_tables_without_identity_or_inverses_are_refused(table, message, tmp_path, capsys):
+    assert message in str(rejection(table))
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(cayley(table)))
+    assert main(["rta", "--group", f"@{path}", "-H", "0"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_the_z300_intercalate_table_is_refused(tmp_path, capsys):
+    table = z300_with_an_intercalate_switched()
+    assert ASSOCIATIVITY_FAILURE.search(str(rejection(table)))
+    path = tmp_path / "z300.json"
+    path.write_text(json.dumps(cayley(table)))
+    assert main(["rta", "--group", f"@{path}", "-H", "0"]) == 2
+    assert "associativity fails" in capsys.readouterr().err
+
+
+def _perturbed_large(table, kind, rng):
+    """A perturbation of a group table of any order: the intercalate is found
+    from a random cell in O(n^2) rather than by listing them all."""
+    n = len(table)
+    t = [list(row) for row in table]
+    if kind == "row swap":
+        i = rng.randrange(n)
+        j1, j2 = rng.sample(range(n), 2)
+        t[i][j1], t[i][j2] = t[i][j2], t[i][j1]
+    elif kind == "column swap":
+        j1, j2 = rng.sample(range(n), 2)
+        for row in t:
+            row[j1], row[j2] = row[j2], row[j1]
+    elif kind == "relabel":
+        a, b = rng.sample(range(n), 2)
+        swap = list(range(n))
+        swap[a], swap[b] = b, a
+        t = [[swap[table[swap[i]][swap[j]]] for j in range(n)] for i in range(n)]
+    else:
+        found = []
+        while not found:
+            i1, j1 = rng.randrange(1, n), rng.randrange(1, n)
+            u = t[i1][j1]
+            found = [
+                (i2, j2)
+                for i2 in range(1, n)
+                for j2 in [t[i2].index(u)]
+                if i2 != i1 and j2 not in (0, j1) and t[i1][j2] == t[i2][j1]
+            ]
+        i2, j2 = rng.choice(found)
+        v = t[i1][j2]
+        t[i1][j1] = t[i2][j2] = v
+        t[i1][j2] = t[i2][j1] = u
+    return t
+
+
+def test_perturbed_tables_above_256_are_refused():
+    # Orders 257, 300 and 600 use two-byte cells; at 600 a pass of Light's
+    # test runs over a full block of rows and a short last one.
+    rng = random.Random(20261018)
+    later_blocks = 0
+    for spec in ({"kind": "cyclic", "n": 257}, {"kind": "cyclic", "n": 300},
+                 {"kind": "dihedral", "n": 150}, {"kind": "dihedral", "n": 300}):
+        table = [list(row) for row in build_group(spec).table]
+        n = len(table)
+        kinds = ["row swap", "column swap", "relabel"]
+        if n % 2 == 0:  # a group of odd order has no intercalate
+            kinds.append("intercalate")
+        for kind in kinds:
+            t = _perturbed_large(table, kind, rng)
+            if kind == "relabel":
+                g = build_group(cayley(t))
+                assert all(t[x][g.inverse[x]] == g.identity == t[g.inverse[x]][x]
+                           for x in range(n))
+                continue
+            found = ASSOCIATIVITY_FAILURE.search(str(rejection(t)))
+            later_blocks += bool(found) and int(found.group(1)) >= _LIGHT_BLOCK_CELLS // n
+    assert later_blocks
+
+
+def test_a_cayley_identity_need_not_be_index_0():
+    # D12 relabelled so that the identity is index 11
+    table = [list(row) for row in build_group({"kind": "dihedral", "n": 6}).table]
+    swap = list(range(12))
+    swap[0], swap[11] = 11, 0
+    relabelled = [[swap[table[swap[i]][swap[j]]] for j in range(12)] for i in range(12)]
+    g = build_group(cayley(relabelled))
+    assert g.identity == 11
+    assert all(g.multiply(x, g.inverse[x]) == 11 for x in range(12))
 
 
 # -- builders against their formulas ----------------------------------------------
