@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 parse/validation problem, 3 search not applicable
-(empty middle director), 4 failed internal check or cross-check mismatch,
-5 a size or enumeration limit was hit.
+Exit codes: 0 success, 4 when an output check or the cross-check fails, and
+otherwise the code of the GroupKitError raised: each class in errors.py
+carries its own (2 bad input, 3 not applicable, 4 failed internal check,
+5 a size or enumeration limit).
 """
 
 from __future__ import annotations
@@ -26,23 +27,9 @@ from .algorithms import (
     mta,
     rta,
 )
-from .errors import (
-    EnumerationLimitExceeded,
-    G0NotInMid,
-    GroupKitError,
-    GroupMismatch,
-    IndexOutOfRange,
-    InvalidSpec,
-    MidEmpty,
-    NotAGroup,
-    NotASubgroup,
-    ParseError,
-    ScriptedChoiceInvalid,
-    SizeLimitExceeded,
-    TraceMismatch,
-)
+from .errors import GroupKitError, InvalidSpec, NotASubgroup
 from .groups import ElementSet, Group, GroupSpec, build_group
-from .report import RunReport, set_names, trace_payload
+from .report import RunReport, trace_payload
 from .words import parse_element, parse_subset
 
 FAULT_ENV = "GROUPKIT_FAULT_INJECT"
@@ -51,21 +38,23 @@ FAULT_ENV = "GROUPKIT_FAULT_INJECT"
 def _load_group(text: str) -> Group:
     if text.startswith("@"):
         path = text[1:]
+        source = f"group file {path!r}"
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise InvalidSpec(f"cannot read group file {path!r}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise InvalidSpec(f"group file {path!r} is not valid JSON: {exc}") from None
-        return build_group(GroupSpec.from_dict(data))
-    if text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpec(f"--group value is not valid JSON: {exc}") from None
-        return build_group(GroupSpec.from_dict(data))
-    return build_group(GroupSpec.from_inline(text))
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidSpec(f"cannot read {source}: {exc}") from None
+    elif text.lstrip().startswith("{"):
+        source = "--group value"
+    else:
+        return build_group(GroupSpec.from_inline(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidSpec(f"{source} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InvalidSpec(f"{source} is nested too deeply") from None
+    return build_group(GroupSpec.from_dict(data))
 
 
 def _parse_policy(g: Group, text: str) -> ChoicePolicy:
@@ -179,9 +168,8 @@ def _render_text(report: RunReport) -> str:
         for section in r["sections"]:
             lines.append(f"example {section['example']}: {section['title']}")
             for check in section["checks"]:
-                mark = {"PASS": "PASS", "WARN": "WARN", "FAIL": "FAIL"}[check["status"]]
                 suffix = f" ({check['detail']})" if check["detail"] else ""
-                lines.append(f"  [{mark}] {check['name']}{suffix}")
+                lines.append(f"  [{check['status']}] {check['name']}{suffix}")
         c = r["counts"]
         lines.append(f"summary: pass={c['pass']} warn={c['warn']} fail={c['fail']}")
     for w in report.warnings:
@@ -192,72 +180,52 @@ def _render_text(report: RunReport) -> str:
 # -- command handlers ----------------------------------------------------------
 
 
-def _cmd_rta(args: argparse.Namespace) -> RunReport:
+def _prologue(
+    args: argparse.Namespace, *, needs_k: bool = True
+) -> tuple[Group, ElementSet, ElementSet | None, ChoicePolicy | None, int | None, dict]:
+    """Load the group, H, K when needs_k, and for the commands that take
+    --policy the policy and g0, in that order; return them with the report's
+    inputs built from them."""
     g = _load_group(args.group)
     h = _parse_required_subgroup(g, "-H", args.subgroup_h)
-    policy = _parse_policy(g, args.policy)
-    g0 = _parse_g0(g, args.g0)
-    trace = rta(h, g0=g0, policy=policy, record=args.trace)
-    trace.validate()
-    valid = products.is_right_transversal(h, trace.output)
-    report = RunReport(
-        command="rta",
-        group=g,
-        inputs={
-            "group": args.group,
-            "H": h.names(),
-            "g0": None if g0 is None else g.names[g0],
-            "policy": policy.describe(),
-            "trace": args.trace,
-        },
-        result={
-            "trace": trace_payload(trace),
-            "transversal": set_names(trace.output),
-            "index": trace.n_steps + 1,
-            "valid": valid,
-        },
-    )
-    report.exit_code = 0 if valid else 4
-    return report
+    inputs = {"group": args.group, "H": h.names()}
+    k = policy = g0 = None
+    if needs_k:
+        k = _parse_required_subgroup(g, "-K", args.subgroup_k)
+        inputs["K"] = k.names()
+    if "policy" in args:
+        policy = _parse_policy(g, args.policy)
+        g0 = _parse_g0(g, args.g0)
+        inputs["g0"] = None if g0 is None else g.names[g0]
+        inputs["policy"] = policy.describe()
+        inputs["trace"] = args.trace
+    return g, h, k, policy, g0, inputs
 
 
-def _cmd_mta(args: argparse.Namespace) -> RunReport:
-    g = _load_group(args.group)
-    h = _parse_required_subgroup(g, "-H", args.subgroup_h)
-    k = _parse_required_subgroup(g, "-K", args.subgroup_k)
-    policy = _parse_policy(g, args.policy)
-    g0 = _parse_g0(g, args.g0)
-    trace = mta(h, k, g0=g0, policy=policy, record=args.trace)
+def _cmd_transversal(args: argparse.Namespace) -> RunReport:
+    """rta, or mta when the command takes -K."""
+    g, h, k, policy, g0, inputs = _prologue(args, needs_k=args.command == "mta")
+    if k is None:
+        trace = rta(h, g0=g0, policy=policy, record=args.trace)
+    else:
+        trace = mta(h, k, g0=g0, policy=policy, record=args.trace)
     trace.validate()
-    valid = products.is_middle_transversal(h, trace.output, k)
-    report = RunReport(
-        command="mta",
-        group=g,
-        inputs={
-            "group": args.group,
-            "H": h.names(),
-            "K": k.names(),
-            "g0": None if g0 is None else g.names[g0],
-            "policy": policy.describe(),
-            "trace": args.trace,
-        },
-        result={
-            "trace": trace_payload(trace),
-            "transversal": set_names(trace.output),
-            "double_coset_count": trace.n_steps + 1,
-            "valid": valid,
-        },
-    )
-    report.exit_code = 0 if valid else 4
-    return report
+    if k is None:
+        count, valid = "index", products.is_right_transversal(h, trace.output)
+    else:
+        count, valid = "double_coset_count", products.is_middle_transversal(h, trace.output, k)
+    result = {
+        "trace": trace_payload(trace),
+        "transversal": trace.output.names(),
+        count: trace.n_steps + 1,
+        "valid": valid,
+    }
+    return RunReport(args.command, g, inputs, result, exit_code=0 if valid else 4)
 
 
 def _cmd_msfa(args: argparse.Namespace) -> RunReport:
-    g = _load_group(args.group)
-    h = _parse_required_subgroup(g, "-H", args.subgroup_h)
-    k = _parse_required_subgroup(g, "-K", args.subgroup_k)
-    policy = _parse_policy(g, args.policy)
-    g0 = _parse_g0(g, args.g0)
+    g, h, k, policy, g0, inputs = _prologue(args)
+    inputs["extend"] = bool(args.extend)
     chooser = policy.start()
     trace = msfa(h, k, g0=g0, policy=policy, record=args.trace, chooser=chooser)
     trace.validate()
@@ -269,7 +237,7 @@ def _cmd_msfa(args: argparse.Namespace) -> RunReport:
     maximal = mid <= hxk
     result = {
         "trace": trace_payload(trace),
-        "x": set_names(trace.output),
+        "x": trace.output.names(),
         "mid_size": len(mid),
         "covers_group": hxk == g.full_set(),
         "direct": direct,
@@ -282,137 +250,72 @@ def _cmd_msfa(args: argparse.Namespace) -> RunReport:
         )
         extended.validate()
         result["extension"] = trace_payload(extended)
-        result["x_star"] = set_names(extended.output)
+        result["x_star"] = extended.output.names()
         ok = ok and products.is_middle_transversal(h, extended.output, k)
-    report = RunReport(
-        command="msfa",
-        group=g,
-        inputs={
-            "group": args.group,
-            "H": h.names(),
-            "K": k.names(),
-            "g0": None if g0 is None else g.names[g0],
-            "policy": policy.describe(),
-            "trace": args.trace,
-            "extend": bool(args.extend),
-        },
-        result=result,
-    )
-    report.exit_code = 0 if ok else 4
-    return report
+    return RunReport("msfa", g, inputs, result, exit_code=0 if ok else 4)
 
 
 def _cmd_mid(args: argparse.Namespace) -> RunReport:
-    g = _load_group(args.group)
-    h = _parse_required_subgroup(g, "-H", args.subgroup_h)
-    k = _parse_required_subgroup(g, "-K", args.subgroup_k)
+    g, h, k, _, _, inputs = _prologue(args)
+    inputs["method"] = args.method
     by_def = by_conj = None
-    if args.method in ("definition", "both"):
+    if args.method != "conjugacy":
         by_def = products.mid_director(h, k)
-    if args.method in ("conjugacy", "both"):
+    if args.method != "definition":
         by_conj = products.mid_director_subgroups(h, k)
-    mid = by_conj if by_conj is not None else by_def
-    assert mid is not None
-    case = products.MidCase.of(mid)
+    mid = by_def if by_conj is None else by_conj
     result = {
         "method": args.method,
-        "tag": case.tag.value,
+        "tag": products.MidCase.of(mid).tag.value,
         "size": len(mid),
-        "mid": set_names(mid),
+        "mid": mid.names(),
     }
-    exit_code = 0
+    agree = True
     if args.method == "both":
-        agree = by_def == by_conj
-        result["agree"] = agree
-        if not agree:
-            exit_code = 4
-    report = RunReport(
-        command="mid",
-        group=g,
-        inputs={"group": args.group, "H": h.names(), "K": k.names(), "method": args.method},
-        result=result,
-    )
-    report.exit_code = exit_code
-    return report
+        agree = result["agree"] = by_def == by_conj
+    return RunReport("mid", g, inputs, result, exit_code=0 if agree else 4)
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
     limit = config.enum_cap(args.limit, "--limit")
-    g = _load_group(args.group)
-    h = _parse_required_subgroup(g, "-H", args.subgroup_h)
-    k = None
-    if args.what != "right-transversals":
-        k = _parse_required_subgroup(g, "-K", args.subgroup_k)
+    g, h, k, _, _, inputs = _prologue(args, needs_k=args.what != "right-transversals")
+    inputs |= {"what": args.what, "via": args.via, "limit": args.limit, "list": bool(args.list)}
+    if k is not None:
+        inputs["K"] = inputs.pop("K")  # enumerate's reports list K last
+    operands = (h,) if k is None else (h, k)
+    search, brute = {
+        "right-transversals": (enumerate_all_right_transversals, oracle.all_right_transversals),
+        "middle-transversals": (enumerate_all_middle_transversals, oracle.all_middle_transversals),
+        "middle-subfactors": (enumerate_all_middle_subfactors, oracle.all_maximal_direct_triples),
+    }[args.what]
     result: dict = {"what": args.what, "via": args.via}
     algo_sets = oracle_sets = None
-    if args.via in ("algorithm", "both"):
-        if args.what == "right-transversals":
-            algo_sets = enumerate_all_right_transversals(h, limit=limit)
-        elif args.what == "middle-transversals":
-            assert k is not None
-            algo_sets = enumerate_all_middle_transversals(h, k, limit=limit)
-        else:
-            assert k is not None
-            algo_sets = enumerate_all_middle_subfactors(h, k, limit=limit)
+    if args.via != "oracle":
+        algo_sets = search(*operands, limit=limit)
         if os.environ.get(FAULT_ENV) == "drop-algorithm-set" and algo_sets:
             # test hook: force a cross-check mismatch deterministically
             algo_sets = set(algo_sets)
             algo_sets.discard(max(algo_sets, key=lambda s: s.mask))
         result["count_algorithm"] = len(algo_sets)
-    if args.via in ("oracle", "both"):
-        if args.what == "right-transversals":
-            oracle_sets = oracle.all_right_transversals(h, limit=limit)
-        elif args.what == "middle-transversals":
-            assert k is not None
-            oracle_sets = oracle.all_middle_transversals(h, k, limit=limit)
-        else:
-            assert k is not None
-            oracle_sets = oracle.all_maximal_direct_triples(h, k, limit=limit)
+    if args.via != "algorithm":
+        oracle_sets = brute(*operands, limit=limit)
         result["count_oracle"] = len(oracle_sets)
-    exit_code = 0
+    match = True
     if args.via == "both":
-        assert algo_sets is not None and oracle_sets is not None
-        match = algo_sets == oracle_sets
-        result["match"] = match
-        if not match:
-            exit_code = 4
+        match = result["match"] = algo_sets == oracle_sets
     if args.list:
-        shown = algo_sets if algo_sets is not None else oracle_sets
-        assert shown is not None
-        result["sets"] = [set_names(s) for s in sorted(shown, key=lambda s: s.indices())]
-    inputs = {
-        "group": args.group,
-        "H": h.names(),
-        "what": args.what,
-        "via": args.via,
-        "limit": args.limit,
-        "list": bool(args.list),
-    }
-    if k is not None:
-        inputs["K"] = k.names()
-    report = RunReport(command="enumerate", group=g, inputs=inputs, result=result)
-    report.exit_code = exit_code
-    return report
+        shown = oracle_sets if algo_sets is None else algo_sets
+        result["sets"] = [s.names() for s in sorted(shown, key=lambda s: s.indices())]
+    return RunReport("enumerate", g, inputs, result, exit_code=0 if match else 4)
 
 
 def _cmd_verify(args: argparse.Namespace) -> RunReport:
-    examples = None
-    if args.example:
-        examples = [part.strip() for part in args.example.split(",") if part.strip()]
-    try:
-        result = verify.run(examples)
-    except ValueError as exc:
-        raise InvalidSpec(str(exc)) from None
-    # the verification runs fixed reference groups; report the first one
-    first = (examples or verify.EXAMPLES)[0]
-    report = RunReport(
-        command="verify-paper",
-        group=build_group(verify.GROUPS[first]),
-        inputs={"examples": list(examples) if examples else list(verify.EXAMPLES)},
-        result=result,
-    )
-    report.exit_code = 4 if result["counts"]["fail"] else 0
-    return report
+    parts = (args.example or "").split(",")
+    examples = [part.strip() for part in parts if part.strip()] or list(verify.EXAMPLES)
+    # the report's header names the group of the first example
+    group, result = verify.run(examples)
+    exit_code = 4 if result["counts"]["fail"] else 0
+    return RunReport("verify-paper", group, {"examples": examples}, result, exit_code=exit_code)
 
 
 # -- parser and entry point -----------------------------------------------------
@@ -446,12 +349,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rta", help="search a right transversal of H")
     _add_common(p, needs_k=False)
     _add_search_flags(p)
-    p.set_defaults(handler=_cmd_rta)
+    p.set_defaults(handler=_cmd_transversal)
 
     p = sub.add_parser("mta", help="search a middle transversal of (H, K)")
     _add_common(p, needs_k=True)
     _add_search_flags(p)
-    p.set_defaults(handler=_cmd_mta)
+    p.set_defaults(handler=_cmd_transversal)
 
     p = sub.add_parser("msfa", help="search a maximal direct middle of (H, K)")
     _add_common(p, needs_k=True)
@@ -485,35 +388,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         with _warnings.catch_warnings(record=True) as caught:
             _warnings.simplefilter("always")
             report = args.handler(args)
-        report.warnings = [str(w.message) for w in caught] + report.warnings
-    except (
-        InvalidSpec,
-        NotAGroup,
-        ParseError,
-        IndexOutOfRange,
-        NotASubgroup,
-        GroupMismatch,
-        ScriptedChoiceInvalid,
-        G0NotInMid,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MidEmpty as exc:
-        print(f"not applicable: {exc}", file=sys.stderr)
-        return 3
-    except TraceMismatch as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
-        return 4
-    except (SizeLimitExceeded, EnumerationLimitExceeded) as exc:
-        print(f"limit exceeded: {exc}", file=sys.stderr)
-        return 5
+    except GroupKitError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    report.warnings = [str(w.message) for w in caught]
     report.timing_ms = round((time.perf_counter() - started) * 1000, 3)
     if args.format == "json":
         print(report.to_json())

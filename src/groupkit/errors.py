@@ -1,12 +1,17 @@
 """Exception taxonomy for the toolkit.
 
 Every error raised on purpose by this package derives from GroupKitError,
-so callers can catch one type at the boundary.
+so callers can catch one type at the boundary.  Each class carries the
+command line's exit code for it and the label that prefixes its message on
+stderr: 2 and "error" unless a class below says otherwise.
 """
 
 
 class GroupKitError(Exception):
     """Base class for all toolkit errors."""
+
+    exit_code = 2
+    label = "error"
 
 
 class InvalidSpec(GroupKitError):
@@ -19,6 +24,9 @@ class NotAGroup(GroupKitError):
 
 class SizeLimitExceeded(GroupKitError):
     """A construction would exceed the configured maximum group order."""
+
+    exit_code = 5
+    label = "limit exceeded"
 
 
 class IndexOutOfRange(GroupKitError):
@@ -48,6 +56,9 @@ class ScriptedChoiceInvalid(GroupKitError):
 class MidEmpty(GroupKitError):
     """The middle director is empty, so the requested search cannot start."""
 
+    exit_code = 3
+    label = "not applicable"
+
 
 class G0NotInMid(GroupKitError):
     """The requested starting element lies outside the middle director."""
@@ -56,6 +67,12 @@ class G0NotInMid(GroupKitError):
 class TraceMismatch(GroupKitError):
     """A trace does not replay against the inputs it was supplied with."""
 
+    exit_code = 4
+    label = "internal check failed"
+
 
 class EnumerationLimitExceeded(GroupKitError):
     """An enumeration would produce more results than the configured cap."""
+
+    exit_code = 5
+    label = "limit exceeded"

@@ -529,6 +529,13 @@ class GroupSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroupSpec":
+        try:
+            return cls._from_dict(data)
+        except RecursionError:
+            raise InvalidSpec("group spec is nested too deeply") from None
+
+    @classmethod
+    def _from_dict(cls, data: dict) -> "GroupSpec":
         if not isinstance(data, dict):
             raise InvalidSpec(f"group spec must be an object, got {type(data).__name__}")
         kind = data.get("kind")
@@ -541,7 +548,7 @@ class GroupSpec:
             factors = data.get("factors")
             if not isinstance(factors, list) or not factors:
                 raise InvalidSpec("direct_product needs a nonempty factors list")
-            return cls(kind=kind, factors=tuple(cls.from_dict(f) for f in factors))
+            return cls(kind=kind, factors=tuple(cls._from_dict(f) for f in factors))
         if kind == "cayley":
             names = data.get("names")
             table = data.get("table")
@@ -779,14 +786,17 @@ def _perm_from_cycles(
     cycles: Sequence[Sequence[int]], position: dict[int, int]
 ) -> tuple[int, ...]:
     """The product of the cycles, applied left to right, as a permutation of
-    the positions of the points."""
-    perm = tuple(range(len(position)))
+    the positions of the points.  Each cycle moves only the positions that
+    the product so far sends onto its points, found through the inverse."""
+    perm = list(range(len(position)))
+    inverse = list(perm)
     for cycle in cycles:
-        step = list(range(len(position)))
-        for p, q in zip(cycle, cycle[1:] + cycle[:1]):
-            step[position[p]] = position[q]
-        perm = _compose(perm, step)
-    return perm
+        points = [position[p] for p in cycle]
+        sources = [inverse[p] for p in points]
+        for source, q in zip(sources, points[1:] + points[:1]):
+            perm[source] = q
+            inverse[q] = source
+    return tuple(perm)
 
 
 _GEN_SYMBOLS = "abcdefghijklmnopqrstuvwxyz"
@@ -861,4 +871,7 @@ def build_group(spec: GroupSpec | dict, *, max_order: int | None = None) -> Grou
     if isinstance(spec, dict):
         spec = GroupSpec.from_dict(spec)
     limit = config.max_order() if max_order is None else max_order
-    return _build(spec, limit)
+    try:
+        return _build(spec, limit)
+    except RecursionError:
+        raise InvalidSpec("group spec is nested too deeply") from None

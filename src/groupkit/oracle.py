@@ -106,7 +106,7 @@ def double_coset_partition(h: ElementSet, k: ElementSet) -> Partition:
 
 
 def _one_per_block(partition: Partition, limit: int | None) -> set[ElementSet]:
-    cap = config.enum_limit() if limit is None else limit
+    cap = config.enum_cap(limit)
     total = 1
     for block in partition.blocks:
         total *= len(block)
@@ -163,7 +163,7 @@ def all_maximal_direct_triples(
     mid = _raw_mid_mask(g, h.mask, k.mask)
     if mid == 0:
         raise MidEmpty("the middle director is empty; no direct middle exists")
-    cap = config.enum_limit() if limit is None else limit
+    cap = config.enum_cap(limit)
     parts = []
     total = 1
     for block in double_coset_partition(h, k).blocks:

@@ -11,15 +11,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .algorithms import AlgoTrace
-from .groups import ElementSet, Group
-
-
-def set_names(es: ElementSet) -> list[str]:
-    return es.names()
-
-
-def group_summary(g: Group) -> dict:
-    return {"description": g.description, "kind": g.kind, "order": g.order}
+from .groups import Group
 
 
 def trace_payload(trace: AlgoTrace) -> dict:
@@ -33,9 +25,9 @@ def trace_payload(trace: AlgoTrace) -> dict:
         "chain_sets": (
             None
             if trace.chain_sets is None
-            else [set_names(c) for c in trace.chain_sets]
+            else [c.names() for c in trace.chain_sets]
         ),
-        "output": set_names(trace.output),
+        "output": trace.output.names(),
         "extension_start": trace.extension_start,
     }
 
@@ -53,7 +45,11 @@ class RunReport:
     def to_dict(self) -> dict:
         return {
             "command": self.command,
-            "group": group_summary(self.group),
+            "group": {
+                "description": self.group.description,
+                "kind": self.group.kind,
+                "order": self.group.order,
+            },
             "inputs": self.inputs,
             "result": self.result,
             "warnings": list(self.warnings),

@@ -12,17 +12,9 @@ from __future__ import annotations
 
 from . import oracle, products
 from .algorithms import ChoicePolicy, extend_to_middle_transversal, msfa, mta, rta
-from .errors import MidEmpty
+from .errors import InvalidSpec, MidEmpty
 from .groups import ElementSet, Group, build_group
 from .words import parse_element, parse_subset
-
-# The group each worked example runs on, in the examples' order.
-GROUPS = {
-    "1.3": {"kind": "cyclic", "n": 12},
-    "2.5": {"kind": "dihedral", "n": 6},
-    "2.14": {"kind": "dihedral", "n": 6},
-}
-EXAMPLES = tuple(GROUPS)
 
 
 def _check(checks: list, name: str, ok: bool, detail: str = "") -> bool:
@@ -277,22 +269,29 @@ def _right_in_left(g: Group, h: ElementSet, x: int, k: ElementSet) -> bool:
     return hx & ~xk == 0
 
 
-_RUNNERS = {"1.3": _example_1_3, "2.5": _example_2_5, "2.14": _example_2_14}
+# Each worked example: the group it runs on and its replay, in the examples'
+# order.
+EXAMPLES = {
+    "1.3": ({"kind": "cyclic", "n": 12}, _example_1_3),
+    "2.5": ({"kind": "dihedral", "n": 6}, _example_2_5),
+    "2.14": ({"kind": "dihedral", "n": 6}, _example_2_14),
+}
 
 
-def run(examples: tuple[str, ...] | list[str] | None = None) -> dict:
+def run(examples: tuple[str, ...] | list[str] | None = None) -> tuple[Group, dict]:
     """Replay the chosen examples (all three by default).
 
-    Returns {"sections": [...], "counts": {"pass": p, "warn": w, "fail": f}}.
+    Returns the group of the first example, for a report header, and
+    {"sections": [...], "counts": {"pass": p, "warn": w, "fail": f}}.
     """
-    names = tuple(examples) if examples else EXAMPLES
-    sections = []
+    names = tuple(examples) if examples else tuple(EXAMPLES)
     for name in names:
-        if name not in _RUNNERS:
-            raise ValueError(f"unknown example {name!r}; choose from {', '.join(EXAMPLES)}")
-        sections.append(_RUNNERS[name](build_group(GROUPS[name])))
+        if name not in EXAMPLES:
+            raise InvalidSpec(f"unknown example {name!r}; choose from {', '.join(EXAMPLES)}")
+    groups = [build_group(EXAMPLES[name][0]) for name in names]
+    sections = [EXAMPLES[name][1](g) for name, g in zip(names, groups)]
     counts = {"pass": 0, "warn": 0, "fail": 0}
     for section in sections:
         for check in section["checks"]:
             counts[check["status"].lower()] += 1
-    return {"sections": sections, "counts": counts}
+    return groups[0], {"sections": sections, "counts": counts}

@@ -314,8 +314,16 @@ def test_enumeration_cap_is_exact(z12, d12, what):
 
 @pytest.mark.parametrize("limit", [0, -3])
 def test_enumeration_rejects_non_positive_limit(z12, limit):
-    with pytest.raises(InvalidSpec, match="limit must be a positive integer"):
-        enumerate_all_right_transversals(z12.subset([0, 6]), limit=limit)
+    # the search and the oracle refuse the same limits the same way
+    h, k = z12.subset([0, 6]), z12.subset([0, 4, 8])
+    for enumerate_all, args in (
+        (enumerate_all_right_transversals, (h,)),
+        (oracle.all_right_transversals, (h,)),
+        (oracle.all_middle_transversals, (h, k)),
+        (oracle.all_maximal_direct_triples, (h, k)),
+    ):
+        with pytest.raises(InvalidSpec, match="limit must be a positive integer"):
+            enumerate_all(*args, limit=limit)
 
 
 def test_policy_descriptions():

@@ -3,6 +3,7 @@ import json
 import jsonschema
 import pytest
 
+import groupkit
 from groupkit.cli import main
 from groupkit.report import load_schema
 
@@ -327,6 +328,68 @@ def test_all_reports_validate(capsys):
         ["verify-paper", "--example", "1.3"],
     ):
         run_json(capsys, argv)
+
+
+def _nested_product_json(depth):
+    return ('{"kind":"direct_product","factors":[' * depth + '{"kind":"cyclic","n":1}'
+            + "]}" * depth)
+
+
+@pytest.mark.parametrize("depth", [400, 600])
+@pytest.mark.parametrize("via_file", [False, True])
+def test_deep_spec_exits_2(tmp_path, capsys, depth, via_file):
+    # 400 deep overflows the build, 600 deep the JSON decoder
+    group = _nested_product_json(depth)
+    if via_file:
+        path = tmp_path / "deep.json"
+        path.write_text(group)
+        group = f"@{path}"
+    assert main(["rta", "--group", group, "-H", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "nested too deeply" in err
+
+
+# The README's exit-code table, for every error class the package exports.
+EXIT_CODES = {
+    "GroupKitError": (2, "error"),
+    "InvalidSpec": (2, "error"),
+    "NotAGroup": (2, "error"),
+    "SizeLimitExceeded": (5, "limit exceeded"),
+    "IndexOutOfRange": (2, "error"),
+    "GroupMismatch": (2, "error"),
+    "NotASubgroup": (2, "error"),
+    "ParseError": (2, "error"),
+    "UnknownSymbol": (2, "error"),
+    "ScriptedChoiceInvalid": (2, "error"),
+    "MidEmpty": (3, "not applicable"),
+    "G0NotInMid": (2, "error"),
+    "TraceMismatch": (4, "internal check failed"),
+    "EnumerationLimitExceeded": (5, "limit exceeded"),
+}
+
+
+def test_every_exported_error_has_an_exit_code():
+    exported = {
+        name for name in groupkit.__all__
+        if isinstance(getattr(groupkit, name), type)
+        and issubclass(getattr(groupkit, name), groupkit.GroupKitError)
+    }
+    assert exported == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_error_class_exit_code(capsys, monkeypatch, name):
+    code, label = EXIT_CODES[name]
+
+    def fail(*args, **kwargs):
+        raise getattr(groupkit, name)("boom")
+
+    monkeypatch.setattr("groupkit.cli.rta", fail)
+    assert main(["rta", "--group", "cyclic:4", "-H", "0"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"{label}: boom\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("group", [

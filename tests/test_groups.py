@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 
 from groupkit import (
@@ -7,7 +10,7 @@ from groupkit import (
     SizeLimitExceeded,
     build_group,
 )
-from groupkit.groups import bit_indices
+from groupkit.groups import _perm_from_cycles, bit_indices
 
 
 def test_cyclic_arithmetic(z12):
@@ -213,8 +216,8 @@ def test_name_lookup(d12, s3):
     assert s3.index_of_name("(12)") == s3.index_of_name("(1 2)")
 
 
-def test_large_group_sampled_validation():
-    # above the full-check bound the validator samples; still a group
+def test_large_group_exact_validation():
+    # every order is checked exactly, by Light's test; still a group
     g = build_group({"kind": "cyclic", "n": 300})
     assert g.order == 300
     assert g.multiply(299, 1) == 0
@@ -248,3 +251,55 @@ def test_permutation_closure_ignores_unmoved_points():
     assert g.order == 4
     assert g.names == ("()", "(1 2)", "(999999 1000000)", "(1 2)(999999 1000000)")
     assert g.description == "permutation:deg1000000"
+
+
+def test_permutation_generator_builds_in_linear_time():
+    # one generator of 20,000 disjoint transpositions: an order-2 group
+    cycles = [[2 * i + 1, 2 * i + 2] for i in range(20000)]
+    started = time.perf_counter()
+    g = build_group({"kind": "permutation", "degree": 40000, "generators": [cycles]})
+    elapsed = time.perf_counter() - started
+    assert g.order == 2
+    assert elapsed < 1.0
+
+
+def test_overlapping_cycles_compose_left_to_right():
+    g = build_group({"kind": "permutation", "degree": 4,
+                     "generators": [[[1, 2], [2, 3], [3, 4]]]})
+    assert g.names == ("()", "(1 4 3 2)", "(1 3)(2 4)", "(1 2 3 4)")
+    assert g.generator_names == {"a": 1}
+
+    def composed(cycles, position):
+        # each cycle as a full permutation, applied after the ones before it
+        perm = tuple(range(len(position)))
+        for cycle in cycles:
+            step = list(range(len(position)))
+            for p, q in zip(cycle, cycle[1:] + cycle[:1]):
+                step[position[p]] = position[q]
+            perm = tuple(step[x] for x in perm)
+        return perm
+
+    rng = random.Random(5)
+    for _ in range(500):
+        points = rng.sample(range(1, 12), rng.randint(1, 8))
+        position = {p: i for i, p in enumerate(points)}
+        cycles = [
+            tuple(rng.sample(points, rng.randint(1, len(points))))
+            for _ in range(rng.randint(0, 5))
+        ]
+        assert _perm_from_cycles(cycles, position) == composed(cycles, position)
+
+
+def _nested_product(depth):
+    spec = {"kind": "cyclic", "n": 1}
+    for _ in range(depth):
+        spec = {"kind": "direct_product", "factors": [spec]}
+    return spec
+
+
+@pytest.mark.parametrize("depth", [400, 5000])
+def test_deep_spec_is_invalid(depth):
+    # 400 deep passes GroupSpec.from_dict and overflows the build; 5000 deep
+    # overflows from_dict itself
+    with pytest.raises(InvalidSpec, match="nested too deeply"):
+        build_group(_nested_product(depth))
