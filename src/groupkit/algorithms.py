@@ -14,8 +14,10 @@ the run ends when the chain hits the empty set.
 A finished msfa run covers Mid but not necessarily G; the extension runs the
 same chain from the uncovered remainder and grows X to a middle transversal
 (at the price of directness).  AlgoTrace.validate() replays a run through
-the same chain step, and the exhaustive enumerations branch over the same
-blocks.
+the same chain step.  The exhaustive enumerations build every output at
+once: a pick removes its whole block, so the outputs are the sets taking
+one element from each block inside the seed, the Cartesian product of those
+cells.
 """
 
 from __future__ import annotations
@@ -371,36 +373,36 @@ def _enumerate(
 ) -> set[ElementSet]:
     """Every output of the chain search started on seed_mask, each once.
 
-    The search branches on the cell of the lowest uncovered candidate, the
-    "choose a column" rule of exact cover (Knuth, Dancing Links): every pick
-    in that cell removes the same coset, so every node has a live child,
-    every leaf is an output, and no set is reached twice.  The result count
-    is therefore the product of the cell sizes, checked against the cap
-    before any branching.
+    A pick removes its whole block, so the outputs are exactly the sets
+    that take one element from each cell (a block cut down to the seed):
+    the Cartesian product of the cells.  One walk over the cells counts
+    that product and checks it against the cap before any set is built;
+    the size-1 cells are ORed into one base mask, and each larger cell
+    then multiplies the list of partial masks by its elements.
     """
     cap = config.enum_cap(limit)
+    base = 0
+    cells: list[int] = []
     total = 1
     c = seed_mask
     while c:
         cell = c & blocks[(c & -c).bit_length() - 1]
-        total *= cell.bit_count()
-        if total > cap:
-            raise EnumerationLimitExceeded(
-                f"enumeration exceeds the cap of {cap} results; raise the limit to continue"
-            )
         c &= ~cell
-    results: list[int] = []
-    # stack holds (candidate mask after the picks so far, chosen mask)
-    stack = [(seed_mask, 0)]
-    while stack:
-        c, chosen = stack.pop()
-        if c == 0:
-            results.append(chosen)
-            continue
-        cell = c & blocks[(c & -c).bit_length() - 1]
-        for nxt in bit_indices(cell):
-            stack.append((c & ~blocks[nxt], chosen | 1 << nxt))
-    return {g.subset_from_mask(m) for m in results}
+        if cell & (cell - 1):
+            cells.append(cell)
+            total *= cell.bit_count()
+        else:
+            base |= cell
+    if total > cap:
+        raise EnumerationLimitExceeded(
+            f"{total} results exceed the cap of {cap}; raise the limit to continue"
+        )
+    out = [base]
+    for cell in cells:
+        bits = [1 << i for i in bit_indices(cell)]
+        out = [m | b for m in out for b in bits]
+    # every mask lies inside the seed, so no range check is needed
+    return {ElementSet._from_mask(g, m) for m in out}
 
 
 def enumerate_all_right_transversals(
@@ -408,7 +410,7 @@ def enumerate_all_right_transversals(
     *,
     limit: int | None = None,
 ) -> set[ElementSet]:
-    """Every right transversal of H, via exhaustive branching of the search."""
+    """Every right transversal of H: one pick from each right coset."""
     g = _common_setup(h, None)
     return _enumerate(g, g.full_mask, _coset_blocks(h, None), limit)
 

@@ -278,6 +278,8 @@ def _cmd_mid(args: argparse.Namespace) -> RunReport:
 
 def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
     limit = config.enum_cap(args.limit, "--limit")
+    if args.what == "right-transversals" and args.subgroup_k is not None:
+        raise InvalidSpec("-K does not apply to --what right-transversals")
     g, h, k, _, _, inputs = _prologue(args, needs_k=args.what != "right-transversals")
     inputs |= {"what": args.what, "via": args.via, "limit": args.limit, "list": bool(args.list)}
     if k is not None:

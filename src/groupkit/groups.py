@@ -418,7 +418,8 @@ class ElementSet:
         return self.group is other.group and self.mask == other.mask
 
     def __hash__(self) -> int:
-        return hash((id(self.group), self.mask))
+        # __eq__ already requires the same group, so the mask alone suffices
+        return hash(self.mask)
 
     def __repr__(self) -> str:
         return "{" + ", ".join(self.names()) + "}"

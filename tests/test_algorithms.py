@@ -269,9 +269,37 @@ def test_enumeration_is_duplicate_free(z12):
     assert len(got) == len(set(got)) == 64
 
 
+def test_enumeration_is_the_product_of_the_cells():
+    # on every builtin group of order <= 12: as many results as the product
+    # of the cell sizes, each meeting every cell once and nothing outside
+    # them; the cells come from the oracle's partitions and the definitional
+    # middle director, not from the search's blocks
+    for g in suites.build_fleet():
+        subs = suites.subgroups_of(g)
+        runs = [(enumerate_all_right_transversals, (h,), oracle.right_coset_partition(h).blocks)
+                for h in subs]
+        for h in subs:
+            for k in subs:
+                blocks = oracle.double_coset_partition(h, k).blocks
+                runs.append((enumerate_all_middle_transversals, (h, k), blocks))
+                mid = products.mid_director(h, k)
+                if mid:
+                    runs.append((enumerate_all_middle_subfactors, (h, k),
+                                 [b for b in blocks if b <= mid]))
+        for enumerate_all, args, cells in runs:
+            got = enumerate_all(*args)
+            want = 1
+            for cell in cells:
+                want *= len(cell)
+            assert len(got) == want, (g, enumerate_all.__name__, args)
+            for x in got:
+                assert len(x) == len(cells), (g, args, x)
+                assert all(len(x & cell) == 1 for cell in cells), (g, args, x)
+
+
 def test_enumeration_limit(z12):
     h = z12.subset([0, 3, 6, 9])
-    with pytest.raises(EnumerationLimitExceeded):
+    with pytest.raises(EnumerationLimitExceeded, match="64 results exceed the cap of 5"):
         enumerate_all_right_transversals(h, limit=5)
 
 
@@ -287,7 +315,7 @@ def test_enumeration_cap_checked_before_branching():
     g = build_group({"kind": "cyclic", "n": 1024})
     h = g.subset([0, 512])
     started = time.perf_counter()
-    with pytest.raises(EnumerationLimitExceeded):
+    with pytest.raises(EnumerationLimitExceeded, match=f"^{2 ** 512} results exceed"):
         enumerate_all_right_transversals(h)
     assert time.perf_counter() - started < 5.0
 

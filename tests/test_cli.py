@@ -138,6 +138,18 @@ def test_enumerate_list_sorted(capsys):
     assert all(len(s) == 1 for s in sets)
 
 
+def test_enumerate_list_order_on_pairs(capsys):
+    # --list sorts by index tuple, and every --via lists the same sets
+    argv = ["enumerate", "--group", "dihedral:3", "-H", "1,b", "-K", "1,b",
+            "--what", "middle-transversals", "--list"]
+    want = [["1", "a"], ["1", "a^2"], ["1", "ba"], ["1", "ba^2"],
+            ["a", "b"], ["a^2", "b"], ["b", "ba"], ["b", "ba^2"]]
+    for via in ("algorithm", "oracle", "both"):
+        code, data = run_json(capsys, argv + ["--via", via])
+        assert code == 0
+        assert data["result"]["sets"] == want, via
+
+
 def test_verify_paper(capsys):
     code, data = run_json(capsys, ["verify-paper"])
     assert code == 0
@@ -264,6 +276,22 @@ def test_enumeration_limit_exits_5(capsys):
                  "--what", "right-transversals", "--limit", "5"])
     assert code == 5
     assert "limit exceeded:" in capsys.readouterr().err
+
+
+def test_enumeration_limit_reports_the_count(capsys):
+    code = main(["enumerate", "--group", "cyclic:12", "-H", "0,6",
+                 "--what", "right-transversals", "--limit", "5", "--via", "algorithm"])
+    assert code == 5
+    assert "64 results exceed the cap of 5" in capsys.readouterr().err
+
+
+def test_enumerate_right_transversals_refuses_k(capsys):
+    code = main(["enumerate", "--group", "cyclic:12", "-H", "0,6", "-K", "0,4,8",
+                 "--what", "right-transversals"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "-K does not apply" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("limit", ["0", "-3"])

@@ -164,6 +164,18 @@ def test_element_set_algebra(d12):
     assert s.names() == ["1", "a", "a^2"]
 
 
+def test_element_set_hash_contract(z12, d12):
+    # equal sets hash equal; the same mask in two groups gives unequal sets,
+    # and one Python set keeps both
+    assert z12.subset([0, 3]) == z12.subset([3, 0])
+    assert hash(z12.subset([0, 3])) == hash(z12.subset([3, 0]))
+    a, b = z12.subset([0, 1, 2]), d12.subset([0, 1, 2])
+    assert a.mask == b.mask
+    assert a != b
+    assert len({a, b}) == 2
+    assert {a, b} - {z12.subset([2, 1, 0])} == {b}
+
+
 def test_element_set_group_mismatch(z12, d12):
     with pytest.raises(Exception):
         z12.subset([0, 1]) & d12.subset([0, 1])
