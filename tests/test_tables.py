@@ -7,6 +7,7 @@ import math
 import random
 import re
 from array import array
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,12 @@ from hypothesis import strategies as st
 
 from groupkit import InvalidSpec, NotAGroup, build_group
 from groupkit.cli import main
-from groupkit.groups import _LIGHT_BLOCK_CELLS, _light_failure, _typecode
+from groupkit.groups import (
+    _LIGHT_BLOCK_CELLS,
+    _LIGHT_RUN_CELLS,
+    _light_failure,
+    _typecode,
+)
 
 LOOP5 = [
     [0, 1, 2, 3, 4],
@@ -39,6 +45,39 @@ def light_failure(table):
     """_light_failure on a list of rows, given no identity: exact on any magma."""
     flat = array(_typecode(len(table)), itertools.chain.from_iterable(table))
     return _light_failure(memoryview(flat), len(table), None)
+
+
+def fails_at(t, n, triple):
+    """Whether (x, s, y) really breaks associativity in the flat table t."""
+    x, s, y = triple
+    return t[t[x * n + s] * n + y] != t[x * n + t[s * n + y]]
+
+
+def seedings(t, n, e, gens):
+    """Seeds for Light's test: the identity, a repeated index, an index that
+    the first seed reaches, and the builder's generators."""
+    g = gens[0] if gens else 1 % n
+    return [(e,), (g, g), (g, t[g * n + g]), tuple(gens)]
+
+
+def check_seeded(t, n, e, gens, associative):
+    """Every seeded test on the flat table t, given no identity, returns None
+    when the table is associative and else a triple that really fails."""
+    for seeds in seedings(t, n, e, gens):
+        failure = _light_failure(memoryview(t), n, None, seeds)
+        assert (failure is None) == associative, seeds
+        assert failure is None or fails_at(t, n, failure), (seeds, failure)
+
+
+def generating_indices(spec, g):
+    """Indices that the builder's table of spec is generated from."""
+    kind = spec["kind"]
+    if kind == "cyclic":
+        return [1 % g.order]
+    if kind == "symmetric":
+        perms = list(itertools.permutations(range(spec["n"])))
+        return [1 % len(perms), perms.index(tuple(range(1, spec["n"])) + (0,))]
+    return list(g.generator_names.values())
 
 
 def small_builder_specs():
@@ -116,10 +155,22 @@ def _perturbed(table, rng):
     return kind, t
 
 
+@pytest.mark.parametrize(
+    "spec", small_builder_specs() + [{"kind": "symmetric", "n": 5}], ids=lambda s: str(s)[:60]
+)
+def test_seeded_light_passes_the_builders(spec):
+    g = build_group(spec)
+    t = memoryview(g.table[0].obj).cast(g.table[0].format)
+    gens = generating_indices(spec, g)
+    check_seeded(t, g.order, g.identity, gens, True)
+    for seeds in seedings(t, g.order, g.identity, gens):
+        assert _light_failure(t, g.order, g.identity, seeds) is None
+
+
 def test_light_agrees_with_naive_on_perturbed_tables():
     rng = random.Random(20261018)
     bases = [
-        build_group(spec)
+        (build_group(spec), spec)
         for spec in (
             {"kind": "cyclic", "n": 6},
             {"kind": "cyclic", "n": 8},
@@ -134,11 +185,13 @@ def test_light_agrees_with_naive_on_perturbed_tables():
     seen = {True: 0, False: 0}
     rejected_by_associativity = 0
     for _ in range(240):
-        g = rng.choice(bases)
+        g, spec = rng.choice(bases)
         _, table = _perturbed([list(row) for row in g.table], rng)
         associative = naive_associative(table)
         failure = light_failure(table)
         assert (failure is None) == associative
+        flat = array(_typecode(len(table)), itertools.chain.from_iterable(table))
+        check_seeded(flat, len(table), g.identity, generating_indices(spec, g), associative)
         if failure is not None:
             x, s, y = failure
             assert table[table[x][s]][y] != table[x][table[s][y]]
@@ -205,6 +258,8 @@ def test_tables_without_identity_or_inverses_are_refused(table, message, tmp_pat
 def test_the_z300_intercalate_table_is_refused(tmp_path, capsys):
     table = z300_with_an_intercalate_switched()
     assert ASSOCIATIVITY_FAILURE.search(str(rejection(table)))
+    flat = array("H", itertools.chain.from_iterable(table))
+    check_seeded(flat, 300, 0, [1], False)
     path = tmp_path / "z300.json"
     path.write_text(json.dumps(cayley(table)))
     assert main(["rta", "--group", f"@{path}", "-H", "0"]) == 2
@@ -254,13 +309,16 @@ def test_perturbed_tables_above_256_are_refused():
     later_blocks = 0
     for spec in ({"kind": "cyclic", "n": 257}, {"kind": "cyclic", "n": 300},
                  {"kind": "dihedral", "n": 150}, {"kind": "dihedral", "n": 300}):
-        table = [list(row) for row in build_group(spec).table]
+        base = build_group(spec)
+        table = [list(row) for row in base.table]
         n = len(table)
         kinds = ["row swap", "column swap", "relabel"]
         if n % 2 == 0:  # a group of odd order has no intercalate
             kinds.append("intercalate")
         for kind in kinds:
             t = _perturbed_large(table, kind, rng)
+            flat = array("H", itertools.chain.from_iterable(t))
+            check_seeded(flat, n, 0, generating_indices(spec, base), kind == "relabel")
             if kind == "relabel":
                 g = build_group(cayley(t))
                 assert all(t[x][g.inverse[x]] == g.identity == t[g.inverse[x]][x]
@@ -269,6 +327,121 @@ def test_perturbed_tables_above_256_are_refused():
             found = ASSOCIATIVITY_FAILURE.search(str(rejection(t)))
             later_blocks += bool(found) and int(found.group(1)) >= _LIGHT_BLOCK_CELLS // n
     assert later_blocks
+
+
+def run_lengths(row):
+    """Lengths of the maximal runs row[y0 + i] = row[y0] + i, left to right."""
+    lengths = [1]
+    for a, b in zip(row, row[1:]):
+        if b == a + 1:
+            lengths[-1] += 1
+        else:
+            lengths.append(1)
+    return lengths
+
+
+def _swaps(t, n, kind, rng, rows):
+    """A perturbation of the flat group table t as the cells it swaps within
+    rows, (i, j1, j2) for t[i][j1] <-> t[i][j2].  A row swap touches one of
+    rows, an intercalate one of rows and one row below rows[0], and a column
+    swap moves whole columns."""
+    if kind == "row swap":
+        return [(rng.choice(rows), *rng.sample(range(1, n), 2))]
+    if kind == "column swap":
+        j1, j2 = rng.sample(range(1, n), 2)
+        return [(i, j1, j2) for i in range(n)]
+    # an intercalate: t[i1][j1] = t[i2][j2] and t[i1][j2] = t[i2][j1]
+    found = []
+    while not found:
+        i1, j1 = rng.choice(rows), rng.randrange(1, n)
+        u = t[i1 * n + j1]
+        found = [
+            (i2, j2)
+            for i2 in range(rows[0], n)
+            for j2 in [t.index(u, i2 * n, (i2 + 1) * n) - i2 * n]
+            if i2 != i1 and j2 not in (0, j1) and t[i1 * n + j2] == t[i2 * n + j1]
+        ]
+    i2, j2 = rng.choice(found)
+    return [(i1, j1, j2), (i2, j1, j2)]
+
+
+def _swapped(t, n, swaps):
+    out = array(t.typecode, t)
+    for i, j1, j2 in swaps:
+        out[i * n + j1], out[i * n + j2] = out[i * n + j2], out[i * n + j1]
+    return out
+
+
+def _relabeled_flat(t, n, rng):
+    """The flat table t with its elements renamed by a seeded random
+    permutation pi, and pi: row pi(i) of the result is pi(t[i][pi^-1(y)])."""
+    pi = list(range(n))
+    rng.shuffle(pi)
+    inverse = [0] * n
+    for i, p in enumerate(pi):
+        inverse[p] = i
+    read_inverse = itemgetter(*inverse)
+    out = array(t.typecode)
+    for i in inverse:
+        out.extend(itemgetter(*read_inverse(t[i * n:(i + 1) * n]))(pi))
+    return out, pi
+
+
+@pytest.mark.parametrize("spec", [{"kind": "cyclic", "n": 1024}, {"kind": "dihedral", "n": 512}],
+                         ids=lambda s: f"{s['kind']}:{s['n']}")
+def test_light_fills_runs_and_columns_over_many_blocks(spec):
+    # Order 1024 makes four blocks of 256 rows.  The builder's generator rows
+    # have long runs, copied row by row; a random relabeling leaves runs too
+    # short for that, so its tables go through the strided column copies.
+    # Each perturbation is applied to the table near the top of its second
+    # block and, at the renamed cells, to its relabeling, which is then the
+    # relabeling of the perturbed table.
+    rng = random.Random(20261019)
+    g = build_group(spec)
+    n = g.order
+    rows_per_block = _LIGHT_BLOCK_CELLS // n
+    assert n // rows_per_block == 4
+    base = array(g.table[0].format, g.table[0].obj)
+    gens = generating_indices(spec, g)
+    relabeled, pi = _relabeled_flat(base, n, rng)
+    pi_gens = [pi[x] for x in gens]
+    assert max(run_lengths(base[gens[0] * n:(gens[0] + 1) * n])) >= _LIGHT_RUN_CELLS
+    assert max(run_lengths(relabeled[pi_gens[0] * n:(pi_gens[0] + 1) * n])) < _LIGHT_RUN_CELLS
+    assert _light_failure(memoryview(base), n, g.identity, gens) is None
+    assert _light_failure(memoryview(relabeled), n, pi[g.identity], pi_gens) is None
+    later_blocks = 0
+    for kind in ("row swap", "column swap", "intercalate"):
+        swaps = _swaps(base, n, kind, rng, range(rows_per_block, rows_per_block + 8))
+        pi_swaps = [(pi[i], pi[j1], pi[j2]) for i, j1, j2 in swaps]
+        for table, e, seeds in [(_swapped(base, n, swaps), g.identity, gens),
+                                (_swapped(relabeled, n, pi_swaps), pi[g.identity], pi_gens)]:
+            failure = _light_failure(memoryview(table), n, None)
+            assert failure is not None and fails_at(table, n, failure), kind
+            later_blocks += failure[0] >= rows_per_block
+            check_seeded(table, n, e, seeds, False)
+    assert later_blocks
+
+
+def test_light_run_split_edge_cases():
+    one = array("B", [0])
+    assert _light_failure(memoryview(one), 1, None) is None
+    assert _light_failure(memoryview(one), 1, 0, (0,)) is None
+    n = 64
+    # C2^6: with no identity given, s = 0 is one run over the whole row, s = 1
+    # has no run longer than 1, and s = 32 has runs of exactly 32.
+    xor = array("B", [x ^ y for x in range(n) for y in range(n)])
+    assert run_lengths(xor[:n]) == [n]
+    assert max(run_lengths(xor[n:2 * n])) == 1
+    assert set(run_lengths(xor[32 * n:33 * n])) == {32} and 32 >= _LIGHT_RUN_CELLS
+    # Z64 seeded with 63: a run of 1, then a long run that ends at the last column.
+    z64 = array("B", [(x + y) % n for x in range(n) for y in range(n)])
+    assert run_lengths(z64[63 * n:]) == [1, 63]
+    for t, e, seeds in [(xor, None, ()), (xor, 0, (1, 32)), (z64, 0, (63,)), (z64, None, (63,))]:
+        assert _light_failure(memoryview(t), n, e, seeds) is None
+        broken = array(t.typecode, t)
+        broken[40 * n + 3], broken[40 * n + 63] = broken[40 * n + 63], broken[40 * n + 3]
+        failure = _light_failure(memoryview(broken), n, None, seeds)
+        assert failure is not None and fails_at(broken, n, failure)
 
 
 def test_a_cayley_identity_need_not_be_index_0():
@@ -297,6 +470,26 @@ def _perm_of_name(name, degree):
 
 def _compose(p, q):
     return tuple(q[x] for x in p)
+
+
+PERMUTATION_SPECS = [{"kind": "symmetric", "n": n} for n in range(1, 7)] + [
+    spec for spec in small_builder_specs() if spec["kind"] == "permutation"
+]
+
+
+@pytest.mark.parametrize("spec", PERMUTATION_SPECS, ids=lambda s: str(s)[:60])
+def test_permutation_rows_pack_like_an_array(spec):
+    # The rows packed one struct call each are the bytes of an array holding
+    # the composition table in the builder's element order.  Row p indexes
+    # "p, then q" over q, whose point k is q[p[k]]: zipping the columns
+    # cols[p[k]] of all q builds every such permutation at once.
+    g = build_group(spec)
+    perms = [_perm_of_name(s, spec.get("n") or spec["degree"]) for s in g.names]
+    index = {p: i for i, p in enumerate(perms)}
+    cols = list(zip(*perms))
+    rows = [map(index.__getitem__, zip(*[cols[k] for k in p])) for p in perms]
+    expected = array(_typecode(g.order), itertools.chain.from_iterable(rows)).tobytes()
+    assert g.table[0].obj == expected
 
 
 def _expected_table(spec):
