@@ -157,8 +157,9 @@ def _light_failure(
             # The buffers agree whenever a block starts (zeroed, or the last
             # block passed), so comparing them whole covers a short last block.
             if lhs.obj != rhs.obj:
-                k = next(k for k in range(cells) if lhs[k] != rhs[k])
-                return x0 + k // n, s, k % n
+                k = next(k for k in range(0, cells, n) if lhs[k:k + n] != rhs[k:k + n])
+                y = next(y for y in range(n) if lhs[k + y] != rhs[k + y])
+                return x0 + k // n, s, y
         gens.append(s)
         seen[s] = 1
         reached.append(s)
@@ -178,12 +179,14 @@ class Group:
     table[x][y] is the product x*y.  Each row is a read-only memoryview over
     one shared bytes buffer, cast to the smallest unsigned typecode that holds
     the order ('B' up to order 256, 'H' up to 65536), so the table is
-    immutable and costs one or two bytes per cell.  Construction validates the
-    group axioms exactly, at every order: a two-sided identity, two-sided
-    inverses, then associativity by Light's test (_light_failure), at most
-    floor(log2 n) + 1 passes of n*n cells.  Each pass checks one s, taken from
-    the builder's generators, then the lowest unreached element, and fills
-    its rows by the runs of row s.
+    immutable and costs one or two bytes per cell.  Every builder behind
+    build_group ends in the one constructor, with the row-major table as n*n
+    cells of typecode _typecode(n) and the indices it was generated from as
+    generators.  It validates the group axioms exactly, at every order:
+    distinct names, a two-sided identity, two-sided inverses, then
+    associativity by Light's test (_light_failure), at most floor(log2 n) + 1
+    passes of n*n cells.  Each pass checks one s, taken from generators, then
+    the lowest unreached element, and fills its rows by the runs of row s.
     """
 
     __slots__ = (
@@ -203,25 +206,6 @@ class Group:
 
     def __init__(
         self,
-        table: Sequence[Sequence[int]],
-        names: Sequence[str],
-        *,
-        kind: str = "cayley",
-        description: str | None = None,
-        generator_names: dict[str, int] | None = None,
-    ) -> None:
-        n = len(table)
-        if n == 0:
-            raise InvalidSpec("a group needs at least one element")
-        if len(names) != n:
-            raise InvalidSpec(f"{n} table rows but {len(names)} names")
-        typecode = _typecode(n)
-        cells = b"".join(_table_row(i, row, n, typecode) for i, row in enumerate(table))
-        self._setup(n, cells, names, kind, description, generator_names, ())
-
-    @classmethod
-    def _from_cells(
-        cls,
         n: int,
         cells: bytes,
         names: Sequence[str],
@@ -230,24 +214,6 @@ class Group:
         description: str,
         generator_names: dict[str, int] | None = None,
         generators: Sequence[int] = (),
-    ) -> "Group":
-        """A group from a builder's row-major table, n*n cells of typecode
-        _typecode(n), validated like any other table.  generators are the
-        indices the builder generated the table from: Light's test takes them
-        first."""
-        self = cls.__new__(cls)
-        self._setup(n, cells, names, kind, description, generator_names, generators)
-        return self
-
-    def _setup(
-        self,
-        n: int,
-        cells: bytes,
-        names: Sequence[str],
-        kind: str,
-        description: str | None,
-        generator_names: dict[str, int] | None,
-        generators: Sequence[int],
     ) -> None:
         self.order = n
         flat = memoryview(cells).cast(_typecode(n))
@@ -256,7 +222,7 @@ class Group:
         if len(set(self.names)) != n:
             raise InvalidSpec("element names must be pairwise distinct")
         self.kind = kind
-        self.description = description if description is not None else kind
+        self.description = description
         self.full_mask = (1 << n) - 1
         self._abelian: bool | None = None
 
@@ -688,7 +654,7 @@ def _build_cyclic(n: int) -> Group:
     doubled = memoryview(array(_typecode(n), range(n)) * 2)
     cells = b"".join(doubled[i:i + n] for i in range(n))
     names = [str(i) for i in range(n)]
-    return Group._from_cells(n, cells, names, kind="cyclic", description=f"cyclic:{n}")
+    return Group(n, cells, names, kind="cyclic", description=f"cyclic:{n}")
 
 
 def _rot_name(i: int) -> str:
@@ -711,7 +677,7 @@ def _build_dihedral(n: int) -> Group:
     cells = b"".join(itertools.chain.from_iterable(halves))
     names = [_rot_name(i) for i in range(n)] + [_refl_name(i) for i in range(n)]
     gens = {"a": 1 % n, "b": n}
-    return Group._from_cells(
+    return Group(
         size, cells, names, kind="dihedral", description=f"dihedral:{n}", generator_names=gens
     )
 
@@ -768,21 +734,35 @@ def _permutation_cells(
     return b"".join(pack(*row) for row in rows)
 
 
+def _permutation_group(
+    elements: Sequence[tuple[int, ...]],
+    index: dict[tuple[int, ...], int],
+    gens: Sequence[tuple[int, ...]],
+    points: Sequence[int],
+    kind: str,
+    description: str,
+    generator_names: dict[str, int] | None = None,
+) -> Group:
+    """The group on the permutations in elements, named in cycles of points."""
+    cells = _permutation_cells(elements, index, gens)
+    names = [_cycle_name(p, points) for p in elements]
+    return Group(
+        len(elements),
+        cells,
+        names,
+        kind=kind,
+        description=description,
+        generator_names=generator_names,
+        generators=[index[g] for g in gens],
+    )
+
+
 def _build_symmetric(n: int) -> Group:
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     # perms[1] swaps the last two points; with the n-cycle it generates S_n.
     gens = perms[1:2] + [tuple(range(1, n)) + (0,)]
-    cells = _permutation_cells(perms, index, gens)
-    names = [_cycle_name(p, range(1, n + 1)) for p in perms]
-    return Group._from_cells(
-        len(perms),
-        cells,
-        names,
-        kind="symmetric",
-        description=f"symmetric:{n}",
-        generators=[index[g] for g in gens],
-    )
+    return _permutation_group(perms, index, gens, range(1, n + 1), "symmetric", f"symmetric:{n}")
 
 
 def _product_cells(
@@ -818,7 +798,7 @@ def _build_direct_product(spec: GroupSpec, limit: int) -> Group:
         "(" + ",".join(parts) + ")" for parts in itertools.product(*(f.names for f in factors))
     ]
     desc = "x".join(f.description for f in factors)
-    return Group._from_cells(order, cells, names, kind="direct_product", description=desc)
+    return Group(order, cells, names, kind="direct_product", description=desc)
 
 
 def _perm_from_cycles(
@@ -872,20 +852,20 @@ def _build_permutation(spec: GroupSpec, limit: int) -> Group:
                 index[r] = len(elements)
                 elements.append(r)
                 queue.append(r)
-    cells = _permutation_cells(elements, index, gens)
-    names = [_cycle_name(p, points) for p in elements]
-    gen_names = {
-        _GEN_SYMBOLS[i]: index[g] for i, g in enumerate(gens) if i < len(_GEN_SYMBOLS)
-    }
-    return Group._from_cells(
-        len(elements),
-        cells,
-        names,
-        kind="permutation",
-        description=f"permutation:deg{degree}",
-        generator_names=gen_names,
-        generators=[index[g] for g in gens],
-    )
+    gen_names = dict(zip(_GEN_SYMBOLS, (index[g] for g in gens)))
+    desc = f"permutation:deg{degree}"
+    return _permutation_group(elements, index, gens, points, "permutation", desc, gen_names)
+
+
+def _build_cayley(table: Sequence[Sequence[int]], names: Sequence[str]) -> Group:
+    n = len(table)
+    if n == 0:
+        raise InvalidSpec("a group needs at least one element")
+    if len(names) != n:
+        raise InvalidSpec(f"{n} table rows but {len(names)} names")
+    typecode = _typecode(n)
+    cells = b"".join(_table_row(i, row, n, typecode) for i, row in enumerate(table))
+    return Group(n, cells, names, kind="cayley", description="cayley")
 
 
 def _build(spec: GroupSpec, limit: int) -> Group:
@@ -900,18 +880,18 @@ def _build(spec: GroupSpec, limit: int) -> Group:
     if spec.kind == "direct_product":
         return _build_direct_product(spec, limit)
     if spec.kind == "cayley":
-        return Group(spec.table or (), spec.names or (), kind="cayley", description="cayley")
+        return _build_cayley(spec.table or (), spec.names or ())
     if spec.kind == "permutation":
         return _build_permutation(spec, limit)
     raise InvalidSpec(f"unknown group kind {spec.kind!r}")
 
 
-def build_group(spec: GroupSpec | dict, *, max_order: int | None = None) -> Group:
-    """Build a group from a GroupSpec or its dict form."""
+def build_group(spec: GroupSpec | dict) -> Group:
+    """Build a group from a GroupSpec or its dict form, refusing one whose
+    order passes GROUPKIT_MAX_ORDER."""
     if isinstance(spec, dict):
         spec = GroupSpec.from_dict(spec)
-    limit = config.max_order() if max_order is None else max_order
     try:
-        return _build(spec, limit)
+        return _build(spec, config.max_order())
     except RecursionError:
         raise InvalidSpec("group spec is nested too deeply") from None

@@ -80,29 +80,26 @@ def _middle_cell_mask(g: Group, amask: int, x: int, bmask: int) -> int:
     return _product_mask(g, ax, bmask)
 
 
-def is_middle_direct(a: ElementSet, x: ElementSet, b: ElementSet) -> bool:
-    """True when the sets A*t*B for t in X are pairwise disjoint."""
-    g = _same_group(a, x, b)
+def _cells_union(g: Group, a: ElementSet, x: ElementSet, b: ElementSet, size: int = 0) -> int:
+    """The union of the cells A*t*B over t in X, or -1 when two cells meet
+    or, given a positive size, when a cell has another size."""
     seen = 0
     for t in bit_indices(x.mask):
         cell = _middle_cell_mask(g, a.mask, t, b.mask)
-        if cell & seen:
-            return False
+        if cell & seen or size and cell.bit_count() != size:
+            return -1
         seen |= cell
-    return True
+    return seen
+
+
+def is_middle_direct(a: ElementSet, x: ElementSet, b: ElementSet) -> bool:
+    """True when the sets A*t*B for t in X are pairwise disjoint."""
+    return _cells_union(_same_group(a, x, b), a, x, b) >= 0
 
 
 def is_direct_triple(a: ElementSet, x: ElementSet, b: ElementSet) -> bool:
     """True when all products a*t*b over A x X x B are pairwise distinct."""
-    g = _same_group(a, x, b)
-    per_cell = len(a) * len(b)
-    seen = 0
-    for t in bit_indices(x.mask):
-        cell = _middle_cell_mask(g, a.mask, t, b.mask)
-        if cell.bit_count() != per_cell or cell & seen:
-            return False
-        seen |= cell
-    return True
+    return _cells_union(_same_group(a, x, b), a, x, b, len(a) * len(b)) >= 0
 
 
 def mid_director(a: ElementSet, b: ElementSet) -> ElementSet:
@@ -188,15 +185,12 @@ def is_middle_transversal(h: ElementSet, x: ElementSet, k: ElementSet) -> bool:
     g = _same_group(h, x, k)
     h.require_subgroup("H")
     k.require_subgroup("K")
-    seen = 0
-    for t in bit_indices(x.mask):
-        cell = _middle_cell_mask(g, h.mask, t, k.mask)
-        if cell & seen:
-            return False
-        seen |= cell
-    return seen == g.full_mask
+    return _cells_union(g, h, x, k) == g.full_mask
 
 
 def is_middle_factor(h: ElementSet, x: ElementSet, k: ElementSet) -> bool:
     """True when H*X*K is direct and covers the whole group."""
-    return is_middle_transversal(h, x, k) and is_direct_triple(h, x, k)
+    g = _same_group(h, x, k)
+    h.require_subgroup("H")
+    k.require_subgroup("K")
+    return _cells_union(g, h, x, k, len(h) * len(k)) == g.full_mask

@@ -130,7 +130,8 @@ def test_not_a_group_nonassociative():
 def test_order_cap(monkeypatch):
     with pytest.raises(SizeLimitExceeded):
         build_group({"kind": "cyclic", "n": 5000})
-    assert build_group({"kind": "cyclic", "n": 5000}, max_order=5000).order == 5000
+    monkeypatch.setenv("GROUPKIT_MAX_ORDER", "5000")
+    assert build_group({"kind": "cyclic", "n": 5000}).order == 5000
     monkeypatch.setenv("GROUPKIT_MAX_ORDER", "30")
     with pytest.raises(SizeLimitExceeded):
         build_group({"kind": "cyclic", "n": 31})

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 
-from groupkit import GroupMismatch, NotASubgroup
+from groupkit import GroupMismatch, NotASubgroup, build_group, oracle
 from groupkit import products
 from groupkit.products import (
     MidCase,
@@ -158,6 +160,32 @@ def test_middle_factor(s3, d12, proper_mid_pair):
     assert products.is_middle_factor(h, s3.singleton(s3.identity), k)
     h_pr, k_pr = proper_mid_pair
     assert not products.is_middle_factor(h_pr, d12.subset([0]), k_pr)
+
+
+def test_equivalent_conditions_for_double_coset_representatives():
+    # For X with as many elements as there are double cosets HgK, these say
+    # the same: X is a complete set of representatives; H*X*K is middle
+    # direct and covers G; H*X*K covers G; the oracle lists X.
+    c2 = {"kind": "cyclic", "n": 2}
+    specs = [{"kind": "cyclic", "n": 12}, {"kind": "symmetric", "n": 3},
+             {"kind": "direct_product", "factors": [c2, c2, c2]}, {"kind": "dihedral", "n": 4}]
+    pairs = subsets = 0
+    for spec in specs:
+        g = build_group(spec)
+        for h, k in suites.subgroup_pairs(g):
+            blocks = len({double_coset(h, x, k) for x in range(g.order)})
+            listed = oracle.all_middle_transversals(h, k)
+            pairs += 1
+            for xs in itertools.combinations(range(g.order), blocks):
+                x = g.subset(xs)
+                covers = set_product(set_product(h, x), k) == g.full_set()
+                transversal = is_middle_transversal(h, x, k)
+                assert transversal == (is_middle_direct(h, x, k) and covers), (spec, h, x, k)
+                assert transversal == covers == (x in listed), (spec, h, x, k)
+                direct = is_direct_triple(h, x, k)
+                assert products.is_middle_factor(h, x, k) == (transversal and direct)
+                subsets += 1
+    assert (pairs, subsets) == (428, 14617)
 
 
 def test_group_mismatch(d12, z12):

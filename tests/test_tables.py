@@ -47,10 +47,21 @@ def light_failure(table):
     return _light_failure(memoryview(flat), len(table), None)
 
 
-def fails_at(t, n, triple):
-    """Whether (x, s, y) really breaks associativity in the flat table t."""
-    x, s, y = triple
-    return t[t[x * n + s] * n + y] != t[x * n + t[s * n + y]]
+def first_failure(t, n, s):
+    """The first (x, s, y) in row-major order over (x, y) with
+    (x*s)*y != x*(s*y) in the flat table t, or None; n > 1."""
+    read_row_s = itemgetter(*t[s * n:(s + 1) * n])
+    for x in range(n):
+        xs = t[x * n + s]
+        lhs, rhs = tuple(t[xs * n:(xs + 1) * n]), read_row_s(t[x * n:(x + 1) * n])
+        if lhs != rhs:
+            return x, s, next(y for y in range(n) if lhs[y] != rhs[y])
+    return None
+
+
+def is_first_failure(t, n, triple):
+    """Whether triple is the first (x, y) for its s that breaks associativity."""
+    return triple == first_failure(t, n, triple[1])
 
 
 def seedings(t, n, e, gens):
@@ -66,7 +77,7 @@ def check_seeded(t, n, e, gens, associative):
     for seeds in seedings(t, n, e, gens):
         failure = _light_failure(memoryview(t), n, None, seeds)
         assert (failure is None) == associative, seeds
-        assert failure is None or fails_at(t, n, failure), (seeds, failure)
+        assert failure is None or is_first_failure(t, n, failure), (seeds, failure)
 
 
 def generating_indices(spec, g):
@@ -195,6 +206,7 @@ def test_light_agrees_with_naive_on_perturbed_tables():
         if failure is not None:
             x, s, y = failure
             assert table[table[x][s]][y] != table[x][table[s][y]]
+            assert is_first_failure(flat, len(table), failure)
         seen[associative] += 1
         names = [f"e{i}" for i in range(len(table))]
         if associative:
@@ -416,7 +428,7 @@ def test_light_fills_runs_and_columns_over_many_blocks(spec):
         for table, e, seeds in [(_swapped(base, n, swaps), g.identity, gens),
                                 (_swapped(relabeled, n, pi_swaps), pi[g.identity], pi_gens)]:
             failure = _light_failure(memoryview(table), n, None)
-            assert failure is not None and fails_at(table, n, failure), kind
+            assert failure is not None and is_first_failure(table, n, failure), kind
             later_blocks += failure[0] >= rows_per_block
             check_seeded(table, n, e, seeds, False)
     assert later_blocks
@@ -441,7 +453,7 @@ def test_light_run_split_edge_cases():
         broken = array(t.typecode, t)
         broken[40 * n + 3], broken[40 * n + 63] = broken[40 * n + 63], broken[40 * n + 3]
         failure = _light_failure(memoryview(broken), n, None, seeds)
-        assert failure is not None and fails_at(broken, n, failure)
+        assert failure is not None and is_first_failure(broken, n, failure)
 
 
 def test_a_cayley_identity_need_not_be_index_0():
