@@ -181,11 +181,13 @@ class Group:
     the order ('B' up to order 256, 'H' up to 65536), so the table is
     immutable and costs one or two bytes per cell.  Every builder behind
     build_group ends in the one constructor, with the row-major table as n*n
-    cells of typecode _typecode(n) and the indices it was generated from as
-    generators.  It validates the group axioms exactly, at every order:
-    distinct names, a two-sided identity, two-sided inverses, then
-    associativity by Light's test (_light_failure), at most floor(log2 n) + 1
-    passes of n*n cells.  Each pass checks one s, taken from generators, then
+    cells of typecode _typecode(n), the indices it was generated from as
+    generators and, except for cayley tables, the inverse of each element as
+    inverse.  It validates the group axioms exactly, at every order:
+    distinct names, a two-sided identity, two-sided inverses (the supplied
+    ones checked, else searched for row by row), then associativity by
+    Light's test (_light_failure), at most floor(log2 n) + 1 passes of n*n
+    cells.  Each pass checks one s, taken from generators, then
     the lowest unreached element, and fills its rows by the runs of row s.
     """
 
@@ -214,6 +216,7 @@ class Group:
         description: str,
         generator_names: dict[str, int] | None = None,
         generators: Sequence[int] = (),
+        inverse: Sequence[int] | None = None,
     ) -> None:
         self.order = n
         flat = memoryview(cells).cast(_typecode(n))
@@ -227,7 +230,10 @@ class Group:
         self._abelian: bool | None = None
 
         self.identity = self._find_identity(flat)
-        self.inverse = self._find_inverses(flat)
+        if inverse is None:
+            self.inverse = self._find_inverses(flat)
+        else:
+            self.inverse = self._check_inverses(flat, tuple(inverse))
         if failure := _light_failure(flat, n, self.identity, generators):
             raise NotAGroup("associativity fails at i={}, j={}, k={}".format(*failure))
 
@@ -288,6 +294,22 @@ class Group:
                 )
             inv.append(j)
         return tuple(inv)
+
+    def _check_inverses(self, flat: memoryview, inverse: tuple[int, ...]) -> tuple[int, ...]:
+        # One gather over the flat table per side: the cells i*inv[i] and
+        # inv[i]*i for every i.
+        n = self.order
+        if len(inverse) != n or min(inverse) < 0 or max(inverse) >= n:
+            raise NotAGroup(f"the supplied inverses must be {n} indices in 0..{n - 1}")
+        for cells in (
+            [i * n + j for i, j in enumerate(inverse)],
+            [j * n + i for i, j in enumerate(inverse)],
+        ):
+            products = _gather(cells)(flat)
+            if products.count(self.identity) != n:
+                i = next(i for i, c in enumerate(products) if c != self.identity)
+                raise NotAGroup(f"element {i} is not inverted by the supplied {inverse[i]}")
+        return inverse
 
     # -- arithmetic -------------------------------------------------------
 
@@ -654,7 +676,8 @@ def _build_cyclic(n: int) -> Group:
     doubled = memoryview(array(_typecode(n), range(n)) * 2)
     cells = b"".join(doubled[i:i + n] for i in range(n))
     names = [str(i) for i in range(n)]
-    return Group(n, cells, names, kind="cyclic", description=f"cyclic:{n}")
+    inverse = [(n - i) % n for i in range(n)]
+    return Group(n, cells, names, kind="cyclic", description=f"cyclic:{n}", inverse=inverse)
 
 
 def _rot_name(i: int) -> str:
@@ -677,8 +700,15 @@ def _build_dihedral(n: int) -> Group:
     cells = b"".join(itertools.chain.from_iterable(halves))
     names = [_rot_name(i) for i in range(n)] + [_refl_name(i) for i in range(n)]
     gens = {"a": 1 % n, "b": n}
+    inverse = [(n - i) % n for i in range(n)] + list(range(n, size))  # reflections are involutions
     return Group(
-        size, cells, names, kind="dihedral", description=f"dihedral:{n}", generator_names=gens
+        size,
+        cells,
+        names,
+        kind="dihedral",
+        description=f"dihedral:{n}",
+        generator_names=gens,
+        inverse=inverse,
     )
 
 
@@ -711,27 +741,34 @@ def _permutation_cells(
     elements: Sequence[tuple[int, ...]],
     index: dict[tuple[int, ...], int],
     gens: Sequence[tuple[int, ...]],
-) -> bytes:
+) -> tuple[bytes, list[int]]:
     """The table of the permutation group elements, elements[0] the identity,
-    generated by right products of gens.  Only the generator rows take dict
-    lookups: the others follow a BFS tree from the identity, since
-    row(p*g)[y] = p*(g*y) is row(p) read at the indices row(g)."""
+    generated by right products of gens, and the inverse of each element.
+    Only the generator rows take dict lookups: the others follow a BFS tree
+    from the identity, since row(p*g)[y] = p*(g*y) is row(p) read at the
+    indices row(g), and inv(p*g) = g^-1 * inv(p)."""
     n = len(elements)
-    steps = [
-        (index[g], _gather([index[_compose(g, q)] for q in elements])) for g in gens
-    ]
+    steps = []
+    for g in gens:
+        row_g = [index[_compose(g, q)] for q in elements]
+        g_inv_times = [0] * n  # g_inv_times[x] = g^-1 * x, as row_g[y] = g * y
+        for y, x in enumerate(row_g):
+            g_inv_times[x] = y
+        steps.append((index[g], _gather(row_g), g_inv_times))
     rows: list[tuple[int, ...] | None] = [None] * n
     rows[0] = tuple(range(n))
+    inverse = [0] * n
     queue = [0]
     for p in queue:
         row = rows[p]
-        for g, via_g in steps:
+        for g, via_g, g_inv_times in steps:
             child = row[g]
             if rows[child] is None:
                 rows[child] = via_g(row)
+                inverse[child] = g_inv_times[inverse[p]]
                 queue.append(child)
     pack = struct.Struct(f"{n}{_typecode(n)}").pack
-    return b"".join(pack(*row) for row in rows)
+    return b"".join(pack(*row) for row in rows), inverse
 
 
 def _permutation_group(
@@ -744,7 +781,7 @@ def _permutation_group(
     generator_names: dict[str, int] | None = None,
 ) -> Group:
     """The group on the permutations in elements, named in cycles of points."""
-    cells = _permutation_cells(elements, index, gens)
+    cells, inverse = _permutation_cells(elements, index, gens)
     names = [_cycle_name(p, points) for p in elements]
     return Group(
         len(elements),
@@ -754,6 +791,7 @@ def _permutation_group(
         description=description,
         generator_names=generator_names,
         generators=[index[g] for g in gens],
+        inverse=inverse,
     )
 
 
@@ -790,15 +828,19 @@ def _build_direct_product(spec: GroupSpec, limit: int) -> Group:
     _check_order(order, limit, "direct product")
     # Fold the factors in pairwise, from the trivial group.
     rows: Sequence[Sequence[int]] = ((0,),)
+    inverse: Sequence[int] = (0,)
     for f in factors:
         n = len(rows) * f.order
         cells = _product_cells(rows, f.table, _typecode(n))
         rows = _table_rows(memoryview(cells).cast(_typecode(n)), n)
+        inverse = [a * f.order + b for a in inverse for b in f.inverse]
     names = [
         "(" + ",".join(parts) + ")" for parts in itertools.product(*(f.names for f in factors))
     ]
     desc = "x".join(f.description for f in factors)
-    return Group(order, cells, names, kind="direct_product", description=desc)
+    return Group(
+        order, cells, names, kind="direct_product", description=desc, inverse=inverse
+    )
 
 
 def _perm_from_cycles(

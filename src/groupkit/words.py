@@ -6,6 +6,8 @@ An element expression is resolved in this order:
 2. a word over the group's generator symbols, when it has any, with terms
    symbol or symbol^int and "1" for the identity ("a^-1 b", "a^3b");
 3. a bare nonnegative integer, read as an element index.
+
+Exponents and indices take the ASCII digits 0-9 only.
 """
 
 from __future__ import annotations
@@ -16,6 +18,15 @@ from .errors import IndexOutOfRange, ParseError, UnknownSymbol
 from .groups import ElementSet, Group
 
 __all__ = ["parse_element", "parse_subset"]
+
+_DIGITS = frozenset("0123456789")
+
+
+def _to_int(digits: str, what: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than the interpreter converts
+        raise ParseError(f"{what} of {len(digits.lstrip('-'))} digits is too long") from None
 
 
 def _eval_word(group: Group, text: str) -> int:
@@ -45,11 +56,11 @@ def _eval_word(group: Group, text: str) -> int:
             j = i
             if j < n and text[j] == "-":
                 j += 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             if j == i or text[i:j] == "-":
                 raise ParseError(f"exponent missing after '^' in word {text!r}")
-            exp = int(text[i:j])
+            exp = _to_int(text[i:j], "exponent")
             i = j
         acc = group.multiply(acc, group.power(base, exp))
         saw_term = True
@@ -79,8 +90,8 @@ def parse_element(group: Group, text: str) -> int:
         except ParseError:
             pass
 
-    if s.isdigit():
-        idx = int(s)
+    if _DIGITS.issuperset(s):
+        idx = _to_int(s, "index")
         if idx >= group.order:
             raise IndexOutOfRange(
                 f"index {idx} out of range for a group of order {group.order}"

@@ -1,3 +1,4 @@
+import gc
 import json
 
 import jsonschema
@@ -376,6 +377,21 @@ def test_deep_spec_exits_2(tmp_path, capsys, depth, via_file):
     assert "nested too deeply" in err
 
 
+@pytest.mark.parametrize("via_file", [False, True])
+def test_spec_with_a_huge_integer_exits_2(tmp_path, capsys, via_file):
+    # json.loads refuses an integer past the interpreter's digit limit
+    # (4,300 by default) with a ValueError that is no JSONDecodeError
+    group = '{"kind":"cyclic","n":' + "9" * 5000 + "}"
+    if via_file:
+        path = tmp_path / "huge.json"
+        path.write_text(group)
+        group = f"@{path}"
+    assert main(["rta", "--group", group, "-H", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 # The README's exit-code table, for every error class the package exports.
 EXIT_CODES = {
     "GroupKitError": (2, "error"),
@@ -407,15 +423,42 @@ def test_every_exported_error_has_an_exit_code():
 @pytest.mark.parametrize("name", sorted(EXIT_CODES))
 def test_error_class_exit_code(capsys, monkeypatch, name):
     code, label = EXIT_CODES[name]
+    collecting = []
 
     def fail(*args, **kwargs):
+        collecting.append(gc.isenabled())
         raise getattr(groupkit, name)("boom")
 
     monkeypatch.setattr("groupkit.cli.rta", fail)
     assert main(["rta", "--group", "cyclic:4", "-H", "0"]) == code
+    # the cyclic collector is paused inside the command and back on after it
+    assert collecting == [False]
+    assert gc.isenabled()
     captured = capsys.readouterr()
     assert captured.err == f"{label}: boom\n"
     assert captured.out == ""
+
+
+def test_collector_resumes_when_a_handler_raises_another_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr("groupkit.cli.rta", fail)
+    with pytest.raises(KeyError):
+        main(["rta", "--group", "cyclic:4", "-H", "0"])
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_state_of_the_caller_is_kept(capsys, enabled):
+    if not enabled:
+        gc.disable()
+    try:
+        assert main(["rta", "--group", "cyclic:4", "-H", "0"]) == 0
+        assert gc.isenabled() == enabled
+    finally:
+        gc.enable()
+    assert capsys.readouterr().out.startswith("group: cyclic:4")
 
 
 @pytest.mark.parametrize("group", [

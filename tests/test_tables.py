@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupkit import InvalidSpec, NotAGroup, build_group
+from groupkit import Group, InvalidSpec, NotAGroup, build_group
 from groupkit.cli import main
 from groupkit.groups import (
     _LIGHT_BLOCK_CELLS,
@@ -573,6 +573,52 @@ def test_rows_are_compact_and_read_only(spec, typecode):
     with pytest.raises(TypeError):
         g.table[0][0] = 1
     assert all(len(row) == g.order for row in g.table)
+
+
+S6_CLOSURE = {"kind": "permutation", "degree": 6, "generators": [[[1, 2]], [[1, 2, 3, 4, 5, 6]]]}
+
+
+@pytest.mark.parametrize("spec", small_builder_specs() + [
+    {"kind": "symmetric", "n": 5},
+    {"kind": "cyclic", "n": 4096},
+    {"kind": "dihedral", "n": 2048},
+    S6_CLOSURE,
+], ids=lambda s: str(s)[:60])
+def test_builders_supply_the_inverses_the_search_finds(spec):
+    g = build_group(spec)
+    flat = memoryview(g.table[0].obj).cast(_typecode(g.order))
+    assert g.inverse == g._find_inverses(flat)
+
+
+def _rebuilt_cyclic(inverse):
+    g = build_group({"kind": "cyclic", "n": 6})
+    return Group(6, g.table[0].obj, g.names, kind="cyclic", description="c6", inverse=inverse)
+
+
+@pytest.mark.parametrize("inverse, message", [
+    ([0, 5, 4, 3, 2, 0], "element 5 is not inverted by the supplied 0"),
+    ([0, 1, 2, 3, 4, 5], "element 1 is not inverted by the supplied 1"),
+    ([0, 5, 4, 3, 2], "must be 6 indices in 0..5"),
+    ([0, 5, 4, 3, 2, 7], "must be 6 indices in 0..5"),
+    ([0, 5, 4, 3, 2, -1], "must be 6 indices in 0..5"),
+])
+def test_a_wrong_inverse_tuple_is_refused(inverse, message):
+    assert _rebuilt_cyclic([0, 5, 4, 3, 2, 1]).inverse == (0, 5, 4, 3, 2, 1)
+    with pytest.raises(NotAGroup, match=message):
+        _rebuilt_cyclic(inverse)
+
+
+ONE_SIDED = [[0, 1, 2, 3], [1, 2, 0, 3], [2, 3, 1, 0], [3, 0, 1, 2]]
+
+
+@pytest.mark.parametrize("rows", [ONE_SIDED, [list(c) for c in zip(*ONE_SIDED)]],
+                         ids=["right inverses", "left inverses"])
+def test_a_one_sided_inverse_is_refused(rows):
+    # ONE_SIDED has identity 0 and x*inv[x] = 0 for inv = (0, 2, 3, 1), but
+    # inv[1]*1 = 2*1 = 3; its transpose fails the other side alone
+    cells = bytes(itertools.chain.from_iterable(rows))
+    with pytest.raises(NotAGroup, match="element 1 is not inverted by the supplied 2"):
+        Group(4, cells, "eabc", kind="cayley", description="magma", inverse=[0, 2, 3, 1])
 
 
 # -- fuzzing the cayley input path --------------------------------------------------

@@ -1,8 +1,10 @@
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupkit import IndexOutOfRange, ParseError, UnknownSymbol, build_group
+from groupkit import GroupKitError, IndexOutOfRange, ParseError, UnknownSymbol, build_group
 from groupkit.words import parse_element, parse_subset
 import suites
 
@@ -58,10 +60,16 @@ def test_unknown_symbol(d12):
         parse_element(d12, "a^2c")
 
 
-def test_parse_errors(d12):
-    for text in ["", "^2", "a^", "a^^2", "a^b", "()"]:
-        with pytest.raises(ParseError):
-            parse_element(d12, text)
+def test_parse_errors(d12, z12):
+    # digit runs past int()'s limit on digits, and digits that are not ASCII
+    long_run = "9" * 5000
+    for text in ["", "^2", "a^", "a^^2", "a^b", "()", "a^\u00b2", "\u00b2",
+                 "a^" + long_run, "a^-" + long_run, long_run]:
+        for g in (d12, z12):
+            with pytest.raises(ParseError):
+                parse_element(g, text)
+    with pytest.raises(ParseError, match="index of 5000 digits is too long"):
+        parse_element(z12, long_run)
 
 
 def test_no_words_without_generators(z12):
@@ -91,3 +99,25 @@ def test_parse_subset_error_position(d12):
         parse_subset(d12, "1,a,zz,b")
     with pytest.raises(IndexOutOfRange, match=r"item 2"):
         parse_subset(d12, "1,99")
+
+
+# Text near the grammar: generator letters, '^', '-', ',', ASCII and other
+# Unicode digits, and digit runs on both sides of int()'s limit on digits.
+WORD_PIECES = st.one_of(
+    st.sampled_from(["a", "b", "c", "1", "^", "-", ",", " ", "(", ")", "0", "7",
+                     "\u00b2", "\u0663", "\uff17", "\u00e9", "12"]),
+    st.sampled_from([2, 30, 4300, 4301]).map(lambda k: "9" * k),
+    st.text(max_size=3),
+)
+
+
+@pytest.mark.filterwarnings("ignore:duplicate element")
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(WORD_PIECES, max_size=8).map("".join))
+def test_word_parser_only_raises_groupkit_errors(d12, z12, text):
+    for g in (d12, z12):
+        for parse in (parse_element, parse_subset):
+            try:
+                parse(g, text)
+            except GroupKitError:
+                pass
