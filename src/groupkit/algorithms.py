@@ -14,10 +14,10 @@ the run ends when the chain hits the empty set.
 A finished msfa run covers Mid but not necessarily G; the extension runs the
 same chain from the uncovered remainder and grows X to a middle transversal
 (at the price of directness).  AlgoTrace.validate() replays a run through
-the same chain step.  The exhaustive enumerations build every output at
-once: a pick removes its whole block, so the outputs are the sets taking
-one element from each block inside the seed, the Cartesian product of those
-cells.
+the same chain step and compares the chains.  The exhaustive enumerations
+build every output at once: a pick removes its whole block, so the outputs
+are the sets taking one element from each block inside the seed, the
+Cartesian product of those cells.
 """
 
 from __future__ import annotations
@@ -125,14 +125,13 @@ class _Chooser:
 
 @dataclass
 class AlgoTrace:
-    """Complete record of one chain-intersection run.
+    """Complete record of one chain-intersection run: its picks and its
+    candidate chain, from which everything else is read off.
 
-    chosen holds g_0..g_N; seed is the starting candidate set C^(-1);
-    chain_sizes holds |C^(-1)|..|C^(N)| with the last entry 0; chain_sets
-    mirrors chain_sizes when the run recorded full sets.  For extension runs
-    the chain fields cover only the continuation part, seed is what the
-    inherited picks leave uncovered, and extension_start is the index of the
-    last inherited pick.
+    chosen holds g_0..g_N; chain holds the candidate masks C^(-1)..C^(N),
+    the last one 0.  For extension runs chain covers only the continuation
+    part, starting from what the inherited picks leave uncovered, and
+    extension_start is the index of the last inherited pick.
     """
 
     algorithm: str
@@ -140,18 +139,36 @@ class AlgoTrace:
     h: ElementSet
     k: ElementSet | None
     chosen: list[int]
-    seed: ElementSet
-    chain_sizes: list[int]
-    chain_sets: list[ElementSet] | None
-    output: ElementSet
-    n_steps: int
+    chain: list[int]
     policy: str = "smallest"
     extension_start: int | None = None
 
+    @property
+    def seed(self) -> ElementSet:
+        """The starting candidate set C^(-1)."""
+        return self.group.subset_from_mask(self.chain[0])
+
+    @property
+    def chain_sizes(self) -> list[int]:
+        return [m.bit_count() for m in self.chain]
+
+    @property
+    def chain_sets(self) -> list[ElementSet]:
+        return [self.group.subset_from_mask(m) for m in self.chain]
+
+    @property
+    def output(self) -> ElementSet:
+        return self.group.subset_from_mask(_mask_of(self.chosen))
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.chosen) - 1
+
     def validate(self) -> None:
         """Replay the recorded picks through the chain step over the blocks
-        of (h, k); raises TraceMismatch when the seed, a pick, the chain or
-        the output disagrees with the replay."""
+        of (h, k) from the recomputed seed; raises TraceMismatch when a pick
+        is not a live candidate, the run does not end empty, or the replayed
+        chain differs from the recorded one."""
         g = self.group
         blocks = _coset_blocks(self.h, self.k)
         c = g.full_mask
@@ -163,19 +180,13 @@ class AlgoTrace:
                 raise TraceMismatch(f"pick {step} ({pick}) is not a live candidate")
             c &= ~blocks[pick]
             chain.append(c)
+        if c:
+            raise TraceMismatch("chain does not end empty")
         if self.extension_start is not None:
             # the recorded chain starts after the last inherited pick
             chain = chain[self.extension_start + 1 :]
-        if chain[:1] != [self.seed.mask]:
-            raise TraceMismatch("recorded seed differs from its recomputation")
-        if c:
-            raise TraceMismatch("chain does not end empty")
-        if [m.bit_count() for m in chain] != self.chain_sizes:
-            raise TraceMismatch("chain sizes differ from the replay")
-        if self.chain_sets is not None and [s.mask for s in self.chain_sets] != chain:
-            raise TraceMismatch("chain sets differ from the replay")
-        if self.output.mask != _mask_of(self.chosen) or self.n_steps != len(self.chosen) - 1:
-            raise TraceMismatch("output or step count disagrees with the picks")
+        if chain != self.chain:
+            raise TraceMismatch("recorded chain differs from the replay")
 
 
 def _mask_of(indices) -> int:
@@ -226,17 +237,16 @@ def _run_chain(
     h: ElementSet,
     k: ElementSet | None,
     blocks: list[int],
-    seed: ElementSet,
+    c: int,
     chosen: list[int],
     pick: int,
     chooser: _Chooser,
-    record: str,
     extension_start: int | None = None,
 ) -> AlgoTrace:
-    """Append pick to chosen, remove its block from the candidates, and let
-    the chooser pick again until no candidate is left."""
+    """Starting from the candidate mask c, append pick to chosen, remove its
+    block from the candidates, and let the chooser pick again until no
+    candidate is left."""
     g = h.group
-    c = seed.mask
     chain = [c]
     while True:
         chosen.append(pick)
@@ -251,11 +261,7 @@ def _run_chain(
         h=h,
         k=k,
         chosen=chosen,
-        seed=seed,
-        chain_sizes=[m.bit_count() for m in chain],
-        chain_sets=[g.subset_from_mask(m) for m in chain] if record == "full" else None,
-        output=g.subset_from_mask(_mask_of(chosen)),
-        n_steps=len(chosen) - 1,
+        chain=chain,
         policy=chooser.policy.describe(),
         extension_start=extension_start,
     )
@@ -267,19 +273,16 @@ def _search(
     k: ElementSet | None,
     g0: int | None,
     policy: ChoicePolicy,
-    record: str,
     chooser: _Chooser | None,
 ) -> AlgoTrace:
     g = _common_setup(h, k)
-    seed = _mid_seed(h, k) if algorithm == "MSFA" else g.full_set()
+    seed = _mid_seed(h, k).mask if algorithm == "MSFA" else g.full_mask
     chooser = chooser or policy.start()
     if g0 is None:
-        g0 = chooser.pick(g, seed.mask)
-    else:
-        g._check_index(g0)
-        if g0 not in seed:
-            raise G0NotInMid(f"g0={g.names[g0]!r} lies outside the middle director")
-    return _run_chain(algorithm, h, k, _coset_blocks(h, k), seed, [], g0, chooser, record)
+        g0 = chooser.pick(g, seed)
+    elif seed >> g._check_index(g0) & 1 == 0:
+        raise G0NotInMid(f"g0={g.names[g0]!r} lies outside the middle director")
+    return _run_chain(algorithm, h, k, _coset_blocks(h, k), seed, [], g0, chooser)
 
 
 def rta(
@@ -287,11 +290,10 @@ def rta(
     g0: int | None = None,
     policy: ChoicePolicy = SMALLEST,
     *,
-    record: str = "sizes",
     chooser: _Chooser | None = None,
 ) -> AlgoTrace:
     """Right-transversal search for a subgroup H."""
-    return _search("RTA", h, None, g0, policy, record, chooser)
+    return _search("RTA", h, None, g0, policy, chooser)
 
 
 def mta(
@@ -300,11 +302,10 @@ def mta(
     g0: int | None = None,
     policy: ChoicePolicy = SMALLEST,
     *,
-    record: str = "sizes",
     chooser: _Chooser | None = None,
 ) -> AlgoTrace:
     """Middle-transversal search for a subgroup pair (H, K)."""
-    return _search("MTA", h, k, g0, policy, record, chooser)
+    return _search("MTA", h, k, g0, policy, chooser)
 
 
 def msfa(
@@ -313,11 +314,10 @@ def msfa(
     g0: int | None = None,
     policy: ChoicePolicy = SMALLEST,
     *,
-    record: str = "sizes",
     chooser: _Chooser | None = None,
 ) -> AlgoTrace:
     """Maximal-direct-middle search, seeded with the middle director."""
-    return _search("MSFA", h, k, g0, policy, record, chooser)
+    return _search("MSFA", h, k, g0, policy, chooser)
 
 
 def extend_to_middle_transversal(
@@ -326,7 +326,6 @@ def extend_to_middle_transversal(
     trace: AlgoTrace,
     policy: ChoicePolicy = SMALLEST,
     *,
-    record: str = "sizes",
     chooser: _Chooser | None = None,
 ) -> AlgoTrace:
     """Continue a finished msfa run until X covers the whole group.
@@ -353,11 +352,10 @@ def extend_to_middle_transversal(
         h,
         k,
         blocks,
-        g.subset_from_mask(uncovered),
+        uncovered,
         list(trace.chosen),
         chooser.pick(g, uncovered),
         chooser,
-        record,
         extension_start=trace.n_steps,
     )
 

@@ -9,6 +9,7 @@ carries its own (2 bad input, 3 not applicable, 4 failed internal check,
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -208,18 +209,16 @@ def _prologue(
 def _cmd_transversal(args: argparse.Namespace) -> RunReport:
     """rta, or mta when the command takes -K."""
     g, h, k, policy, g0, inputs = _prologue(args, needs_k=args.command == "mta")
-    if k is None:
-        trace = rta(h, g0=g0, policy=policy, record=args.trace)
-    else:
-        trace = mta(h, k, g0=g0, policy=policy, record=args.trace)
+    trace = rta(h, g0=g0, policy=policy) if k is None else mta(h, k, g0=g0, policy=policy)
     trace.validate()
+    out = trace.output
     if k is None:
-        count, valid = "index", products.is_right_transversal(h, trace.output)
+        count, valid = "index", products.is_right_transversal(h, out)
     else:
-        count, valid = "double_coset_count", products.is_middle_transversal(h, trace.output, k)
+        count, valid = "double_coset_count", products.is_middle_transversal(h, out, k)
     result = {
-        "trace": trace_payload(trace),
-        "transversal": trace.output.names(),
+        "trace": trace_payload(trace, args.trace == "full"),
+        "transversal": out.names(),
         count: trace.n_steps + 1,
         "valid": valid,
     }
@@ -230,17 +229,18 @@ def _cmd_msfa(args: argparse.Namespace) -> RunReport:
     g, h, k, policy, g0, inputs = _prologue(args)
     inputs["extend"] = bool(args.extend)
     chooser = policy.start()
-    trace = msfa(h, k, g0=g0, policy=policy, record=args.trace, chooser=chooser)
+    trace = msfa(h, k, g0=g0, policy=policy, chooser=chooser)
     trace.validate()
-    mid = trace.seed
-    hxk = products.set_product(products.set_product(h, trace.output), k)
-    direct = products.is_direct_triple(h, trace.output, k)
+    full = args.trace == "full"
+    mid, x = trace.seed, trace.output
+    hxk = products.set_product(products.set_product(h, x), k)
+    direct = products.is_direct_triple(h, x, k)
     # Mid is a union of (H, K) blocks, so a direct X is maximal exactly when
     # H*X*K already covers Mid
     maximal = mid <= hxk
     result = {
-        "trace": trace_payload(trace),
-        "x": trace.output.names(),
+        "trace": trace_payload(trace, full),
+        "x": x.names(),
         "mid_size": len(mid),
         "covers_group": hxk == g.full_set(),
         "direct": direct,
@@ -248,13 +248,12 @@ def _cmd_msfa(args: argparse.Namespace) -> RunReport:
     }
     ok = direct and maximal
     if args.extend:
-        extended = extend_to_middle_transversal(
-            h, k, trace, policy=policy, record=args.trace, chooser=chooser
-        )
+        extended = extend_to_middle_transversal(h, k, trace, policy=policy, chooser=chooser)
         extended.validate()
-        result["extension"] = trace_payload(extended)
-        result["x_star"] = extended.output.names()
-        ok = ok and products.is_middle_transversal(h, extended.output, k)
+        x_star = extended.output
+        result["extension"] = trace_payload(extended, full)
+        result["x_star"] = x_star.names()
+        ok = ok and products.is_middle_transversal(h, x_star, k)
     return RunReport("msfa", g, inputs, result, exit_code=0 if ok else 4)
 
 
@@ -269,7 +268,7 @@ def _cmd_mid(args: argparse.Namespace) -> RunReport:
     mid = by_def if by_conj is None else by_conj
     result = {
         "method": args.method,
-        "tag": products.MidCase.of(mid).tag.value,
+        "tag": products.MidCase(mid).tag.value,
         "size": len(mid),
         "mid": mid.names(),
     }
@@ -344,7 +343,10 @@ def _add_search_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", choices=("sizes", "full"), default="sizes")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser for every subcommand, built on the first call and reused:
+    parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="groupkit",
         description="Finite-group transversal and double-coset toolkit",

@@ -203,7 +203,6 @@ class Group:
         "full_mask",
         "_name_to_index",
         "_loose_names",
-        "_abelian",
     )
 
     def __init__(
@@ -227,7 +226,6 @@ class Group:
         self.kind = kind
         self.description = description
         self.full_mask = (1 << n) - 1
-        self._abelian: bool | None = None
 
         self.identity = self._find_identity(flat)
         if inverse is None:
@@ -341,13 +339,8 @@ class Group:
         return t[t[self._check_index(by)][self._check_index(x)]][self.inverse[by]]
 
     def is_abelian(self) -> bool:
-        if self._abelian is None:
-            t = self.table
-            n = self.order
-            self._abelian = all(
-                t[i][j] == t[j][i] for i in range(n) for j in range(i + 1, n)
-            )
-        return self._abelian
+        t = self.table
+        return all(t[i][j] == t[j][i] for i in range(self.order) for j in range(i))
 
     def center(self) -> ElementSet:
         """Elements commuting with everything."""
@@ -536,9 +529,24 @@ class ElementSet:
 # -- specs and builders ----------------------------------------------------------
 
 
+def _is_positive_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _tuples(value, depth: int):
+    """value with its lists, nested up to depth >= 1 deep, turned into
+    tuples; anything else is left as it is, for GroupSpec to refuse."""
+    if not isinstance(value, list):
+        return value
+    if depth == 1:
+        return tuple(value)
+    return tuple(_tuples(v, depth - 1) for v in value)
+
+
 @dataclass(frozen=True)
 class GroupSpec:
-    """Validated description of a buildable group."""
+    """Validated description of a buildable group.  Every spec is checked
+    when it is made, however it is made, so the builders trust its fields."""
 
     kind: str
     n: int | None = None
@@ -547,6 +555,39 @@ class GroupSpec:
     table: tuple[tuple[int, ...], ...] | None = None
     degree: int | None = None
     generators: tuple[tuple[tuple[int, ...], ...], ...] | None = None
+
+    def __post_init__(self) -> None:
+        kind = self.kind
+        if kind in ("cyclic", "dihedral", "symmetric"):
+            if not _is_positive_int(self.n):
+                raise InvalidSpec(f"{kind} group needs a positive integer n")
+        elif kind == "direct_product":
+            factors = self.factors
+            if not isinstance(factors, tuple) or not factors or not all(
+                isinstance(f, GroupSpec) for f in factors
+            ):
+                raise InvalidSpec("direct_product needs a nonempty factors list")
+        elif kind == "cayley":
+            names, table = self.names, self.table
+            if not isinstance(names, tuple) or not all(isinstance(s, str) for s in names):
+                raise InvalidSpec("cayley group needs a list of string names")
+            if not isinstance(table, tuple) or not all(isinstance(r, tuple) for r in table):
+                raise InvalidSpec("cayley group needs a table as a list of rows")
+        elif kind == "permutation":
+            if not _is_positive_int(self.degree):
+                raise InvalidSpec("permutation group needs a positive integer degree")
+            if not isinstance(self.generators, tuple):
+                raise InvalidSpec("permutation group needs a generators list")
+            for gi, cycles in enumerate(self.generators):
+                if not isinstance(cycles, tuple):
+                    raise InvalidSpec(f"generator {gi} must be a list of cycles")
+                for cycle in cycles:
+                    if not isinstance(cycle, tuple) or not all(
+                        isinstance(p, int) and not isinstance(p, bool) for p in cycle
+                    ):
+                        raise InvalidSpec(f"generator {gi} holds a malformed cycle")
+        else:
+            raise InvalidSpec(f"unknown group kind {kind!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroupSpec":
@@ -560,49 +601,18 @@ class GroupSpec:
         if not isinstance(data, dict):
             raise InvalidSpec(f"group spec must be an object, got {type(data).__name__}")
         kind = data.get("kind")
-        if kind in ("cyclic", "dihedral", "symmetric"):
-            n = data.get("n")
-            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                raise InvalidSpec(f"{kind} group needs a positive integer n")
-            return cls(kind=kind, n=n)
         if kind == "direct_product":
             factors = data.get("factors")
-            if not isinstance(factors, list) or not factors:
-                raise InvalidSpec("direct_product needs a nonempty factors list")
-            return cls(kind=kind, factors=tuple(cls._from_dict(f) for f in factors))
+            if isinstance(factors, list):
+                factors = tuple(cls._from_dict(f) for f in factors)
+            return cls(kind=kind, factors=factors)
         if kind == "cayley":
-            names = data.get("names")
-            table = data.get("table")
-            if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
-                raise InvalidSpec("cayley group needs a list of string names")
-            if not isinstance(table, list) or not all(isinstance(r, list) for r in table):
-                raise InvalidSpec("cayley group needs a table as a list of rows")
-            return cls(
-                kind=kind,
-                names=tuple(names),
-                table=tuple(tuple(r) for r in table),
-            )
+            names, table = data.get("names"), data.get("table")
+            return cls(kind=kind, names=_tuples(names, 1), table=_tuples(table, 2))
         if kind == "permutation":
-            degree = data.get("degree")
-            gens = data.get("generators")
-            if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
-                raise InvalidSpec("permutation group needs a positive integer degree")
-            if not isinstance(gens, list):
-                raise InvalidSpec("permutation group needs a generators list")
-            out = []
-            for gi, cycles in enumerate(gens):
-                if not isinstance(cycles, list):
-                    raise InvalidSpec(f"generator {gi} must be a list of cycles")
-                packed = []
-                for cycle in cycles:
-                    if not isinstance(cycle, list) or not all(
-                        isinstance(p, int) and not isinstance(p, bool) for p in cycle
-                    ):
-                        raise InvalidSpec(f"generator {gi} holds a malformed cycle")
-                    packed.append(tuple(cycle))
-                out.append(tuple(packed))
-            return cls(kind=kind, degree=degree, generators=tuple(out))
-        raise InvalidSpec(f"unknown group kind {kind!r}")
+            gens = _tuples(data.get("generators"), 3)
+            return cls(kind=kind, degree=data.get("degree"), generators=gens)
+        return cls(kind=kind, n=data.get("n"))
 
     @classmethod
     def from_inline(cls, text: str) -> "GroupSpec":
@@ -624,17 +634,17 @@ class GroupSpec:
         if self.kind in ("cyclic", "dihedral", "symmetric"):
             return {"kind": self.kind, "n": self.n}
         if self.kind == "direct_product":
-            return {"kind": self.kind, "factors": [f.to_dict() for f in self.factors or ()]}
+            return {"kind": self.kind, "factors": [f.to_dict() for f in self.factors]}
         if self.kind == "cayley":
             return {
                 "kind": self.kind,
-                "names": list(self.names or ()),
-                "table": [list(r) for r in self.table or ()],
+                "names": list(self.names),
+                "table": [list(r) for r in self.table],
             }
         return {
             "kind": self.kind,
             "degree": self.degree,
-            "generators": [[list(c) for c in g] for g in self.generators or ()],
+            "generators": [[list(c) for c in g] for g in self.generators],
         }
 
 
@@ -659,15 +669,15 @@ def _least_order(spec: GroupSpec, limit: int) -> int:
     anything.  A permutation closure counts as 1: its order is known only
     once the closure is built, which checks the limit as it grows."""
     if spec.kind == "cyclic":
-        return min(spec.n or 1, limit + 1)
+        return min(spec.n, limit + 1)
     if spec.kind == "dihedral":
-        return min(2 * (spec.n or 1), limit + 1)
+        return min(2 * spec.n, limit + 1)
     if spec.kind == "symmetric":
-        return _capped_prod(range(2, (spec.n or 1) + 1), limit)
+        return _capped_prod(range(2, spec.n + 1), limit)
     if spec.kind == "direct_product":
-        return _capped_prod((_least_order(f, limit) for f in spec.factors or ()), limit)
+        return _capped_prod((_least_order(f, limit) for f in spec.factors), limit)
     if spec.kind == "cayley":
-        return min(len(spec.table or ()), limit + 1)
+        return min(len(spec.table), limit + 1)
     return 1
 
 
@@ -823,7 +833,7 @@ def _product_cells(
 
 
 def _build_direct_product(spec: GroupSpec, limit: int) -> Group:
-    factors = [_build(f, limit) for f in spec.factors or ()]
+    factors = [_build(f, limit) for f in spec.factors]
     order = _capped_prod((f.order for f in factors), limit)
     _check_order(order, limit, "direct product")
     # Fold the factors in pairwise, from the trivial group.
@@ -864,8 +874,8 @@ _GEN_SYMBOLS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def _build_permutation(spec: GroupSpec, limit: int) -> Group:
-    degree = spec.degree or 1
-    generators = spec.generators or ()
+    degree = spec.degree
+    generators = spec.generators
     for cycles in generators:
         for cycle in cycles:
             if len(cycle) != len(set(cycle)):
@@ -914,18 +924,16 @@ def _build(spec: GroupSpec, limit: int) -> Group:
     what = "direct product" if spec.kind == "direct_product" else f"{spec.kind} group"
     _check_order(_least_order(spec, limit), limit, what)
     if spec.kind == "cyclic":
-        return _build_cyclic(spec.n or 1)
+        return _build_cyclic(spec.n)
     if spec.kind == "dihedral":
-        return _build_dihedral(spec.n or 1)
+        return _build_dihedral(spec.n)
     if spec.kind == "symmetric":
-        return _build_symmetric(spec.n or 1)
+        return _build_symmetric(spec.n)
     if spec.kind == "direct_product":
         return _build_direct_product(spec, limit)
     if spec.kind == "cayley":
-        return _build_cayley(spec.table or (), spec.names or ())
-    if spec.kind == "permutation":
-        return _build_permutation(spec, limit)
-    raise InvalidSpec(f"unknown group kind {spec.kind!r}")
+        return _build_cayley(spec.table, spec.names)
+    return _build_permutation(spec, limit)
 
 
 def build_group(spec: GroupSpec | dict) -> Group:

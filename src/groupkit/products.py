@@ -142,34 +142,21 @@ class MidTag(enum.Enum):
 
 @dataclass(frozen=True)
 class MidCase:
-    """Classification of a middle director together with the set itself."""
+    """A middle director, classified by its size."""
 
-    tag: MidTag
     mid: ElementSet
 
-    @staticmethod
-    def _tag_of(mid: ElementSet) -> MidTag:
-        size = len(mid)
+    @property
+    def tag(self) -> MidTag:
+        size = len(self.mid)
         if size == 0:
             return MidTag.EMPTY
-        return MidTag.FULL if size == mid.group.order else MidTag.PROPER_NONEMPTY
-
-    def __post_init__(self) -> None:
-        if self.tag is not self._tag_of(self.mid):
-            raise ValueError(
-                f"tag {self.tag} inconsistent with a mid of size "
-                f"{len(self.mid)}/{self.mid.group.order}"
-            )
-
-    @classmethod
-    def of(cls, mid: ElementSet) -> "MidCase":
-        """The classification of an already computed middle director."""
-        return cls(cls._tag_of(mid), mid)
+        return MidTag.FULL if size == self.mid.group.order else MidTag.PROPER_NONEMPTY
 
 
 def classify_mid(h: ElementSet, k: ElementSet) -> MidCase:
     """Compute and classify the middle director of two subgroups."""
-    return MidCase.of(mid_director_subgroups(h, k))
+    return MidCase(mid_director_subgroups(h, k))
 
 
 def is_right_transversal(h: ElementSet, t: ElementSet) -> bool:

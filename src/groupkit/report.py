@@ -14,19 +14,16 @@ from .algorithms import AlgoTrace
 from .groups import Group
 
 
-def trace_payload(trace: AlgoTrace) -> dict:
+def trace_payload(trace: AlgoTrace, full: bool) -> dict:
+    """The trace's JSON form; the chain's sets are listed only when full."""
     g = trace.group
     return {
         "algorithm": trace.algorithm,
         "policy": trace.policy,
         "chosen": [g.names[i] for i in trace.chosen],
         "n_steps": trace.n_steps,
-        "chain_sizes": list(trace.chain_sizes),
-        "chain_sets": (
-            None
-            if trace.chain_sets is None
-            else [c.names() for c in trace.chain_sets]
-        ),
+        "chain_sizes": trace.chain_sizes,
+        "chain_sets": [c.names() for c in trace.chain_sets] if full else None,
         "output": trace.output.names(),
         "extension_start": trace.extension_start,
     }

@@ -48,7 +48,7 @@ def _example_1_3(g: Group) -> dict:
     checks: list = []
     h = parse_subset(g, "0,3,6,9")
     _check(checks, "H is a subgroup", h.is_subgroup())
-    trace = rta(h, g0=0, policy=ChoicePolicy.scripted([1, 2]), record="full")
+    trace = rta(h, g0=0, policy=ChoicePolicy.scripted([1, 2]))
     trace.validate()
     _check(checks, "run ends after N=2 steps", trace.n_steps == 2, f"N={trace.n_steps}")
     _check(
@@ -57,7 +57,6 @@ def _example_1_3(g: Group) -> dict:
         trace.chain_sizes == [12, 8, 4, 0],
         f"sizes={trace.chain_sizes}",
     )
-    assert trace.chain_sets is not None
     _listing(
         checks,
         "second candidate set matches the listed {2,5,8,11}",
@@ -101,10 +100,9 @@ def _example_2_5(g: Group) -> dict:
 
     g0 = parse_element(g, "1")
     g1 = parse_element(g, "a^2")
-    trace = mta(h, k, g0=g0, policy=ChoicePolicy.scripted([g1]), record="full")
+    trace = mta(h, k, g0=g0, policy=ChoicePolicy.scripted([g1]))
     trace.validate()
     _check(checks, "run ends after N=1 steps", trace.n_steps == 1, f"N={trace.n_steps}")
-    assert trace.chain_sets is not None
     _check(
         checks,
         "first candidate set is the recomputed complement of HK",
@@ -211,7 +209,7 @@ def _example_2_14(g: Group) -> dict:
     )
 
     g0 = g.identity
-    trace = msfa(h, k, g0=g0, policy=ChoicePolicy.scripted([]), record="full")
+    trace = msfa(h, k, g0=g0, policy=ChoicePolicy.scripted([]))
     trace.validate()
     _check(checks, "direct-middle run ends after N=0 steps", trace.n_steps == 0)
     _listing(checks, "direct middle is the listed {1}", trace.output, parse_subset(g, "1"))

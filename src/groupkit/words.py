@@ -8,6 +8,11 @@ An element expression is resolved in this order:
 3. a bare nonnegative integer, read as an element index.
 
 Exponents and indices take the ASCII digits 0-9 only.
+
+A failed parse raises ParseError (IndexOutOfRange for an index past the
+group's order) with the reason of the route that failed: the word's own
+error, unless the text is all ASCII digits and so is left to the index
+route.  A message quotes at most the first 40 characters of the input.
 """
 
 from __future__ import annotations
@@ -20,6 +25,14 @@ from .groups import ElementSet, Group
 __all__ = ["parse_element", "parse_subset"]
 
 _DIGITS = frozenset("0123456789")
+_SHOWN = 40  # the most characters of an input that a message quotes
+
+
+def _quote(text: str) -> str:
+    """repr(text), cut to its first _SHOWN characters when it is longer."""
+    if len(text) <= _SHOWN:
+        return repr(text)
+    return f"{text[:_SHOWN]!r}... ({len(text)} characters)"
 
 
 def _to_int(digits: str, what: str) -> int:
@@ -49,7 +62,7 @@ def _eval_word(group: Group, text: str) -> int:
             base = gens[c]
             i += 1
         else:
-            raise ParseError(f"unexpected {c!r} at position {i} in word {text!r}")
+            raise ParseError(f"unexpected {c!r} at position {i} in word {_quote(text)}")
         exp = 1
         if i < n and text[i] == "^":
             i += 1
@@ -59,7 +72,7 @@ def _eval_word(group: Group, text: str) -> int:
             while j < n and text[j] in _DIGITS:
                 j += 1
             if j == i or text[i:j] == "-":
-                raise ParseError(f"exponent missing after '^' in word {text!r}")
+                raise ParseError(f"exponent missing after '^' in word {_quote(text)}")
             exp = _to_int(text[i:j], "exponent")
             i = j
         acc = group.multiply(acc, group.power(base, exp))
@@ -79,26 +92,27 @@ def parse_element(group: Group, text: str) -> int:
     if hit is not None:
         return hit
 
-    # A word only makes sense when the group names generators.  An unknown
-    # letter is a definite error; anything else unparseable may still be a
-    # bare index ("10" on a dihedral group), so it falls through.
+    # A word only makes sense when the group names generators.  Only text of
+    # ASCII digits may still be a bare index ("10" on a dihedral group), so
+    # any other text reports why it is not a word.
+    digits = _DIGITS.issuperset(s)
     if group.generator_names:
         try:
             return _eval_word(group, s)
-        except UnknownSymbol:
-            raise
         except ParseError:
-            pass
+            if not digits:
+                raise
 
-    if _DIGITS.issuperset(s):
+    if digits:
         idx = _to_int(s, "index")
         if idx >= group.order:
+            shown = idx if len(s) <= _SHOWN else _quote(s)
             raise IndexOutOfRange(
-                f"index {idx} out of range for a group of order {group.order}"
+                f"index {shown} out of range for a group of order {group.order}"
             )
         return idx
 
-    raise ParseError(f"cannot parse {text!r} as an element of {group.description}")
+    raise ParseError(f"cannot parse {_quote(text)} as an element of {group.description}")
 
 
 def parse_subset(group: Group, text: str) -> ElementSet:
@@ -114,10 +128,10 @@ def parse_subset(group: Group, text: str) -> ElementSet:
         try:
             idx = parse_element(group, part)
         except (ParseError, IndexOutOfRange) as exc:
-            raise type(exc)(f"item {pos} ({part.strip()!r}): {exc}") from None
+            raise type(exc)(f"item {pos} ({_quote(part.strip())}): {exc}") from None
         if mask >> idx & 1:
             warnings.warn(
-                f"duplicate element {part.strip()!r} in subset collapsed",
+                f"duplicate element {_quote(part.strip())} in subset collapsed",
                 stacklevel=2,
             )
         mask |= 1 << idx

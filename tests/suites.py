@@ -537,18 +537,18 @@ def run_trace_invariants(groups: list[Group], n_runs: int = 1000, seed: int = 20
         policy = ChoicePolicy.random(rng.randrange(10 ** 9))
         try:
             if kind == "rta":
-                trace = rta(h, policy=policy, record="full")
+                trace = rta(h, policy=policy)
                 ok = products.is_right_transversal(h, trace.output)
             elif kind == "mta":
-                trace = mta(h, k, policy=policy, record="full")
+                trace = mta(h, k, policy=policy)
                 ok = products.is_middle_transversal(h, trace.output, k)
             else:
-                trace = msfa(h, k, policy=policy, record="full")
+                trace = msfa(h, k, policy=policy)
                 ok = products.is_direct_triple(h, trace.output, k) and _maximal_direct(
                     h, trace.output, k
                 )
                 if rng.random() < 0.5:
-                    ext = extend_to_middle_transversal(h, k, trace, policy=policy, record="full")
+                    ext = extend_to_middle_transversal(h, k, trace, policy=policy)
                     ext.validate()
                     if not products.is_middle_transversal(h, ext.output, k):
                         bad.append(f"{g.description}: extension output invalid")

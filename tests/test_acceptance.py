@@ -39,7 +39,7 @@ def _report(criterion: int, ok: bool, detail: str, elapsed: float, budget: float
 def test_criterion_1_cyclic_worked_run(z12):
     started = time.perf_counter()
     h = z12.subset([0, 3, 6, 9])
-    trace = rta(h, g0=0, policy=ChoicePolicy.scripted([1, 2]), record="full")
+    trace = rta(h, g0=0, policy=ChoicePolicy.scripted([1, 2]))
     trace.validate()
     ok = (
         trace.n_steps == 2
@@ -65,7 +65,7 @@ def test_criterion_2_dihedral_worked_run(d12):
     k = parse_subset(d12, K_EMPTY)
     a2 = parse_element(d12, "a^2")
     trace = mta(h, k, g0=parse_element(d12, "1"),
-                policy=ChoicePolicy.scripted([a2]), record="full")
+                policy=ChoicePolicy.scripted([a2]))
     trace.validate()
     ok = (
         trace.n_steps == 1

@@ -29,7 +29,7 @@ import suites
 
 def test_rta_cyclic_worked_run(z12):
     h = z12.subset([0, 3, 6, 9])
-    trace = rta(h, g0=0, policy=ChoicePolicy.scripted([1, 2]), record="full")
+    trace = rta(h, g0=0, policy=ChoicePolicy.scripted([1, 2]))
     assert trace.algorithm == "RTA"
     assert trace.n_steps == 2
     assert trace.chain_sizes == [12, 8, 4, 0]
@@ -51,8 +51,7 @@ def test_rta_smallest_policy(z12):
 def test_mta_worked_run(d12, empty_mid_pair):
     h, k = empty_mid_pair
     trace = mta(h, k, g0=parse_element(d12, "1"),
-                policy=ChoicePolicy.scripted([parse_element(d12, "a^2")]),
-                record="full")
+                policy=ChoicePolicy.scripted([parse_element(d12, "a^2")]))
     assert trace.algorithm == "MTA"
     assert trace.n_steps == 1
     assert trace.output == parse_subset(d12, "1,a^2")
@@ -91,8 +90,7 @@ def test_extension_worked_run(d12, proper_mid_pair):
     trace = msfa(h, k, g0=0)
     ext = extend_to_middle_transversal(
         h, k, trace,
-        policy=ChoicePolicy.scripted([parse_element(d12, "a^2")]),
-        record="full")
+        policy=ChoicePolicy.scripted([parse_element(d12, "a^2")]))
     assert ext.algorithm == "Extension"
     assert ext.extension_start == 0
     assert ext.n_steps == 1
@@ -166,17 +164,22 @@ def test_g0_counts_as_first_pick(z12):
 # -- trace bookkeeping ---------------------------------------------------------
 
 
-def test_sizes_mode_drops_sets(z12):
+def test_chain_sets_and_sizes_are_read_off_the_chain(z12):
     h = z12.subset([0, 3, 6, 9])
     trace = rta(h)
-    assert trace.chain_sets is None
+    assert trace.chain == [z12.full_mask, 0b110110110110, 0b100100100100, 0]
+    assert [s.mask for s in trace.chain_sets] == trace.chain
     assert trace.chain_sizes == [12, 8, 4, 0]
+    assert trace.seed.mask == trace.chain[0]
+    trace.chain[1] = 0b110
+    assert trace.chain_sizes == [12, 2, 4, 0]
+    assert trace.chain_sets[1] == z12.subset([1, 2])
 
 
 def test_trace_validate_catches_tampering(z12):
     h = z12.subset([0, 3, 6, 9])
-    trace = rta(h, record="full")
-    trace.chain_sizes[1] = 99
+    trace = rta(h)
+    trace.chain[1] ^= 1 << 1
     with pytest.raises(TraceMismatch):
         trace.validate()
 
@@ -186,7 +189,6 @@ def test_trace_validate_replays_picks(z12):
     h = z12.subset([0, 3, 6, 9])
     trace = rta(h)
     trace.chosen = [0, 3, 6]
-    trace.output = z12.subset([0, 3, 6])
     with pytest.raises(TraceMismatch):
         trace.validate()
 
@@ -196,7 +198,7 @@ def test_trace_validate_checks_seed(d12, proper_mid_pair):
     trace = msfa(h, k, g0=0)
     assert trace.seed == products.mid_director_subgroups(h, k)
     trace.validate()
-    trace.seed = d12.full_set()
+    trace.chain[0] = d12.full_mask
     with pytest.raises(TraceMismatch):
         trace.validate()
 
@@ -207,7 +209,6 @@ def test_extension_validate_replays_picks(d12, proper_mid_pair):
     assert ext.seed == products.set_product(h, k).complement()
     ext.validate()
     ext.chosen[-1] = parse_element(d12, "a")  # inside HK, the block msfa covered
-    ext.output = d12.subset(ext.chosen)
     with pytest.raises(TraceMismatch):
         ext.validate()
 
@@ -230,7 +231,7 @@ def test_extension_replay_rejects_wrong_pair(d12, proper_mid_pair):
 def test_extension_replay_rejects_tampered_picks(d12, proper_mid_pair):
     h, k = proper_mid_pair
     trace = msfa(h, k, g0=0)
-    trace.chosen[0] = parse_element(d12, "a")  # not in Mid
+    trace.chosen[0] = parse_element(d12, "a^2")  # not in Mid = HK
     with pytest.raises(TraceMismatch):
         extend_to_middle_transversal(h, k, trace)
 

@@ -1,5 +1,9 @@
+import contextlib
 import gc
+import io
 import json
+import re
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -471,3 +475,59 @@ def test_huge_group_spec_exits_5(capsys, group):
     err = capsys.readouterr().err
     assert err.startswith("limit exceeded: ")
     assert "Traceback" not in err
+
+
+def test_the_parser_is_built_once_and_reused(capsys):
+    from groupkit.cli import _build_parser
+
+    argv = ["msfa", "--group", D12, "-H", H_PROPER, "-K", K_PROPER, "--extend", "--format", "json"]
+    _build_parser.cache_clear()
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    assert _build_parser() is _build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["msfa", "--group", D12, "--policy"])  # argparse error: the flag needs a value
+    assert exc.value.code == 2
+    assert main(["mid", "--group", D12, "-H", "1,a"]) == 2  # a handler error
+    assert main(["enumerate", "--group", D12, "-H", H_EMPTY, "-K", K_EMPTY,
+                 "--what", "middle-transversals"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    again = capsys.readouterr().out
+    assert json.loads(again) | {"timing_ms": 0} == json.loads(fresh) | {"timing_ms": 0}
+
+
+# -- frozen outputs ---------------------------------------------------------------
+
+# The README's command examples and the JSON form of verify-paper, each run
+# in-process and compared byte for byte with its file under tests/golden/.
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CASES = {
+    "rta_trace_full": ["rta", "--group", "cyclic:12", "-H", "0,3,6,9", "--trace", "full"],
+    "mta_script_json": [
+        "mta", "--group", D12, "-H", H_EMPTY, "-K", K_EMPTY,
+        "--g0", "1", "--policy", "script:a^2", "--format", "json",
+    ],
+    "msfa_extend": ["msfa", "--group", D12, "-H", H_PROPER, "-K", K_PROPER, "--extend"],
+    "mid": ["mid", "--group", D12, "-H", H_PROPER, "-K", K_PROPER],
+    "enumerate_list": [
+        "enumerate", "--group", D12, "-H", H_EMPTY, "-K", K_EMPTY,
+        "--what", "middle-transversals", "--list",
+    ],
+    "verify_paper": ["verify-paper"],
+    "verify_paper_json": ["verify-paper", "--format", "json"],
+}
+
+
+def golden_render(argv: list[str]) -> str:
+    """The stdout of one exit-0 call, with its timing_ms masked."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return re.sub(r'"timing_ms": [-+.0-9eE]+', '"timing_ms": 0', out.getvalue())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_cli_output_matches_golden(name):
+    expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert golden_render(GOLDEN_CASES[name]) == expected

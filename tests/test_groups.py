@@ -99,6 +99,18 @@ def test_invalid_specs(bad):
         build_group(bad)
 
 
+@pytest.mark.parametrize("fields", [
+    {"kind": "direct_product"},
+    {"kind": "dihedral", "n": 2.5},
+    {"kind": "cyclic", "n": 0},
+    {"kind": "cyclic"},
+    {"kind": "cyclic", "n": True},
+])
+def test_a_directly_built_spec_is_validated(fields):
+    with pytest.raises(InvalidSpec):
+        build_group(GroupSpec(**fields))
+
+
 def test_not_a_group_no_identity():
     # subtraction mod 3: Latin square, no two-sided identity
     table = [[0, 2, 1], [1, 0, 2], [2, 1, 0]]

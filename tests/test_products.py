@@ -5,7 +5,6 @@ import pytest
 from groupkit import GroupMismatch, NotASubgroup, build_group, oracle
 from groupkit import products
 from groupkit.products import (
-    MidCase,
     MidTag,
     classify_mid,
     double_coset,
@@ -131,13 +130,6 @@ def test_classify_mid(d12, s3, empty_mid_pair, proper_mid_pair):
     case = classify_mid(s3.trivial_subgroup(), s3.trivial_subgroup())
     assert case.tag is MidTag.FULL
     assert case.mid == s3.full_set()
-
-
-def test_mid_case_consistency(d12):
-    with pytest.raises(ValueError):
-        MidCase(tag=MidTag.EMPTY, mid=d12.full_set())
-    with pytest.raises(ValueError):
-        MidCase(tag=MidTag.FULL, mid=d12.empty_set())
 
 
 def test_transversal_predicates(d12, z12, empty_mid_pair):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupkit import GroupKitError, IndexOutOfRange, ParseError, UnknownSymbol, build_group
+from groupkit.cli import main
 from groupkit.words import parse_element, parse_subset
 import suites
 
@@ -70,6 +71,25 @@ def test_parse_errors(d12, z12):
                 parse_element(g, text)
     with pytest.raises(ParseError, match="index of 5000 digits is too long"):
         parse_element(z12, long_run)
+
+
+def test_a_failed_word_reports_its_own_reason(d12):
+    with pytest.raises(ParseError, match=r"exponent missing after '\^' in word 'a\^'"):
+        parse_element(d12, "a^")
+    with pytest.raises(ParseError, match=r"unexpected '\^' at position 0"):
+        parse_element(d12, "^2")
+
+
+@pytest.mark.parametrize("args, reason", [
+    (["-H", "1,b", "--g0", "a^" + "9" * 5000], "exponent of 5000 digits is too long"),
+    (["-H", "1," + "a" * 100000 + "?"], "unexpected '?' at position 100000"),
+])
+def test_parse_messages_quote_a_bounded_prefix(capsys, args, reason):
+    assert main(["rta", "--group", "dihedral:6"] + args) == 2
+    err = capsys.readouterr().err
+    assert len(err) < 300
+    assert err.startswith(f"error: {args[-2]}: ")
+    assert reason in err
 
 
 def test_no_words_without_generators(z12):
