@@ -13,11 +13,11 @@ the run ends when the chain hits the empty set.
 
 A finished msfa run covers Mid but not necessarily G; the extension runs the
 same chain from the uncovered remainder and grows X to a middle transversal
-(at the price of directness).  AlgoTrace.validate() replays a run through
-the same chain step and compares the chains.  The exhaustive enumerations
-build every output at once: a pick removes its whole block, so the outputs
-are the sets taking one element from each block inside the seed, the
-Cartesian product of those cells.
+(at the price of directness).  AlgoTrace.validate() reruns the search with
+the recorded picks as its script and compares the runs.  The exhaustive
+enumerations build every output at once: a pick removes its whole block, so
+the outputs are the sets taking one element from each block inside the
+seed, the Cartesian product of those cells.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from . import config
 from .errors import (
     EnumerationLimitExceeded,
     G0NotInMid,
+    GroupKitError,
     GroupMismatch,
     MidEmpty,
     ScriptedChoiceInvalid,
@@ -130,18 +131,26 @@ class AlgoTrace:
 
     chosen holds g_0..g_N; chain holds the candidate masks C^(-1)..C^(N),
     the last one 0.  For extension runs chain covers only the continuation
-    part, starting from what the inherited picks leave uncovered, and
-    extension_start is the index of the last inherited pick.
+    part, starting from what the inherited picks leave uncovered, so chain
+    is shorter than chosen and extension_start is the index of the last
+    inherited pick.
     """
 
     algorithm: str
-    group: Group
     h: ElementSet
     k: ElementSet | None
     chosen: list[int]
     chain: list[int]
     policy: str = "smallest"
-    extension_start: int | None = None
+
+    @property
+    def group(self) -> Group:
+        return self.h.group
+
+    @property
+    def extension_start(self) -> int | None:
+        start = len(self.chosen) - len(self.chain)
+        return start if start >= 0 else None
 
     @property
     def seed(self) -> ElementSet:
@@ -165,28 +174,25 @@ class AlgoTrace:
         return len(self.chosen) - 1
 
     def validate(self) -> None:
-        """Replay the recorded picks through the chain step over the blocks
-        of (h, k) from the recomputed seed; raises TraceMismatch when a pick
-        is not a live candidate, the run does not end empty, or the replayed
-        chain differs from the recorded one."""
-        g = self.group
-        blocks = _coset_blocks(self.h, self.k)
-        c = g.full_mask
-        if self.algorithm == "MSFA":
-            c = mid_director_subgroups(self.h, self.k).mask
-        chain = [c]
-        for step, pick in enumerate(self.chosen):
-            if pick < 0 or c >> pick & 1 == 0:
-                raise TraceMismatch(f"pick {step} ({pick}) is not a live candidate")
-            c &= ~blocks[pick]
-            chain.append(c)
-        if c:
-            raise TraceMismatch("chain does not end empty")
-        if self.extension_start is not None:
-            # the recorded chain starts after the last inherited pick
-            chain = chain[self.extension_start + 1 :]
-        if chain != self.chain:
-            raise TraceMismatch("recorded chain differs from the replay")
+        """Rerun the search with g_0 as its first pick and the other recorded
+        picks as its script; an extension reruns its msfa part from Mid and
+        continues from what that leaves uncovered.  Raises TraceMismatch
+        when the rerun fails or differs from the recorded run."""
+        # with no picks the rerun asks the empty script for g_0, and fails
+        g0, *script = self.chosen or [None]
+        chooser = ChoicePolicy.scripted(script).start()
+        extension = self.algorithm == "Extension"
+        try:
+            rerun = _search(
+                "MSFA" if extension else self.algorithm, self.h, self.k, g0, chooser.policy, chooser
+            )
+            if extension:
+                rerun = _extend(rerun, chooser)
+        except GroupKitError as exc:
+            raise TraceMismatch(f"the recorded picks do not rerun: {exc}") from None
+        recorded = (self.algorithm, self.chosen, self.chain)
+        if (rerun.algorithm, rerun.chosen, rerun.chain) != recorded:
+            raise TraceMismatch("the rerun differs from the recorded trace")
 
 
 def _mask_of(indices) -> int:
@@ -241,12 +247,10 @@ def _run_chain(
     chosen: list[int],
     pick: int,
     chooser: _Chooser,
-    extension_start: int | None = None,
 ) -> AlgoTrace:
     """Starting from the candidate mask c, append pick to chosen, remove its
     block from the candidates, and let the chooser pick again until no
     candidate is left."""
-    g = h.group
     chain = [c]
     while True:
         chosen.append(pick)
@@ -254,17 +258,8 @@ def _run_chain(
         chain.append(c)
         if c == 0:
             break
-        pick = chooser.pick(g, c)
-    return AlgoTrace(
-        algorithm=algorithm,
-        group=g,
-        h=h,
-        k=k,
-        chosen=chosen,
-        chain=chain,
-        policy=chooser.policy.describe(),
-        extension_start=extension_start,
-    )
+        pick = chooser.pick(h.group, c)
+    return AlgoTrace(algorithm, h, k, chosen, chain, chooser.policy.describe())
 
 
 def _search(
@@ -285,27 +280,16 @@ def _search(
     return _run_chain(algorithm, h, k, _coset_blocks(h, k), seed, [], g0, chooser)
 
 
-def rta(
-    h: ElementSet,
-    g0: int | None = None,
-    policy: ChoicePolicy = SMALLEST,
-    *,
-    chooser: _Chooser | None = None,
-) -> AlgoTrace:
+def rta(h: ElementSet, g0: int | None = None, policy: ChoicePolicy = SMALLEST) -> AlgoTrace:
     """Right-transversal search for a subgroup H."""
-    return _search("RTA", h, None, g0, policy, chooser)
+    return _search("RTA", h, None, g0, policy, None)
 
 
 def mta(
-    h: ElementSet,
-    k: ElementSet,
-    g0: int | None = None,
-    policy: ChoicePolicy = SMALLEST,
-    *,
-    chooser: _Chooser | None = None,
+    h: ElementSet, k: ElementSet, g0: int | None = None, policy: ChoicePolicy = SMALLEST
 ) -> AlgoTrace:
     """Middle-transversal search for a subgroup pair (H, K)."""
-    return _search("MTA", h, k, g0, policy, chooser)
+    return _search("MTA", h, k, g0, policy, None)
 
 
 def msfa(
@@ -321,43 +305,35 @@ def msfa(
 
 
 def extend_to_middle_transversal(
-    h: ElementSet,
-    k: ElementSet,
     trace: AlgoTrace,
     policy: ChoicePolicy = SMALLEST,
     *,
     chooser: _Chooser | None = None,
 ) -> AlgoTrace:
-    """Continue a finished msfa run until X covers the whole group.
+    """Continue a finished msfa run, over its own H and K, until X covers
+    the whole group.
 
     Returns the input trace unchanged when it already covers G.  The result
     is a middle transversal containing the msfa output; the added picks lie
     outside the middle director, so directness is given up.
     """
-    g = _common_setup(h, k)
     if trace.algorithm != "MSFA":
         raise TraceMismatch(f"expected an MSFA trace, got {trace.algorithm}")
-    if trace.group is not g or trace.h != h or trace.k != k:
-        raise TraceMismatch("trace was produced for a different group or subgroup pair")
     trace.validate()
+    return _extend(trace, chooser or policy.start())
+
+
+def _extend(trace: AlgoTrace, chooser: _Chooser) -> AlgoTrace:
+    """extend_to_middle_transversal for an msfa trace known to be valid."""
+    g, h, k = trace.group, trace.h, trace.k
     blocks = _coset_blocks(h, k)
     uncovered = g.full_mask
     for pick in trace.chosen:
         uncovered &= ~blocks[pick]
     if uncovered == 0:
         return trace
-    chooser = chooser or policy.start()
-    return _run_chain(
-        "Extension",
-        h,
-        k,
-        blocks,
-        uncovered,
-        list(trace.chosen),
-        chooser.pick(g, uncovered),
-        chooser,
-        extension_start=trace.n_steps,
-    )
+    pick = chooser.pick(g, uncovered)
+    return _run_chain("Extension", h, k, blocks, uncovered, list(trace.chosen), pick, chooser)
 
 
 # -- exhaustive enumeration ---------------------------------------------------

@@ -29,7 +29,7 @@ from .algorithms import (
     mta,
     rta,
 )
-from .errors import GroupKitError, InvalidSpec, NotASubgroup
+from .errors import GroupKitError, InvalidSpec, NotASubgroup, quote
 from .groups import ElementSet, Group, GroupSpec, build_group
 from .report import RunReport, trace_payload
 from .words import parse_element, parse_subset
@@ -40,11 +40,13 @@ FAULT_ENV = "GROUPKIT_FAULT_INJECT"
 def _load_group(text: str) -> Group:
     if text.startswith("@"):
         path = text[1:]
-        source = f"group file {path!r}"
+        source = f"group file {quote(path)}"
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
+        except OSError as exc:  # its str() quotes the whole path again
+            raise InvalidSpec(f"cannot read {source}: {exc.strerror or exc}") from None
+        except UnicodeDecodeError as exc:
             raise InvalidSpec(f"cannot read {source}: {exc}") from None
     elif text.lstrip().startswith("{"):
         source = "--group value"
@@ -69,12 +71,12 @@ def _parse_policy(g: Group, text: str) -> ChoicePolicy:
         try:
             return ChoicePolicy.random(int(arg))
         except ValueError:
-            raise InvalidSpec(f"--policy random needs an integer seed, got {arg!r}") from None
+            raise InvalidSpec(f"--policy random needs an integer seed, got {quote(arg)}") from None
     if mode == "script" and sep:
         picks = [parse_element(g, part) for part in arg.split(",") if part.strip()]
         return ChoicePolicy.scripted(picks)
     raise InvalidSpec(
-        f"--policy {text!r} not understood; use smallest, random:<seed> or script:<e1,e2,...>"
+        f"--policy {quote(text)} not understood; use smallest, random:<seed> or script:<e1,e2,...>"
     )
 
 
@@ -248,7 +250,7 @@ def _cmd_msfa(args: argparse.Namespace) -> RunReport:
     }
     ok = direct and maximal
     if args.extend:
-        extended = extend_to_middle_transversal(h, k, trace, policy=policy, chooser=chooser)
+        extended = extend_to_middle_transversal(trace, policy=policy, chooser=chooser)
         extended.validate()
         x_star = extended.output
         result["extension"] = trace_payload(extended, full)

@@ -3,8 +3,18 @@
 Every error raised on purpose by this package derives from GroupKitError,
 so callers can catch one type at the boundary.  Each class carries the
 command line's exit code for it and the label that prefixes its message on
-stderr: 2 and "error" unless a class below says otherwise.
+stderr: 2 and "error" unless a class below says otherwise.  A message
+quotes at most the first SHOWN characters of an input (quote).
 """
+
+SHOWN = 40  # the most characters of an input that a message quotes
+
+
+def quote(text: str) -> str:
+    """repr(text), cut to its first SHOWN characters when it is longer."""
+    if len(text) <= SHOWN:
+        return repr(text)
+    return f"{text[:SHOWN]!r}... ({len(text)} characters)"
 
 
 class GroupKitError(Exception):

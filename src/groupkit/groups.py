@@ -24,6 +24,7 @@ from .errors import (
     NotAGroup,
     NotASubgroup,
     SizeLimitExceeded,
+    quote,
 )
 
 __all__ = [
@@ -621,13 +622,13 @@ class GroupSpec:
         kind = kind.strip()
         if not sep or kind not in ("cyclic", "dihedral", "symmetric"):
             raise InvalidSpec(
-                f"inline group {text!r} not understood; use kind:n with kind in "
+                f"inline group {quote(text)} not understood; use kind:n with kind in "
                 "cyclic/dihedral/symmetric, or give a JSON object"
             )
         try:
             n = int(arg)
         except ValueError:
-            raise InvalidSpec(f"inline group {text!r} needs an integer parameter") from None
+            raise InvalidSpec(f"inline group {quote(text)} needs an integer parameter") from None
         return cls.from_dict({"kind": kind, "n": n})
 
     def to_dict(self) -> dict:

@@ -233,7 +233,7 @@ def _example_2_14(g: Group) -> dict:
     )
 
     extended = extend_to_middle_transversal(
-        h, k, trace, policy=ChoicePolicy.scripted([parse_element(g, "a^2")])
+        trace, policy=ChoicePolicy.scripted([parse_element(g, "a^2")])
     )
     extended.validate()
     _check(checks, "extension ends after N*=1 steps", extended.n_steps == 1)

@@ -19,20 +19,12 @@ from __future__ import annotations
 
 import warnings
 
-from .errors import IndexOutOfRange, ParseError, UnknownSymbol
+from .errors import SHOWN, IndexOutOfRange, ParseError, UnknownSymbol, quote
 from .groups import ElementSet, Group
 
 __all__ = ["parse_element", "parse_subset"]
 
 _DIGITS = frozenset("0123456789")
-_SHOWN = 40  # the most characters of an input that a message quotes
-
-
-def _quote(text: str) -> str:
-    """repr(text), cut to its first _SHOWN characters when it is longer."""
-    if len(text) <= _SHOWN:
-        return repr(text)
-    return f"{text[:_SHOWN]!r}... ({len(text)} characters)"
 
 
 def _to_int(digits: str, what: str) -> int:
@@ -62,7 +54,7 @@ def _eval_word(group: Group, text: str) -> int:
             base = gens[c]
             i += 1
         else:
-            raise ParseError(f"unexpected {c!r} at position {i} in word {_quote(text)}")
+            raise ParseError(f"unexpected {c!r} at position {i} in word {quote(text)}")
         exp = 1
         if i < n and text[i] == "^":
             i += 1
@@ -72,7 +64,7 @@ def _eval_word(group: Group, text: str) -> int:
             while j < n and text[j] in _DIGITS:
                 j += 1
             if j == i or text[i:j] == "-":
-                raise ParseError(f"exponent missing after '^' in word {_quote(text)}")
+                raise ParseError(f"exponent missing after '^' in word {quote(text)}")
             exp = _to_int(text[i:j], "exponent")
             i = j
         acc = group.multiply(acc, group.power(base, exp))
@@ -106,13 +98,13 @@ def parse_element(group: Group, text: str) -> int:
     if digits:
         idx = _to_int(s, "index")
         if idx >= group.order:
-            shown = idx if len(s) <= _SHOWN else _quote(s)
+            shown = idx if len(s) <= SHOWN else quote(s)
             raise IndexOutOfRange(
                 f"index {shown} out of range for a group of order {group.order}"
             )
         return idx
 
-    raise ParseError(f"cannot parse {_quote(text)} as an element of {group.description}")
+    raise ParseError(f"cannot parse {quote(text)} as an element of {group.description}")
 
 
 def parse_subset(group: Group, text: str) -> ElementSet:
@@ -128,10 +120,10 @@ def parse_subset(group: Group, text: str) -> ElementSet:
         try:
             idx = parse_element(group, part)
         except (ParseError, IndexOutOfRange) as exc:
-            raise type(exc)(f"item {pos} ({_quote(part.strip())}): {exc}") from None
+            raise type(exc)(f"item {pos} ({quote(part.strip())}): {exc}") from None
         if mask >> idx & 1:
             warnings.warn(
-                f"duplicate element {_quote(part.strip())} in subset collapsed",
+                f"duplicate element {quote(part.strip())} in subset collapsed",
                 stacklevel=2,
             )
         mask |= 1 << idx

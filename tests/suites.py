@@ -522,6 +522,32 @@ def run_enumeration_agreement(groups: list[Group], limit: int = 10 ** 6,
 # -- randomized trace invariants ------------------------------------------------
 
 
+def _chain_follows_oracle(trace) -> bool:
+    """Whether each step of trace removes exactly the oracle block of its
+    pick from the live set, and an extension's chain starts from G minus the
+    oracle blocks of its inherited picks: a check of the chain that shares
+    nothing with the search's own blocks or validate()."""
+    h, k = trace.h, trace.k
+    if k is None:
+        partition = oracle.right_coset_partition(h)
+    else:
+        partition = oracle.double_coset_partition(h, k)
+    block = {x: b.mask for b in partition.blocks for x in b}
+    start = trace.extension_start
+    picks = trace.chosen
+    if start is not None:
+        uncovered = trace.group.full_mask
+        for pick in picks[: start + 1]:
+            uncovered &= ~block[pick]
+        if trace.chain[0] != uncovered:
+            return False
+        picks = picks[start + 1:]
+    return len(picks) + 1 == len(trace.chain) and all(
+        live >> pick & 1 and after == live & ~block[pick]
+        for pick, live, after in zip(picks, trace.chain, trace.chain[1:])
+    )
+
+
 def run_trace_invariants(groups: list[Group], n_runs: int = 1000, seed: int = 2025):
     """Seeded random searches; every completed run must satisfy the trace
     invariants and its output predicate.  Returns (violations, runs)."""
@@ -548,13 +574,17 @@ def run_trace_invariants(groups: list[Group], n_runs: int = 1000, seed: int = 20
                     h, trace.output, k
                 )
                 if rng.random() < 0.5:
-                    ext = extend_to_middle_transversal(h, k, trace, policy=policy)
+                    ext = extend_to_middle_transversal(trace, policy=policy)
                     ext.validate()
                     if not products.is_middle_transversal(h, ext.output, k):
                         bad.append(f"{g.description}: extension output invalid")
+                    if not _chain_follows_oracle(ext):
+                        bad.append(f"{g.description}: extension chain breaks the oracle blocks")
         except MidEmpty:
             continue
         trace.validate()
+        if not _chain_follows_oracle(trace):
+            bad.append(f"{g.description}: {kind} chain breaks the oracle blocks")
         if len(trace.output) != trace.n_steps + 1:
             bad.append(f"{g.description}: output size != N+1")
         if not ok:

@@ -114,7 +114,7 @@ def test_criterion_3_extension_worked_run(d12):
         ok = ok and t.n_steps == 0 and t.output == d12.singleton(g0)
     a2 = parse_element(d12, "a^2")
     base = msfa(h, k, g0=parse_element(d12, "1"))
-    ext = extend_to_middle_transversal(h, k, base, policy=ChoicePolicy.scripted([a2]))
+    ext = extend_to_middle_transversal(base, policy=ChoicePolicy.scripted([a2]))
     ext.validate()
     ok = (
         ok

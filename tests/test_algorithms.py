@@ -1,4 +1,7 @@
+import contextlib
+import io
 import time
+from pathlib import Path
 
 import pytest
 
@@ -89,8 +92,7 @@ def test_extension_worked_run(d12, proper_mid_pair):
     h, k = proper_mid_pair
     trace = msfa(h, k, g0=0)
     ext = extend_to_middle_transversal(
-        h, k, trace,
-        policy=ChoicePolicy.scripted([parse_element(d12, "a^2")]))
+        trace, policy=ChoicePolicy.scripted([parse_element(d12, "a^2")]))
     assert ext.algorithm == "Extension"
     assert ext.extension_start == 0
     assert ext.n_steps == 1
@@ -101,13 +103,23 @@ def test_extension_worked_run(d12, proper_mid_pair):
     ext.validate()
 
 
+def test_readme_library_tour_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    lines = out.getvalue().splitlines()
+    assert lines[1:] == ["ProperNonempty", "['1', 'a^2']", "[4, 0]"]
+
+
 def test_extension_noop_when_covering(s3):
     subs = suites.subgroups_of(s3)
     h = next(s for s in subs if len(s) == 2)
     k = next(s for s in subs if len(s) == 3)
     trace = msfa(h, k)
     assert products.set_product(products.set_product(h, trace.output), k) == s3.full_set()
-    ext = extend_to_middle_transversal(h, k, trace)
+    ext = extend_to_middle_transversal(trace)
     assert ext is trace
 
 
@@ -205,7 +217,7 @@ def test_trace_validate_checks_seed(d12, proper_mid_pair):
 
 def test_extension_validate_replays_picks(d12, proper_mid_pair):
     h, k = proper_mid_pair
-    ext = extend_to_middle_transversal(h, k, msfa(h, k, g0=0))
+    ext = extend_to_middle_transversal(msfa(h, k, g0=0))
     assert ext.seed == products.set_product(h, k).complement()
     ext.validate()
     ext.chosen[-1] = parse_element(d12, "a")  # inside HK, the block msfa covered
@@ -213,19 +225,40 @@ def test_extension_validate_replays_picks(d12, proper_mid_pair):
         ext.validate()
 
 
-def test_extension_replay_rejects_foreign_trace(d12, z12, proper_mid_pair):
+def test_extension_validate_reruns_the_msfa_part_from_mid(d12, proper_mid_pair):
+    # the inherited pick a^2 lies outside Mid = HK, so no msfa run made it
     h, k = proper_mid_pair
+    ext = extend_to_middle_transversal(msfa(h, k, g0=0))
+    ext.chosen = [parse_element(d12, "a^2"), d12.identity]
+    ext.chain = [products.set_product(h, k).mask, 0]
+    with pytest.raises(TraceMismatch):
+        ext.validate()
+
+
+def test_extension_validate_rejects_a_cut_short_msfa_part():
+    s4 = build_group({"kind": "symmetric", "n": 4})
+    h, k = parse_subset(s4, "(),(1 2)"), parse_subset(s4, "(),(3 4)")
+    trace = msfa(h, k)
+    assert len(trace.chosen) == 5 and len(trace.seed) == 20
+    ext = extend_to_middle_transversal(trace)
+    ext.validate()
+    # claim that msfa stopped after its first pick: the continuation chain
+    # starts from G minus that pick's block and takes every later pick
+    block = {x: b.mask for b in oracle.double_coset_partition(h, k).blocks for x in b}
+    c = s4.full_mask & ~block[ext.chosen[0]]
+    ext.chain = [c]
+    for pick in ext.chosen[1:]:
+        c &= ~block[pick]
+        ext.chain.append(c)
+    assert ext.extension_start == 0 and c == 0
+    with pytest.raises(TraceMismatch):
+        ext.validate()
+
+
+def test_extension_replay_rejects_foreign_trace(z12):
     other = rta(z12.subset([0, 3, 6, 9]))
     with pytest.raises(TraceMismatch):
-        extend_to_middle_transversal(h, k, other)
-
-
-def test_extension_replay_rejects_wrong_pair(d12, proper_mid_pair):
-    h, k = proper_mid_pair
-    trace = msfa(h, k)
-    h2 = d12.trivial_subgroup()
-    with pytest.raises(TraceMismatch):
-        extend_to_middle_transversal(h2, k, trace)
+        extend_to_middle_transversal(other)
 
 
 def test_extension_replay_rejects_tampered_picks(d12, proper_mid_pair):
@@ -233,7 +266,7 @@ def test_extension_replay_rejects_tampered_picks(d12, proper_mid_pair):
     trace = msfa(h, k, g0=0)
     trace.chosen[0] = parse_element(d12, "a^2")  # not in Mid = HK
     with pytest.raises(TraceMismatch):
-        extend_to_middle_transversal(h, k, trace)
+        extend_to_middle_transversal(trace)
 
 
 # -- exhaustive enumeration ----------------------------------------------------

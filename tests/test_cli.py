@@ -231,6 +231,21 @@ def test_bad_policy_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["--policy", "random:" + "9" * 5000], "needs an integer seed"),
+    (["--policy", "x" * 5000], "not understood"),
+    (["--group", "cyclic:" + "x" * 5000], "needs an integer parameter"),
+    (["--group", "@/no/such/" + "d" * 3000], "No such file or directory"),
+], ids=["random-seed", "policy", "inline-group", "group-file"])
+def test_error_messages_quote_a_bounded_prefix(capsys, argv, reason):
+    # each flag given twice keeps its last value, so argv overrides the defaults
+    assert main(["rta", "--group", "cyclic:12", "-H", "0,6"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err) < 300
+    assert reason in err
+
+
 def test_bad_g0_exits_2(capsys):
     code = main(["rta", "--group", "cyclic:12", "-H", "0,6", "--g0", "44"])
     assert code == 2

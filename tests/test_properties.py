@@ -41,6 +41,21 @@ def test_enumeration_agreement_wider_fleet():
         [s4], subgroups=suites.conjugacy_class_representatives)
     assert bad == []
     assert stats["subgroups"] == 11 and stats["pairs"] == 121
+    # and two permutation groups: the Frobenius group F20 at degree 5, one
+    # subgroup per conjugacy class, and S3 acting on the points {2, 5, 7}
+    f20 = build_group({"kind": "permutation", "degree": 5,
+                       "generators": [[[1, 2, 3, 4, 5]], [[2, 3, 5, 4]]]})
+    bad, stats = suites.run_enumeration_agreement(
+        [f20], subgroups=suites.conjugacy_class_representatives)
+    assert f20.order == 20
+    assert bad == []
+    assert stats["subgroups"] == 6 and stats["pairs"] == 36
+    s3_on_257 = build_group({"kind": "permutation", "degree": 7,
+                             "generators": [[[2, 5, 7]], [[2, 5]]]})
+    bad, stats = suites.run_enumeration_agreement([s3_on_257])
+    assert s3_on_257.order == 6
+    assert bad == []
+    assert stats["subgroups"] == 6 and stats["pairs"] == 36
 
 
 def test_block_partition_and_maximality_on_c2d6():
