@@ -1,13 +1,14 @@
 """Chain-intersection searches for transversals and direct middles.
 
 Everything here runs over one partition of G per subgroup pair: the blocks
-H*x*K (the right cosets H*x when K is omitted), built once by _coset_blocks.
+H*x*K, built once by _coset_blocks.  Right cosets are the case K = {1}: rta
+and the right-transversal enumeration pass the trivial subgroup as K.
 A search keeps a candidate set, starts it from a seed, repeatedly removes
 the block of the element just chosen, and picks the next element from what
 is left.  The candidate chain C^(-1) ⊇ C^(0) ⊇ ... is recorded in the trace;
 the run ends when the chain hits the empty set.
 
-- rta:  seed G, blocks H*g                    -> right transversal of H
+- rta:  seed G, blocks H*g*{1} = H*g          -> right transversal of H
 - mta:  seed G, blocks H*g*K                  -> middle transversal
 - msfa: seed Mid(H, K), blocks H*g*K          -> maximal direct middle X
 
@@ -30,13 +31,12 @@ from .errors import (
     EnumerationLimitExceeded,
     G0NotInMid,
     GroupKitError,
-    GroupMismatch,
     MidEmpty,
     ScriptedChoiceInvalid,
     TraceMismatch,
 )
 from .groups import ElementSet, Group, bit_indices
-from .products import _middle_cell_mask, mid_director_subgroups
+from .products import _middle_cell_mask, _subgroup_pair, mid_director_subgroups
 
 __all__ = [
     "ChoicePolicy",
@@ -129,16 +129,16 @@ class AlgoTrace:
     """Complete record of one chain-intersection run: its picks and its
     candidate chain, from which everything else is read off.
 
-    chosen holds g_0..g_N; chain holds the candidate masks C^(-1)..C^(N),
-    the last one 0.  For extension runs chain covers only the continuation
-    part, starting from what the inherited picks leave uncovered, so chain
-    is shorter than chosen and extension_start is the index of the last
-    inherited pick.
+    k is the trivial subgroup {1} for rta.  chosen holds g_0..g_N; chain
+    holds the candidate masks C^(-1)..C^(N), the last one 0.  For extension
+    runs chain covers only the continuation part, starting from what the
+    inherited picks leave uncovered, so chain is shorter than chosen and
+    extension_start is the index of the last inherited pick.
     """
 
     algorithm: str
     h: ElementSet
-    k: ElementSet | None
+    k: ElementSet
     chosen: list[int]
     chain: list[int]
     policy: str = "smallest"
@@ -202,37 +202,27 @@ def _mask_of(indices) -> int:
     return mask
 
 
-def _coset_blocks(h: ElementSet, k: ElementSet | None) -> list[int]:
-    """The mask of the block H*x*K holding each element x of G (the right
-    coset H*x when k is None).  Covers G from the lowest uncovered element,
-    one block at a time: (number of blocks)*|H|*|K| table lookups."""
+def _coset_blocks(h: ElementSet, k: ElementSet) -> list[int]:
+    """The mask of the block H*x*K holding each element x of G.  Covers G
+    from the lowest uncovered element, one block at a time: (number of
+    blocks)*|H|*|K| table lookups."""
     g = h.group
-    kmask = 1 << g.identity if k is None else k.mask
     blocks = [0] * g.order
     uncovered = g.full_mask
     while uncovered:
-        block = _middle_cell_mask(g, h.mask, (uncovered & -uncovered).bit_length() - 1, kmask)
+        block = _middle_cell_mask(g, h.mask, (uncovered & -uncovered).bit_length() - 1, k.mask)
         for y in bit_indices(block):
             blocks[y] = block
         uncovered &= ~block
     return blocks
 
 
-def _common_setup(h: ElementSet, k: ElementSet | None) -> Group:
-    g = h.group
-    h.require_subgroup("H")
-    if k is not None:
-        if k.group is not g:
-            raise GroupMismatch("H and K belong to different groups")
-        k.require_subgroup("K")
-    return g
-
-
 def _mid_seed(h: ElementSet, k: ElementSet) -> ElementSet:
+    """The middle director of (H, K), which checks the pair, or MidEmpty."""
     mid = mid_director_subgroups(h, k)
     if not mid:
         raise MidEmpty(
-            f"the middle director of H={h!r} and K={k!r} is empty; "
+            f"the middle director of H={h.shown()} and K={k.shown()} is empty; "
             "no direct middle exists"
         )
     return mid
@@ -241,7 +231,7 @@ def _mid_seed(h: ElementSet, k: ElementSet) -> ElementSet:
 def _run_chain(
     algorithm: str,
     h: ElementSet,
-    k: ElementSet | None,
+    k: ElementSet,
     blocks: list[int],
     c: int,
     chosen: list[int],
@@ -265,13 +255,13 @@ def _run_chain(
 def _search(
     algorithm: str,
     h: ElementSet,
-    k: ElementSet | None,
+    k: ElementSet,
     g0: int | None,
     policy: ChoicePolicy,
     chooser: _Chooser | None,
 ) -> AlgoTrace:
-    g = _common_setup(h, k)
-    seed = _mid_seed(h, k).mask if algorithm == "MSFA" else g.full_mask
+    seed = _mid_seed(h, k).mask if algorithm == "MSFA" else _subgroup_pair(h, k).full_mask
+    g = h.group
     chooser = chooser or policy.start()
     if g0 is None:
         g0 = chooser.pick(g, seed)
@@ -281,8 +271,8 @@ def _search(
 
 
 def rta(h: ElementSet, g0: int | None = None, policy: ChoicePolicy = SMALLEST) -> AlgoTrace:
-    """Right-transversal search for a subgroup H."""
-    return _search("RTA", h, None, g0, policy, None)
+    """Right-transversal search for a subgroup H: the K = {1} case."""
+    return _search("RTA", h, h.group.trivial_subgroup(), g0, policy, None)
 
 
 def mta(
@@ -384,9 +374,8 @@ def enumerate_all_right_transversals(
     *,
     limit: int | None = None,
 ) -> set[ElementSet]:
-    """Every right transversal of H: one pick from each right coset."""
-    g = _common_setup(h, None)
-    return _enumerate(g, g.full_mask, _coset_blocks(h, None), limit)
+    """Every right transversal of H: the middle transversals of (H, {1})."""
+    return enumerate_all_middle_transversals(h, h.group.trivial_subgroup(), limit=limit)
 
 
 def enumerate_all_middle_transversals(
@@ -396,7 +385,7 @@ def enumerate_all_middle_transversals(
     limit: int | None = None,
 ) -> set[ElementSet]:
     """Every middle transversal of (H, K)."""
-    g = _common_setup(h, k)
+    g = _subgroup_pair(h, k)
     return _enumerate(g, g.full_mask, _coset_blocks(h, k), limit)
 
 
@@ -407,5 +396,4 @@ def enumerate_all_middle_subfactors(
     limit: int | None = None,
 ) -> set[ElementSet]:
     """Every maximal direct middle X for (H, K); raises MidEmpty when none exist."""
-    g = _common_setup(h, k)
-    return _enumerate(g, _mid_seed(h, k).mask, _coset_blocks(h, k), limit)
+    return _enumerate(h.group, _mid_seed(h, k).mask, _coset_blocks(h, k), limit)

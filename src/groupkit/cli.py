@@ -88,7 +88,7 @@ def _parse_required_subgroup(g: Group, flag: str, text: str | None) -> ElementSe
     except GroupKitError as exc:
         raise type(exc)(f"{flag}: {exc}") from None
     if not subset.is_subgroup():
-        raise NotASubgroup(f"{flag}: {{{', '.join(subset.names())}}} is not a subgroup")
+        raise NotASubgroup(f"{flag}: {subset.shown()} is not a subgroup")
     return subset
 
 
@@ -212,7 +212,6 @@ def _cmd_transversal(args: argparse.Namespace) -> RunReport:
     """rta, or mta when the command takes -K."""
     g, h, k, policy, g0, inputs = _prologue(args, needs_k=args.command == "mta")
     trace = rta(h, g0=g0, policy=policy) if k is None else mta(h, k, g0=g0, policy=policy)
-    trace.validate()
     out = trace.output
     if k is None:
         count, valid = "index", products.is_right_transversal(h, out)
@@ -232,7 +231,6 @@ def _cmd_msfa(args: argparse.Namespace) -> RunReport:
     inputs["extend"] = bool(args.extend)
     chooser = policy.start()
     trace = msfa(h, k, g0=g0, policy=policy, chooser=chooser)
-    trace.validate()
     full = args.trace == "full"
     mid, x = trace.seed, trace.output
     hxk = products.set_product(products.set_product(h, x), k)
@@ -251,7 +249,6 @@ def _cmd_msfa(args: argparse.Namespace) -> RunReport:
     ok = direct and maximal
     if args.extend:
         extended = extend_to_middle_transversal(trace, policy=policy, chooser=chooser)
-        extended.validate()
         x_star = extended.output
         result["extension"] = trace_payload(extended, full)
         result["x_star"] = x_star.names()

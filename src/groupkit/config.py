@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, quote
 
 MAX_ORDER_ENV = "GROUPKIT_MAX_ORDER"
 ENUM_LIMIT_ENV = "GROUPKIT_ENUM_LIMIT"
@@ -27,9 +27,9 @@ def _positive_int_env(name: str, default: int) -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise InvalidSpec(f"{name} must be a positive integer, got {raw!r}") from None
+        raise InvalidSpec(f"{name} must be a positive integer, got {quote(raw)}") from None
     if value <= 0:
-        raise InvalidSpec(f"{name} must be a positive integer, got {raw!r}")
+        raise InvalidSpec(f"{name} must be a positive integer, got {quote(raw)}")
     return value
 
 
@@ -49,5 +49,5 @@ def enum_cap(limit: int | None, name: str = "limit") -> int:
     if limit is None:
         return enum_limit()
     if limit < 1:
-        raise InvalidSpec(f"{name} must be a positive integer, got {limit!r}")
+        raise InvalidSpec(f"{name} must be a positive integer, got {quote(limit)}")
     return limit

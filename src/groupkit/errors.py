@@ -4,17 +4,22 @@ Every error raised on purpose by this package derives from GroupKitError,
 so callers can catch one type at the boundary.  Each class carries the
 command line's exit code for it and the label that prefixes its message on
 stderr: 2 and "error" unless a class below says otherwise.  A message
-quotes at most the first SHOWN characters of an input (quote).
+quotes at most the first SHOWN characters of an input (quote, or
+ElementSet.shown for a set).
 """
 
 SHOWN = 40  # the most characters of an input that a message quotes
 
 
-def quote(text: str) -> str:
-    """repr(text), cut to its first SHOWN characters when it is longer."""
-    if len(text) <= SHOWN:
-        return repr(text)
-    return f"{text[:SHOWN]!r}... ({len(text)} characters)"
+def quote(value: object) -> str:
+    """repr(value), cut to its first SHOWN characters when it is longer.  A
+    string is cut before its repr is taken, so its quotes stay."""
+    if not isinstance(value, str):
+        text = repr(value)
+        return text if len(text) <= SHOWN else f"{text[:SHOWN]}... ({len(text)} characters)"
+    if len(value) <= SHOWN:
+        return repr(value)
+    return f"{value[:SHOWN]!r}... ({len(value)} characters)"
 
 
 class GroupKitError(Exception):

@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import config
 from .errors import (
+    SHOWN,
     GroupMismatch,
     IndexOutOfRange,
     InvalidSpec,
@@ -438,6 +439,17 @@ class ElementSet:
     def __repr__(self) -> str:
         return "{" + ", ".join(self.names()) + "}"
 
+    def shown(self) -> str:
+        """repr(self) for an error message: cut to its first SHOWN characters
+        when it is longer, and built from no more than SHOWN names."""
+        g = self.group
+        names = (g.names[i] for i in bit_indices(self.mask))
+        # SHOWN names with their separators already run past SHOWN characters
+        text = "{" + ", ".join(itertools.islice(names, SHOWN)) + "}"
+        if len(text) <= SHOWN:
+            return text
+        return f"{text[:SHOWN]}... ({len(self)} elements)"
+
     def indices(self) -> tuple[int, ...]:
         return tuple(bit_indices(self.mask))
 
@@ -523,7 +535,7 @@ class ElementSet:
 
     def require_subgroup(self, label: str = "set") -> "ElementSet":
         if not self.is_subgroup():
-            raise NotASubgroup(f"{label} {self!r} is not a subgroup")
+            raise NotASubgroup(f"{label} {self.shown()} is not a subgroup")
         return self
 
 
@@ -588,7 +600,7 @@ class GroupSpec:
                     ):
                         raise InvalidSpec(f"generator {gi} holds a malformed cycle")
         else:
-            raise InvalidSpec(f"unknown group kind {kind!r}")
+            raise InvalidSpec(f"unknown group kind {quote(kind)}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "GroupSpec":

@@ -57,31 +57,19 @@ class Partition:
         return [len(b) for b in self.blocks]
 
 
-def _require_subgroup_pair(h: ElementSet, k: ElementSet | None) -> Group:
+def _require_subgroup_pair(h: ElementSet, k: ElementSet) -> Group:
     g = h.group
     h.require_subgroup("H")
-    if k is not None:
-        if k.group is not g:
-            raise GroupMismatch("H and K belong to different groups")
-        k.require_subgroup("K")
+    if k.group is not g:
+        raise GroupMismatch("H and K belong to different groups")
+    k.require_subgroup("K")
     return g
 
 
 def right_coset_partition(h: ElementSet) -> Partition:
-    """All right cosets H*g, each listed once, ordered by least member."""
-    g = _require_subgroup_pair(h, None)
-    t = g.table
-    hbits = list(bit_indices(h.mask))
-    remaining = g.full_mask
-    blocks = []
-    while remaining:
-        x = (remaining & -remaining).bit_length() - 1
-        cm = 0
-        for a in hbits:
-            cm |= 1 << t[a][x]
-        blocks.append(g.subset_from_mask(cm))
-        remaining &= ~cm
-    return Partition(g, tuple(blocks))
+    """All right cosets H*g, ordered by least member: the double cosets of
+    (H, {1})."""
+    return double_coset_partition(h, h.group.trivial_subgroup())
 
 
 def double_coset_partition(h: ElementSet, k: ElementSet) -> Partition:
@@ -105,18 +93,19 @@ def double_coset_partition(h: ElementSet, k: ElementSet) -> Partition:
     return Partition(g, tuple(blocks))
 
 
-def _one_per_block(partition: Partition, limit: int | None) -> set[ElementSet]:
+def _one_per_cell(g: Group, cells: list[tuple[int, ...]], limit: int | None) -> set[ElementSet]:
+    """Every set holding exactly one element of each cell (a tuple of
+    element indices), built by a plain product over the cells."""
     cap = config.enum_cap(limit)
     total = 1
-    for block in partition.blocks:
-        total *= len(block)
+    for cell in cells:
+        total *= len(cell)
         if total > cap:
             raise EnumerationLimitExceeded(
                 f"{total}+ combinations exceed the cap of {cap}; raise the limit to continue"
             )
-    g = partition.group
     out = set()
-    for combo in itertools.product(*(block.indices() for block in partition.blocks)):
+    for combo in itertools.product(*cells):
         mask = 0
         for i in combo:
             mask |= 1 << i
@@ -125,15 +114,17 @@ def _one_per_block(partition: Partition, limit: int | None) -> set[ElementSet]:
 
 
 def all_right_transversals(h: ElementSet, *, limit: int | None = None) -> set[ElementSet]:
-    """Every set holding exactly one element of each right coset of H."""
-    return _one_per_block(right_coset_partition(h), limit)
+    """Every set holding exactly one element of each right coset of H: the
+    middle transversals of (H, {1})."""
+    return all_middle_transversals(h, h.group.trivial_subgroup(), limit=limit)
 
 
 def all_middle_transversals(
     h: ElementSet, k: ElementSet, *, limit: int | None = None
 ) -> set[ElementSet]:
     """Every set holding exactly one element of each double coset of (H, K)."""
-    return _one_per_block(double_coset_partition(h, k), limit)
+    partition = double_coset_partition(h, k)
+    return _one_per_cell(partition.group, [b.indices() for b in partition.blocks], limit)
 
 
 def _raw_mid_mask(g: Group, hmask: int, kmask: int) -> int:
@@ -163,26 +154,9 @@ def all_maximal_direct_triples(
     mid = _raw_mid_mask(g, h.mask, k.mask)
     if mid == 0:
         raise MidEmpty("the middle director is empty; no direct middle exists")
-    cap = config.enum_cap(limit)
-    parts = []
-    total = 1
-    for block in double_coset_partition(h, k).blocks:
-        cell = block.mask & mid
-        if cell:
-            parts.append(list(bit_indices(cell)))
-            total *= len(parts[-1])
-            if total > cap:
-                raise EnumerationLimitExceeded(
-                    f"{total}+ combinations exceed the cap of {cap}; "
-                    "raise the limit to continue"
-                )
-    out = set()
-    for combo in itertools.product(*parts):
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        out.add(g.subset_from_mask(mask))
-    return out
+    blocks = double_coset_partition(h, k).blocks
+    cells = [tuple(bit_indices(b.mask & mid)) for b in blocks if b.mask & mid]
+    return _one_per_cell(g, cells, limit)
 
 
 def enumerate_subgroups(g: Group, *, bound: int | None = None) -> set[ElementSet]:

@@ -41,6 +41,15 @@ def _same_group(*sets: ElementSet) -> Group:
     return g
 
 
+def _subgroup_pair(h: ElementSet, k: ElementSet, *others: ElementSet) -> Group:
+    """The group of H, K and the other operands, once H and K are known to
+    be subgroups of it."""
+    g = _same_group(h, k, *others)
+    h.require_subgroup("H")
+    k.require_subgroup("K")
+    return g
+
+
 def _product_mask(g: Group, amask: int, bmask: int) -> int:
     t = g.table
     out = 0
@@ -65,9 +74,7 @@ def is_direct_pair(a: ElementSet, b: ElementSet) -> bool:
 
 def double_coset(h: ElementSet, x: int, k: ElementSet) -> ElementSet:
     """The double coset H*x*K for subgroups H and K."""
-    g = _same_group(h, k)
-    h.require_subgroup("H")
-    k.require_subgroup("K")
+    g = _subgroup_pair(h, k)
     g._check_index(x)
     return g.subset_from_mask(_middle_cell_mask(g, h.mask, x, k.mask))
 
@@ -116,9 +123,7 @@ def mid_director(a: ElementSet, b: ElementSet) -> ElementSet:
 def mid_director_subgroups(h: ElementSet, k: ElementSet) -> ElementSet:
     """The middle director of subgroups via the conjugate test
     H ∩ K^x = {1}; agrees with mid_director on subgroup inputs."""
-    g = _same_group(h, k)
-    h.require_subgroup("H")
-    k.require_subgroup("K")
+    g = _subgroup_pair(h, k)
     t = g.table
     inv = g.inverse
     id_bit = 1 << g.identity
@@ -160,24 +165,18 @@ def classify_mid(h: ElementSet, k: ElementSet) -> MidCase:
 
 
 def is_right_transversal(h: ElementSet, t: ElementSet) -> bool:
-    """True when T hits every right coset H*g exactly once."""
-    g = _same_group(h, t)
-    h.require_subgroup("H")
-    prod = _product_mask(g, h.mask, t.mask)
-    return prod == g.full_mask and prod.bit_count() == len(h) * len(t)
+    """True when T hits every right coset H*g exactly once: a middle
+    transversal of (H, {1})."""
+    return is_middle_transversal(h, t, h.group.trivial_subgroup())
 
 
 def is_middle_transversal(h: ElementSet, x: ElementSet, k: ElementSet) -> bool:
     """True when X hits every double coset H*g*K exactly once."""
-    g = _same_group(h, x, k)
-    h.require_subgroup("H")
-    k.require_subgroup("K")
+    g = _subgroup_pair(h, k, x)
     return _cells_union(g, h, x, k) == g.full_mask
 
 
 def is_middle_factor(h: ElementSet, x: ElementSet, k: ElementSet) -> bool:
     """True when H*X*K is direct and covers the whole group."""
-    g = _same_group(h, x, k)
-    h.require_subgroup("H")
-    k.require_subgroup("K")
+    g = _subgroup_pair(h, k, x)
     return _cells_union(g, h, x, k, len(h) * len(k)) == g.full_mask

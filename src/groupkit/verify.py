@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import oracle, products
 from .algorithms import ChoicePolicy, extend_to_middle_transversal, msfa, mta, rta
-from .errors import InvalidSpec, MidEmpty
+from .errors import InvalidSpec, MidEmpty, quote
 from .groups import ElementSet, Group, build_group
 from .words import parse_element, parse_subset
 
@@ -49,7 +49,6 @@ def _example_1_3(g: Group) -> dict:
     h = parse_subset(g, "0,3,6,9")
     _check(checks, "H is a subgroup", h.is_subgroup())
     trace = rta(h, g0=0, policy=ChoicePolicy.scripted([1, 2]))
-    trace.validate()
     _check(checks, "run ends after N=2 steps", trace.n_steps == 2, f"N={trace.n_steps}")
     _check(
         checks,
@@ -101,7 +100,6 @@ def _example_2_5(g: Group) -> dict:
     g0 = parse_element(g, "1")
     g1 = parse_element(g, "a^2")
     trace = mta(h, k, g0=g0, policy=ChoicePolicy.scripted([g1]))
-    trace.validate()
     _check(checks, "run ends after N=1 steps", trace.n_steps == 1, f"N={trace.n_steps}")
     _check(
         checks,
@@ -210,7 +208,6 @@ def _example_2_14(g: Group) -> dict:
 
     g0 = g.identity
     trace = msfa(h, k, g0=g0, policy=ChoicePolicy.scripted([]))
-    trace.validate()
     _check(checks, "direct-middle run ends after N=0 steps", trace.n_steps == 0)
     _listing(checks, "direct middle is the listed {1}", trace.output, parse_subset(g, "1"))
     _check(
@@ -235,7 +232,6 @@ def _example_2_14(g: Group) -> dict:
     extended = extend_to_middle_transversal(
         trace, policy=ChoicePolicy.scripted([parse_element(g, "a^2")])
     )
-    extended.validate()
     _check(checks, "extension ends after N*=1 steps", extended.n_steps == 1)
     _listing(
         checks,
@@ -285,7 +281,7 @@ def run(examples: tuple[str, ...] | list[str] | None = None) -> tuple[Group, dic
     names = tuple(examples) if examples else tuple(EXAMPLES)
     for name in names:
         if name not in EXAMPLES:
-            raise InvalidSpec(f"unknown example {name!r}; choose from {', '.join(EXAMPLES)}")
+            raise InvalidSpec(f"unknown example {quote(name)}; choose from {', '.join(EXAMPLES)}")
     groups = [build_group(EXAMPLES[name][0]) for name in names]
     sections = [EXAMPLES[name][1](g) for name, g in zip(names, groups)]
     counts = {"pass": 0, "warn": 0, "fail": 0}

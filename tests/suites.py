@@ -421,7 +421,7 @@ def suite_block_partition(groups: list[Group]) -> list[str]:
     bad = []
     for g in groups:
         for h, k in subgroup_pairs(g):
-            for kk, partition in ((None, oracle.right_coset_partition(h)),
+            for kk, partition in ((g.trivial_subgroup(), oracle.right_coset_partition(h)),
                                   (k, oracle.double_coset_partition(h, k))):
                 blocks = algorithms._coset_blocks(h, kk)
                 if any(blocks[x] >> x & 1 == 0 for x in range(g.order)):

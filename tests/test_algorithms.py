@@ -131,6 +131,12 @@ def test_mta_with_trivial_k_is_rta(d12):
     assert t1.chain_sizes == t2.chain_sizes
 
 
+def test_rta_trace_keeps_the_trivial_k(z12):
+    trace = rta(z12.subset([0, 4, 8]))
+    assert trace.k == z12.trivial_subgroup()
+    trace.validate()
+
+
 # -- policies ------------------------------------------------------------------
 
 

@@ -246,6 +246,31 @@ def test_error_messages_quote_a_bounded_prefix(capsys, argv, reason):
     assert reason in err
 
 
+# H for an empty middle director: written out in full it runs to 2,500 characters
+_EVEN_512 = ",".join(str(i) for i in range(0, 1024, 2))
+
+
+@pytest.mark.parametrize("argv,env,code", [
+    (["rta", "--group", "cyclic:4096", "-H", ",".join(str(i) for i in range(3000))], None, 2),
+    (["msfa", "--group", "cyclic:1024", "-H", _EVEN_512, "-K", "0,256,512,768"], None, 3),
+    (["rta", "--group", '{"kind":"' + "x" * 5000 + '"}', "-H", "0"], None, 2),
+    (["rta", "--group", '{"kind":[' + ",".join(["0"] * 3000) + "]}", "-H", "0"], None, 2),
+    (["verify-paper", "--example", "x" * 5000], None, 2),
+    (["enumerate", "--group", "cyclic:12", "-H", "0,6", "--what", "right-transversals",
+      "--limit", "-" + "9" * 4000], None, 2),
+    (["rta", "--group", "cyclic:12", "-H", "0"], "x" * 5000, 2),
+], ids=["not-a-subgroup", "empty-mid", "group-kind", "group-kind-list", "example",
+        "limit", "max-order-env"])
+def test_echoed_input_is_bounded(capsys, monkeypatch, argv, env, code):
+    # each input, echoed whole, would print thousands of characters
+    if env is not None:
+        monkeypatch.setenv("GROUPKIT_MAX_ORDER", env)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("not applicable:" if code == 3 else "error:")
+    assert len(err) < 300
+
+
 def test_bad_g0_exits_2(capsys):
     code = main(["rta", "--group", "cyclic:12", "-H", "0,6", "--g0", "44"])
     assert code == 2
@@ -492,6 +517,27 @@ def test_huge_group_spec_exits_5(capsys, group):
     assert "Traceback" not in err
 
 
+def test_msfa_extend_checks_the_pair_and_builds_the_blocks_a_few_times(capsys, monkeypatch):
+    # the extension validates the msfa trace it is given; nothing else reruns a search
+    from groupkit import algorithms
+    from groupkit.groups import ElementSet
+
+    calls = {"is_subgroup": 0, "_coset_blocks": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ElementSet, "is_subgroup", counted("is_subgroup", ElementSet.is_subgroup))
+    monkeypatch.setattr(algorithms, "_coset_blocks", counted("_coset_blocks", algorithms._coset_blocks))
+    assert main(["msfa", "--group", "symmetric:4", "-H", "(),(1 2)", "-K", "(),(3 4)", "--extend"]) == 0
+    assert "X* = " in capsys.readouterr().out
+    assert calls["is_subgroup"] <= 8
+    assert calls["_coset_blocks"] <= 3
+
+
 def test_the_parser_is_built_once_and_reused(capsys):
     from groupkit.cli import _build_parser
 
@@ -514,8 +560,9 @@ def test_the_parser_is_built_once_and_reused(capsys):
 
 # -- frozen outputs ---------------------------------------------------------------
 
-# The README's command examples and the JSON form of verify-paper, each run
-# in-process and compared byte for byte with its file under tests/golden/.
+# The README's command examples, the JSON form of verify-paper and two
+# random-policy runs (one sharing its chooser between msfa and the
+# extension), each run in-process and compared byte for byte with its file under tests/golden/.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = {
     "rta_trace_full": ["rta", "--group", "cyclic:12", "-H", "0,3,6,9", "--trace", "full"],
@@ -528,6 +575,13 @@ GOLDEN_CASES = {
     "enumerate_list": [
         "enumerate", "--group", D12, "-H", H_EMPTY, "-K", K_EMPTY,
         "--what", "middle-transversals", "--list",
+    ],
+    "rta_random_json": [
+        "rta", "--group", "cyclic:12", "-H", "0,6", "--policy", "random:3", "--format", "json",
+    ],
+    "msfa_extend_random_json": [
+        "msfa", "--group", "symmetric:4", "-H", "(),(1 2)", "-K", "(),(3 4)",
+        "--extend", "--policy", "random:11", "--format", "json",
     ],
     "verify_paper": ["verify-paper"],
     "verify_paper_json": ["verify-paper", "--format", "json"],

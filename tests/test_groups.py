@@ -7,6 +7,7 @@ from groupkit import (
     GroupSpec,
     InvalidSpec,
     NotAGroup,
+    NotASubgroup,
     SizeLimitExceeded,
     build_group,
 )
@@ -207,6 +208,16 @@ def test_is_subgroup(d12):
     assert d12.subset([0, 3]).is_subgroup()  # {1, a^3}
     assert not d12.subset([0, 1]).is_subgroup()  # a has order 6
     assert not d12.empty_set().is_subgroup()
+
+
+def test_shown_is_repr_cut_to_a_bounded_prefix(d12):
+    short = d12.subset([0, 3, 6])
+    assert short.shown() == repr(short)
+    z1024 = build_group({"kind": "cyclic", "n": 1024})
+    assert z1024.full_set().shown() == repr(z1024.full_set())[:40] + "... (1024 elements)"
+    with pytest.raises(NotASubgroup) as exc:
+        z1024.subset(range(1, 1024)).require_subgroup("H")
+    assert str(exc.value) == "H {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, ... (1023 elements) is not a subgroup"
 
 
 def test_generated_subgroup(d12):
