@@ -18,7 +18,8 @@ same chain from the uncovered remainder and grows X to a middle transversal
 the recorded picks as its script and compares the runs.  The exhaustive
 enumerations build every output at once: a pick removes its whole block, so
 the outputs are the sets taking one element from each block inside the
-seed, the Cartesian product of those cells.
+seed, the Cartesian product of those cells.  They build it as int masks;
+the enumerate_all_* functions wrap each mask as an ElementSet.
 """
 
 from __future__ import annotations
@@ -329,20 +330,17 @@ def _extend(trace: AlgoTrace, chooser: _Chooser) -> AlgoTrace:
 # -- exhaustive enumeration ---------------------------------------------------
 
 
-def _enumerate(
-    g: Group,
-    seed_mask: int,
-    blocks: list[int],
-    limit: int | None,
-) -> set[ElementSet]:
-    """Every output of the chain search started on seed_mask, each once.
+def _enumerate(seed_mask: int, blocks: list[int], limit: int | None) -> list[int]:
+    """The mask of every output of the chain search started on seed_mask,
+    each once.
 
     A pick removes its whole block, so the outputs are exactly the sets
     that take one element from each cell (a block cut down to the seed):
     the Cartesian product of the cells.  One walk over the cells counts
-    that product and checks it against the cap before any set is built;
+    that product and checks it against the cap before any mask is built;
     the size-1 cells are ORed into one base mask, and each larger cell
-    then multiplies the list of partial masks by its elements.
+    then multiplies the list of partial masks by its elements.  Every mask
+    lies inside the seed, so no range check is needed.
     """
     cap = config.enum_cap(limit)
     base = 0
@@ -365,8 +363,31 @@ def _enumerate(
     for cell in cells:
         bits = [1 << i for i in bit_indices(cell)]
         out = [m | b for m in out for b in bits]
-    # every mask lies inside the seed, so no range check is needed
-    return {ElementSet._from_mask(g, m) for m in out}
+    return out
+
+
+def _right_transversal_masks(h: ElementSet, *, limit: int | None = None) -> list[int]:
+    """enumerate_all_right_transversals as masks, each once."""
+    return _middle_transversal_masks(h, h.group.trivial_subgroup(), limit=limit)
+
+
+def _middle_transversal_masks(
+    h: ElementSet, k: ElementSet, *, limit: int | None = None
+) -> list[int]:
+    """enumerate_all_middle_transversals as masks, each once."""
+    g = _subgroup_pair(h, k)
+    return _enumerate(g.full_mask, _coset_blocks(h, k), limit)
+
+
+def _middle_subfactor_masks(
+    h: ElementSet, k: ElementSet, *, limit: int | None = None
+) -> list[int]:
+    """enumerate_all_middle_subfactors as masks, each once."""
+    return _enumerate(_mid_seed(h, k).mask, _coset_blocks(h, k), limit)
+
+
+def _element_sets(g: Group, masks: list[int]) -> set[ElementSet]:
+    return {ElementSet._from_mask(g, m) for m in masks}
 
 
 def enumerate_all_right_transversals(
@@ -374,8 +395,9 @@ def enumerate_all_right_transversals(
     *,
     limit: int | None = None,
 ) -> set[ElementSet]:
-    """Every right transversal of H: the middle transversals of (H, {1})."""
-    return enumerate_all_middle_transversals(h, h.group.trivial_subgroup(), limit=limit)
+    """Every right transversal of H: the middle transversals of (H, {1}).
+    Built as masks by _right_transversal_masks, then wrapped."""
+    return _element_sets(h.group, _right_transversal_masks(h, limit=limit))
 
 
 def enumerate_all_middle_transversals(
@@ -384,9 +406,9 @@ def enumerate_all_middle_transversals(
     *,
     limit: int | None = None,
 ) -> set[ElementSet]:
-    """Every middle transversal of (H, K)."""
-    g = _subgroup_pair(h, k)
-    return _enumerate(g, g.full_mask, _coset_blocks(h, k), limit)
+    """Every middle transversal of (H, K).  Built as masks by
+    _middle_transversal_masks, then wrapped."""
+    return _element_sets(h.group, _middle_transversal_masks(h, k, limit=limit))
 
 
 def enumerate_all_middle_subfactors(
@@ -395,5 +417,6 @@ def enumerate_all_middle_subfactors(
     *,
     limit: int | None = None,
 ) -> set[ElementSet]:
-    """Every maximal direct middle X for (H, K); raises MidEmpty when none exist."""
-    return _enumerate(h.group, _mid_seed(h, k).mask, _coset_blocks(h, k), limit)
+    """Every maximal direct middle X for (H, K); raises MidEmpty when none
+    exist.  Built as masks by _middle_subfactor_masks, then wrapped."""
+    return _element_sets(h.group, _middle_subfactor_masks(h, k, limit=limit))

@@ -21,13 +21,21 @@ from . import config, oracle, products, verify
 from .algorithms import (
     SMALLEST,
     ChoicePolicy,
-    enumerate_all_middle_subfactors,
-    enumerate_all_middle_transversals,
-    enumerate_all_right_transversals,
+    _middle_subfactor_masks,
+    _middle_transversal_masks,
+    _right_transversal_masks,
     extend_to_middle_transversal,
     msfa,
     mta,
     rta,
+)
+
+# enumerate cross-checks the search's raw masks and does not call these, but
+# they stay importable from here: perfbench/tracing.py wraps them by name
+from .algorithms import (  # noqa: F401
+    enumerate_all_middle_subfactors,
+    enumerate_all_middle_transversals,
+    enumerate_all_right_transversals,
 )
 from .errors import GroupKitError, InvalidSpec, NotASubgroup, quote
 from .groups import ElementSet, Group, GroupSpec, build_group
@@ -287,27 +295,28 @@ def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
         inputs["K"] = inputs.pop("K")  # enumerate's reports list K last
     operands = (h,) if k is None else (h, k)
     search, brute = {
-        "right-transversals": (enumerate_all_right_transversals, oracle.all_right_transversals),
-        "middle-transversals": (enumerate_all_middle_transversals, oracle.all_middle_transversals),
-        "middle-subfactors": (enumerate_all_middle_subfactors, oracle.all_maximal_direct_triples),
+        "right-transversals": (_right_transversal_masks, oracle.all_right_transversals),
+        "middle-transversals": (_middle_transversal_masks, oracle.all_middle_transversals),
+        "middle-subfactors": (_middle_subfactor_masks, oracle.all_maximal_direct_triples),
     }[args.what]
     result: dict = {"what": args.what, "via": args.via}
-    algo_sets = oracle_sets = None
+    # the search side stays as int masks; --list alone wraps them as sets
+    algo_masks = oracle_sets = None
     if args.via != "oracle":
-        algo_sets = search(*operands, limit=limit)
-        if os.environ.get(FAULT_ENV) == "drop-algorithm-set" and algo_sets:
+        algo_masks = set(search(*operands, limit=limit))
+        if os.environ.get(FAULT_ENV) == "drop-algorithm-set" and algo_masks:
             # test hook: force a cross-check mismatch deterministically
-            algo_sets = set(algo_sets)
-            algo_sets.discard(max(algo_sets, key=lambda s: s.mask))
-        result["count_algorithm"] = len(algo_sets)
+            algo_masks.discard(max(algo_masks))
+        result["count_algorithm"] = len(algo_masks)
     if args.via != "algorithm":
         oracle_sets = brute(*operands, limit=limit)
         result["count_oracle"] = len(oracle_sets)
     match = True
     if args.via == "both":
-        match = result["match"] = algo_sets == oracle_sets
+        # the oracle builds its sets on the same g, so equal masks are equal sets
+        match = result["match"] = algo_masks == {s.mask for s in oracle_sets}
     if args.list:
-        shown = oracle_sets if algo_sets is None else algo_sets
+        shown = oracle_sets if algo_masks is None else map(g.subset_from_mask, algo_masks)
         result["sets"] = [s.names() for s in sorted(shown, key=lambda s: s.indices())]
     return RunReport("enumerate", g, inputs, result, exit_code=0 if match else 4)
 
@@ -417,10 +426,11 @@ def main(argv: list[str] | None = None) -> int:
     # builds reference cycles in bulk (ElementSet, its masks, the result sets
     # and the reports are acyclic), so reference counting frees them as
     # before, and a stray cycle waits only until the collector resumes.  Left
-    # on, its passes rescan every live ElementSet, up to 65,536 per side of an
-    # enumerate --via both call: about 565 passes and 0.12-0.15 s of each
-    # 0.8-1.0 s round of the enum-crosscheck benchmark (Python 3.11.7).  It is
-    # re-enabled only if it was on at entry.
+    # on, its passes rescan every live ElementSet: up to 65,536 from the oracle
+    # in an enumerate --via both call, and as many from the search with
+    # --list.  When both sides held sets, that was about 565 passes and
+    # 0.12-0.15 s of each 0.8-1.0 s round of the enum-crosscheck benchmark
+    # (Python 3.11.7).  It is re-enabled only if it was on at entry.
     collecting = gc.isenabled()
     gc.disable()
     try:

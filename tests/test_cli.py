@@ -1,12 +1,15 @@
 import contextlib
 import gc
 import io
+import itertools
 import json
+import random
 import re
 from pathlib import Path
 
 import jsonschema
 import pytest
+import suites
 
 import groupkit
 from groupkit.cli import main
@@ -143,14 +146,44 @@ def test_enumerate_list_sorted(capsys):
     assert all(len(s) == 1 for s in sets)
 
 
-def test_enumerate_list_order_on_pairs(capsys):
+# one element of each right coset r + {0, 4, 8} of C12, as index tuples in
+# order: 81 sets
+C12_RIGHT_TRANSVERSALS = sorted(
+    tuple(sorted(pick)) for pick in itertools.product(*(range(r, 12, 4) for r in range(4)))
+)
+
+LIST_CASES = {
+    "middle-transversals": (
+        ["--group", "dihedral:3", "-H", "1,b", "-K", "1,b", "--what", "middle-transversals"],
+        [["1", "a"], ["1", "a^2"], ["1", "ba"], ["1", "ba^2"],
+         ["a", "b"], ["a^2", "b"], ["b", "ba"], ["b", "ba^2"]],
+    ),
+    "right-transversals": (
+        ["--group", "cyclic:12", "-H", "0,4,8", "--what", "right-transversals"],
+        [[str(i) for i in t] for t in C12_RIGHT_TRANSVERSALS],
+    ),
+    # H = K = {1, b} in both: Mid is proper and nonempty (4 of 6 elements,
+    # then 8 of 12)
+    "middle-subfactors-d6": (
+        ["--group", "dihedral:3", "-H", "1,b", "-K", "1,b", "--what", "middle-subfactors"],
+        [["a"], ["a^2"], ["ba"], ["ba^2"]],
+    ),
+    "middle-subfactors-d12": (
+        ["--group", D12, "-H", "1,b", "-K", "1,b", "--what", "middle-subfactors"],
+        [["a", "a^2"], ["a", "a^4"], ["a", "ba^2"], ["a", "ba^4"], ["a^2", "a^5"],
+         ["a^2", "ba"], ["a^2", "ba^5"], ["a^4", "a^5"], ["a^4", "ba"], ["a^4", "ba^5"],
+         ["a^5", "ba^2"], ["a^5", "ba^4"], ["ba", "ba^2"], ["ba", "ba^4"], ["ba^2", "ba^5"],
+         ["ba^4", "ba^5"]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIST_CASES))
+def test_enumerate_list_order_on_pairs(capsys, case):
     # --list sorts by index tuple, and every --via lists the same sets
-    argv = ["enumerate", "--group", "dihedral:3", "-H", "1,b", "-K", "1,b",
-            "--what", "middle-transversals", "--list"]
-    want = [["1", "a"], ["1", "a^2"], ["1", "ba"], ["1", "ba^2"],
-            ["a", "b"], ["a^2", "b"], ["b", "ba"], ["b", "ba^2"]]
+    argv, want = LIST_CASES[case]
     for via in ("algorithm", "oracle", "both"):
-        code, data = run_json(capsys, argv + ["--via", via])
+        code, data = run_json(capsys, ["enumerate", *argv, "--list", "--via", via])
         assert code == 0
         assert data["result"]["sets"] == want, via
 
@@ -312,6 +345,121 @@ def test_fault_injection_exits_4(capsys, monkeypatch):
     data = json.loads(out)
     assert data["result"]["count_algorithm"] == 63
     assert data["result"]["match"] is False
+
+
+def _drop_largest(sets):
+    sets.discard(max(sets, key=lambda s: s.mask))
+
+
+def _swap_largest(sets):
+    # {0, 3, 6} lies in one right coset of {0, 3, 6, 9}: the same size as a
+    # transversal, but not one
+    g = next(iter(sets)).group
+    _drop_largest(sets)
+    sets.add(g.subset([0, 3, 6]))
+
+
+@pytest.mark.parametrize("tamper, count_oracle", [(_drop_largest, 63), (_swap_largest, 64)],
+                         ids=["drop", "swap"])
+def test_oracle_side_mismatch_exits_4(capsys, monkeypatch, tamper, count_oracle):
+    from groupkit import oracle
+
+    honest = oracle.all_right_transversals
+
+    def tampered(*args, **kwargs):
+        sets = set(honest(*args, **kwargs))
+        tamper(sets)
+        return sets
+
+    monkeypatch.setattr(oracle, "all_right_transversals", tampered)
+    code, data = run_json(capsys, ["enumerate", "--group", "cyclic:12", "-H", "0,3,6,9",
+                                   "--what", "right-transversals"])
+    assert code == 4
+    r = data["result"]
+    assert (r["count_algorithm"], r["count_oracle"], r["match"]) == (64, count_oracle, False)
+
+
+# -- relabeling: answers do not depend on the element order ------------------------
+
+RELABELED = {
+    "D12": {"kind": "dihedral", "n": 6},
+    "S4": {"kind": "symmetric", "n": 4},
+    "C2xD6": {"kind": "direct_product",
+              "factors": [{"kind": "cyclic", "n": 2}, {"kind": "dihedral", "n": 3}]},
+}
+
+# Above this many sets the search's cap error, which gives the exact count,
+# stands in for the cross-check: S4 has 4,096 and 6,561 right transversals of
+# its subgroups of order 2 to 4, and enumerating them all takes seconds.
+RELABEL_CAP = "1296"
+
+
+def _relabeled(g, perm):
+    """g as a cayley spec with element x moved to index perm[x] under its own name."""
+    n = g.order
+    names = [""] * n
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        names[perm[x]] = g.names[x]
+        row = table[perm[x]]
+        for y in range(n):
+            row[perm[y]] = perm[g.multiply(x, y)]
+    return {"kind": "cayley", "names": names, "table": table}
+
+
+def _spelled(s):
+    # a name that holds the list separator, such as "(0,a)", goes by its index
+    names = s.group.names
+    return ",".join(str(i) if "," in names[i] else names[i] for i in s)
+
+
+def _cross_check(capsys, group, h, k, what):
+    """enumerate's counts and match, or the exit code and the stderr of a
+    failure (a MidEmpty message lists sets in index order, so it is left out)."""
+    argv = ["enumerate", "--group", group, "-H", _spelled(h), "--what", what,
+            "--limit", RELABEL_CAP, "--format", "json"]
+    if k is not None:
+        argv += ["-K", _spelled(k)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if code:
+        return code, captured.err if code == 5 else None
+    r = json.loads(captured.out)["result"]
+    assert r["match"] is True
+    return r["count_algorithm"], r["count_oracle"], r["match"]
+
+
+def _pair_answers(capsys, group, h, k):
+    mid = groupkit.classify_mid(h, k)
+    return (
+        _cross_check(capsys, group, h, k, "middle-transversals"),
+        _cross_check(capsys, group, h, k, "middle-subfactors"),
+        len(mid.mid),
+        mid.tag,
+        groupkit.mta(h, k).n_steps + 1,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(RELABELED))
+def test_relabeled_group_gives_the_same_answers(capsys, name):
+    spec = RELABELED[name]
+    g = groupkit.build_group(spec)
+    perm = list(range(g.order))
+    random.Random(f"relabel {name}").shuffle(perm)
+    moved_spec = _relabeled(g, perm)
+    moved = groupkit.build_group(moved_spec)
+    # each class representative with its image in the relabeled group
+    reps = [(s, moved.subset(perm[x] for x in s))
+            for s in suites.conjugacy_class_representatives(g)]
+    original, relabeled = json.dumps(spec), json.dumps(moved_spec)
+    for i, (h, h2) in enumerate(reps):
+        want = _cross_check(capsys, original, h, None, "right-transversals")
+        assert _cross_check(capsys, relabeled, h2, None, "right-transversals") == want, (name, h)
+        # x -> x^-1 maps the (H, K) answers onto the (K, H) ones, so K runs
+        # from H on
+        for k, k2 in reps[i:]:
+            want = _pair_answers(capsys, original, h, k)
+            assert _pair_answers(capsys, relabeled, h2, k2) == want, (name, h, k)
 
 
 def test_enumeration_limit_exits_5(capsys):
