@@ -300,8 +300,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
         "middle-subfactors": (_middle_subfactor_masks, oracle.all_maximal_direct_triples),
     }[args.what]
     result: dict = {"what": args.what, "via": args.via}
-    # the search side stays as int masks; --list alone wraps them as sets
-    algo_masks = oracle_sets = None
+    # both sides stay as int masks; --list alone wraps them as sets
+    algo_masks = oracle_masks = None
     if args.via != "oracle":
         algo_masks = set(search(*operands, limit=limit))
         if os.environ.get(FAULT_ENV) == "drop-algorithm-set" and algo_masks:
@@ -309,14 +309,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
             algo_masks.discard(max(algo_masks))
         result["count_algorithm"] = len(algo_masks)
     if args.via != "algorithm":
-        oracle_sets = brute(*operands, limit=limit)
-        result["count_oracle"] = len(oracle_sets)
+        oracle_masks = brute(*operands, limit=limit, as_masks=True)
+        result["count_oracle"] = len(oracle_masks)
     match = True
     if args.via == "both":
-        # the oracle builds its sets on the same g, so equal masks are equal sets
-        match = result["match"] = algo_masks == {s.mask for s in oracle_sets}
+        # both sides build their masks on the same g, so equal masks are equal sets
+        match = result["match"] = algo_masks == oracle_masks
     if args.list:
-        shown = oracle_sets if algo_masks is None else map(g.subset_from_mask, algo_masks)
+        shown = map(g.subset_from_mask, oracle_masks if algo_masks is None else algo_masks)
         result["sets"] = [s.names() for s in sorted(shown, key=lambda s: s.indices())]
     return RunReport("enumerate", g, inputs, result, exit_code=0 if match else 4)
 
@@ -426,11 +426,11 @@ def main(argv: list[str] | None = None) -> int:
     # builds reference cycles in bulk (ElementSet, its masks, the result sets
     # and the reports are acyclic), so reference counting frees them as
     # before, and a stray cycle waits only until the collector resumes.  Left
-    # on, its passes rescan every live ElementSet: up to 65,536 from the oracle
-    # in an enumerate --via both call, and as many from the search with
-    # --list.  When both sides held sets, that was about 565 passes and
-    # 0.12-0.15 s of each 0.8-1.0 s round of the enum-crosscheck benchmark
-    # (Python 3.11.7).  It is re-enabled only if it was on at entry.
+    # on, its passes rescan every live ElementSet.  enumerate cross-checks
+    # int masks on both sides and builds sets only for --list, up to 65,536
+    # per call.  When both sides of --via both held sets, that was about 565
+    # passes and 0.12-0.15 s of each 0.8-1.0 s round of the enum-crosscheck
+    # benchmark (Python 3.11.7).  It is re-enabled only if it was on at entry.
     collecting = gc.isenabled()
     gc.disable()
     try:

@@ -954,6 +954,8 @@ def build_group(spec: GroupSpec | dict) -> Group:
     order passes GROUPKIT_MAX_ORDER."""
     if isinstance(spec, dict):
         spec = GroupSpec.from_dict(spec)
+    elif not isinstance(spec, GroupSpec):
+        raise InvalidSpec(f"build_group needs a GroupSpec or a dict, got {type(spec).__name__}")
     try:
         return _build(spec, config.max_order())
     except RecursionError:

@@ -3,6 +3,9 @@
 Everything here recomputes coset structure straight off the multiplication
 table and enumerates by cartesian product over partition blocks, so the
 results are independent of the incremental searches they are used to check.
+The enumerations build each answer as an int mask; by default they wrap the
+masks as ElementSets, and with as_masks=True they return the masks as they
+are, which is how `enumerate --via both` compares them with the search's.
 """
 
 from __future__ import annotations
@@ -50,9 +53,6 @@ class Partition:
         if union != self.group.full_mask:
             raise ValueError("partition blocks fail to cover the group")
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
     def sizes(self) -> list[int]:
         return [len(b) for b in self.blocks]
 
@@ -93,9 +93,9 @@ def double_coset_partition(h: ElementSet, k: ElementSet) -> Partition:
     return Partition(g, tuple(blocks))
 
 
-def _one_per_cell(g: Group, cells: list[tuple[int, ...]], limit: int | None) -> set[ElementSet]:
-    """Every set holding exactly one element of each cell (a tuple of
-    element indices), built by a plain product over the cells."""
+def _one_per_cell(cells: list[tuple[int, ...]], limit: int | None) -> set[int]:
+    """The mask of every set holding exactly one element of each cell (a
+    tuple of element indices), built by a plain product over the cells."""
     cap = config.enum_cap(limit)
     total = 1
     for cell in cells:
@@ -104,27 +104,27 @@ def _one_per_cell(g: Group, cells: list[tuple[int, ...]], limit: int | None) -> 
             raise EnumerationLimitExceeded(
                 f"{total}+ combinations exceed the cap of {cap}; raise the limit to continue"
             )
-    out = set()
-    for combo in itertools.product(*cells):
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        out.add(g.subset_from_mask(mask))
-    return out
+    bit_cells = [[1 << i for i in cell] for cell in cells]
+    # the cells are disjoint, so the sum of one bit from each is their union
+    return set(map(sum, itertools.product(*bit_cells)))
 
 
-def all_right_transversals(h: ElementSet, *, limit: int | None = None) -> set[ElementSet]:
+def all_right_transversals(
+    h: ElementSet, *, limit: int | None = None, as_masks: bool = False
+) -> set[ElementSet] | set[int]:
     """Every set holding exactly one element of each right coset of H: the
-    middle transversals of (H, {1})."""
-    return all_middle_transversals(h, h.group.trivial_subgroup(), limit=limit)
+    middle transversals of (H, {1}).  With as_masks, their int masks."""
+    return all_middle_transversals(h, h.group.trivial_subgroup(), limit=limit, as_masks=as_masks)
 
 
 def all_middle_transversals(
-    h: ElementSet, k: ElementSet, *, limit: int | None = None
-) -> set[ElementSet]:
-    """Every set holding exactly one element of each double coset of (H, K)."""
+    h: ElementSet, k: ElementSet, *, limit: int | None = None, as_masks: bool = False
+) -> set[ElementSet] | set[int]:
+    """Every set holding exactly one element of each double coset of (H, K).
+    With as_masks, their int masks."""
     partition = double_coset_partition(h, k)
-    return _one_per_cell(partition.group, [b.indices() for b in partition.blocks], limit)
+    masks = _one_per_cell([b.indices() for b in partition.blocks], limit)
+    return masks if as_masks else set(map(partition.group.subset_from_mask, masks))
 
 
 def _raw_mid_mask(g: Group, hmask: int, kmask: int) -> int:
@@ -146,17 +146,19 @@ def _raw_mid_mask(g: Group, hmask: int, kmask: int) -> int:
 
 
 def all_maximal_direct_triples(
-    h: ElementSet, k: ElementSet, *, limit: int | None = None
-) -> set[ElementSet]:
+    h: ElementSet, k: ElementSet, *, limit: int | None = None, as_masks: bool = False
+) -> set[ElementSet] | set[int]:
     """Every maximal X with H*X*K direct: one element of Mid per double
-    coset meeting Mid.  Raises MidEmpty when the middle director is empty."""
+    coset meeting Mid, or with as_masks their int masks.  Raises MidEmpty
+    when the middle director is empty."""
     g = _require_subgroup_pair(h, k)
     mid = _raw_mid_mask(g, h.mask, k.mask)
     if mid == 0:
         raise MidEmpty("the middle director is empty; no direct middle exists")
     blocks = double_coset_partition(h, k).blocks
     cells = [tuple(bit_indices(b.mask & mid)) for b in blocks if b.mask & mid]
-    return _one_per_cell(g, cells, limit)
+    masks = _one_per_cell(cells, limit)
+    return masks if as_masks else set(map(g.subset_from_mask, masks))
 
 
 def enumerate_subgroups(g: Group, *, bound: int | None = None) -> set[ElementSet]:

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import time
 from pathlib import Path
@@ -363,21 +364,32 @@ def test_enumeration_cap_checked_before_branching():
 @pytest.mark.parametrize("what", ["right-transversals", "middle-transversals",
                                   "middle-subfactors"])
 def test_enumeration_cap_is_exact(z12, d12, what):
+    # the oracle's masks (as_masks=True) are the masks of its sets, meet the
+    # same cap, and take exactly one bit from each cell
     if what == "right-transversals":
         args = (z12.subset([0, 3, 6, 9]),)
         search, brute = enumerate_all_right_transversals, oracle.all_right_transversals
+        cells = oracle.right_coset_partition(*args).blocks
     elif what == "middle-transversals":
         args = (parse_subset(d12, "1,a^3,ba^3,b"), parse_subset(d12, "1,a^3,ba,ba^4"))
         search, brute = enumerate_all_middle_transversals, oracle.all_middle_transversals
+        cells = oracle.double_coset_partition(*args).blocks
     else:
         args = (parse_subset(d12, "1,ab"), parse_subset(d12, "1,a^3,b,ba^3"))
         search, brute = enumerate_all_middle_subfactors, oracle.all_maximal_direct_triples
+        mid = products.mid_director(*args)
+        cells = [b for b in oracle.double_coset_partition(*args).blocks if b <= mid]
     want = brute(*args)
     count = len(want)
-    for enumerate_all in (search, brute):
-        assert enumerate_all(*args, limit=count) == want
+    masks = functools.partial(brute, as_masks=True)
+    for enumerate_all, expected in ((search, want), (brute, want),
+                                    (masks, {s.mask for s in want})):
+        assert enumerate_all(*args, limit=count) == expected
         with pytest.raises(EnumerationLimitExceeded):
             enumerate_all(*args, limit=count - 1)
+    for mask in masks(*args):
+        assert mask.bit_count() == len(cells)
+        assert all((mask & cell.mask).bit_count() == 1 for cell in cells)
 
 
 @pytest.mark.parametrize("limit", [0, -3])

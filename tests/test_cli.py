@@ -21,12 +21,17 @@ K_EMPTY = "1,a^3,ba,ba^4"
 H_PROPER = "1,ab"
 K_PROPER = "1,a^3,b,ba^3"
 
+# checked and built once: jsonschema.validate does both on every call
+SCHEMA = load_schema()
+jsonschema.Draft202012Validator.check_schema(SCHEMA)
+VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+
 
 def run_json(capsys, argv):
     code = main(argv + ["--format", "json"])
     out = capsys.readouterr().out
     data = json.loads(out)
-    jsonschema.validate(instance=data, schema=load_schema())
+    assert not list(VALIDATOR.iter_errors(data))
     assert data["exit_code"] == code
     return code, data
 
@@ -347,16 +352,15 @@ def test_fault_injection_exits_4(capsys, monkeypatch):
     assert data["result"]["match"] is False
 
 
-def _drop_largest(sets):
-    sets.discard(max(sets, key=lambda s: s.mask))
+def _drop_largest(masks):
+    masks.discard(max(masks))
 
 
-def _swap_largest(sets):
+def _swap_largest(masks):
     # {0, 3, 6} lies in one right coset of {0, 3, 6, 9}: the same size as a
     # transversal, but not one
-    g = next(iter(sets)).group
-    _drop_largest(sets)
-    sets.add(g.subset([0, 3, 6]))
+    _drop_largest(masks)
+    masks.add(1 << 0 | 1 << 3 | 1 << 6)
 
 
 @pytest.mark.parametrize("tamper, count_oracle", [(_drop_largest, 63), (_swap_largest, 64)],
@@ -367,9 +371,9 @@ def test_oracle_side_mismatch_exits_4(capsys, monkeypatch, tamper, count_oracle)
     honest = oracle.all_right_transversals
 
     def tampered(*args, **kwargs):
-        sets = set(honest(*args, **kwargs))
-        tamper(sets)
-        return sets
+        masks = set(honest(*args, **kwargs))
+        tamper(masks)
+        return masks
 
     monkeypatch.setattr(oracle, "all_right_transversals", tampered)
     code, data = run_json(capsys, ["enumerate", "--group", "cyclic:12", "-H", "0,3,6,9",
@@ -708,9 +712,10 @@ def test_the_parser_is_built_once_and_reused(capsys):
 
 # -- frozen outputs ---------------------------------------------------------------
 
-# The README's command examples, the JSON form of verify-paper and two
-# random-policy runs (one sharing its chooser between msfa and the
-# extension), each run in-process and compared byte for byte with its file under tests/golden/.
+# The README's command examples, the text form of its mta example, the JSON
+# form of verify-paper and two random-policy runs (one sharing its chooser
+# between msfa and the extension), each run in-process and compared byte for
+# byte with its file under tests/golden/.
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CASES = {
     "rta_trace_full": ["rta", "--group", "cyclic:12", "-H", "0,3,6,9", "--trace", "full"],
@@ -718,6 +723,8 @@ GOLDEN_CASES = {
         "mta", "--group", D12, "-H", H_EMPTY, "-K", K_EMPTY,
         "--g0", "1", "--policy", "script:a^2", "--format", "json",
     ],
+    "mta_text": ["mta", "--group", D12, "-H", H_EMPTY, "-K", K_EMPTY, "--g0", "1",
+                 "--policy", "script:a^2"],
     "msfa_extend": ["msfa", "--group", D12, "-H", H_PROPER, "-K", K_PROPER, "--extend"],
     "mid": ["mid", "--group", D12, "-H", H_PROPER, "-K", K_PROPER],
     "enumerate_list": [

@@ -100,6 +100,13 @@ def test_invalid_specs(bad):
         build_group(bad)
 
 
+@pytest.mark.parametrize("bad", ["dihedral:16", [{"kind": "cyclic", "n": 3}], None],
+                         ids=["str", "list", "None"])
+def test_build_group_refuses_other_types(bad):
+    with pytest.raises(InvalidSpec, match=f"got {type(bad).__name__}$"):
+        build_group(bad)
+
+
 @pytest.mark.parametrize("fields", [
     {"kind": "direct_product"},
     {"kind": "dihedral", "n": 2.5},
