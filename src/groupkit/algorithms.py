@@ -36,8 +36,8 @@ from .errors import (
     ScriptedChoiceInvalid,
     TraceMismatch,
 )
-from .groups import ElementSet, Group, bit_indices
-from .products import _middle_cell_mask, _subgroup_pair, mid_director_subgroups
+from .groups import ElementSet, Group, _mask_of, bit_indices
+from .products import _cell_maker, _subgroup_pair, mid_director_subgroups
 
 __all__ = [
     "ChoicePolicy",
@@ -196,23 +196,20 @@ class AlgoTrace:
             raise TraceMismatch("the rerun differs from the recorded trace")
 
 
-def _mask_of(indices) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
-
-
 def _coset_blocks(h: ElementSet, k: ElementSet) -> list[int]:
     """The mask of the block H*x*K holding each element x of G.  Covers G
-    from the lowest uncovered element, one block at a time: (number of
-    blocks)*|H|*|K| table lookups."""
+    from the lowest uncovered element, one block at a time.  A block costs
+    min(|H|, |K|) gathers (_cell_maker), and it holds at least max(|H|, |K|)
+    elements, so the walk makes at most n gathers and O(n) other steps in
+    all, whatever the orders of H and K."""
     g = h.group
+    cell_of = _cell_maker(g, h.indices(), k.indices())
     blocks = [0] * g.order
     uncovered = g.full_mask
     while uncovered:
-        block = _middle_cell_mask(g, h.mask, (uncovered & -uncovered).bit_length() - 1, k.mask)
-        for y in bit_indices(block):
+        cell = cell_of((uncovered & -uncovered).bit_length() - 1)
+        block = _mask_of(cell)
+        for y in cell:
             blocks[y] = block
         uncovered &= ~block
     return blocks

@@ -45,6 +45,14 @@ def bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _mask_of(indices: Iterable[int]) -> int:
+    """The mask with the bits of indices set: bit_indices reversed."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
+
+
 def _typecode(n: int) -> str:
     """The smallest unsigned array typecode that holds 0..n-1."""
     return next(tc for tc in "BHIL" if n <= 1 << 8 * array(tc).itemsize)
@@ -82,7 +90,10 @@ def _table_row(i: int, row: Sequence[int], n: int, typecode: str) -> array:
 
 def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
     """f(seq) = tuple(seq[i] for i in indices), at C speed.  A bare
-    itemgetter of one index would return the item, not a 1-tuple."""
+    itemgetter of one index would return the item, not a 1-tuple, and one of
+    no index cannot be made."""
+    if not indices:
+        return lambda seq: ()
     if len(indices) == 1:
         (only,) = indices
         return lambda seq: (seq[only],)
@@ -318,6 +329,12 @@ class Group:
             raise IndexOutOfRange(f"element index {x!r} not in 0..{self.order - 1}")
         return x
 
+    def _flat(self) -> memoryview:
+        """The row-major n*n table as one view of the buffer that the rows
+        share; its strided slice [y::n] is column y, the products x*y."""
+        row = self.table[0]
+        return memoryview(row.obj).cast(row.format)
+
     def multiply(self, x: int, y: int) -> int:
         """Product x*y."""
         return self.table[self._check_index(x)][self._check_index(y)]
@@ -425,7 +442,13 @@ class ElementSet:
         return bit_indices(self.mask)
 
     def __contains__(self, x: int) -> bool:
-        return isinstance(x, int) and 0 <= x < self.group.order and self.mask >> x & 1 == 1
+        # a bool is no element index, as in Group._check_index
+        return (
+            isinstance(x, int)
+            and not isinstance(x, bool)
+            and 0 <= x < self.group.order
+            and self.mask >> x & 1 == 1
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ElementSet):
@@ -479,9 +502,6 @@ class ElementSet:
     def __le__(self, other: "ElementSet") -> bool:
         self._check_same_group(other)
         return self.mask & ~other.mask == 0
-
-    def issubset(self, other: "ElementSet") -> bool:
-        return self <= other
 
     def complement(self) -> "ElementSet":
         return ElementSet._from_mask(self.group, self.group.full_mask & ~self.mask)

@@ -6,15 +6,24 @@ middle direct when the sets A*x*B for x in X are pairwise disjoint, and
 direct when additionally every A*x*B is itself direct.  The middle director
 of (A, B) is the set of x making A*{x}*B direct; for subgroups H, K that is
 exactly the x with H meeting K^x trivially.
+
+Products are read off the table by C-level gathers over whole rows and
+columns, never one lookup per product.  A cell A*x*B costs min(|A|, |B|)
+gathers (_cell_maker), so a check over X makes |X|*min(|A|, |B|) of them
+and holds one cell at a time.  mid_director gathers along x instead: one
+gather per pair (a, b) for each run of x, n*|A||B| products in all, at most
+_MID_PRODUCTS of them held at once.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
+from typing import Callable, Sequence
 
 from .errors import GroupMismatch
-from .groups import ElementSet, Group, bit_indices
+from .groups import ElementSet, Group, _gather, _mask_of, bit_indices
 
 __all__ = [
     "set_product",
@@ -50,53 +59,53 @@ def _subgroup_pair(h: ElementSet, k: ElementSet, *others: ElementSet) -> Group:
     return g
 
 
-def _product_mask(g: Group, amask: int, bmask: int) -> int:
+def _cell_maker(g: Group, a: Sequence[int], b: Sequence[int]) -> Callable[[int], set[int]]:
+    """x -> the cell A*x*B as a set, for index sequences A and B of
+    arbitrary subsets: the union of min(|A|, |B|) gathers, each row a*x of
+    the table read at B or each column x*b read at A.  The gathers are
+    consumed one by one, so at most n products are held at once."""
     t = g.table
-    out = 0
-    for x in bit_indices(amask):
-        row = t[x]
-        for y in bit_indices(bmask):
-            out |= 1 << row[y]
-    return out
+    if len(a) <= len(b):
+        at_b = _gather(b)
+        return lambda x: set(chain.from_iterable(map(at_b, [t[t[u][x]] for u in a])))
+    at_a = _gather(a)
+    flat, n = g._flat(), g.order
+    return lambda x: set(chain.from_iterable(map(at_a, [flat[t[x][v]::n] for v in b])))
 
 
 def set_product(a: ElementSet, b: ElementSet) -> ElementSet:
     """The setwise product A*B."""
     g = _same_group(a, b)
-    return g.subset_from_mask(_product_mask(g, a.mask, b.mask))
+    return g.subset_from_mask(_mask_of(_cell_maker(g, a.indices(), b.indices())(g.identity)))
 
 
 def is_direct_pair(a: ElementSet, b: ElementSet) -> bool:
     """True when all products a*b are pairwise distinct."""
-    g = _same_group(a, b)
-    return _product_mask(g, a.mask, b.mask).bit_count() == len(a) * len(b)
+    return len(set_product(a, b)) == len(a) * len(b)
 
 
 def double_coset(h: ElementSet, x: int, k: ElementSet) -> ElementSet:
     """The double coset H*x*K for subgroups H and K."""
     g = _subgroup_pair(h, k)
     g._check_index(x)
-    return g.subset_from_mask(_middle_cell_mask(g, h.mask, x, k.mask))
+    return g.subset_from_mask(_mask_of(_cell_maker(g, h.indices(), k.indices())(x)))
 
 
-def _middle_cell_mask(g: Group, amask: int, x: int, bmask: int) -> int:
-    t = g.table
-    ax = 0
-    for a in bit_indices(amask):
-        ax |= 1 << t[a][x]
-    return _product_mask(g, ax, bmask)
-
-
-def _cells_union(g: Group, a: ElementSet, x: ElementSet, b: ElementSet, size: int = 0) -> int:
+def _cells_union(
+    g: Group, a: ElementSet, x: ElementSet, b: ElementSet, direct: bool = False
+) -> int:
     """The union of the cells A*t*B over t in X, or -1 when two cells meet
-    or, given a positive size, when a cell has another size."""
-    seen = 0
+    or, when direct, a cell holds fewer than |A||B| elements.  Builds one
+    cell at a time."""
+    cell_of = _cell_maker(g, a.indices(), b.indices())
+    size = len(a) * len(b)
+    seen: set[int] = set()
     for t in bit_indices(x.mask):
-        cell = _middle_cell_mask(g, a.mask, t, b.mask)
-        if cell & seen or size and cell.bit_count() != size:
+        cell = cell_of(t)
+        if direct and len(cell) != size or not seen.isdisjoint(cell):
             return -1
         seen |= cell
-    return seen
+    return _mask_of(seen)
 
 
 def is_middle_direct(a: ElementSet, x: ElementSet, b: ElementSet) -> bool:
@@ -106,17 +115,48 @@ def is_middle_direct(a: ElementSet, x: ElementSet, b: ElementSet) -> bool:
 
 def is_direct_triple(a: ElementSet, x: ElementSet, b: ElementSet) -> bool:
     """True when all products a*t*b over A x X x B are pairwise distinct."""
-    return _cells_union(_same_group(a, x, b), a, x, b, len(a) * len(b)) >= 0
+    return _cells_union(_same_group(a, x, b), a, x, b, direct=True) >= 0
+
+
+# The products that mid_director holds at once: its gathers run over this
+# many x at a time, shared among the |A||B| pairs.
+_MID_PRODUCTS = 1 << 18
 
 
 def mid_director(a: ElementSet, b: ElementSet) -> ElementSet:
-    """All x with A*{x}*B direct, for arbitrary subsets A and B."""
+    """All x with A*{x}*B direct, for arbitrary subsets A and B.
+
+    Counts |A*x*B| for every x, by definition.  For each pair (a, b), the
+    products a*x*b over a run of x are one gather: row a read off at the
+    x, then gathered out of column b (or column b read off, then gathered
+    out of row a, when B is the larger).  The cell of x is the x-th entry of
+    every pair's vector.  No cell of G holds more than n products, so none
+    is direct when |A||B| > n."""
     g = _same_group(a, b)
-    target = len(a) * len(b)
+    n = g.order
+    pairs = len(a) * len(b)
+    if pairs == 0:
+        return g.full_set()
+    if pairs > n:
+        return g.empty_set()
+    # The fixed side goes to lists once, at most sqrt(n) of them, so that
+    # each gather out of it reads list items.
+    flat = g._flat()
+    if len(a) >= len(b):
+        fixed = [flat[v::n].tolist() for v in b.indices()]
+        runs = [g.table[u] for u in a.indices()]
+    else:
+        fixed = [g.table[u].tolist() for u in a.indices()]
+        runs = [flat[v::n] for v in b.indices()]
+    step = max(1, _MID_PRODUCTS // pairs)
     mask = 0
-    for x in range(g.order):
-        if _middle_cell_mask(g, a.mask, x, b.mask).bit_count() == target:
-            mask |= 1 << x
+    for x0 in range(0, n, step):
+        vectors = []
+        for run in runs:
+            vectors += map(_gather(run[x0:x0 + step]), fixed)
+        for x, cell in enumerate(zip(*vectors), x0):
+            if len(set(cell)) == pairs:
+                mask |= 1 << x
     return g.subset_from_mask(mask)
 
 
@@ -179,4 +219,4 @@ def is_middle_transversal(h: ElementSet, x: ElementSet, k: ElementSet) -> bool:
 def is_middle_factor(h: ElementSet, x: ElementSet, k: ElementSet) -> bool:
     """True when H*X*K is direct and covers the whole group."""
     g = _subgroup_pair(h, k, x)
-    return _cells_union(g, h, x, k, len(h) * len(k)) == g.full_mask
+    return _cells_union(g, h, x, k, direct=True) == g.full_mask

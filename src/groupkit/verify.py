@@ -257,10 +257,8 @@ def _example_2_14(g: Group) -> dict:
 
 
 def _right_in_left(g: Group, h: ElementSet, x: int, k: ElementSet) -> bool:
-    one = 1 << g.identity
-    hx = products._middle_cell_mask(g, h.mask, x, one)
-    xk = products._middle_cell_mask(g, one, x, k.mask)
-    return hx & ~xk == 0
+    gx = g.singleton(x)
+    return products.set_product(h, gx) <= products.set_product(gx, k)
 
 
 # Each worked example: the group it runs on and its replay, in the examples'

@@ -5,6 +5,7 @@ import pytest
 
 from groupkit import (
     GroupSpec,
+    IndexOutOfRange,
     InvalidSpec,
     NotAGroup,
     NotASubgroup,
@@ -207,6 +208,16 @@ def test_subset_bounds(z12):
         z12.subset([12])
     with pytest.raises(Exception):
         z12.subset([-1])
+
+
+def test_membership_refuses_what_subset_refuses(z12):
+    # a bool is an int but no element index, in a subset or a membership test
+    s = z12.subset([0, 1])
+    with pytest.raises(IndexOutOfRange):
+        z12.subset([True])
+    assert True not in s and False not in s
+    assert 12 not in s and -1 not in s and "1" not in s
+    assert 0 in s and 1 in s
 
 
 def test_is_subgroup(d12):

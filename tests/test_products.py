@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from groupkit import GroupMismatch, NotASubgroup, build_group, oracle
+from groupkit import GroupMismatch, NotASubgroup, algorithms, build_group, oracle
 from groupkit import products
 from groupkit.products import (
     MidTag,
@@ -82,18 +83,98 @@ def test_empty_x_cases(d12, empty_mid_pair):
     assert is_middle_direct(h, empty, k)  # vacuous
     assert is_direct_triple(h, empty, k)
     assert not is_middle_transversal(h, empty, k)
+    assert products._cells_union(d12, h, empty, k) == 0
+    assert products._cells_union(d12, h, empty, k, direct=True) == 0
 
 
-def test_mid_director_matches_definition(d12):
-    rng_sets = [
-        (parse_subset(d12, "1,a"), parse_subset(d12, "b,ba^2")),
-        (parse_subset(d12, "1,a^3,b"), parse_subset(d12, "1,a^2")),
-    ]
-    for a, b in rng_sets:
-        mid = mid_director(a, b)
-        for g0 in range(d12.order):
-            direct = len(set_product(set_product(a, d12.singleton(g0)), b)) == len(a) * len(b)
-            assert (g0 in mid) == direct
+def _naive_cell(g, a, x, b):
+    """The products a*x*b over A x B, one table lookup each."""
+    return [g.multiply(g.multiply(u, x), v) for u in a for v in b]
+
+
+# Groups on which the kernels are compared with _naive_cell: two nonabelian
+# groups of order 12 and 24, and a direct product.
+KERNEL_GROUPS = {
+    "D12": {"kind": "dihedral", "n": 6},
+    "S4": {"kind": "symmetric", "n": 4},
+    "C2xD6": {"kind": "direct_product",
+              "factors": [{"kind": "cyclic", "n": 2}, {"kind": "dihedral", "n": 3}]},
+}
+
+
+def _random_subset(g, rng, max_size):
+    return g.subset(rng.sample(range(g.order), rng.randint(0, max_size)))
+
+
+@pytest.mark.parametrize("spec", KERNEL_GROUPS.values(), ids=KERNEL_GROUPS)
+def test_mid_director_matches_definition(spec, monkeypatch):
+    # Seeded arbitrary subsets, from empty to |A||B| above the order.  A
+    # budget of 5 products splits the x into runs of one or a few.
+    g = build_group(spec)
+    rng = random.Random(20)
+    pairs = [(_random_subset(g, rng, 6), _random_subset(g, rng, 6)) for _ in range(40)]
+    kinds = set()
+    for budget in (products._MID_PRODUCTS, 5):
+        monkeypatch.setattr(products, "_MID_PRODUCTS", budget)
+        for a, b in pairs:
+            want = {x for x in range(g.order)
+                    if len(set(_naive_cell(g, a, x, b))) == len(a) * len(b)}
+            assert set(mid_director(a, b)) == want, (a, b)
+            kinds.add("empty" if not want else "full" if len(want) == g.order else "proper")
+    assert kinds == {"empty", "proper", "full"}
+
+
+@pytest.mark.parametrize("spec", KERNEL_GROUPS.values(), ids=KERNEL_GROUPS)
+def test_products_and_triple_predicates_match_definition(spec):
+    g = build_group(spec)
+    rng = random.Random(21)
+    outcomes = set()
+    for _ in range(80):
+        a, x, b = (_random_subset(g, rng, size) for size in (4, 6, 4))
+        cells = [_naive_cell(g, a, t, b) for t in x]
+        middle = all(set(c).isdisjoint(d) for c, d in itertools.combinations(cells, 2))
+        direct = len(set(itertools.chain(*cells))) == len(a) * len(x) * len(b)
+        assert is_middle_direct(a, x, b) == middle, (a, x, b)
+        assert is_direct_triple(a, x, b) == direct, (a, x, b)
+        ab = set(_naive_cell(g, a, g.identity, b))
+        assert set(set_product(a, b)) == ab
+        assert is_direct_pair(a, b) == (len(ab) == len(a) * len(b))
+        outcomes.add((middle, direct))
+    assert outcomes == {(False, False), (True, False), (True, True)}
+
+
+def test_kernels_on_the_order_1_group():
+    g = build_group({"kind": "cyclic", "n": 1})
+    one = g.full_set()
+    assert mid_director(one, one) == one == mid_director_subgroups(one, one)
+    assert set_product(one, one) == one == double_coset(one, 0, one)
+    assert is_middle_transversal(one, one, one) and products.is_middle_factor(one, one, one)
+    assert algorithms._coset_blocks(one, one) == [1]
+    assert algorithms.mta(one, one).output == one
+
+
+def test_kernels_with_a_one_element_side(d12):
+    # A gather at one index must still give a tuple: H = {1} or K = {1}, and
+    # one-element subsets that are not subgroups.
+    e = d12.trivial_subgroup()
+    for h in suites.subgroups_of(d12):
+        for a, b in ((h, e), (e, h)):
+            want = [sum(1 << y for y in set(_naive_cell(d12, a, x, b))) for x in range(d12.order)]
+            assert algorithms._coset_blocks(a, b) == want
+            assert mid_director(a, b) == d12.full_set() == mid_director_subgroups(a, b)
+            assert is_middle_transversal(a, algorithms.mta(a, b).output, b)
+    for u in range(d12.order):
+        single = d12.singleton(u)
+        for other in (single, parse_subset(d12, "a,b,ba^2")):
+            assert mid_director(single, other) == d12.full_set()
+            assert set(set_product(single, other)) == set(_naive_cell(d12, single, d12.identity, other))
+
+
+def test_mid_director_of_an_empty_side_is_everything(d12):
+    # |A*x*B| = 0 = |A||B| for every x
+    empty, b = d12.empty_set(), parse_subset(d12, "1,a,b")
+    assert mid_director(empty, b) == mid_director(b, empty) == d12.full_set()
+    assert mid_director(empty, empty) == d12.full_set()
 
 
 def test_mid_director_subgroup_fast_path_agrees(d12, s3):
