@@ -11,9 +11,8 @@ from __future__ import annotations
 import itertools
 import struct
 from array import array
-from collections import deque
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import config
@@ -128,16 +127,24 @@ def _light_failure(
     cancellative monoid, that is a subgroup, and by Lagrange each newly passed
     s at least doubles it.
 
-    A pass runs over blocks of rows x with no lookup per cell: the left side
-    of row x is row x*s, and the right side, x*(s*y) over y, is row x with its
-    columns permuted by row s.  A run y0..y0+L-1 of row s, where
-    row_s[y0+i] = p0+i, is the slice p0..p0+L-1 of row x, so a run of at least
-    _LIGHT_RUN_CELLS is copied row by row and a shorter one column by column.
+    A pass runs over blocks of rows x with no lookup per cell, by slice
+    copies whose number depends on the runs of row s and column s, not on
+    the cells they move.  The left side of row x is row x*s, so a run of x
+    in a block whose x*s are consecutive is one slice of flat: one copy per
+    run, a handful per block for cyclic and dihedral tables.  The right
+    side, x*(s*y) over y, is row x with its columns permuted by row s.  A run
+    y0..y0+L-1 of row s, where row_s[y0+i] = p0+i, is the slice p0..p0+L-1 of
+    row x.  The longest run is copied once for the whole block, from its
+    first cell in the block's first row to its last in the block's last
+    row; what that spills between the rows is overwritten by the other runs,
+    each copied row by row if at least _LIGHT_RUN_CELLS long and else column
+    by column.  Closing the reached set reads each passed s's column once, as
+    a list.
     """
     block = min(n, _LIGHT_BLOCK_CELLS // n)
     lhs = memoryview(bytearray(block * n * flat.itemsize)).cast(flat.format)
     rhs = memoryview(bytearray(block * n * flat.itemsize)).cast(flat.format)
-    gens: list[int] = []
+    passed: list[list[int]] = []  # column g, x*g over x, of each g that passed
     reached: list[int] = []
     seen = bytearray(n)
     if identity is not None:
@@ -150,18 +157,32 @@ def _light_failure(
         row_s = flat[s * n:(s + 1) * n].tolist()
         col_s = flat[s::n].tolist()
         starts = [0] + [y for y in range(1, n) if row_s[y] != row_s[y - 1] + 1]
-        runs: list[tuple[int, int, int]] = []  # (y0, p0, L), copied row by row
+        lengths = list(map(sub, starts[1:] + [n], starts))
+        # The longest run leaves the lists: it is copied across whole blocks.
+        i = lengths.index(max(lengths))
+        longest = (starts[i], row_s[starts[i]], lengths.pop(i))
+        del starts[i]
+        long_runs: list[tuple[int, int, int]] = []  # (y0, p0, L), copied row by row
         columns: list[tuple[int, int]] = []  # (y, row_s[y]), copied strided
-        for y0, y1 in zip(starts, starts[1:] + [n]):
-            if y1 - y0 >= _LIGHT_RUN_CELLS:
-                runs.append((y0, row_s[y0], y1 - y0))
+        for y0, length in zip(starts, lengths):
+            if length >= _LIGHT_RUN_CELLS:
+                long_runs.append((y0, row_s[y0], length))
             else:
-                columns += zip(range(y0, y1), row_s[y0:y1])
+                columns += zip(range(y0, y0 + length), row_s[y0:y0 + length])
         for x0 in range(0, n, block):
-            cells = min(block, n - x0) * n
-            for i, xs in enumerate(col_s[x0:x0 + block]):
-                lhs[i * n:(i + 1) * n] = flat[xs * n:(xs + 1) * n]
-            for y0, p0, length in runs:
+            x1 = min(x0 + block, n)
+            cells = (x1 - x0) * n
+            # The rows where a run of column s starts, one whose x*s are
+            # consecutive; each run is one slice of flat.
+            cuts = [x0] + [x for x in range(x0 + 1, x1) if col_s[x] != col_s[x - 1] + 1]
+            for a, b in zip(cuts, cuts[1:] + [x1]):
+                src = col_s[a] * n
+                lhs[(a - x0) * n:(b - x0) * n] = flat[src:src + (b - a) * n]
+            # The longest run, from the block's first row to its last.
+            y0, p0, length = longest
+            src, span = x0 * n + p0, cells - n + length
+            rhs[y0:y0 + span] = flat[src:src + span]
+            for y0, p0, length in long_runs:
                 for row in range(0, cells, n):
                     src = x0 * n + row + p0
                     rhs[row + y0:row + y0 + length] = flat[src:src + length]
@@ -173,13 +194,13 @@ def _light_failure(
                 k = next(k for k in range(0, cells, n) if lhs[k:k + n] != rhs[k:k + n])
                 y = next(y for y in range(n) if lhs[k + y] != rhs[k + y])
                 return x0 + k // n, s, y
-        gens.append(s)
+        passed.append(col_s)
         seen[s] = 1
         reached.append(s)
         # Iterating the growing list closes it under right products.
         for r in reached:
-            for g in gens:
-                c = flat[r * n + g]
+            for col in passed:
+                c = col[r]
                 if not seen[c]:
                     seen[c] = 1
                     reached.append(c)
@@ -200,8 +221,11 @@ class Group:
     distinct names, a two-sided identity, two-sided inverses (the supplied
     ones checked, else searched for row by row), then associativity by
     Light's test (_light_failure), at most floor(log2 n) + 1 passes of n*n
-    cells.  Each pass checks one s, taken from generators, then
-    the lowest unreached element, and fills its rows by the runs of row s.
+    cells.  Each pass checks one s, taken from generators, then the lowest
+    unreached element, and fills each block of rows by slice copies: one per
+    run of column s on the left side, and on the right one for the longest
+    run of row s across the whole block, then one per row for each other
+    long run and one strided column for each cell of a short run.
     """
 
     __slots__ = (
@@ -523,14 +547,42 @@ class ElementSet:
         return ElementSet._from_mask(g, mask)
 
     def is_subgroup(self) -> bool:
-        """True when the set is nonempty and closed under the product."""
+        """True when the set is nonempty and closed under the product.
+
+        It grows <S> inside the set from S empty: each step adds to S the
+        lowest member not yet reached, then closes the reached elements under
+        right products by S, and a product outside the set answers False.
+        The elements reached before a step are closed under the earlier S,
+        so each new one takes |S| products and each earlier one only its
+        product by the newest member of S.  Each step at least doubles the
+        subgroup reached, so S never exceeds floor(log2 h) elements for a set
+        of h elements, and the check reads at most h * floor(log2 h)
+        products, not h^2."""
         g = self.group
         m = self.mask
         if m == 0 or m >> g.identity & 1 == 0:
             return False
         t = g.table
-        members = list(bit_indices(m))
-        return all(m >> t[x][y] & 1 for x in members for y in members)
+        reached = 1 << g.identity
+        members = [g.identity]
+        gens: list[int] = []
+        while reached != m:
+            rest = m & ~reached
+            gens.append((rest & -rest).bit_length() - 1)
+            newest = gens[-1:]
+            old = len(members)
+            i = 0
+            while i < len(members):
+                row = t[members[i]]
+                for y in newest if i < old else gens:
+                    c = row[y]
+                    if reached >> c & 1 == 0:
+                        if m >> c & 1 == 0:
+                            return False
+                        reached |= 1 << c
+                        members.append(c)
+                i += 1
+        return True
 
     def generated_subgroup(self) -> "ElementSet":
         """Closure of this set under multiplication (the trivial subgroup
@@ -755,29 +807,28 @@ def _build_dihedral(n: int) -> Group:
     )
 
 
-def _cycle_name(perm: Sequence[int], points: Sequence[int]) -> str:
-    """Disjoint-cycle notation, position i standing for the 1-based point
-    points[i]; '()' for the identity."""
-    seen = [False] * len(perm)
-    parts = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        j = perm[start]
-        while j != start:
-            cyc.append(j)
-            seen[j] = True
-            j = perm[j]
-        parts.append("(" + " ".join(str(points[p]) for p in cyc) + ")")
-    return "".join(parts) or "()"
-
-
-def _compose(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...]:
-    """Apply p first, then q."""
-    return tuple(q[x] for x in p)
+def _cycle_names(
+    elements: Iterable[Sequence[int]], points: Sequence[int]
+) -> list[str]:
+    """Each permutation of elements in disjoint-cycle notation, position i
+    standing for the 1-based point points[i]; '()' for the identity."""
+    labels = [str(p) for p in points]
+    names = []
+    for perm in elements:
+        parts = []
+        listed = bytearray(len(perm))
+        # A cycle is listed from its lowest position, the first one reached.
+        for start, j in enumerate(perm):
+            if j == start or listed[start]:
+                continue
+            cycle = [labels[start]]
+            while j != start:
+                cycle.append(labels[j])
+                listed[j] = 1
+                j = perm[j]
+            parts.append("(" + " ".join(cycle) + ")")
+        names.append("".join(parts) or "()")
+    return names
 
 
 def _permutation_cells(
@@ -793,7 +844,8 @@ def _permutation_cells(
     n = len(elements)
     steps = []
     for g in gens:
-        row_g = [index[_compose(g, q)] for q in elements]
+        # row g holds g*q, that is g, then q: q read at the positions g
+        row_g = list(map(index.__getitem__, map(_gather(g), elements)))
         g_inv_times = [0] * n  # g_inv_times[x] = g^-1 * x, as row_g[y] = g * y
         for y, x in enumerate(row_g):
             g_inv_times[x] = y
@@ -825,7 +877,7 @@ def _permutation_group(
 ) -> Group:
     """The group on the permutations in elements, named in cycles of points."""
     cells, inverse = _permutation_cells(elements, index, gens)
-    names = [_cycle_name(p, points) for p in elements]
+    names = _cycle_names(elements, points)
     return Group(
         len(elements),
         cells,
@@ -924,11 +976,10 @@ def _build_permutation(spec: GroupSpec, limit: int) -> Group:
     identity = tuple(range(len(points)))
     elements = [identity]
     index = {identity: 0}
-    queue = deque([identity])
-    while queue:
-        p = queue.popleft()
-        for q in gens:
-            r = _compose(p, q)
+    # Iterating the growing list visits the elements breadth first; p, then
+    # q, is q read at the positions p.
+    for p in elements:
+        for r in map(_gather(p), gens):
             if r not in index:
                 if len(elements) >= limit:
                     raise SizeLimitExceeded(
@@ -936,7 +987,6 @@ def _build_permutation(spec: GroupSpec, limit: int) -> Group:
                     )
                 index[r] = len(elements)
                 elements.append(r)
-                queue.append(r)
     gen_names = dict(zip(_GEN_SYMBOLS, (index[g] for g in gens)))
     desc = f"permutation:deg{degree}"
     return _permutation_group(elements, index, gens, points, "permutation", desc, gen_names)

@@ -504,6 +504,35 @@ def test_max_order_env_exits_5(capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("spec, message", [
+    ({"degree": 2.5, "generators": []}, "permutation group needs a positive integer degree"),
+    ({"degree": "3", "generators": []}, "permutation group needs a positive integer degree"),
+    ({"degree": 3, "generators": {"a": [[1, 2]]}}, "permutation group needs a generators list"),
+    ({"degree": 3, "generators": [[[1, 2]], 5]}, "generator 1 must be a list of cycles"),
+    ({"degree": 3, "generators": [[[1, 2]], [[1, "2"]]]}, "generator 1 holds a malformed cycle"),
+    ({"degree": 3, "generators": [[[1, True]]]}, "generator 0 holds a malformed cycle"),
+    ({"degree": 3, "generators": [[[1, 2, 1]]]}, "cycle [1, 2, 1] repeats a point"),
+    ({"degree": 3, "generators": [[[1, 4]]]}, "cycle point 4 outside 1..3"),
+    ({"degree": 3, "generators": [[[0, 1]]]}, "cycle point 0 outside 1..3"),
+])
+def test_malformed_permutation_spec_exits_2(capsys, spec, message):
+    group = json.dumps({"kind": "permutation", **spec})
+    assert main(["rta", "--group", group, "-H", "()"]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("limit, code", [("719", 5), ("720", 0)])
+def test_permutation_closure_stops_at_the_order_cap(capsys, monkeypatch, limit, code):
+    # A permutation spec's order is known only once the closure is built, so
+    # the closure itself refuses its (limit + 1)-th element.
+    monkeypatch.setenv("GROUPKIT_MAX_ORDER", limit)
+    group = json.dumps({"kind": "permutation", "degree": 6,
+                        "generators": [[[1, 2]], [[1, 2, 3, 4, 5, 6]]]})
+    assert main(["rta", "--group", group, "-H", "(),(1 2)"]) == code
+    err = capsys.readouterr().err
+    assert (f"permutation closure exceeds the order limit {limit}" in err) == (code == 5)
+
+
 def test_enum_limit_env(capsys, monkeypatch):
     monkeypatch.setenv("GROUPKIT_ENUM_LIMIT", "5")
     code = main(["enumerate", "--group", "cyclic:12", "-H", "0,3,6,9",

@@ -456,6 +456,86 @@ def test_light_run_split_edge_cases():
         assert failure is not None and is_first_failure(broken, n, failure)
 
 
+def _one_cell_changed(t, n, s, side, x, y):
+    """A copy of the flat table t with the one cell changed that the pass for
+    s reads at row x, column y: (x*s, y) on the left side, (x*s)*y, and
+    (x, s*y) on the right side, x*(s*y)."""
+    i, j = (t[x * n + s], y) if side == "left" else (x, t[s * n + y])
+    out = array(t.typecode, t)
+    out[i * n + j] = (out[i * n + j] + 1) % n
+    return out
+
+
+def _copy_path_cases(t, n, e, s_left, s_right):
+    """(place, side, s, x, y) for one changed cell in each place that a pass
+    copies in its own way.  The other row of the pass that reads the changed
+    cell, x*s on the left side and x*s^-1 on the right, comes after x, so x
+    holds the first failure; x, y avoid e and s, whose row or column would
+    change the whole pass."""
+    block = _LIGHT_BLOCK_CELLS // n
+    last = (n - 1) // block * block  # the first row of the last block
+    cases = []
+
+    def add(place, side, s, rows, y):
+        col_s = t[s::n]
+        for x in rows:
+            other = col_s[x] if side == "left" else col_s.index(x)
+            if x not in (e, s) and y not in (e, s) and other > x:
+                cases.append((place, side, s, x, y))
+                return
+
+    lengths = run_lengths(t[s_right * n:(s_right + 1) * n])
+    longest = lengths.index(max(lengths))
+    y0 = sum(lengths[:longest])  # the first column of the longest run
+    spill = range(y0, y0 + lengths[longest])
+    inside = y0 + lengths[longest] // 2
+    below_first_row = range(block + 1, min(2 * block, n))  # in the second block
+    add("spilled copy", "right", s_right, below_first_row, inside)
+    for y in [y for y in range(n) if y not in spill][:4]:
+        add("after the spill", "right", s_right, below_first_row, y)
+    col_s = t[s_left::n]
+    breaks = [x for x in range(1, n) if x % block and col_s[x] != col_s[x - 1] + 1]
+    add("column run break", "left", s_left, breaks, n // 3)
+    add("block boundary", "left", s_left, range(block, n, block), n // 3)
+    add("block boundary", "left", s_left, range(block - 1, n, block), n // 3)
+    if n % block:
+        add("short last block", "left", s_left, range(last, n), n // 3)
+        add("short last block", "right", s_right, range(last + 1, n), inside)
+    return cases
+
+
+@pytest.mark.parametrize("spec", [{"kind": "cyclic", "n": 1024}, {"kind": "dihedral", "n": 300}],
+                         ids=lambda s: f"{s['kind']}:{s['n']}")
+def test_one_changed_cell_on_each_copy_path(spec):
+    # The pass for s copies the left side by runs of column s, cut at block
+    # boundaries, and the right side by the longest run of row s spilled
+    # across the whole block, then the other runs and columns over it.  One
+    # changed cell in each of those copies must give the naive loop's
+    # witness.  The builder's table has long runs and its seeded relabeling
+    # short ones; order 600 ends in a short block of 164 rows.
+    rng = random.Random(20261019)
+    g = build_group(spec)
+    n = g.order
+    base = array(g.table[0].format, g.table[0].obj)
+    relabeled, pi = _relabeled_flat(base, n, rng)
+    places = set()
+    # s = a for the left side and a^-2 for the right, so that the other row
+    # reading a changed cell comes after x: x*a and x*a^2 follow x in most of
+    # the table, and a^-2 has a short run of row s besides its longest.
+    a, a_2 = 1, g.inverse[g.multiply(1, 1)]
+    for t, e, s_left, s_right in [(base, g.identity, a, a_2),
+                                  (relabeled, pi[g.identity], pi[a], pi[a_2])]:
+        for place, side, s, x, y in _copy_path_cases(t, n, e, s_left, s_right):
+            changed = _one_cell_changed(t, n, s, side, x, y)
+            assert first_failure(changed, n, s) == (x, s, y), (place, side)
+            assert _light_failure(memoryview(changed), n, None, (s,)) == (x, s, y), (place, side)
+            places.add(place)
+    expected = {"spilled copy", "after the spill", "column run break", "block boundary"}
+    if n % (_LIGHT_BLOCK_CELLS // n):
+        expected.add("short last block")
+    assert places == expected
+
+
 def test_a_cayley_identity_need_not_be_index_0():
     # D12 relabelled so that the identity is index 11
     table = [list(row) for row in build_group({"kind": "dihedral", "n": 6}).table]
