@@ -300,21 +300,27 @@ def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
         "middle-subfactors": (_middle_subfactor_masks, oracle.all_maximal_direct_triples),
     }[args.what]
     result: dict = {"what": args.what, "via": args.via}
-    # both sides stay as int masks; --list alone wraps them as sets
+    # both sides stay as int masks (the search's as the list it returns, the
+    # oracle's as a set); --list alone wraps them as sets
     algo_masks = oracle_masks = None
     if args.via != "oracle":
-        algo_masks = set(search(*operands, limit=limit))
+        algo_masks = search(*operands, limit=limit)
         if os.environ.get(FAULT_ENV) == "drop-algorithm-set" and algo_masks:
             # test hook: force a cross-check mismatch deterministically
-            algo_masks.discard(max(algo_masks))
+            algo_masks.remove(max(algo_masks))
         result["count_algorithm"] = len(algo_masks)
     if args.via != "algorithm":
         oracle_masks = brute(*operands, limit=limit, as_masks=True)
         result["count_oracle"] = len(oracle_masks)
     match = True
     if args.via == "both":
-        # both sides build their masks on the same g, so equal masks are equal sets
-        match = result["match"] = algo_masks == oracle_masks
+        # Both sides build their masks on the same g, so equal masks are equal
+        # sets.  Each oracle mask is struck off against the search's list, and
+        # the counts must agree: then the list holds every oracle mask exactly
+        # once, so an answer the search gives twice fails the check.
+        oracle_masks.difference_update(algo_masks)
+        match = not oracle_masks and len(algo_masks) == result["count_oracle"]
+        result["match"] = match
     if args.list:
         shown = map(g.subset_from_mask, oracle_masks if algo_masks is None else algo_masks)
         result["sets"] = [s.names() for s in sorted(shown, key=lambda s: s.indices())]

@@ -95,7 +95,9 @@ def double_coset_partition(h: ElementSet, k: ElementSet) -> Partition:
 
 def _one_per_cell(cells: list[tuple[int, ...]], limit: int | None) -> set[int]:
     """The mask of every set holding exactly one element of each cell (a
-    tuple of element indices), built by a plain product over the cells."""
+    tuple of element indices), built by a plain product over the first
+    half of the cells and one over the second, then every left mask added
+    to every right one."""
     cap = config.enum_cap(limit)
     total = 1
     for cell in cells:
@@ -106,7 +108,10 @@ def _one_per_cell(cells: list[tuple[int, ...]], limit: int | None) -> set[int]:
             )
     bit_cells = [[1 << i for i in cell] for cell in cells]
     # the cells are disjoint, so the sum of one bit from each is their union
-    return set(map(sum, itertools.product(*bit_cells)))
+    half = len(bit_cells) // 2
+    left = list(map(sum, itertools.product(*bit_cells[:half])))
+    right = list(map(sum, itertools.product(*bit_cells[half:])))
+    return {a + b for a in left for b in right}
 
 
 def all_right_transversals(

@@ -1,6 +1,9 @@
 import contextlib
 import functools
 import io
+import itertools
+import math
+import random
 import time
 from pathlib import Path
 
@@ -23,7 +26,7 @@ from groupkit import (
     mta,
     rta,
 )
-from groupkit import oracle, products
+from groupkit import algorithms, oracle, products
 from groupkit.words import parse_element, parse_subset
 import suites
 
@@ -390,6 +393,42 @@ def test_enumeration_cap_is_exact(z12, d12, what):
     for mask in masks(*args):
         assert mask.bit_count() == len(cells)
         assert all((mask & cell.mask).bit_count() == 1 for cell in cells)
+
+
+@pytest.mark.parametrize("n_cells", [0, 1, 2, 3, 7])
+def test_split_products_match_plain_products(n_cells):
+    # seeded disjoint cells of 1 to 4 elements over 0..n-1
+    rng = random.Random(n_cells)
+    sizes = [rng.randint(1, 4) for _ in range(n_cells)]
+    elements = list(range(sum(sizes)))
+    rng.shuffle(elements)
+    cells, at = [], 0
+    for size in sizes:
+        cells.append(tuple(elements[at:at + size]))
+        at += size
+    total = math.prod(sizes)
+    # the oracle's halves against one plain product over every cell
+    bit_cells = [[1 << i for i in cell] for cell in cells]
+    assert oracle._one_per_cell(cells, total) == set(map(sum, itertools.product(*bit_cells)))
+    # the search's halves against one cell at a time, cells by least element
+    blocks = [0] * len(elements)
+    seed = 0
+    for cell in cells:
+        mask = sum(1 << i for i in cell)
+        seed |= mask
+        for i in cell:
+            blocks[i] = mask
+    want = [0]
+    for cell in sorted(cells, key=min):
+        want = [m | 1 << i for m in want for i in sorted(cell)]
+    assert algorithms._enumerate(seed, blocks, total) == want
+    if total > 1:
+        with pytest.raises(EnumerationLimitExceeded,
+                           match=rf"^\d+\+ combinations exceed the cap of {total - 1};"):
+            oracle._one_per_cell(cells, total - 1)
+        with pytest.raises(EnumerationLimitExceeded,
+                           match=f"^{total} results exceed the cap of {total - 1};"):
+            algorithms._enumerate(seed, blocks, total - 1)
 
 
 @pytest.mark.parametrize("limit", [0, -3])

@@ -383,6 +383,37 @@ def test_oracle_side_mismatch_exits_4(capsys, monkeypatch, tamper, count_oracle)
     assert (r["count_algorithm"], r["count_oracle"], r["match"]) == (64, count_oracle, False)
 
 
+def _repeat_first(masks):
+    masks.append(masks[0])
+
+
+def _first_for_largest(masks):
+    # the counts still agree and every answer is a true one: a check by
+    # length and subset alone would pass this
+    masks[masks.index(max(masks))] = masks[0]
+
+
+@pytest.mark.parametrize("tamper, count_algorithm", [(_repeat_first, 65),
+                                                     (_first_for_largest, 64)],
+                         ids=["append", "replace"])
+def test_search_side_duplicate_exits_4(capsys, monkeypatch, tamper, count_algorithm):
+    from groupkit import cli
+
+    honest = cli._right_transversal_masks
+
+    def tampered(*args, **kwargs):
+        masks = honest(*args, **kwargs)
+        tamper(masks)
+        return masks
+
+    monkeypatch.setattr(cli, "_right_transversal_masks", tampered)
+    code, data = run_json(capsys, ["enumerate", "--group", "cyclic:12", "-H", "0,3,6,9",
+                                   "--what", "right-transversals"])
+    assert code == 4
+    r = data["result"]
+    assert (r["count_algorithm"], r["count_oracle"], r["match"]) == (count_algorithm, 64, False)
+
+
 # -- relabeling: answers do not depend on the element order ------------------------
 
 RELABELED = {
