@@ -103,8 +103,7 @@ class _Chooser:
         self._pos = 0
 
     def pick(self, group: Group, mask: int) -> int:
-        if mask == 0:
-            raise ValueError("cannot pick from an empty candidate set")
+        """An element of the nonempty candidate mask."""
         mode = self.policy.mode
         if mode == "smallest":
             return (mask & -mask).bit_length() - 1
@@ -184,9 +183,7 @@ class AlgoTrace:
         chooser = ChoicePolicy.scripted(script).start()
         extension = self.algorithm == "Extension"
         try:
-            rerun = _search(
-                "MSFA" if extension else self.algorithm, self.h, self.k, g0, chooser.policy, chooser
-            )
+            rerun = _search("MSFA" if extension else self.algorithm, self.h, self.k, g0, chooser)
             if extension:
                 rerun = _extend(rerun, chooser)
         except GroupKitError as exc:
@@ -255,12 +252,10 @@ def _search(
     h: ElementSet,
     k: ElementSet,
     g0: int | None,
-    policy: ChoicePolicy,
-    chooser: _Chooser | None,
+    chooser: _Chooser,
 ) -> AlgoTrace:
     seed = _mid_seed(h, k).mask if algorithm == "MSFA" else _subgroup_pair(h, k).full_mask
     g = h.group
-    chooser = chooser or policy.start()
     if g0 is None:
         g0 = chooser.pick(g, seed)
     elif seed >> g._check_index(g0) & 1 == 0:
@@ -270,14 +265,14 @@ def _search(
 
 def rta(h: ElementSet, g0: int | None = None, policy: ChoicePolicy = SMALLEST) -> AlgoTrace:
     """Right-transversal search for a subgroup H: the K = {1} case."""
-    return _search("RTA", h, h.group.trivial_subgroup(), g0, policy, None)
+    return _search("RTA", h, h.group.trivial_subgroup(), g0, policy.start())
 
 
 def mta(
     h: ElementSet, k: ElementSet, g0: int | None = None, policy: ChoicePolicy = SMALLEST
 ) -> AlgoTrace:
     """Middle-transversal search for a subgroup pair (H, K)."""
-    return _search("MTA", h, k, g0, policy, None)
+    return _search("MTA", h, k, g0, policy.start())
 
 
 def msfa(
@@ -289,7 +284,7 @@ def msfa(
     chooser: _Chooser | None = None,
 ) -> AlgoTrace:
     """Maximal-direct-middle search, seeded with the middle director."""
-    return _search("MSFA", h, k, g0, policy, chooser)
+    return _search("MSFA", h, k, g0, chooser or policy.start())
 
 
 def extend_to_middle_transversal(

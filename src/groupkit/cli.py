@@ -37,7 +37,7 @@ from .algorithms import (  # noqa: F401
     enumerate_all_middle_transversals,
     enumerate_all_right_transversals,
 )
-from .errors import GroupKitError, InvalidSpec, NotASubgroup, quote
+from .errors import GroupKitError, InvalidSpec, quote
 from .groups import ElementSet, Group, GroupSpec, build_group
 from .report import RunReport, trace_payload
 from .words import parse_element, parse_subset
@@ -95,9 +95,7 @@ def _parse_required_subgroup(g: Group, flag: str, text: str | None) -> ElementSe
         subset = parse_subset(g, text)
     except GroupKitError as exc:
         raise type(exc)(f"{flag}: {exc}") from None
-    if not subset.is_subgroup():
-        raise NotASubgroup(f"{flag}: {subset.shown()} is not a subgroup")
-    return subset
+    return subset.require_subgroup(f"{flag}:")
 
 
 def _parse_g0(g: Group, text: str | None) -> int | None:

@@ -376,10 +376,38 @@ class Group:
             k >>= 1
         return acc
 
-    def conjugate(self, x: int, by: int) -> int:
-        """by * x * by^-1."""
+    def _grow(self, source: int, inside: int) -> int:
+        """The mask of the subgroup generated by the members of source,
+        grown inside the mask inside; 0 at the first product outside it.
+
+        It grows <S> from S empty: each step adds to S the lowest member of
+        source not yet reached, then closes the reached elements under right
+        products by S.  The elements reached before a step are closed under
+        the earlier S, so each new one takes |S| products and each earlier
+        one only its product by the newest member of S.  Each step at least
+        doubles the subgroup reached, so S never exceeds floor(log2 h)
+        elements for a subgroup of h elements, and the growth reads at most
+        h * floor(log2 h) products, not h^2."""
         t = self.table
-        return t[t[self._check_index(by)][self._check_index(x)]][self.inverse[by]]
+        reached = 1 << self.identity
+        members = [self.identity]
+        gens: list[int] = []
+        while rest := source & ~reached:
+            gens.append((rest & -rest).bit_length() - 1)
+            newest = gens[-1:]
+            old = len(members)
+            i = 0
+            while i < len(members):
+                row = t[members[i]]
+                for y in newest if i < old else gens:
+                    c = row[y]
+                    if reached >> c & 1 == 0:
+                        if inside >> c & 1 == 0:
+                            return 0
+                        reached |= 1 << c
+                        members.append(c)
+                i += 1
+        return reached
 
     def is_abelian(self) -> bool:
         t = self.table
@@ -418,9 +446,6 @@ class Group:
         return ElementSet._from_mask(self, 1 << self.identity)
 
     # -- names --------------------------------------------------------------
-
-    def name_of(self, x: int) -> str:
-        return self.names[self._check_index(x)]
 
     def index_of_name(self, name: str) -> int | None:
         """Index for an exact canonical name, else a whitespace-insensitive
@@ -547,63 +572,16 @@ class ElementSet:
         return ElementSet._from_mask(g, mask)
 
     def is_subgroup(self) -> bool:
-        """True when the set is nonempty and closed under the product.
-
-        It grows <S> inside the set from S empty: each step adds to S the
-        lowest member not yet reached, then closes the reached elements under
-        right products by S, and a product outside the set answers False.
-        The elements reached before a step are closed under the earlier S,
-        so each new one takes |S| products and each earlier one only its
-        product by the newest member of S.  Each step at least doubles the
-        subgroup reached, so S never exceeds floor(log2 h) elements for a set
-        of h elements, and the check reads at most h * floor(log2 h)
-        products, not h^2."""
-        g = self.group
-        m = self.mask
-        if m == 0 or m >> g.identity & 1 == 0:
-            return False
-        t = g.table
-        reached = 1 << g.identity
-        members = [g.identity]
-        gens: list[int] = []
-        while reached != m:
-            rest = m & ~reached
-            gens.append((rest & -rest).bit_length() - 1)
-            newest = gens[-1:]
-            old = len(members)
-            i = 0
-            while i < len(members):
-                row = t[members[i]]
-                for y in newest if i < old else gens:
-                    c = row[y]
-                    if reached >> c & 1 == 0:
-                        if m >> c & 1 == 0:
-                            return False
-                        reached |= 1 << c
-                        members.append(c)
-                i += 1
-        return True
+        """True when the set holds the identity and is closed under the
+        product: the subgroup it generates, grown inside it, is itself."""
+        g, m = self.group, self.mask
+        return m >> g.identity & 1 == 1 and g._grow(m, m) == m
 
     def generated_subgroup(self) -> "ElementSet":
-        """Closure of this set under multiplication (the trivial subgroup
-        when the set is empty)."""
+        """The subgroup generated by this set (the trivial subgroup when the
+        set is empty)."""
         g = self.group
-        t = g.table
-        mask = 1 << g.identity
-        frontier = [g.identity]
-        gens = list(bit_indices(self.mask))
-        for x in gens:
-            if mask >> x & 1 == 0:
-                mask |= 1 << x
-                frontier.append(x)
-        while frontier:
-            x = frontier.pop()
-            for y in gens:
-                for z in (t[x][y], t[y][x]):
-                    if mask >> z & 1 == 0:
-                        mask |= 1 << z
-                        frontier.append(z)
-        return ElementSet._from_mask(g, mask)
+        return ElementSet._from_mask(g, g._grow(self.mask, g.full_mask))
 
     def require_subgroup(self, label: str = "set") -> "ElementSet":
         if not self.is_subgroup():
@@ -701,36 +679,22 @@ class GroupSpec:
 
     @classmethod
     def from_inline(cls, text: str) -> "GroupSpec":
-        """Parse the compact kind:n form, e.g. 'cyclic:12'."""
+        """Parse the compact kind:n form, e.g. 'cyclic:12'.  n is ASCII
+        digits, as in element words; whitespace around it is ignored."""
         kind, sep, arg = text.partition(":")
-        kind = kind.strip()
+        kind, arg = kind.strip(), arg.strip()
         if not sep or kind not in ("cyclic", "dihedral", "symmetric"):
             raise InvalidSpec(
                 f"inline group {quote(text)} not understood; use kind:n with kind in "
                 "cyclic/dihedral/symmetric, or give a JSON object"
             )
+        if not arg.isascii() or not arg.isdigit():
+            raise InvalidSpec(f"inline group {quote(text)} needs an integer parameter")
         try:
             n = int(arg)
-        except ValueError:
+        except ValueError:  # more digits than the interpreter converts
             raise InvalidSpec(f"inline group {quote(text)} needs an integer parameter") from None
         return cls.from_dict({"kind": kind, "n": n})
-
-    def to_dict(self) -> dict:
-        if self.kind in ("cyclic", "dihedral", "symmetric"):
-            return {"kind": self.kind, "n": self.n}
-        if self.kind == "direct_product":
-            return {"kind": self.kind, "factors": [f.to_dict() for f in self.factors]}
-        if self.kind == "cayley":
-            return {
-                "kind": self.kind,
-                "names": list(self.names),
-                "table": [list(r) for r in self.table],
-            }
-        return {
-            "kind": self.kind,
-            "degree": self.degree,
-            "generators": [[list(c) for c in g] for g in self.generators],
-        }
 
 
 def _check_order(order: int, limit: int, what: str) -> None:

@@ -24,24 +24,24 @@ def _check(checks: list, name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
+def _listed(checks: list, name: str, ok: bool, detail: str) -> bool:
+    """Record a published listing's check: PASS, else WARN with detail."""
+    status, detail = ("PASS", "") if ok else ("WARN", detail)
+    checks.append({"name": name, "status": status, "detail": detail})
+    return ok
+
+
 def _listing(checks: list, name: str, computed: ElementSet, listed: ElementSet) -> bool:
     """Compare a recomputed set against a published listing; WARN on mismatch."""
-    if computed == listed:
-        checks.append({"name": name, "status": "PASS", "detail": ""})
-        return True
     extra = ", ".join((listed - computed).names()) or "-"
     missing = ", ".join((computed - listed).names()) or "-"
-    checks.append(
-        {
-            "name": name,
-            "status": "WARN",
-            "detail": (
-                f"listing disagrees with recomputation: listed-but-absent [{extra}], "
-                f"computed-but-unlisted [{missing}]"
-            ),
-        }
+    return _listed(
+        checks,
+        name,
+        computed == listed,
+        f"listing disagrees with recomputation: listed-but-absent [{extra}], "
+        f"computed-but-unlisted [{missing}]",
     )
-    return False
 
 
 def _example_1_3(g: Group) -> dict:
@@ -152,21 +152,13 @@ def _example_2_5(g: Group) -> dict:
         f"count={count}, block sizes={sizes}",
     )
     listed_count = len(listed_hk) * len(hk.complement())
-    if listed_count == count:
-        checks.append(
-            {"name": "middle-transversal count implied by the listing", "status": "PASS", "detail": ""}
-        )
-    else:
-        checks.append(
-            {
-                "name": "middle-transversal count implied by the listing",
-                "status": "WARN",
-                "detail": (
-                    f"the listed product implies {listed_count} middle transversals; "
-                    f"recomputation gives {count}"
-                ),
-            }
-        )
+    _listed(
+        checks,
+        "middle-transversal count implied by the listing",
+        listed_count == count,
+        f"the listed product implies {listed_count} middle transversals; "
+        f"recomputation gives {count}",
+    )
     return {
         "example": "2.5",
         "title": "middle transversal run on the dihedral group of order 12",

@@ -35,11 +35,12 @@ def _to_int(digits: str, what: str) -> int:
 
 
 def _eval_word(group: Group, text: str) -> int:
+    """The element a word names.  parse_element passes it stripped and
+    nonempty, so its first character starts a term or fails."""
     gens = group.generator_names
     acc = group.identity
     i = 0
     n = len(text)
-    saw_term = False
     while i < n:
         c = text[i]
         if c.isspace():
@@ -68,9 +69,6 @@ def _eval_word(group: Group, text: str) -> int:
             exp = _to_int(text[i:j], "exponent")
             i = j
         acc = group.multiply(acc, group.power(base, exp))
-        saw_term = True
-    if not saw_term:
-        raise ParseError("empty word")
     return acc
 
 

@@ -13,6 +13,7 @@ import suites
 
 import groupkit
 from groupkit.cli import main
+from groupkit.errors import quote
 from groupkit.report import load_schema
 
 D12 = "dihedral:6"
@@ -239,6 +240,35 @@ def test_group_file_missing(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"kind": "cyclic", "n": 12}\xff', "cannot read group file {}: 'utf-8' codec can't decode "
+     "byte 0xff in position 27: invalid start byte"),
+    (b"{kind: cyclic}", "group file {} is not valid JSON: Expecting property name enclosed "
+     "in double quotes: line 1 column 2 (char 1)"),
+], ids=["not-utf8", "not-json"])
+def test_unreadable_group_file_exits_2(tmp_path, capsys, content, message):
+    path = tmp_path / "g.json"
+    path.write_bytes(content)
+    assert main(["rta", "--group", f"@{path}", "-H", "0"]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(quote(str(path)))}\n"
+
+
+@pytest.mark.parametrize("group, order", [("cyclic: 12 ", 12), (" dihedral :3", 6)])
+def test_inline_group_allows_surrounding_whitespace(capsys, group, order):
+    code, data = run_json(capsys, ["rta", "--group", group, "-H", "0"])
+    assert code == 0
+    assert data["group"]["order"] == order
+
+
+@pytest.mark.parametrize("group", ["cyclic:\u0661\u0662", "cyclic:\uff11\uff12", "cyclic:1_2",
+                                   "cyclic:+12", "cyclic:-12", "cyclic:1 2", "cyclic:"])
+def test_inline_group_takes_ascii_digits_only(capsys, group):
+    # int() would read each of these but the last two
+    assert main(["rta", "--group", group, "-H", "0"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: inline group {quote(group)} needs an integer parameter\n")
+
+
 # -- failure paths ----------------------------------------------------------------
 
 
@@ -273,8 +303,9 @@ def test_bad_policy_exits_2(capsys):
     (["--policy", "random:" + "9" * 5000], "needs an integer seed"),
     (["--policy", "x" * 5000], "not understood"),
     (["--group", "cyclic:" + "x" * 5000], "needs an integer parameter"),
+    (["--group", "cyclic:" + "9" * 5000], "needs an integer parameter"),
     (["--group", "@/no/such/" + "d" * 3000], "No such file or directory"),
-], ids=["random-seed", "policy", "inline-group", "group-file"])
+], ids=["random-seed", "policy", "inline-group", "inline-group-digits", "group-file"])
 def test_error_messages_quote_a_bounded_prefix(capsys, argv, reason):
     # each flag given twice keeps its last value, so argv overrides the defaults
     assert main(["rta", "--group", "cyclic:12", "-H", "0,6"] + argv) == 2
@@ -528,6 +559,30 @@ def test_non_positive_limit_exits_2(capsys, limit):
     assert f"--limit must be a positive integer, got {limit}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_max_order_env_below_1_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("GROUPKIT_MAX_ORDER", value)
+    assert main(["rta", "--group", "cyclic:12", "-H", "0,6"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: GROUPKIT_MAX_ORDER must be a positive integer, got '{value}'\n")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "direct_product", "factors": [{"kind": "cyclic", "n": 2}, 3]},
+     "group spec must be an object, got int"),
+    ({"kind": "direct_product", "factors": [[{"kind": "cyclic", "n": 2}]]},
+     "group spec must be an object, got list"),
+    ({"kind": "cayley", "table": [[0, 1], [1, 0]], "names": ["e", 1]},
+     "cayley group needs a list of string names"),
+    ({"kind": "cayley", "table": [[0]], "names": "e"},
+     "cayley group needs a list of string names"),
+    ({"kind": "cayley", "table": [], "names": []}, "a group needs at least one element"),
+], ids=["factor-int", "factor-list", "cayley-name-int", "cayley-names-str", "cayley-empty"])
+def test_malformed_spec_exits_2(capsys, spec, message):
+    assert main(["rta", "--group", json.dumps(spec), "-H", "0"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_max_order_env_exits_5(capsys, monkeypatch):
     monkeypatch.setenv("GROUPKIT_MAX_ORDER", "8")
     code = main(["rta", "--group", "cyclic:12", "-H", "0,6"])
@@ -585,6 +640,9 @@ def test_duplicate_subset_warning_lands_in_report(capsys):
     code, data = run_json(capsys, ["rta", "--group", "cyclic:12", "-H", "0,6,6"])
     assert code == 0
     assert any("duplicate" in w for w in data["warnings"])
+    assert main(["rta", "--group", "cyclic:12", "-H", "0,6,6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "warning: duplicate element '6' in subset collapsed"
 
 
 def test_json_deterministic_modulo_timing(capsys):

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -12,7 +13,7 @@ from groupkit import (
     SizeLimitExceeded,
     build_group,
 )
-from groupkit.groups import _perm_from_cycles, bit_indices
+from groupkit.groups import Group, _perm_from_cycles, bit_indices
 
 
 def test_cyclic_arithmetic(z12):
@@ -70,12 +71,10 @@ def test_cayley_kind_roundtrip():
     table = [[(i + j) % 3 for j in range(3)] for i in range(3)]
     g = build_group({"kind": "cayley", "table": table, "names": ["e", "x", "y"]})
     assert g.multiply(1, 2) == 0
-    assert g.name_of(1) == "x"
+    assert g.names[1] == "x"
 
 
 def test_spec_roundtrip():
-    spec = GroupSpec.from_dict({"kind": "dihedral", "n": 4})
-    assert GroupSpec.from_dict(spec.to_dict()) == spec
     assert GroupSpec.from_inline("cyclic:5").n == 5
     with pytest.raises(InvalidSpec):
         GroupSpec.from_inline("cayley:3")
@@ -208,6 +207,13 @@ def test_subset_bounds(z12):
         z12.subset([12])
     with pytest.raises(Exception):
         z12.subset([-1])
+    with pytest.raises(IndexOutOfRange, match=r"^mask 0x1000 has bits outside 0\.\.11$"):
+        z12.subset_from_mask(1 << 12)
+    with pytest.raises(IndexOutOfRange, match="has bits outside"):
+        z12.subset_from_mask(-1)
+    # an ElementSet equals no other type
+    assert (z12.full_set() == 3) is False and z12.full_set() != 3
+    assert repr(z12) == "Group('cyclic:12', order=12)"
 
 
 def test_membership_refuses_what_subset_refuses(z12):
@@ -297,10 +303,71 @@ def test_generated_subgroup(d12):
     assert d12.empty_set().generated_subgroup() == d12.trivial_subgroup()
 
 
+def two_sided_closure(s):
+    """The identity and s, closed under products by s on either side."""
+    g = s.group
+    gens = s.indices()
+    reached = {g.identity, *gens}
+    frontier = list(reached)
+    while frontier:
+        x = frontier.pop()
+        for y in gens:
+            for z in (g.table[x][y], g.table[y][x]):
+                if z not in reached:
+                    reached.add(z)
+                    frontier.append(z)
+    return g.subset(reached)
+
+
+class CountedRow:
+    """A table row that counts the cells read from it."""
+
+    def __init__(self, row, reads):
+        self.row, self.reads = row, reads
+
+    def __getitem__(self, y):
+        self.reads[0] += 1
+        return self.row[y]
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "cyclic", "n": 12},
+    {"kind": "dihedral", "n": 6},
+    {"kind": "symmetric", "n": 4},
+    {"kind": "dihedral", "n": 60},
+], ids=["C12", "D12", "S4", "D120"])
+def test_generated_subgroup_matches_the_closure(spec):
+    # The empty set, then seeded sets of 1-4 elements, each also with the
+    # identity added and as the subgroup it generates.  Each generates its
+    # two-sided closure and is a subgroup exactly when it is that closure.
+    # is_subgroup stops at the first product outside the set, so it reads at
+    # most h * (floor(log2 h) + 1) products for a set of h elements.
+    g = build_group(spec)
+    rng = random.Random(20261019)
+    sets = [g.empty_set()]
+    for _ in range(40):
+        s = g.subset(rng.sample(range(g.order), rng.randint(1, 4)))
+        sets += [s, s | g.trivial_subgroup(), two_sided_closure(s)]
+    table = g.table
+    reads = [0]
+    seen = {True: 0, False: 0}
+    for s in sets:
+        closure = two_sided_closure(s)
+        assert s.generated_subgroup() == closure, s.shown()
+        reads[0] = 0
+        g.table = tuple(CountedRow(row, reads) for row in table)
+        try:
+            is_subgroup = s.is_subgroup()
+        finally:
+            g.table = table
+        assert is_subgroup == (s == closure), s.shown()
+        assert reads[0] <= len(s) * len(s).bit_length(), s.shown()
+        seen[is_subgroup] += 1
+    assert seen[True] and seen[False]
+
+
 def test_conjugation(d12):
-    a = d12.index_of_name("a")
     b = d12.index_of_name("b")
-    assert d12.conjugate(a, b) == d12.power(a, -1)
     rot = d12.subset(range(6))
     assert rot.conjugate_by(b) == rot  # rotations are normal
 
@@ -319,6 +386,23 @@ def test_name_lookup(d12, s3):
     assert d12.index_of_name("zz") is None
     # loose whitespace match for permutation names
     assert s3.index_of_name("(12)") == s3.index_of_name("(1 2)")
+    # names alike up to whitespace match only exactly: their loose key is dropped
+    g = build_group({"kind": "cayley", "table": [[(i + j) % 3 for j in range(3)] for i in range(3)],
+                     "names": ["e", "x y", "xy "]})
+    assert (g.index_of_name("x y"), g.index_of_name("xy ")) == (1, 2)
+    assert g.index_of_name("xy") is None and g.index_of_name("x\ty") is None
+
+
+@pytest.mark.parametrize("generator_names, message", [
+    ({"ab": 1}, "generator symbol 'ab' must be a single letter"),
+    ({"1": 1}, "generator symbol '1' must be a single letter"),
+    ({"a": 2}, "generator 'a' maps to invalid index 2"),
+    ({"a": -1}, "generator 'a' maps to invalid index -1"),
+])
+def test_group_refuses_bad_generator_names(generator_names, message):
+    with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+        Group(2, bytes([0, 1, 1, 0]), ["e", "x"], kind="cayley", description="c2",
+              generator_names=generator_names)
 
 
 def test_large_group_exact_validation():

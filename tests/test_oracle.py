@@ -39,6 +39,8 @@ def test_partition_validation(d12, z12):
         Partition(group=d12, blocks=(d12.empty_set(), full))
     with pytest.raises(GroupMismatch):
         Partition(group=d12, blocks=(z12.full_set(),))
+    with pytest.raises(GroupMismatch, match="^H and K belong to different groups$"):
+        oracle.all_middle_transversals(z12.trivial_subgroup(), d12.trivial_subgroup())
 
 
 def test_all_right_transversals_count(z12):

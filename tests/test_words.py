@@ -26,6 +26,7 @@ def test_word_forms(d12):
     assert parse_element(d12, "a^2b") == d12.multiply(d12.power(a, 2), b)
     assert parse_element(d12, "ba^4") == d12.multiply(b, d12.power(a, 4))
     assert parse_element(d12, "b a^4") == parse_element(d12, "ba^4")
+    assert parse_element(d12, "a b") == d12.multiply(a, b)  # a word, not a name
     assert parse_element(d12, "a^7") == a  # exponents wrap
     assert parse_element(d12, "abab") == 0
 
