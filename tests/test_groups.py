@@ -242,6 +242,22 @@ def closed_under_products(s):
     )
 
 
+def two_sided_closure(s):
+    """The identity and s, closed under products by s on either side."""
+    g = s.group
+    gens = s.indices()
+    reached = {g.identity, *gens}
+    frontier = list(reached)
+    while frontier:
+        x = frontier.pop()
+        for y in gens:
+            for z in (g.table[x][y], g.table[y][x]):
+                if z not in reached:
+                    reached.add(z)
+                    frontier.append(z)
+    return g.subset(reached)
+
+
 @pytest.mark.parametrize("spec", [
     {"kind": "cyclic", "n": 12},
     {"kind": "dihedral", "n": 6},
@@ -252,16 +268,19 @@ def closed_under_products(s):
 def test_is_subgroup_matches_the_definition(spec):
     # Subgroups generated by 1-2 seeded elements, each with one element added
     # and one removed, and without the identity; the product set H*<x> of H
-    # and a cyclic subgroup, a subgroup only when it is closed; then the
-    # empty set and the set without the identity.
+    # and a cyclic subgroup, a subgroup only when it is closed; a seeded set
+    # of 1-4 elements with the identity added, and its closure computed here;
+    # then the empty set and the set without the identity.
     g = build_group(spec)
     rng = random.Random(20261019)
     seen = {True: 0, False: 0}
     for _ in range(60):
         h = g.subset(rng.sample(range(g.order), rng.randint(1, 2))).generated_subgroup()
         cyclic = g.singleton(rng.randrange(g.order)).generated_subgroup()
+        near = g.subset(rng.sample(range(g.order), rng.randint(1, 4))) | g.trivial_subgroup()
         candidates = [h, h.with_element(rng.randrange(g.order)), h - g.trivial_subgroup(),
-                      g.subset(g.table[x][y] for x in h for y in cyclic)]
+                      g.subset(g.table[x][y] for x in h for y in cyclic),
+                      near, two_sided_closure(near)]
         if len(h) > 1:
             candidates.append(h - g.singleton(rng.choice(h.indices())))
         for s in candidates:
@@ -303,22 +322,6 @@ def test_generated_subgroup(d12):
     assert d12.empty_set().generated_subgroup() == d12.trivial_subgroup()
 
 
-def two_sided_closure(s):
-    """The identity and s, closed under products by s on either side."""
-    g = s.group
-    gens = s.indices()
-    reached = {g.identity, *gens}
-    frontier = list(reached)
-    while frontier:
-        x = frontier.pop()
-        for y in gens:
-            for z in (g.table[x][y], g.table[y][x]):
-                if z not in reached:
-                    reached.add(z)
-                    frontier.append(z)
-    return g.subset(reached)
-
-
 class CountedRow:
     """A table row that counts the cells read from it."""
 
@@ -338,10 +341,10 @@ class CountedRow:
 ], ids=["C12", "D12", "S4", "D120"])
 def test_generated_subgroup_matches_the_closure(spec):
     # The empty set, then seeded sets of 1-4 elements, each also with the
-    # identity added and as the subgroup it generates.  Each generates its
-    # two-sided closure and is a subgroup exactly when it is that closure.
-    # is_subgroup stops at the first product outside the set, so it reads at
-    # most h * (floor(log2 h) + 1) products for a set of h elements.
+    # identity added and as its closure: each generates its two-sided
+    # closure.  is_subgroup stops at the first product outside the set, so
+    # it reads at most h * (floor(log2 h) + 1) products for a set of h
+    # elements, subgroup or not.
     g = build_group(spec)
     rng = random.Random(20261019)
     sets = [g.empty_set()]
@@ -350,20 +353,15 @@ def test_generated_subgroup_matches_the_closure(spec):
         sets += [s, s | g.trivial_subgroup(), two_sided_closure(s)]
     table = g.table
     reads = [0]
-    seen = {True: 0, False: 0}
     for s in sets:
-        closure = two_sided_closure(s)
-        assert s.generated_subgroup() == closure, s.shown()
+        assert s.generated_subgroup() == two_sided_closure(s), s.shown()
         reads[0] = 0
         g.table = tuple(CountedRow(row, reads) for row in table)
         try:
-            is_subgroup = s.is_subgroup()
+            s.is_subgroup()
         finally:
             g.table = table
-        assert is_subgroup == (s == closure), s.shown()
         assert reads[0] <= len(s) * len(s).bit_length(), s.shown()
-        seen[is_subgroup] += 1
-    assert seen[True] and seen[False]
 
 
 def test_conjugation(d12):

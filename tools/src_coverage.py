@@ -1,11 +1,11 @@
 """List the lines of src/groupkit that the tests never run.
 
-    python tools/src_coverage.py [pytest args...]
+    python tools/src_coverage.py
 
-Runs the suite under tests/ (or the given pytest arguments) in this process
-with a sys.settrace line tracer, then lists every line inside a function
-body in src/groupkit that never ran.  Exits 1 when a listed line is not on
-ALLOWED below, else 0.  The tests' own pass or fail is tier-1's verdict, not
+Runs the whole suite under tests/ in this process with a sys.settrace line
+tracer, then lists every line inside a function body in src/groupkit that
+never ran.  Exits 1 when a listed line is not on ALLOWED below, or when an
+entry of ALLOWED names a line that ran or is gone, else 0.  The tests' own pass or fail is tier-1's verdict, not
 this one's: the tracer slows every call, so timing bounds may fail here.
 
 The tracer is re-armed before each test's setup and call, because a test
@@ -112,7 +112,7 @@ class _Rearm:
         sys.settrace(self.tracer)
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     # the tests import groupkit from src, in this process and in the CLI
     # subprocesses they start
     sys.path.insert(0, str(SRC.parent))
@@ -121,7 +121,7 @@ def main(argv: list[str]) -> int:
     tracer = _Tracer()
     sys.settrace(tracer)
     try:
-        pytest.main(argv or [str(ROOT / "tests"), "-q", "-p", "no:cacheprovider"],
+        pytest.main([str(ROOT / "tests"), "-q", "-p", "no:cacheprovider"],
                     plugins=[_Rearm(tracer)])
     finally:
         sys.settrace(None)
@@ -151,13 +151,13 @@ def main(argv: list[str]) -> int:
         else:
             used.add(key)
             print(f"  {file}:{line} {name}: {text}\n    allowed: {reason}")
-    for file, name, text in ALLOWED.keys() - used:
-        print(f"  note: the allowed line in {file} {name} ran or is gone: {text}")
     if failed:
         print(f"{failed} unreached lines are not allowed: test them, or delete them")
-        return 1
-    return 0
+    stale = sorted(ALLOWED.keys() - used)
+    for file, name, text in stale:
+        print(f"  {file} {name}: {text}\n    allowed, but it ran or is gone: drop it from ALLOWED")
+    return 1 if failed or stale else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
