@@ -87,6 +87,7 @@ class ChoicePolicy:
         return "smallest"
 
     def start(self) -> "_Chooser":
+        """A picker at the start of this policy's sequence of picks."""
         return _Chooser(self)
 
 
@@ -94,13 +95,18 @@ SMALLEST = ChoicePolicy.smallest()
 
 
 class _Chooser:
-    """Stateful picker for one or more chained runs."""
+    """Stateful picker for one or more chained runs.  It can stand where a
+    ChoicePolicy is taken: start() returns the picker itself, so a second
+    run continues its picks where the first left off."""
 
     def __init__(self, policy: ChoicePolicy) -> None:
         self.policy = policy
         self._rng = _random.Random(policy.seed) if policy.mode == "random" else None
         self._script = list(policy.script or ())
         self._pos = 0
+
+    def start(self) -> "_Chooser":
+        return self
 
     def pick(self, group: Group, mask: int) -> int:
         """An element of the nonempty candidate mask."""
@@ -116,9 +122,13 @@ class _Chooser:
             )
         choice = self._script[self._pos]
         self._pos += 1
-        if not 0 <= choice < group.order or mask >> choice & 1 == 0:
+        # a bool is no element index, as in Group._check_index
+        valid = (
+            isinstance(choice, int) and not isinstance(choice, bool) and 0 <= choice < group.order
+        )
+        if not valid or mask >> choice & 1 == 0:
             raise ScriptedChoiceInvalid(
-                f"scripted pick {choice} ({group.names[choice] if 0 <= choice < group.order else '?'}) "
+                f"scripted pick {choice} ({group.names[choice] if valid else '?'}) "
                 f"is not in the candidate set at step {self._pos - 1}"
             )
         return choice
@@ -279,31 +289,29 @@ def msfa(
     h: ElementSet,
     k: ElementSet,
     g0: int | None = None,
-    policy: ChoicePolicy = SMALLEST,
-    *,
-    chooser: _Chooser | None = None,
+    policy: ChoicePolicy | _Chooser = SMALLEST,
 ) -> AlgoTrace:
-    """Maximal-direct-middle search, seeded with the middle director."""
-    return _search("MSFA", h, k, g0, chooser or policy.start())
+    """Maximal-direct-middle search, seeded with the middle director.  A
+    started policy (policy.start()) as policy keeps its picks going, so
+    that an extension passed the same one continues them."""
+    return _search("MSFA", h, k, g0, policy.start())
 
 
 def extend_to_middle_transversal(
-    trace: AlgoTrace,
-    policy: ChoicePolicy = SMALLEST,
-    *,
-    chooser: _Chooser | None = None,
+    trace: AlgoTrace, policy: ChoicePolicy | _Chooser = SMALLEST
 ) -> AlgoTrace:
     """Continue a finished msfa run, over its own H and K, until X covers
     the whole group.
 
     Returns the input trace unchanged when it already covers G.  The result
     is a middle transversal containing the msfa output; the added picks lie
-    outside the middle director, so directness is given up.
+    outside the middle director, so directness is given up.  A started
+    policy continues from the picks it has already made.
     """
     if trace.algorithm != "MSFA":
         raise TraceMismatch(f"expected an MSFA trace, got {trace.algorithm}")
     trace.validate()
-    return _extend(trace, chooser or policy.start())
+    return _extend(trace, policy.start())
 
 
 def _extend(trace: AlgoTrace, chooser: _Chooser) -> AlgoTrace:

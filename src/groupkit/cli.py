@@ -235,8 +235,9 @@ def _cmd_transversal(args: argparse.Namespace) -> RunReport:
 def _cmd_msfa(args: argparse.Namespace) -> RunReport:
     g, h, k, policy, g0, inputs = _prologue(args)
     inputs["extend"] = bool(args.extend)
+    # one started policy for both runs: the extension continues its picks
     chooser = policy.start()
-    trace = msfa(h, k, g0=g0, policy=policy, chooser=chooser)
+    trace = msfa(h, k, g0=g0, policy=chooser)
     full = args.trace == "full"
     mid, x = trace.seed, trace.output
     hxk = products.set_product(products.set_product(h, x), k)
@@ -254,7 +255,7 @@ def _cmd_msfa(args: argparse.Namespace) -> RunReport:
     }
     ok = direct and maximal
     if args.extend:
-        extended = extend_to_middle_transversal(trace, policy=policy, chooser=chooser)
+        extended = extend_to_middle_transversal(trace, policy=chooser)
         x_star = extended.output
         result["extension"] = trace_payload(extended, full)
         result["x_star"] = x_star.names()

@@ -9,10 +9,12 @@ bitmasks, which keeps the set algebra in this package cheap.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
+import sys
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter, sub
+from operator import itemgetter, lt, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import config
@@ -217,9 +219,11 @@ class Group:
     build_group ends in the one constructor, with the row-major table as n*n
     cells of typecode _typecode(n), the indices it was generated from as
     generators and, except for cayley tables, the inverse of each element as
-    inverse.  It validates the group axioms exactly, at every order:
-    distinct names, a two-sided identity, two-sided inverses (the supplied
-    ones checked, else searched for row by row), then associativity by
+    inverse.  However a builder makes the cells (slices, lex-rank sums for
+    symmetric:n, gathers for permutation specs), the constructor checks
+    every table alike.  It validates the group axioms exactly, at every
+    order: distinct names, a two-sided identity, two-sided inverses (the
+    supplied ones checked, else searched for row by row), then associativity by
     Light's test (_light_failure), at most floor(log2 n) + 1 passes of n*n
     cells.  Each pass checks one s, taken from generators, then the lowest
     unreached element, and fills each block of rows by slice copies: one per
@@ -800,11 +804,12 @@ def _permutation_cells(
     index: dict[tuple[int, ...], int],
     gens: Sequence[tuple[int, ...]],
 ) -> tuple[bytes, list[int]]:
-    """The table of the permutation group elements, elements[0] the identity,
+    """The table of a permutation spec's closure, elements[0] the identity,
     generated by right products of gens, and the inverse of each element.
     Only the generator rows take dict lookups: the others follow a BFS tree
     from the identity, since row(p*g)[y] = p*(g*y) is row(p) read at the
-    indices row(g), and inv(p*g) = g^-1 * inv(p)."""
+    indices row(g), and inv(p*g) = g^-1 * inv(p).  The closure's BFS order
+    has no rank formula, so these gathers stay beside _symmetric_cells."""
     n = len(elements)
     steps = []
     for g in gens:
@@ -830,36 +835,81 @@ def _permutation_cells(
     return b"".join(pack(*row) for row in rows), inverse
 
 
-def _permutation_group(
-    elements: Sequence[tuple[int, ...]],
-    index: dict[tuple[int, ...], int],
-    gens: Sequence[tuple[int, ...]],
-    points: Sequence[int],
-    kind: str,
-    description: str,
-    generator_names: dict[str, int] | None = None,
-) -> Group:
-    """The group on the permutations in elements, named in cycles of points."""
-    cells, inverse = _permutation_cells(elements, index, gens)
-    names = _cycle_names(elements, points)
-    return Group(
-        len(elements),
-        cells,
-        names,
-        kind=kind,
-        description=description,
-        generator_names=generator_names,
-        generators=[index[g] for g in gens],
-        inverse=inverse,
-    )
+def _symmetric_cells(perms: Sequence[tuple[int, ...]]) -> bytes:
+    """The table of S_m on perms, all m! permutations of range(m) in lex
+    order, so that each element's index is its lex rank.
+
+    Row p over q holds the rank of "p, then q", which is q read at the
+    positions p: the sum over k of (m-1-k)! times the number of j > k with
+    q[p[j]] < q[p[k]].  Each term depends on a = p[k] and on the set S of
+    the later p[j] only, so it is w(a, S) = |S|! * sum over b in S of
+    [q[b] < q[a]].  Every vector over q is one int with one lane of
+    8 * itemsize bits per q, lane i for perms[i], in the byte order of the
+    table's buffer; no lane carries, as every partial sum is below m!.
+    w(a, S) follows from the m(m-1)/2 pairwise vectors by a subset
+    recurrence, and a walk in lex order over the prefixes of p adds one
+    w(a, S) per prefix, so rows that share a prefix share its sum."""
+    m, n = len(perms[0]), len(perms)
+    size = array(_typecode(n)).itemsize
+    row_bytes = n * size
+    order = sys.byteorder
+    # A 0/1 vector is written into the low byte of each lane of one buffer.
+    lanes = bytearray(row_bytes)
+    low_bytes = slice(0 if order == "little" else size - 1, None, size)
+    lanes[low_bytes] = bytes([1]) * n
+    ones = int.from_bytes(lanes, order)
+    cols = list(zip(*perms))  # cols[a][i] = perms[i][a]
+    less = [[0] * m for _ in range(m)]  # less[a][b]: lane q holds q[b] < q[a]
+    for a, b in itertools.combinations(range(m), 2):
+        lanes[low_bytes] = bytes(map(lt, cols[b], cols[a]))
+        less[a][b] = int.from_bytes(lanes, order)
+        less[b][a] = ones - less[a][b]
+    weights = []  # weights[a][S] = w(a, S), S a bitmask of points without a
+    for a in range(m):
+        counts = [0] * (1 << m)
+        w = [0] * (1 << m)
+        for s in range(1, 1 << m):
+            if not s >> a & 1:
+                bit = s & -s
+                counts[s] = counts[s ^ bit] + less[a][bit.bit_length() - 1]
+                w[s] = math.factorial(s.bit_count()) * counts[s]
+        weights.append(w)
+    points = [list(bit_indices(s)) for s in range(1 << m)]
+    cells = bytearray(n * row_bytes)
+    end = 0
+
+    def walk(total: int, rest: int) -> None:
+        # rest holds the points after the prefix whose terms sum to total
+        nonlocal end
+        for a in points[rest]:
+            later = rest ^ 1 << a
+            if later & (later - 1):
+                walk(total + weights[a][later], later)
+            else:  # the one point left adds nothing: the row is complete
+                row = total + weights[a][later]
+                cells[end:end + row_bytes] = row.to_bytes(row_bytes, order)
+                end += row_bytes
+
+    walk(0, (1 << m) - 1)
+    return bytes(cells)
 
 
 def _build_symmetric(n: int) -> Group:
+    """S_n on its permutations in lex order, the table by _symmetric_cells."""
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     # perms[1] swaps the last two points; with the n-cycle it generates S_n.
     gens = perms[1:2] + [tuple(range(1, n)) + (0,)]
-    return _permutation_group(perms, index, gens, range(1, n + 1), "symmetric", f"symmetric:{n}")
+    inverse = [index[tuple(map(p.index, range(n)))] for p in perms]
+    return Group(
+        len(perms),
+        _symmetric_cells(perms),
+        _cycle_names(perms, range(1, n + 1)),
+        kind="symmetric",
+        description=f"symmetric:{n}",
+        generators=[index[g] for g in gens],
+        inverse=inverse,
+    )
 
 
 def _product_cells(
@@ -868,7 +918,8 @@ def _product_cells(
     """The table of A x B with (x, y) at index x*|B| + y: row (x1, y1) is,
     for x2 in turn, row y1 of B shifted up by |B| times x1*x2 in A."""
     nb = len(b_rows)
-    shifts = [range(k * nb, (k + 1) * nb) for k in range(len(a_rows))]
+    # tuples, not ranges: a gather reads a tuple's items without making ints
+    shifts = [tuple(range(k * nb, (k + 1) * nb)) for k in range(len(a_rows))]
     # shifted[y][k] = row y of B plus k*|B|
     shifted = [
         [array(typecode, via_y(shift)).tobytes() for shift in shifts]
@@ -951,9 +1002,18 @@ def _build_permutation(spec: GroupSpec, limit: int) -> Group:
                     )
                 index[r] = len(elements)
                 elements.append(r)
-    gen_names = dict(zip(_GEN_SYMBOLS, (index[g] for g in gens)))
-    desc = f"permutation:deg{degree}"
-    return _permutation_group(elements, index, gens, points, "permutation", desc, gen_names)
+    cells, inverse = _permutation_cells(elements, index, gens)
+    generators = [index[g] for g in gens]
+    return Group(
+        len(elements),
+        cells,
+        _cycle_names(elements, points),
+        kind="permutation",
+        description=f"permutation:deg{degree}",
+        generator_names=dict(zip(_GEN_SYMBOLS, generators)),
+        generators=generators,
+        inverse=inverse,
+    )
 
 
 def _build_cayley(table: Sequence[Sequence[int]], names: Sequence[str]) -> Group:

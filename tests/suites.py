@@ -37,6 +37,30 @@ def build_fleet() -> list[Group]:
     return fleet
 
 
+def symmetric_closure_disagreements(n: int) -> list[str]:
+    """symmetric:n, whose rows are lex-rank sums, against the permutation
+    closure on (1 2) and (1 2 ... n), whose rows are gathers in BFS order.
+    The two number the elements differently, so each product is compared by
+    name: one string for the first pair (x, y) of each row x of symmetric:n
+    whose product the closure names otherwise, or one for differing names.
+    n = 1 takes the 1-cycle (1) for both generators."""
+    sym = build_group({"kind": "symmetric", "n": n})
+    gens = [[list(range(1, min(n, 2) + 1))], [list(range(1, n + 1))]]
+    closure = build_group({"kind": "permutation", "degree": n, "generators": gens})
+    if sorted(sym.names) != sorted(closure.names):
+        return [f"S{n}: the builders name different elements"]
+    at = [closure.index_of_name(s) for s in sym.names]  # x's index in the closure
+    bad = []
+    for x, row in enumerate(sym.table):
+        closure_row = closure.table[at[x]]
+        for y, xy in enumerate(row):
+            if closure_row[at[y]] != at[xy]:
+                bad.append(f"S{n}: {sym.names[x]} * {sym.names[y]} = {sym.names[xy]} "
+                           f"in symmetric:{n}, {closure.names[closure_row[at[y]]]} in the closure")
+                break
+    return bad
+
+
 def small_fleet() -> list[Group]:
     return [g for g in build_fleet() if g.order <= 8]
 

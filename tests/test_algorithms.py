@@ -176,6 +176,30 @@ def test_scripted_leftovers_allowed(z12):
     assert trace.output == z12.subset([0, 1, 2])
 
 
+@pytest.mark.parametrize("script", [[False, True], [0, True]])
+def test_a_bool_scripted_pick_is_refused(z12, script):
+    # a bool is no element index, as in Group._check_index, so neither
+    # False nor True passes for the index it equals, as g0 or later
+    h = z12.subset(range(0, 12, 2))
+    with pytest.raises(ScriptedChoiceInvalid, match=r"scripted pick (False|True) \(\?\)"):
+        rta(h, policy=ChoicePolicy.scripted(script))
+
+
+def test_a_started_policy_carries_its_picks_into_the_extension(d12, proper_mid_pair):
+    # msfa takes the script's first pick, 1 (index 0), and covers Mid; given
+    # the same started policy, the extension goes on to the second, a^2,
+    # where the unstarted policy starts over at 1, which is covered
+    h, k = proper_mid_pair
+    picks = [0, parse_element(d12, "a^2")]
+    policy = ChoicePolicy.scripted(picks)
+    started = policy.start()
+    assert started.start() is started
+    ext = extend_to_middle_transversal(msfa(h, k, policy=started), policy=started)
+    assert ext.chosen == picks
+    with pytest.raises(ScriptedChoiceInvalid, match="scripted pick 0 .* at step 0"):
+        extend_to_middle_transversal(msfa(h, k, policy=policy), policy=policy)
+
+
 def test_g0_counts_as_first_pick(z12):
     h = z12.subset([0, 3, 6, 9])
     trace = rta(h, g0=5, policy=ChoicePolicy.scripted([0, 1]))

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import sys
 from array import array
 from operator import itemgetter
 
@@ -19,8 +20,10 @@ from groupkit.groups import (
     _LIGHT_BLOCK_CELLS,
     _LIGHT_RUN_CELLS,
     _light_failure,
+    _symmetric_cells,
     _typecode,
 )
+import suites
 
 LOOP5 = [
     [0, 1, 2, 3, 4],
@@ -584,6 +587,24 @@ def test_permutation_rows_pack_like_an_array(spec):
     assert g.table[0].obj == expected
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetric_rows_agree_with_the_permutation_closure(n):
+    # CI runs the same comparison at n = 6
+    assert suites.symmetric_closure_disagreements(n) == []
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_symmetric_rows_follow_the_byte_order(n, monkeypatch):
+    # Lanes are read and written in sys.byteorder, so that the bytes are an
+    # array's on either kind of machine: swapping the order swaps every cell.
+    perms = list(itertools.permutations(range(n)))
+    cells = array(_typecode(len(perms)), _symmetric_cells(perms))
+    other = "big" if sys.byteorder == "little" else "little"
+    monkeypatch.setattr(sys, "byteorder", other)
+    cells.byteswap()
+    assert _symmetric_cells(perms) == cells.tobytes()
+
+
 def _expected_table(spec):
     kind = spec["kind"]
     if kind == "cyclic":
@@ -660,6 +681,7 @@ S6_CLOSURE = {"kind": "permutation", "degree": 6, "generators": [[[1, 2]], [[1, 
 
 @pytest.mark.parametrize("spec", small_builder_specs() + [
     {"kind": "symmetric", "n": 5},
+    {"kind": "symmetric", "n": 6},
     {"kind": "cyclic", "n": 4096},
     {"kind": "dihedral", "n": 2048},
     S6_CLOSURE,
