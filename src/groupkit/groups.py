@@ -104,10 +104,11 @@ def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
 # Cells in each block of rows that a pass of Light's test fills and compares at
 # once.  At the order cap 2**16 doubles a pass, and 2**20 is no faster.
 _LIGHT_BLOCK_CELLS = 1 << 18
-# The shortest run of row s that a pass copies row by row; a shorter run is
-# copied one strided column at a time.  Short runs are cheaper as columns: S6
-# checked at s = 1, 2, 6, 24, 120 takes 0.16 s at 2 and 0.02-0.04 s at 16-64.
-# Tables with long runs are alike from 2 to 64.
+# The shortest run of row s that a pass copies row by row.  A pass with a run
+# this long copies each shorter run one strided column at a time; a pass with
+# none compares the columns in place.  Short runs are cheaper as columns: S6
+# checked at s = 1, 2, 6, 24, 120 takes 0.11 s at 2, 0.017 s at 8-16 and
+# 0.013 s at 32-64.  Tables with long runs are alike from 2 to 64.
 _LIGHT_RUN_CELLS = 32
 
 
@@ -140,8 +141,13 @@ def _light_failure(
     first cell in the block's first row to its last in the block's last
     row; what that spills between the rows is overwritten by the other runs,
     each copied row by row if at least _LIGHT_RUN_CELLS long and else column
-    by column.  Closing the reached set reads each passed s's column once, as
-    a list.
+    by column.  A pass whose row s has no run that long (a relabeled table,
+    S_n from its builder's generators) builds no right side: column y of it
+    is column row_s[y] of the block's rows in flat, compared with column y
+    of the left side by one strided compare, which copies nothing.  Only a
+    block where a column differs is built as above, so that the returned
+    triple is still the first failure in row-major order.  Closing the
+    reached set reads each passed s's column once, as a list.
     """
     block = min(n, _LIGHT_BLOCK_CELLS // n)
     lhs = memoryview(bytearray(block * n * flat.itemsize)).cast(flat.format)
@@ -160,6 +166,7 @@ def _light_failure(
         col_s = flat[s::n].tolist()
         starts = [0] + [y for y in range(1, n) if row_s[y] != row_s[y - 1] + 1]
         lengths = list(map(sub, starts[1:] + [n], starts))
+        in_place = max(lengths) < _LIGHT_RUN_CELLS
         # The longest run leaves the lists: it is copied across whole blocks.
         i = lengths.index(max(lengths))
         longest = (starts[i], row_s[starts[i]], lengths.pop(i))
@@ -180,18 +187,29 @@ def _light_failure(
             for a, b in zip(cuts, cuts[1:] + [x1]):
                 src = col_s[a] * n
                 lhs[(a - x0) * n:(b - x0) * n] = flat[src:src + (b - a) * n]
+            base = x0 * n
+            # With no long run, column y of the right side is compared where
+            # it lies, column row_s[y] of the block's rows: a strided compare
+            # copies nothing, a strided copy goes through a temporary buffer.
+            # Only a block that differs builds its right side, below.
+            if in_place and not any(
+                lhs[y:cells:n] != flat[base + sy:base + cells:n] for y, sy in enumerate(row_s)
+            ):
+                continue
             # The longest run, from the block's first row to its last.
             y0, p0, length = longest
-            src, span = x0 * n + p0, cells - n + length
+            src, span = base + p0, cells - n + length
             rhs[y0:y0 + span] = flat[src:src + span]
             for y0, p0, length in long_runs:
                 for row in range(0, cells, n):
-                    src = x0 * n + row + p0
+                    src = base + row + p0
                     rhs[row + y0:row + y0 + length] = flat[src:src + length]
             for y, sy in columns:
-                rhs[y:cells:n] = flat[x0 * n + sy:x0 * n + cells:n]
-            # The buffers agree whenever a block starts (zeroed, or the last
-            # block passed), so comparing them whole covers a short last block.
+                rhs[y:cells:n] = flat[base + sy:base + cells:n]
+            # Past a short last block the buffers still hold the block before
+            # it, which passed on this path, and a block that fell back from
+            # the in-place compare differs inside its cells: either way the
+            # buffers differ as a whole exactly when this block fails.
             if lhs.obj != rhs.obj:
                 k = next(k for k in range(0, cells, n) if lhs[k:k + n] != rhs[k:k + n])
                 y = next(y for y in range(n) if lhs[k + y] != rhs[k + y])
@@ -229,7 +247,10 @@ class Group:
     unreached element, and fills each block of rows by slice copies: one per
     run of column s on the left side, and on the right one for the longest
     run of row s across the whole block, then one per row for each other
-    long run and one strided column for each cell of a short run.
+    long run and one strided column for each cell of a short run.  When row
+    s has no long run, the right side is not built: each column of the left
+    side is compared in place with the column of flat that it must equal,
+    and only a block that differs is built, to find the first failing cell.
     """
 
     __slots__ = (

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from math import gcd
+from operator import itemgetter
 
 from groupkit import (
     ChoicePolicy,
@@ -25,7 +27,7 @@ from groupkit import (
     rta,
 )
 from groupkit import algorithms, oracle, products
-from groupkit.groups import ElementSet, Group, bit_indices
+from groupkit.groups import _LIGHT_RUN_CELLS, ElementSet, Group, _light_failure, bit_indices
 
 
 def build_fleet() -> list[Group]:
@@ -58,6 +60,63 @@ def symmetric_closure_disagreements(n: int) -> list[str]:
                 bad.append(f"S{n}: {sym.names[x]} * {sym.names[y]} = {sym.names[xy]} "
                            f"in symmetric:{n}, {closure.names[closure_row[at[y]]]} in the closure")
                 break
+    return bad
+
+
+def run_lengths(row) -> list[int]:
+    """Lengths of the maximal runs row[y0 + i] = row[y0] + i, left to right."""
+    lengths = [1]
+    for a, b in zip(row, row[1:]):
+        if b == a + 1:
+            lengths[-1] += 1
+        else:
+            lengths.append(1)
+    return lengths
+
+
+def relabeled_flat(t: array, n: int, rng: random.Random) -> tuple[array, list[int]]:
+    """The flat table t with its elements renamed by a seeded random
+    permutation pi, and pi: row pi(i) of the result is pi(t[i][pi^-1(y)])."""
+    pi = list(range(n))
+    rng.shuffle(pi)
+    inverse = [0] * n
+    for i, p in enumerate(pi):
+        inverse[p] = i
+    read_inverse = itemgetter(*inverse)
+    out = array(t.typecode)
+    for i in inverse:
+        out.extend(itemgetter(*read_inverse(t[i * n:(i + 1) * n]))(pi))
+    return out, pi
+
+
+def relabeled_light_problems(n: int, seed: int) -> list[str]:
+    """Light's test on cyclic:n (n >= 3) renamed by a seeded permutation, so
+    that no row but the identity's has a run of _LIGHT_RUN_CELLS and every
+    pass compares its columns in place.  Given the identity and the image of
+    1, the table must pass.  With two cells of one row swapped, the test
+    given the image of 1 and no identity, exact on any table, must return a
+    triple that the table really fails.  One string per problem."""
+    rng = random.Random(seed)
+    g = build_group({"kind": "cyclic", "n": n})
+    t, pi = relabeled_flat(array(g.table[0].format, g.table[0].obj), n, rng)
+    bad = []
+    e = pi[0]
+    longest = max(max(run_lengths(t[x * n:(x + 1) * n])) for x in range(n) if x != e)
+    if longest >= _LIGHT_RUN_CELLS:
+        bad.append(f"cyclic:{n} relabeled: a row keeps a run of {longest}")
+    found = _light_failure(memoryview(t), n, e, [pi[1]])
+    if found is not None:
+        bad.append(f"cyclic:{n} relabeled: the group table fails at {found}")
+    x = rng.choice([i for i in range(n) if i != e])
+    j1, j2 = rng.sample([j for j in range(n) if j != e], 2)
+    t[x * n + j1], t[x * n + j2] = t[x * n + j2], t[x * n + j1]
+    found = _light_failure(memoryview(t), n, None, [pi[1]])
+    if found is None:
+        bad.append(f"cyclic:{n} relabeled: row {x} with columns {j1}, {j2} swapped passes")
+    else:
+        x, s, y = found
+        if t[t[x * n + s] * n + y] == t[x * n + t[s * n + y]]:
+            bad.append(f"cyclic:{n} relabeled: {found} is returned but associates")
     return bad
 
 

@@ -24,6 +24,7 @@ from groupkit.groups import (
     _typecode,
 )
 import suites
+from suites import relabeled_flat, run_lengths
 
 LOOP5 = [
     [0, 1, 2, 3, 4],
@@ -65,6 +66,39 @@ def first_failure(t, n, s):
 def is_first_failure(t, n, triple):
     """Whether triple is the first (x, y) for its s that breaks associativity."""
     return triple == first_failure(t, n, triple[1])
+
+
+def in_place(t, n, s):
+    """Whether the pass for s compares in place: row s of the flat table t
+    has no run of _LIGHT_RUN_CELLS."""
+    return max(run_lengths(t[s * n:(s + 1) * n])) < _LIGHT_RUN_CELLS
+
+
+def light_passes(t, n, e, seeds, last=None):
+    """The s of each pass that _light_failure makes on the flat table t with
+    identity e and generators seeds, picked and closed over as it does, up
+    to the pass for last, where a failure ends the test."""
+    seen = [False] * n
+    reached, passed = [], []
+    if e is not None:
+        seen[e] = True
+        reached.append(e)
+    while len(reached) < n:
+        s = next((g for g in seeds if not seen[g]), None)
+        if s is None:
+            s = seen.index(False)
+        yield s
+        if s == last:
+            return
+        passed.append(s)
+        seen[s] = True
+        reached.append(s)
+        for r in reached:
+            for g in passed:
+                c = t[r * n + g]
+                if not seen[c]:
+                    seen[c] = True
+                    reached.append(c)
 
 
 def seedings(t, n, e, gens):
@@ -344,17 +378,6 @@ def test_perturbed_tables_above_256_are_refused():
     assert later_blocks
 
 
-def run_lengths(row):
-    """Lengths of the maximal runs row[y0 + i] = row[y0] + i, left to right."""
-    lengths = [1]
-    for a, b in zip(row, row[1:]):
-        if b == a + 1:
-            lengths[-1] += 1
-        else:
-            lengths.append(1)
-    return lengths
-
-
 def _swaps(t, n, kind, rng, rows):
     """A perturbation of the flat group table t as the cells it swaps within
     rows, (i, j1, j2) for t[i][j1] <-> t[i][j2].  A row swap touches one of
@@ -387,27 +410,13 @@ def _swapped(t, n, swaps):
     return out
 
 
-def _relabeled_flat(t, n, rng):
-    """The flat table t with its elements renamed by a seeded random
-    permutation pi, and pi: row pi(i) of the result is pi(t[i][pi^-1(y)])."""
-    pi = list(range(n))
-    rng.shuffle(pi)
-    inverse = [0] * n
-    for i, p in enumerate(pi):
-        inverse[p] = i
-    read_inverse = itemgetter(*inverse)
-    out = array(t.typecode)
-    for i in inverse:
-        out.extend(itemgetter(*read_inverse(t[i * n:(i + 1) * n]))(pi))
-    return out, pi
-
-
 @pytest.mark.parametrize("spec", [{"kind": "cyclic", "n": 1024}, {"kind": "dihedral", "n": 512}],
                          ids=lambda s: f"{s['kind']}:{s['n']}")
 def test_light_fills_runs_and_columns_over_many_blocks(spec):
     # Order 1024 makes four blocks of 256 rows.  The builder's generator rows
-    # have long runs, copied row by row; a random relabeling leaves runs too
-    # short for that, so its tables go through the strided column copies.
+    # have long runs, copied row by row; a random relabeling leaves no run
+    # long enough for that, so every pass on its tables compares the columns
+    # in place and builds the right side only for a block that differs.
     # Each perturbation is applied to the table near the top of its second
     # block and, at the renamed cells, to its relabeling, which is then the
     # relabeling of the perturbed table.
@@ -418,20 +427,26 @@ def test_light_fills_runs_and_columns_over_many_blocks(spec):
     assert n // rows_per_block == 4
     base = array(g.table[0].format, g.table[0].obj)
     gens = generating_indices(spec, g)
-    relabeled, pi = _relabeled_flat(base, n, rng)
+    relabeled, pi = relabeled_flat(base, n, rng)
     pi_gens = [pi[x] for x in gens]
-    assert max(run_lengths(base[gens[0] * n:(gens[0] + 1) * n])) >= _LIGHT_RUN_CELLS
-    assert max(run_lengths(relabeled[pi_gens[0] * n:(pi_gens[0] + 1) * n])) < _LIGHT_RUN_CELLS
+    passes = list(light_passes(base, n, g.identity, gens))
+    pi_passes = list(light_passes(relabeled, n, pi[g.identity], pi_gens))
+    assert passes[0] == gens[0] and not any(in_place(base, n, s) for s in passes)
+    assert pi_passes[0] == pi_gens[0] and all(in_place(relabeled, n, s) for s in pi_passes)
     assert _light_failure(memoryview(base), n, g.identity, gens) is None
     assert _light_failure(memoryview(relabeled), n, pi[g.identity], pi_gens) is None
     later_blocks = 0
     for kind in ("row swap", "column swap", "intercalate"):
         swaps = _swaps(base, n, kind, rng, range(rows_per_block, rows_per_block + 8))
         pi_swaps = [(pi[i], pi[j1], pi[j2]) for i, j1, j2 in swaps]
-        for table, e, seeds in [(_swapped(base, n, swaps), g.identity, gens),
-                                (_swapped(relabeled, n, pi_swaps), pi[g.identity], pi_gens)]:
+        for table, e, seeds, short in [
+            (_swapped(base, n, swaps), g.identity, gens, False),
+            (_swapped(relabeled, n, pi_swaps), pi[g.identity], pi_gens, True),
+        ]:
             failure = _light_failure(memoryview(table), n, None)
             assert failure is not None and is_first_failure(table, n, failure), kind
+            paths = {in_place(table, n, s) for s in light_passes(table, n, None, (), failure[1])}
+            assert paths == {short}, kind
             later_blocks += failure[0] >= rows_per_block
             check_seeded(table, n, e, seeds, False)
     assert later_blocks
@@ -469,23 +484,31 @@ def _one_cell_changed(t, n, s, side, x, y):
     return out
 
 
+def _witness_row(t, n, e, s, side, rows, y):
+    """The first x of rows where one changed cell on side of the pass for s
+    gives the witness (x, s, y), or None: the other row of the pass that
+    reads the cell, x*s on the left side and x*s^-1 on the right, comes
+    after x, and x, y avoid e and s, whose row or column would change the
+    whole pass."""
+    col_s = t[s::n]
+    for x in rows:
+        other = col_s[x] if side == "left" else col_s.index(x)
+        if x not in (e, s) and y not in (e, s) and other > x:
+            return x
+    return None
+
+
 def _copy_path_cases(t, n, e, s_left, s_right):
     """(place, side, s, x, y) for one changed cell in each place that a pass
-    copies in its own way.  The other row of the pass that reads the changed
-    cell, x*s on the left side and x*s^-1 on the right, comes after x, so x
-    holds the first failure; x, y avoid e and s, whose row or column would
-    change the whole pass."""
+    copies in its own way, each at a row that _witness_row picks."""
     block = _LIGHT_BLOCK_CELLS // n
     last = (n - 1) // block * block  # the first row of the last block
     cases = []
 
     def add(place, side, s, rows, y):
-        col_s = t[s::n]
-        for x in rows:
-            other = col_s[x] if side == "left" else col_s.index(x)
-            if x not in (e, s) and y not in (e, s) and other > x:
-                cases.append((place, side, s, x, y))
-                return
+        x = _witness_row(t, n, e, s, side, rows, y)
+        if x is not None:
+            cases.append((place, side, s, x, y))
 
     lengths = run_lengths(t[s_right * n:(s_right + 1) * n])
     longest = lengths.index(max(lengths))
@@ -514,22 +537,25 @@ def test_one_changed_cell_on_each_copy_path(spec):
     # boundaries, and the right side by the longest run of row s spilled
     # across the whole block, then the other runs and columns over it.  One
     # changed cell in each of those copies must give the naive loop's
-    # witness.  The builder's table has long runs and its seeded relabeling
-    # short ones; order 600 ends in a short block of 164 rows.
+    # witness.  The builder's table has long runs.  Its seeded relabeling
+    # has none, so its passes compare in place and build a block's right
+    # side by these copies only once the block differs.  Order 600 ends in
+    # a short block of 164 rows.
     rng = random.Random(20261019)
     g = build_group(spec)
     n = g.order
     base = array(g.table[0].format, g.table[0].obj)
-    relabeled, pi = _relabeled_flat(base, n, rng)
+    relabeled, pi = relabeled_flat(base, n, rng)
     places = set()
     # s = a for the left side and a^-2 for the right, so that the other row
     # reading a changed cell comes after x: x*a and x*a^2 follow x in most of
     # the table, and a^-2 has a short run of row s besides its longest.
     a, a_2 = 1, g.inverse[g.multiply(1, 1)]
-    for t, e, s_left, s_right in [(base, g.identity, a, a_2),
-                                  (relabeled, pi[g.identity], pi[a], pi[a_2])]:
+    for t, e, s_left, s_right, short in [(base, g.identity, a, a_2, False),
+                                         (relabeled, pi[g.identity], pi[a], pi[a_2], True)]:
         for place, side, s, x, y in _copy_path_cases(t, n, e, s_left, s_right):
             changed = _one_cell_changed(t, n, s, side, x, y)
+            assert in_place(changed, n, s) == short, (place, side)
             assert first_failure(changed, n, s) == (x, s, y), (place, side)
             assert _light_failure(memoryview(changed), n, None, (s,)) == (x, s, y), (place, side)
             places.add(place)
@@ -537,6 +563,61 @@ def test_one_changed_cell_on_each_copy_path(spec):
     if n % (_LIGHT_BLOCK_CELLS // n):
         expected.add("short last block")
     assert places == expected
+
+
+def _relabeled_group(spec, seed):
+    """The flat table of spec's builder renamed by a seeded permutation, its
+    identity and the image of 1, whose row has no long run."""
+    g = build_group(spec)
+    n = g.order
+    t, pi = relabeled_flat(array(g.table[0].format, g.table[0].obj), n, random.Random(seed))
+    assert in_place(t, n, pi[1])
+    return t, n, pi[g.identity], pi[1]
+
+
+@pytest.mark.parametrize("spec", [{"kind": "cyclic", "n": 1024}, {"kind": "dihedral", "n": 300}],
+                         ids=lambda s: f"{s['kind']}:{s['n']}")
+def test_one_changed_cell_on_the_in_place_path(spec):
+    # One changed cell on either side of an in-place pass, near the top of
+    # the first block, near the top of the second and near the end of the
+    # last, must give the naive loop's witness.  Order 1024 makes four
+    # blocks of 256 rows; order 600 a block of 436 rows and a short one of 164.
+    rng = random.Random(20261020)
+    t, n, e, s = _relabeled_group(spec, 20261020)
+    block = _LIGHT_BLOCK_CELLS // n
+    last = (n - 1) // block * block
+    assert (n - last, n % block == 0) in [(256, True), (164, False)]
+    for rows in (range(1, block), range(block, 2 * block), range(n - 1, last - 1, -1)):
+        for side in ("left", "right"):
+            y = rng.choice([y for y in range(n) if y not in (e, s)])
+            x = _witness_row(t, n, e, s, side, rows, y)
+            changed = _one_cell_changed(t, n, s, side, x, y)
+            assert first_failure(changed, n, s) == (x, s, y), (rows, side)
+            assert _light_failure(memoryview(changed), n, None, (s,)) == (x, s, y), (rows, side)
+
+
+def test_two_changed_cells_in_one_in_place_block():
+    # The in-place compare stops at the lowest column that differs anywhere
+    # in the block, here the later row's.  The witness must still be the
+    # first failure in row-major order: the earlier row, at its higher column.
+    t, n, e, s = _relabeled_group({"kind": "dihedral", "n": 300}, 20261021)
+    block = _LIGHT_BLOCK_CELLS // n
+    y_early, y_late = n - 2, 2
+    assert {y_early, y_late}.isdisjoint((e, s))
+    x_early = _witness_row(t, n, e, s, "right", range(1, block), y_early)
+    x_late = _witness_row(t, n, e, s, "right", range(x_early + 1, block), y_late)
+    assert x_late is not None
+    late_only = _one_cell_changed(t, n, s, "right", x_late, y_late)
+    assert _light_failure(memoryview(late_only), n, None, (s,)) == (x_late, s, y_late)
+    both = _one_cell_changed(late_only, n, s, "right", x_early, y_early)
+    assert first_failure(both, n, s) == (x_early, s, y_early)
+    assert _light_failure(memoryview(both), n, None, (s,)) == (x_early, s, y_early)
+
+
+def test_light_in_place_on_a_relabeled_cyclic_table():
+    # Order 600 makes a block of 436 rows and a short one; CI runs the same
+    # check at the order cap, where each of 64 blocks holds 64 rows.
+    assert suites.relabeled_light_problems(600, 20261022) == []
 
 
 def test_a_cayley_identity_need_not_be_index_0():
