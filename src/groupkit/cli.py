@@ -299,8 +299,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
         "middle-subfactors": (_middle_subfactor_masks, oracle.all_maximal_direct_triples),
     }[args.what]
     result: dict = {"what": args.what, "via": args.via}
-    # both sides stay as int masks (the search's as the list it returns, the
-    # oracle's as a set); --list alone wraps them as sets
+    # both sides stay as the int-mask lists they return; --list alone wraps
+    # the masks as sets
     algo_masks = oracle_masks = None
     if args.via != "oracle":
         algo_masks = search(*operands, limit=limit)
@@ -314,11 +314,17 @@ def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
     match = True
     if args.via == "both":
         # Both sides build their masks on the same g, so equal masks are equal
-        # sets.  Each oracle mask is struck off against the search's list, and
-        # the counts must agree: then the list holds every oracle mask exactly
-        # once, so an answer the search gives twice fails the check.
-        oracle_masks.difference_update(algo_masks)
-        match = not oracle_masks and len(algo_masks) == result["count_oracle"]
+        # sets, and both multiply out the same cells in the same order (cells
+        # by least element, each ascending, the first slowest), so equal
+        # lists settle it with one compare.  Lists that differ may still be
+        # the same answers in another order: then each oracle mask is struck
+        # off against the search's list, and the counts must agree, so the
+        # list holds every oracle mask exactly once and an answer the search
+        # gives twice fails the check.
+        match = algo_masks == oracle_masks
+        if not match:
+            missing = set(oracle_masks).difference(algo_masks)
+            match = not missing and len(algo_masks) == result["count_oracle"]
         result["match"] = match
     if args.list:
         shown = map(g.subset_from_mask, oracle_masks if algo_masks is None else algo_masks)

@@ -3,9 +3,11 @@
 Everything here recomputes coset structure straight off the multiplication
 table and enumerates by cartesian product over partition blocks, so the
 results are independent of the incremental searches they are used to check.
-The enumerations build each answer as an int mask; by default they wrap the
-masks as ElementSets, and with as_masks=True they return the masks as they
-are, which is how `enumerate --via both` compares them with the search's.
+The enumerations build each answer as an int mask, in lexicographic order
+over the cells: cells by least element, each cell ascending, the first cell
+varying slowest.  By default they wrap the masks as a set of ElementSets;
+with as_masks=True they return the list of masks in that order, which is how
+`enumerate --via both` compares them with the search's list.
 """
 
 from __future__ import annotations
@@ -93,11 +95,12 @@ def double_coset_partition(h: ElementSet, k: ElementSet) -> Partition:
     return Partition(g, tuple(blocks))
 
 
-def _one_per_cell(cells: list[tuple[int, ...]], limit: int | None) -> set[int]:
+def _one_per_cell(cells: list[tuple[int, ...]], limit: int | None) -> list[int]:
     """The mask of every set holding exactly one element of each cell (a
-    tuple of element indices), built by a plain product over the first
-    half of the cells and one over the second, then every left mask added
-    to every right one."""
+    tuple of element indices), as a list in the order of a plain product
+    over the cells as given, the first cell slowest.  Built by a plain
+    product over the first half of the cells and one over the second, then
+    every left mask added to every right one, left slowest."""
     cap = config.enum_cap(limit)
     total = 1
     for cell in cells:
@@ -111,22 +114,25 @@ def _one_per_cell(cells: list[tuple[int, ...]], limit: int | None) -> set[int]:
     half = len(bit_cells) // 2
     left = list(map(sum, itertools.product(*bit_cells[:half])))
     right = list(map(sum, itertools.product(*bit_cells[half:])))
-    return {a + b for a in left for b in right}
+    return [a + b for a in left for b in right]
 
 
 def all_right_transversals(
     h: ElementSet, *, limit: int | None = None, as_masks: bool = False
-) -> set[ElementSet] | set[int]:
+) -> set[ElementSet] | list[int]:
     """Every set holding exactly one element of each right coset of H: the
-    middle transversals of (H, {1}).  With as_masks, their int masks."""
+    middle transversals of (H, {1}).  With as_masks, the list of their int
+    masks, in the order all_middle_transversals gives."""
     return all_middle_transversals(h, h.group.trivial_subgroup(), limit=limit, as_masks=as_masks)
 
 
 def all_middle_transversals(
     h: ElementSet, k: ElementSet, *, limit: int | None = None, as_masks: bool = False
-) -> set[ElementSet] | set[int]:
+) -> set[ElementSet] | list[int]:
     """Every set holding exactly one element of each double coset of (H, K).
-    With as_masks, their int masks."""
+    With as_masks, the list of their int masks, in the order of the product
+    over the double cosets by least element, each ascending, the first
+    slowest."""
     partition = double_coset_partition(h, k)
     masks = _one_per_cell([b.indices() for b in partition.blocks], limit)
     return masks if as_masks else set(map(partition.group.subset_from_mask, masks))
@@ -152,16 +158,21 @@ def _raw_mid_mask(g: Group, hmask: int, kmask: int) -> int:
 
 def all_maximal_direct_triples(
     h: ElementSet, k: ElementSet, *, limit: int | None = None, as_masks: bool = False
-) -> set[ElementSet] | set[int]:
+) -> set[ElementSet] | list[int]:
     """Every maximal X with H*X*K direct: one element of Mid per double
-    coset meeting Mid, or with as_masks their int masks.  Raises MidEmpty
+    coset meeting Mid.  With as_masks, the list of their int masks, in the
+    order of the product over the cells (each double coset cut down to Mid)
+    by least element, each ascending, the first slowest.  Raises MidEmpty
     when the middle director is empty."""
     g = _require_subgroup_pair(h, k)
     mid = _raw_mid_mask(g, h.mask, k.mask)
     if mid == 0:
         raise MidEmpty("the middle director is empty; no direct middle exists")
     blocks = double_coset_partition(h, k).blocks
-    cells = [tuple(bit_indices(b.mask & mid)) for b in blocks if b.mask & mid]
+    # cells by their own least element, as the search orders them; Mid is a
+    # union of blocks, so that is the blocks' order, but the oracle does not
+    # lean on that
+    cells = sorted(tuple(bit_indices(b.mask & mid)) for b in blocks if b.mask & mid)
     masks = _one_per_cell(cells, limit)
     return masks if as_masks else set(map(g.subset_from_mask, masks))
 

@@ -391,8 +391,9 @@ def test_enumeration_cap_checked_before_branching():
 @pytest.mark.parametrize("what", ["right-transversals", "middle-transversals",
                                   "middle-subfactors"])
 def test_enumeration_cap_is_exact(z12, d12, what):
-    # the oracle's masks (as_masks=True) are the masks of its sets, meet the
-    # same cap, and take exactly one bit from each cell
+    # the oracle's masks (as_masks=True) meet the same cap and are the plain
+    # product over the cells by least element, each ascending, the first
+    # slowest: the masks of its sets, each once
     if what == "right-transversals":
         args = (z12.subset([0, 3, 6, 9]),)
         search, brute = enumerate_all_right_transversals, oracle.all_right_transversals
@@ -408,15 +409,14 @@ def test_enumeration_cap_is_exact(z12, d12, what):
         cells = [b for b in oracle.double_coset_partition(*args).blocks if b <= mid]
     want = brute(*args)
     count = len(want)
+    bit_cells = [[1 << i for i in cell.indices()] for cell in sorted(cells, key=min)]
+    plain = list(map(sum, itertools.product(*bit_cells)))
+    assert len(plain) == count and set(plain) == {s.mask for s in want}
     masks = functools.partial(brute, as_masks=True)
-    for enumerate_all, expected in ((search, want), (brute, want),
-                                    (masks, {s.mask for s in want})):
+    for enumerate_all, expected in ((search, want), (brute, want), (masks, plain)):
         assert enumerate_all(*args, limit=count) == expected
         with pytest.raises(EnumerationLimitExceeded):
             enumerate_all(*args, limit=count - 1)
-    for mask in masks(*args):
-        assert mask.bit_count() == len(cells)
-        assert all((mask & cell.mask).bit_count() == 1 for cell in cells)
 
 
 @pytest.mark.parametrize("n_cells", [0, 1, 2, 3, 7])
@@ -431,9 +431,13 @@ def test_split_products_match_plain_products(n_cells):
         cells.append(tuple(elements[at:at + size]))
         at += size
     total = math.prod(sizes)
-    # the oracle's halves against one plain product over every cell
-    bit_cells = [[1 << i for i in cell] for cell in cells]
-    assert oracle._one_per_cell(cells, total) == set(map(sum, itertools.product(*bit_cells)))
+    # the oracle's halves against one plain product over every cell, with
+    # the cells as its callers pass them: by least element, each ascending
+    ordered = sorted(tuple(sorted(cell)) for cell in cells)
+    bit_cells = [[1 << i for i in cell] for cell in ordered]
+    masks = oracle._one_per_cell(ordered, total)
+    assert masks == list(map(sum, itertools.product(*bit_cells)))
+    assert len(set(masks)) == len(masks) == total
     # the search's halves against one cell at a time, cells by least element
     blocks = [0] * len(elements)
     seed = 0

@@ -445,6 +445,48 @@ def test_search_side_duplicate_exits_4(capsys, monkeypatch, tamper, count_algori
     assert (r["count_algorithm"], r["count_oracle"], r["match"]) == (count_algorithm, 64, False)
 
 
+def _reverse(masks):
+    masks.reverse()
+
+
+def _last_as_first(masks):
+    masks[-1] = masks[0]
+
+
+def _last_as_foreign(masks):
+    # the union of two answers holds two elements of a cell: no answer
+    masks[-1] |= masks[0]
+
+
+@pytest.mark.parametrize("what, search, h, k", [
+    ("middle-transversals", "_middle_transversal_masks", H_EMPTY, K_EMPTY),
+    ("middle-subfactors", "_middle_subfactor_masks", H_PROPER, K_PROPER),
+], ids=["transversals", "subfactors"])
+@pytest.mark.parametrize("tamper, code", [(_reverse, 0), (_last_as_first, 4),
+                                          (_last_as_foreign, 4)],
+                         ids=["reversed", "duplicate", "foreign"])
+def test_a_reordered_search_list_is_checked_as_a_set(capsys, monkeypatch, what, search, h, k,
+                                                     tamper, code):
+    # the oracle's list differs from the search's here, so the verdict comes
+    # from the order-free check: same answers in another order match, and a
+    # list of the right length with an answer missing does not
+    from groupkit import cli
+
+    honest = getattr(cli, search)
+
+    def tampered(*args, **kwargs):
+        masks = honest(*args, **kwargs)
+        tamper(masks)
+        return masks
+
+    monkeypatch.setattr(cli, search, tampered)
+    got, data = run_json(capsys, ["enumerate", "--group", D12, "-H", h, "-K", k, "--what", what])
+    assert got == code
+    r = data["result"]
+    assert r["count_oracle"] >= 2
+    assert (r["count_algorithm"], r["match"]) == (r["count_oracle"], code == 0)
+
+
 # -- relabeling: answers do not depend on the element order ------------------------
 
 RELABELED = {
