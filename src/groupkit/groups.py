@@ -238,8 +238,8 @@ class Group:
     cells of typecode _typecode(n), the indices it was generated from as
     generators and, except for cayley tables, the inverse of each element as
     inverse.  However a builder makes the cells (slices, lex-rank sums for
-    symmetric:n, gathers for permutation specs), the constructor checks
-    every table alike.  It validates the group axioms exactly, at every
+    all of S_m, gathers for other permutation closures), the constructor
+    checks every table alike.  It validates the group axioms exactly, at every
     order: distinct names, a two-sided identity, two-sided inverses (the
     supplied ones checked, else searched for row by row), then associativity by
     Light's test (_light_failure), at most floor(log2 n) + 1 passes of n*n
@@ -306,18 +306,7 @@ class Group:
         self.generator_names = gen
 
         self._name_to_index = {s: i for i, s in enumerate(self.names)}
-        # Whitespace-insensitive fallback for parenthesized names; ambiguous
-        # keys (possible once a cycle name holds multi-digit points) are dropped.
-        loose: dict[str, int] = {}
-        seen_twice: set[str] = set()
-        for i, s in enumerate(self.names):
-            key = "".join(s.split())
-            if key in loose or key in seen_twice:
-                loose.pop(key, None)
-                seen_twice.add(key)
-            else:
-                loose[key] = i
-        self._loose_names = loose
+        self._loose_names: dict[str, int] | None = None  # made on the first miss
 
     # -- validation -------------------------------------------------------
     # Each check compares or searches whole rows and columns of the flat
@@ -478,6 +467,20 @@ class Group:
         hit = self._name_to_index.get(name)
         if hit is not None:
             return hit
+        if self._loose_names is None:
+            # Whitespace-insensitive keys for parenthesized names; ambiguous
+            # keys (possible once a cycle name holds multi-digit points) are
+            # dropped.
+            loose: dict[str, int] = {}
+            seen_twice: set[str] = set()
+            for i, s in enumerate(self.names):
+                key = "".join(s.split())
+                if key in loose or key in seen_twice:
+                    loose.pop(key, None)
+                    seen_twice.add(key)
+                else:
+                    loose[key] = i
+            self._loose_names = loose
         return self._loose_names.get("".join(name.split()))
 
     def __repr__(self) -> str:
@@ -825,12 +828,13 @@ def _permutation_cells(
     index: dict[tuple[int, ...], int],
     gens: Sequence[tuple[int, ...]],
 ) -> tuple[bytes, list[int]]:
-    """The table of a permutation spec's closure, elements[0] the identity,
-    generated by right products of gens, and the inverse of each element.
-    Only the generator rows take dict lookups: the others follow a BFS tree
-    from the identity, since row(p*g)[y] = p*(g*y) is row(p) read at the
-    indices row(g), and inv(p*g) = g^-1 * inv(p).  The closure's BFS order
-    has no rank formula, so these gathers stay beside _symmetric_cells."""
+    """The table of a permutation closure on elements, elements[0] the
+    identity, generated by right products of gens, and the inverse of each
+    element.  Only the generator rows take dict lookups: the others follow a
+    breadth-first tree from the identity, since row(p*g)[y] = p*(g*y) is
+    row(p) read at the indices row(g), and inv(p*g) = g^-1 * inv(p).  Each
+    row is packed into the cells, at its element's index, once its children
+    are made, and its tuple dropped, so only the frontier's rows are alive."""
     n = len(elements)
     steps = []
     for g in gens:
@@ -840,20 +844,28 @@ def _permutation_cells(
         for y, x in enumerate(row_g):
             g_inv_times[x] = y
         steps.append((index[g], _gather(row_g), g_inv_times))
+    typecode = _typecode(n)
+    pack_into = struct.Struct(f"{n}{typecode}").pack_into
+    row_bytes = n * array(typecode).itemsize
+    cells = bytearray(n * row_bytes)
     rows: list[tuple[int, ...] | None] = [None] * n
     rows[0] = tuple(range(n))
+    seen = bytearray(n)
+    seen[0] = 1
     inverse = [0] * n
     queue = [0]
     for p in queue:
         row = rows[p]
+        rows[p] = None
         for g, via_g, g_inv_times in steps:
             child = row[g]
-            if rows[child] is None:
+            if not seen[child]:
+                seen[child] = 1
                 rows[child] = via_g(row)
                 inverse[child] = g_inv_times[inverse[p]]
                 queue.append(child)
-    pack = struct.Struct(f"{n}{_typecode(n)}").pack
-    return b"".join(pack(*row) for row in rows), inverse
+        pack_into(cells, p * row_bytes, *row)
+    return bytes(cells), inverse
 
 
 def _symmetric_cells(perms: Sequence[tuple[int, ...]]) -> bytes:
@@ -915,21 +927,48 @@ def _symmetric_cells(perms: Sequence[tuple[int, ...]]) -> bytes:
     return bytes(cells)
 
 
-def _build_symmetric(n: int) -> Group:
-    """S_n on its permutations in lex order, the table by _symmetric_cells."""
-    perms = list(itertools.permutations(range(n)))
+def _permutation_group(
+    perms: list[tuple[int, ...]],
+    points: Sequence[int],
+    gens: Sequence[tuple[int, ...]],
+    symbols: str,
+    *,
+    kind: str,
+    description: str,
+) -> Group:
+    """The group on perms, permutations of range(m) in lex order holding the
+    identity, position i standing for the point points[i], generated by
+    gens, whose indices get the names in symbols.  This is where the table
+    kernel is chosen: a group of m! elements is all of S_m, whose lex ranks
+    _symmetric_cells sums; any other closure, and the one with no moved
+    point, takes the gathers of _permutation_cells."""
+    m, n = len(points), len(perms)
     index = {p: i for i, p in enumerate(perms)}
+    if m and n == _capped_prod(range(2, m + 1), n):
+        cells = _symmetric_cells(perms)
+        inverse = [index[tuple(map(p.index, range(m)))] for p in perms]
+    else:
+        cells, inverse = _permutation_cells(perms, index, gens)
+    generators = [index[g] for g in gens]
+    return Group(
+        n,
+        cells,
+        _cycle_names(perms, points),
+        kind=kind,
+        description=description,
+        generator_names=dict(zip(symbols, generators)),
+        generators=generators,
+        inverse=inverse,
+    )
+
+
+def _build_symmetric(n: int) -> Group:
+    """S_n on its permutations in lex order."""
+    perms = list(itertools.permutations(range(n)))
     # perms[1] swaps the last two points; with the n-cycle it generates S_n.
     gens = perms[1:2] + [tuple(range(1, n)) + (0,)]
-    inverse = [index[tuple(map(p.index, range(n)))] for p in perms]
-    return Group(
-        len(perms),
-        _symmetric_cells(perms),
-        _cycle_names(perms, range(1, n + 1)),
-        kind="symmetric",
-        description=f"symmetric:{n}",
-        generators=[index[g] for g in gens],
-        inverse=inverse,
+    return _permutation_group(
+        perms, range(1, n + 1), gens, "", kind="symmetric", description=f"symmetric:{n}"
     )
 
 
@@ -995,6 +1034,10 @@ _GEN_SYMBOLS = "abcdefghijklmnopqrstuvwxyz"
 
 
 def _build_permutation(spec: GroupSpec, limit: int) -> Group:
+    """The closure of spec's generators on the points they move, its
+    elements numbered in lex order of their images on those points, as
+    symmetric:n numbers S_n, so that the numbering does not depend on the
+    generators listed; _permutation_group picks the table kernel."""
     degree = spec.degree
     generators = spec.generators
     for cycles in generators:
@@ -1011,29 +1054,26 @@ def _build_permutation(spec: GroupSpec, limit: int) -> Group:
     gens = [_perm_from_cycles(cycles, position) for cycles in generators]
     identity = tuple(range(len(points)))
     elements = [identity]
-    index = {identity: 0}
+    found = {identity}
     # Iterating the growing list visits the elements breadth first; p, then
     # q, is q read at the positions p.
     for p in elements:
         for r in map(_gather(p), gens):
-            if r not in index:
+            if r not in found:
                 if len(elements) >= limit:
                     raise SizeLimitExceeded(
                         f"permutation closure exceeds the order limit {limit}"
                     )
-                index[r] = len(elements)
+                found.add(r)
                 elements.append(r)
-    cells, inverse = _permutation_cells(elements, index, gens)
-    generators = [index[g] for g in gens]
-    return Group(
-        len(elements),
-        cells,
-        _cycle_names(elements, points),
+    elements.sort()
+    return _permutation_group(
+        elements,
+        points,
+        gens,
+        _GEN_SYMBOLS,
         kind="permutation",
         description=f"permutation:deg{degree}",
-        generator_names=dict(zip(_GEN_SYMBOLS, generators)),
-        generators=generators,
-        inverse=inverse,
     )
 
 

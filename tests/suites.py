@@ -27,7 +27,15 @@ from groupkit import (
     rta,
 )
 from groupkit import algorithms, oracle, products
-from groupkit.groups import _LIGHT_RUN_CELLS, ElementSet, Group, _light_failure, bit_indices
+from groupkit.groups import (
+    _LIGHT_RUN_CELLS,
+    ElementSet,
+    Group,
+    _light_failure,
+    _permutation_cells,
+    _symmetric_cells,
+    bit_indices,
+)
 
 
 def build_fleet() -> list[Group]:
@@ -39,27 +47,31 @@ def build_fleet() -> list[Group]:
     return fleet
 
 
-def symmetric_closure_disagreements(n: int) -> list[str]:
-    """symmetric:n, whose rows are lex-rank sums, against the permutation
-    closure on (1 2) and (1 2 ... n), whose rows are gathers in BFS order.
-    The two number the elements differently, so each product is compared by
-    name: one string for the first pair (x, y) of each row x of symmetric:n
-    whose product the closure names otherwise, or one for differing names.
-    n = 1 takes the 1-cycle (1) for both generators."""
+def lane_sum_gather_disagreements(n: int) -> list[str]:
+    """The two table kernels on S_n: the lex-rank lane sums of
+    _symmetric_cells against the breadth-first gathers of _permutation_cells
+    on the same lex-ordered permutations and symmetric:n's generators, the
+    table byte for byte and the inverses against symmetric:n's.  One string
+    for the first product of each row that differs, and one for differing
+    inverses."""
     sym = build_group({"kind": "symmetric", "n": n})
-    gens = [[list(range(1, min(n, 2) + 1))], [list(range(1, n + 1))]]
-    closure = build_group({"kind": "permutation", "degree": n, "generators": gens})
-    if sorted(sym.names) != sorted(closure.names):
-        return [f"S{n}: the builders name different elements"]
-    at = [closure.index_of_name(s) for s in sym.names]  # x's index in the closure
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    gens = perms[1:2] + [tuple(range(1, n)) + (0,)]
+    gathered, inverse = _permutation_cells(perms, index, gens)
+    size = len(perms)
+    sums = memoryview(_symmetric_cells(perms)).cast(sym.table[0].format)
+    rows = memoryview(gathered).cast(sym.table[0].format)
     bad = []
-    for x, row in enumerate(sym.table):
-        closure_row = closure.table[at[x]]
-        for y, xy in enumerate(row):
-            if closure_row[at[y]] != at[xy]:
-                bad.append(f"S{n}: {sym.names[x]} * {sym.names[y]} = {sym.names[xy]} "
-                           f"in symmetric:{n}, {closure.names[closure_row[at[y]]]} in the closure")
-                break
+    for x in range(size):
+        row = slice(x * size, (x + 1) * size)
+        if sums[row] != rows[row]:
+            y = next(y for y in range(size) if sums[x * size + y] != rows[x * size + y])
+            bad.append(f"S{n}: {sym.names[x]} * {sym.names[y]} = "
+                       f"{sym.names[sums[x * size + y]]} by lane sums, "
+                       f"{sym.names[rows[x * size + y]]} by gathers")
+    if tuple(inverse) != sym.inverse:
+        bad.append(f"S{n}: the gathers' inverses differ from symmetric:{n}'s")
     return bad
 
 

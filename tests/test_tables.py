@@ -15,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupkit import Group, InvalidSpec, NotAGroup, build_group
+from groupkit import groups
 from groupkit.cli import main
 from groupkit.groups import (
     _LIGHT_BLOCK_CELLS,
     _LIGHT_RUN_CELLS,
     _light_failure,
+    _permutation_cells,
     _symmetric_cells,
     _typecode,
 )
@@ -669,9 +671,74 @@ def test_permutation_rows_pack_like_an_array(spec):
 
 
 @pytest.mark.parametrize("n", range(1, 6))
-def test_symmetric_rows_agree_with_the_permutation_closure(n):
+def test_lane_sums_agree_with_the_gathers(n):
     # CI runs the same comparison at n = 6
-    assert suites.symmetric_closure_disagreements(n) == []
+    assert suites.lane_sum_gather_disagreements(n) == []
+
+
+def _perm_spec(degree, *generators):
+    return {"kind": "permutation", "degree": degree, "generators": list(generators)}
+
+
+# Pairs of specs for one group.  A closure of m! elements is numbered and
+# tabled as symmetric:m (its 1-cycle (1) at m = 1); S4 and D8 each from two
+# generating sets.
+SAME_GROUP = [
+    (_perm_spec(n, [list(range(1, min(n, 2) + 1))], [list(range(1, n + 1))]),
+     {"kind": "symmetric", "n": n})
+    for n in range(1, 7)
+] + [
+    (_perm_spec(4, [[1, 2]], [[1, 2, 3, 4]]), _perm_spec(4, [[1, 2, 3]], [[3, 4]])),
+    (_perm_spec(4, [[1, 2, 3, 4]], [[1, 3]]), _perm_spec(4, [[1, 2, 3, 4]], [[2, 4]])),
+]
+
+
+@pytest.mark.parametrize("first, second", SAME_GROUP,
+                         ids=[f"S{n}" for n in range(1, 7)] + ["S4 gens", "D8 gens"])
+def test_one_group_one_numbering(first, second):
+    # the numbering depends on the group, not on the generators listed
+    g, h = build_group(first), build_group(second)
+    assert g.table[0].obj == h.table[0].obj
+    assert (g.names, g.inverse) == (h.names, h.inverse)
+
+
+@pytest.mark.parametrize("generators, lane_sums", [
+    ([[[1, 2]], [[1, 2, 3]]], True),  # S3
+    ([[[2, 7]]], True),  # S2 on two points far apart
+    ([[[1, 2, 3]], [[2, 3, 4, 5, 6]]], False),  # A6, half of S6
+    ([], False),  # no moved point: 0! = 1 element, gathered
+    ([[[2 * i + 1, 2 * i + 2] for i in range(20000)]], False),  # 2 of 40000! elements
+], ids=["S3", "S2", "A6", "trivial", "C2 on 40000 points"])
+def test_only_all_of_s_m_takes_lane_sums(generators, lane_sums, monkeypatch):
+    calls = []
+
+    def recording(perms):
+        calls.append(len(perms))
+        return _symmetric_cells(perms)
+
+    monkeypatch.setattr(groups, "_symmetric_cells", recording)
+    g = build_group({"kind": "permutation", "degree": 40000, "generators": generators})
+    assert calls == ([g.order] if lane_sums else [])
+
+
+def test_gathers_keep_only_the_frontier_rows():
+    # A6 on (1 2 3), (2 3 4 5 6) is not all of S_6, so its table is gathered;
+    # each row is packed once its children are made, not kept to the end
+    import tracemalloc
+
+    g = build_group({"kind": "permutation", "degree": 6,
+                     "generators": [[[1, 2, 3]], [[2, 3, 4, 5, 6]]]})
+    perms = [_perm_of_name(s, 6) for s in g.names]
+    index = {p: i for i, p in enumerate(perms)}
+    gens = [_perm_of_name("(1 2 3)", 6), _perm_of_name("(2 3 4 5 6)", 6)]
+    tracemalloc.start()
+    try:
+        cells, inverse = _permutation_cells(perms, index, gens)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (g.order, cells, tuple(inverse)) == (360, g.table[0].obj, g.inverse)
+    assert peak < 10 ** 6  # all 360 row tuples alive at once take 1.65 MB
 
 
 @pytest.mark.parametrize("n", [5, 6])
