@@ -64,10 +64,12 @@ def _table_rows(flat: memoryview, n: int) -> tuple[memoryview, ...]:
     return tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
 
-def _table_row(i: int, row: Sequence[int], n: int, typecode: str) -> array:
+def _table_row(i: int, row: Sequence[int], n: int, typecode: str, below: bytes) -> array:
     """Row i of a caller's table as an array of typecode.  A malformed row
     fails with the message of a cell-by-cell check: its length, else its
-    first cell that is not an int (bools excluded) in 0..n-1."""
+    first cell that is not an int (bools excluded) in 0..n-1.  For one-byte
+    cells, below is bytes(range(n)): deleting those bytes from the row's
+    leaves nothing exactly when every cell is below n."""
     row = tuple(row)
     if len(row) != n:
         raise InvalidSpec(f"table row {i} has length {len(row)}, expected {n}")
@@ -77,7 +79,11 @@ def _table_row(i: int, row: Sequence[int], n: int, typecode: str) -> array:
         except OverflowError:  # a negative or too wide cell; reported below
             pass
         else:
-            if max(row) < n:
+            if below:
+                in_range = not cells.tobytes().translate(None, below)
+            else:
+                in_range = max(row) < n
+            if in_range:
                 return cells
     bad = next(
         v for v in row if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n
@@ -106,10 +112,33 @@ def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
 _LIGHT_BLOCK_CELLS = 1 << 18
 # The shortest run of row s that a pass copies row by row.  A pass with a run
 # this long copies each shorter run one strided column at a time; a pass with
-# none compares the columns in place.  Short runs are cheaper as columns: S6
-# checked at s = 1, 2, 6, 24, 120 takes 0.11 s at 2, 0.017 s at 8-16 and
-# 0.013 s at 32-64.  Tables with long runs are alike from 2 to 64.
-_LIGHT_RUN_CELLS = 32
+# none compares the columns in place.  Short runs are cheaper as columns, and
+# cheaper still compared in place.  Best of 7 on a 2-CPU Xeon, Python 3.11,
+# at 2, 8-16, 32 and 64-128: S6 checked at s = 1, 2, 6, 24, 120 takes 0.21,
+# 0.030, 0.020 and 0.019 s; cyclic:64 x dihedral:32, whose row (0,b) has runs
+# of exactly 32, 0.70, 0.69, 0.63 and 0.51 s; cyclic:8 x dihedral:32 11, 10,
+# 7.6 and 4.8 ms.  cyclic:2048 and dihedral:512 are alike from 2 to 128.
+_LIGHT_RUN_CELLS = 64
+
+
+def _light_copy_plan(
+    row_s: list[int], starts: list[int], lengths: list[int]
+) -> tuple[tuple[int, int, int], list[tuple[int, int, int]], list[tuple[int, int]]]:
+    """How a pass of Light's test builds the right side of a block from the
+    runs of row s, which start at starts and have lengths: the longest run
+    (y0, p0, L), copied across the whole block; the other runs of at least
+    _LIGHT_RUN_CELLS, each (y0, p0, L) copied row by row; and the cells of
+    the shorter runs, each (y, row_s[y]) copied as one strided column."""
+    i = lengths.index(max(lengths))
+    longest = (starts[i], row_s[starts[i]], lengths[i])
+    long_runs: list[tuple[int, int, int]] = []
+    columns: list[tuple[int, int]] = []
+    for y0, length in zip(starts[:i] + starts[i + 1:], lengths[:i] + lengths[i + 1:]):
+        if length >= _LIGHT_RUN_CELLS:
+            long_runs.append((y0, row_s[y0], length))
+        else:
+            columns += zip(range(y0, y0 + length), row_s[y0:y0 + length])
+    return longest, long_runs, columns
 
 
 def _light_failure(
@@ -134,20 +163,23 @@ def _light_failure(
     copies whose number depends on the runs of row s and column s, not on
     the cells they move.  The left side of row x is row x*s, so a run of x
     in a block whose x*s are consecutive is one slice of flat: one copy per
-    run, a handful per block for cyclic and dihedral tables.  The right
-    side, x*(s*y) over y, is row x with its columns permuted by row s.  A run
-    y0..y0+L-1 of row s, where row_s[y0+i] = p0+i, is the slice p0..p0+L-1 of
-    row x.  The longest run is copied once for the whole block, from its
-    first cell in the block's first row to its last in the block's last
-    row; what that spills between the rows is overwritten by the other runs,
-    each copied row by row if at least _LIGHT_RUN_CELLS long and else column
-    by column.  A pass whose row s has no run that long (a relabeled table,
-    S_n from its builder's generators) builds no right side: column y of it
-    is column row_s[y] of the block's rows in flat, compared with column y
-    of the left side by one strided compare, which copies nothing.  Only a
-    block where a column differs is built as above, so that the returned
-    triple is still the first failure in row-major order.  Closing the
-    reached set reads each passed s's column once, as a list.
+    run, a handful per block for cyclic and dihedral tables, and none for a
+    block that is one run, whose left side is that slice of flat itself.
+    The right side, x*(s*y) over y, is row x with its columns permuted by
+    row s.  A run y0..y0+L-1 of row s, where row_s[y0+i] = p0+i, is the
+    slice p0..p0+L-1 of row x.  The longest run is copied once for the whole
+    block, from its first cell in the block's first row to its last in the
+    block's last row; what that spills between the rows is overwritten by
+    the other runs, each copied row by row if at least _LIGHT_RUN_CELLS long
+    and else column by column.  The block's cells of the two sides are then
+    compared as bytes, by one memcmp.  A pass whose row s has no run that
+    long (a relabeled table, S_n from its builder's generators) builds no
+    right side, nor the plan of its copies: column y of it is column
+    row_s[y] of the block's rows in flat, compared with column y of the left
+    side by one strided compare, which copies nothing.  Only a block where a
+    column differs is built as above, so that the returned triple is still
+    the first failure in row-major order.  Closing the reached set reads
+    each passed s's column once, as a list.
     """
     block = min(n, _LIGHT_BLOCK_CELLS // n)
     lhs = memoryview(bytearray(block * n * flat.itemsize)).cast(flat.format)
@@ -167,37 +199,34 @@ def _light_failure(
         starts = [0] + [y for y in range(1, n) if row_s[y] != row_s[y - 1] + 1]
         lengths = list(map(sub, starts[1:] + [n], starts))
         in_place = max(lengths) < _LIGHT_RUN_CELLS
-        # The longest run leaves the lists: it is copied across whole blocks.
-        i = lengths.index(max(lengths))
-        longest = (starts[i], row_s[starts[i]], lengths.pop(i))
-        del starts[i]
-        long_runs: list[tuple[int, int, int]] = []  # (y0, p0, L), copied row by row
-        columns: list[tuple[int, int]] = []  # (y, row_s[y]), copied strided
-        for y0, length in zip(starts, lengths):
-            if length >= _LIGHT_RUN_CELLS:
-                long_runs.append((y0, row_s[y0], length))
-            else:
-                columns += zip(range(y0, y0 + length), row_s[y0:y0 + length])
+        plan = None  # made by the first block that builds its right side
         for x0 in range(0, n, block):
             x1 = min(x0 + block, n)
             cells = (x1 - x0) * n
+            base = x0 * n
             # The rows where a run of column s starts, one whose x*s are
             # consecutive; each run is one slice of flat.
             cuts = [x0] + [x for x in range(x0 + 1, x1) if col_s[x] != col_s[x - 1] + 1]
-            for a, b in zip(cuts, cuts[1:] + [x1]):
-                src = col_s[a] * n
-                lhs[(a - x0) * n:(b - x0) * n] = flat[src:src + (b - a) * n]
-            base = x0 * n
+            if len(cuts) == 1:
+                src = col_s[x0] * n
+                left = flat[src:src + cells]
+            else:
+                for a, b in zip(cuts, cuts[1:] + [x1]):
+                    src = col_s[a] * n
+                    lhs[(a - x0) * n:(b - x0) * n] = flat[src:src + (b - a) * n]
+                left = lhs[:cells]
             # With no long run, column y of the right side is compared where
             # it lies, column row_s[y] of the block's rows: a strided compare
             # copies nothing, a strided copy goes through a temporary buffer.
             # Only a block that differs builds its right side, below.
             if in_place and not any(
-                lhs[y:cells:n] != flat[base + sy:base + cells:n] for y, sy in enumerate(row_s)
+                left[y::n] != flat[base + sy:base + cells:n] for y, sy in enumerate(row_s)
             ):
                 continue
+            if plan is None:
+                plan = _light_copy_plan(row_s, starts, lengths)
+            (y0, p0, length), long_runs, columns = plan
             # The longest run, from the block's first row to its last.
-            y0, p0, length = longest
             src, span = base + p0, cells - n + length
             rhs[y0:y0 + span] = flat[src:src + span]
             for y0, p0, length in long_runs:
@@ -206,13 +235,11 @@ def _light_failure(
                     rhs[row + y0:row + y0 + length] = flat[src:src + length]
             for y, sy in columns:
                 rhs[y:cells:n] = flat[base + sy:base + cells:n]
-            # Past a short last block the buffers still hold the block before
-            # it, which passed on this path, and a block that fell back from
-            # the in-place compare differs inside its cells: either way the
-            # buffers differ as a whole exactly when this block fails.
-            if lhs.obj != rhs.obj:
-                k = next(k for k in range(0, cells, n) if lhs[k:k + n] != rhs[k:k + n])
-                y = next(y for y in range(n) if lhs[k + y] != rhs[k + y])
+            # Only the block's cells: past a short last block the buffers
+            # hold what earlier blocks left there.
+            if not rhs.obj.startswith(left):
+                k = next(k for k in range(0, cells, n) if left[k:k + n] != rhs[k:k + n])
+                y = next(y for y in range(n) if left[k + y] != rhs[k + y])
                 return x0 + k // n, s, y
         passed.append(col_s)
         seen[s] = 1
@@ -231,13 +258,15 @@ class Group:
     """A finite group on 0..order-1 given by its multiplication table.
 
     table[x][y] is the product x*y.  Each row is a read-only memoryview over
-    one shared bytes buffer, cast to the smallest unsigned typecode that holds
-    the order ('B' up to order 256, 'H' up to 65536), so the table is
-    immutable and costs one or two bytes per cell.  Every builder behind
-    build_group ends in the one constructor, with the row-major table as n*n
-    cells of typecode _typecode(n), the indices it was generated from as
-    generators and, except for cayley tables, the inverse of each element as
-    inverse.  However a builder makes the cells (slices, lex-rank sums for
+    one shared buffer, cast to the smallest unsigned typecode that holds the
+    order ('B' up to order 256, 'H' up to 65536), so the table is immutable
+    and costs one or two bytes per cell.  Every builder behind build_group
+    ends in the one constructor, with the row-major table as n*n cells of
+    typecode _typecode(n), the indices it was generated from as generators
+    and, except for cayley tables, the inverse of each element as inverse.
+    The cells are bytes, or for S_m and permutation closures the bytearray
+    they were made in, kept without a copy: every view of them is read-only,
+    _flat() too.  However a builder makes the cells (slices, lex-rank sums for
     all of S_m, gathers for other permutation closures), the constructor
     checks every table alike.  It validates the group axioms exactly, at every
     order: distinct names, a two-sided identity, two-sided inverses (the
@@ -245,12 +274,15 @@ class Group:
     Light's test (_light_failure), at most floor(log2 n) + 1 passes of n*n
     cells.  Each pass checks one s, taken from generators, then the lowest
     unreached element, and fills each block of rows by slice copies: one per
-    run of column s on the left side, and on the right one for the longest
-    run of row s across the whole block, then one per row for each other
-    long run and one strided column for each cell of a short run.  When row
-    s has no long run, the right side is not built: each column of the left
-    side is compared in place with the column of flat that it must equal,
-    and only a block that differs is built, to find the first failing cell.
+    run of column s on the left side, none when the block is one run, whose
+    left side is then read from the table itself, and on the right one for
+    the longest run of row s across the whole block, then one per row for
+    each other long run and one strided column for each cell of a short run;
+    the block's cells of the two sides are compared by one memcmp.  When row
+    s has no long run, the right side is not built, nor the plan of its
+    copies: each column of the left side is compared in place with the
+    column of flat that it must equal, and only a block that differs is
+    built, to find the first failing cell.
     """
 
     __slots__ = (
@@ -270,7 +302,7 @@ class Group:
     def __init__(
         self,
         n: int,
-        cells: bytes,
+        cells: bytes | bytearray,
         names: Sequence[str],
         *,
         kind: str,
@@ -280,7 +312,7 @@ class Group:
         inverse: Sequence[int] | None = None,
     ) -> None:
         self.order = n
-        flat = memoryview(cells).cast(_typecode(n))
+        flat = memoryview(cells).cast(_typecode(n)).toreadonly()
         self.table = _table_rows(flat, n)
         self.names = tuple(str(s) for s in names)
         if len(set(self.names)) != n:
@@ -326,7 +358,7 @@ class Group:
         n = self.order
         e = self.identity
         size = flat.itemsize
-        cells: bytes = flat.obj  # the buffer the table views
+        cells: bytes | bytearray = flat.obj  # the buffer the table views
         target = array(flat.format, [e]).tobytes()
         inv = []
         for i in range(n):
@@ -369,9 +401,10 @@ class Group:
 
     def _flat(self) -> memoryview:
         """The row-major n*n table as one view of the buffer that the rows
-        share; its strided slice [y::n] is column y, the products x*y."""
+        share, read-only as they are; its strided slice [y::n] is column y,
+        the products x*y."""
         row = self.table[0]
-        return memoryview(row.obj).cast(row.format)
+        return memoryview(row.obj).cast(row.format).toreadonly()
 
     def multiply(self, x: int, y: int) -> int:
         """Product x*y."""
@@ -827,7 +860,7 @@ def _permutation_cells(
     elements: Sequence[tuple[int, ...]],
     index: dict[tuple[int, ...], int],
     gens: Sequence[tuple[int, ...]],
-) -> tuple[bytes, list[int]]:
+) -> tuple[bytearray, list[int]]:
     """The table of a permutation closure on elements, elements[0] the
     identity, generated by right products of gens, and the inverse of each
     element.  Only the generator rows take dict lookups: the others follow a
@@ -865,10 +898,10 @@ def _permutation_cells(
                 inverse[child] = g_inv_times[inverse[p]]
                 queue.append(child)
         pack_into(cells, p * row_bytes, *row)
-    return bytes(cells), inverse
+    return cells, inverse
 
 
-def _symmetric_cells(perms: Sequence[tuple[int, ...]]) -> bytes:
+def _symmetric_cells(perms: Sequence[tuple[int, ...]]) -> bytearray:
     """The table of S_m on perms, all m! permutations of range(m) in lex
     order, so that each element's index is its lex rank.
 
@@ -924,7 +957,7 @@ def _symmetric_cells(perms: Sequence[tuple[int, ...]]) -> bytes:
                 end += row_bytes
 
     walk(0, (1 << m) - 1)
-    return bytes(cells)
+    return cells
 
 
 def _permutation_group(
@@ -1084,7 +1117,8 @@ def _build_cayley(table: Sequence[Sequence[int]], names: Sequence[str]) -> Group
     if len(names) != n:
         raise InvalidSpec(f"{n} table rows but {len(names)} names")
     typecode = _typecode(n)
-    cells = b"".join(_table_row(i, row, n, typecode) for i, row in enumerate(table))
+    below = bytes(range(n)) if typecode == "B" else b""
+    cells = b"".join(_table_row(i, row, n, typecode, below) for i, row in enumerate(table))
     return Group(n, cells, names, kind="cayley", description="cayley")
 
 

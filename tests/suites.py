@@ -119,17 +119,42 @@ def relabeled_light_problems(n: int, seed: int) -> list[str]:
     found = _light_failure(memoryview(t), n, e, [pi[1]])
     if found is not None:
         bad.append(f"cyclic:{n} relabeled: the group table fails at {found}")
+    return bad + _swapped_row_problems(t, n, e, [pi[1]], rng, f"cyclic:{n} relabeled")
+
+
+def swapped_row_light_problems(spec: dict, generators: list[str], seed: int) -> list[str]:
+    """Light's test on the table of spec, handed the elements named
+    generators: the table must pass given its identity, and with two cells
+    of a seeded row swapped, given no identity, it must return a triple that
+    the table really fails.  One string per problem."""
+    g = build_group(spec)
+    n = g.order
+    t = array(g.table[0].format, g.table[0].obj)
+    seeds = [g.names.index(name) for name in generators]
+    bad = []
+    found = _light_failure(memoryview(t), n, g.identity, seeds)
+    if found is not None:
+        bad.append(f"{g.description}: the group table fails at {found}")
+    return bad + _swapped_row_problems(t, n, g.identity, seeds, random.Random(seed),
+                                       g.description)
+
+
+def _swapped_row_problems(
+    t: array, n: int, e: int, seeds: list[int], rng: random.Random, label: str
+) -> list[str]:
+    """Swap two cells, off column e, of a seeded row other than e's in the
+    flat group table t, in place; Light's test handed seeds and no identity,
+    exact on any table, must then return a triple that t really fails."""
     x = rng.choice([i for i in range(n) if i != e])
     j1, j2 = rng.sample([j for j in range(n) if j != e], 2)
     t[x * n + j1], t[x * n + j2] = t[x * n + j2], t[x * n + j1]
-    found = _light_failure(memoryview(t), n, None, [pi[1]])
+    found = _light_failure(memoryview(t), n, None, seeds)
     if found is None:
-        bad.append(f"cyclic:{n} relabeled: row {x} with columns {j1}, {j2} swapped passes")
-    else:
-        x, s, y = found
-        if t[t[x * n + s] * n + y] == t[x * n + t[s * n + y]]:
-            bad.append(f"cyclic:{n} relabeled: {found} is returned but associates")
-    return bad
+        return [f"{label}: row {x} with columns {j1}, {j2} swapped passes"]
+    x, s, y = found
+    if t[t[x * n + s] * n + y] == t[x * n + t[s * n + y]]:
+        return [f"{label}: {found} is returned but associates"]
+    return []
 
 
 def small_fleet() -> list[Group]:

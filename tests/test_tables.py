@@ -458,17 +458,20 @@ def test_light_run_split_edge_cases():
     one = array("B", [0])
     assert _light_failure(memoryview(one), 1, None) is None
     assert _light_failure(memoryview(one), 1, 0, (0,)) is None
-    n = 64
-    # C2^6: with no identity given, s = 0 is one run over the whole row, s = 1
-    # has no run longer than 1, and s = 32 has runs of exactly 32.
+    n = 128
+    # C2^7: with no identity given, s = 0 is one run over the whole row, s = 1
+    # has no run longer than 1, s = 32 has runs of 32, one short of the
+    # copy path, and s = 64 has runs of exactly _LIGHT_RUN_CELLS.
     xor = array("B", [x ^ y for x in range(n) for y in range(n)])
     assert run_lengths(xor[:n]) == [n]
     assert max(run_lengths(xor[n:2 * n])) == 1
-    assert set(run_lengths(xor[32 * n:33 * n])) == {32} and 32 >= _LIGHT_RUN_CELLS
-    # Z64 seeded with 63: a run of 1, then a long run that ends at the last column.
-    z64 = array("B", [(x + y) % n for x in range(n) for y in range(n)])
-    assert run_lengths(z64[63 * n:]) == [1, 63]
-    for t, e, seeds in [(xor, None, ()), (xor, 0, (1, 32)), (z64, 0, (63,)), (z64, None, (63,))]:
+    assert set(run_lengths(xor[32 * n:33 * n])) == {32} and in_place(xor, n, 32)
+    assert set(run_lengths(xor[64 * n:65 * n])) == {_LIGHT_RUN_CELLS} and not in_place(xor, n, 64)
+    # Z128 seeded with 127: a run of 1, then a long run that ends at the last column.
+    z128 = array("B", [(x + y) % n for x in range(n) for y in range(n)])
+    assert run_lengths(z128[127 * n:]) == [1, 127]
+    for t, e, seeds in [(xor, None, ()), (xor, 0, (1, 64)), (xor, 0, (32, 64)),
+                        (z128, 0, (127,)), (z128, None, (127,))]:
         assert _light_failure(memoryview(t), n, e, seeds) is None
         broken = array(t.typecode, t)
         broken[40 * n + 3], broken[40 * n + 63] = broken[40 * n + 63], broken[40 * n + 3]
@@ -577,6 +580,43 @@ def _relabeled_group(spec, seed):
     return t, n, pi[g.identity], pi[1]
 
 
+def _block_rows(n):
+    """Rows of the first, a middle and the last block of a pass, the last
+    taken from the bottom up."""
+    block = _LIGHT_BLOCK_CELLS // n
+    last = (n - 1) // block * block
+    middle = (last // block) // 2 * block or block
+    return range(1, block), range(middle, min(middle + block, n)), range(n - 1, last - 1, -1)
+
+
+def _one_run_blocks(t, n, s):
+    """The first rows of the blocks whose rows x*s are consecutive, so that
+    the pass for s reads their left side straight from the flat table t."""
+    block = _LIGHT_BLOCK_CELLS // n
+    col_s = t[s::n]
+    return [x0 for x0 in range(0, n, block)
+            if all(col_s[x] == col_s[x - 1] + 1 for x in range(x0 + 1, min(x0 + block, n)))]
+
+
+def _check_one_changed_cell_per_block(t, n, e, s, rng):
+    """One changed cell on either side of the pass for s, in the first, a
+    middle and the last block, must give the naive loop's witness on the
+    same path as the unchanged table.  The number of cells checked."""
+    checked = 0
+    for rows in _block_rows(n):
+        for side in ("left", "right"):
+            y = rng.choice([y for y in range(n) if y not in (e, s)])
+            x = _witness_row(t, n, e, s, side, rows, y)
+            if x is None:
+                continue
+            changed = _one_cell_changed(t, n, s, side, x, y)
+            assert in_place(changed, n, s) == in_place(t, n, s), (s, rows, side)
+            failure = _light_failure(memoryview(changed), n, None, (s,))
+            assert failure == (x, s, y) and is_first_failure(changed, n, failure), (s, rows, side)
+            checked += 1
+    return checked
+
+
 @pytest.mark.parametrize("spec", [{"kind": "cyclic", "n": 1024}, {"kind": "dihedral", "n": 300}],
                          ids=lambda s: f"{s['kind']}:{s['n']}")
 def test_one_changed_cell_on_the_in_place_path(spec):
@@ -584,18 +624,11 @@ def test_one_changed_cell_on_the_in_place_path(spec):
     # the first block, near the top of the second and near the end of the
     # last, must give the naive loop's witness.  Order 1024 makes four
     # blocks of 256 rows; order 600 a block of 436 rows and a short one of 164.
-    rng = random.Random(20261020)
     t, n, e, s = _relabeled_group(spec, 20261020)
     block = _LIGHT_BLOCK_CELLS // n
     last = (n - 1) // block * block
     assert (n - last, n % block == 0) in [(256, True), (164, False)]
-    for rows in (range(1, block), range(block, 2 * block), range(n - 1, last - 1, -1)):
-        for side in ("left", "right"):
-            y = rng.choice([y for y in range(n) if y not in (e, s)])
-            x = _witness_row(t, n, e, s, side, rows, y)
-            changed = _one_cell_changed(t, n, s, side, x, y)
-            assert first_failure(changed, n, s) == (x, s, y), (rows, side)
-            assert _light_failure(memoryview(changed), n, None, (s,)) == (x, s, y), (rows, side)
+    assert _check_one_changed_cell_per_block(t, n, e, s, random.Random(20261020)) == 6
 
 
 def test_two_changed_cells_in_one_in_place_block():
@@ -614,6 +647,62 @@ def test_two_changed_cells_in_one_in_place_block():
     both = _one_cell_changed(late_only, n, s, "right", x_early, y_early)
     assert first_failure(both, n, s) == (x_early, s, y_early)
     assert _light_failure(memoryview(both), n, None, (s,)) == (x_early, s, y_early)
+
+
+@pytest.mark.parametrize("factors, paths", [
+    ([{"kind": "cyclic", "n": 32}, {"kind": "dihedral", "n": 16}], [True, True, False]),
+    ([{"kind": "cyclic", "n": 16}, {"kind": "dihedral", "n": 32}], [True, True, False]),
+], ids=["C32xD16", "C16xD32"])
+def test_one_changed_cell_on_each_path_of_a_direct_product(factors, paths):
+    # A direct product hands Light's test no generators, so its passes take
+    # (0,a), (0,b), then (1,1).  The rows of (0,a) and (0,b) have runs of at
+    # most 32 cells (exactly 32 for (0,b) in C16xD32, the shape of
+    # cyclic:64 x dihedral:32 at the order cap), so both compare in place.
+    # Row (1,1) is one long run and a short one, so it copies, and the rows
+    # x*(1,1) are consecutive in every block but the last, whose left side is
+    # then read straight from the table.
+    rng = random.Random(20261025)
+    g = build_group({"kind": "direct_product", "factors": factors})
+    n = g.order
+    t = array(g.table[0].format, g.table[0].obj)
+    passes = list(light_passes(t, n, g.identity, ()))
+    assert [in_place(t, n, s) for s in passes] == paths
+    assert len(_one_run_blocks(t, n, passes[-1])) == n // (_LIGHT_BLOCK_CELLS // n) - 1
+    for s in passes:
+        assert _check_one_changed_cell_per_block(t, n, g.identity, s, rng) >= 3, s
+
+
+@pytest.mark.parametrize("spec", [{"kind": "cyclic", "n": 1024}, {"kind": "dihedral", "n": 300},
+                                  {"kind": "cyclic", "n": 600}],
+                         ids=lambda s: f"{s['kind']}:{s['n']}")
+def test_one_changed_cell_against_a_one_run_left_side(spec):
+    # A block whose rows x*s are consecutive is compared with the table
+    # itself, as bytes.  The identity's pass, given no identity, does that in
+    # every block; s = a does it in every block but the one where the cyclic
+    # rows wrap, s = a^-1 in every block after that one.  Order 1024 makes
+    # four blocks of 256 rows; order 600 a block of 436 and a short one of
+    # 164, where only the short block's cells may be compared, as the
+    # buffers past them still hold what the full block left there:
+    # cyclic:600's pass for a reads the full block from the table and
+    # copies the short one.
+    rng = random.Random(20261026)
+    g = build_group(spec)
+    n = g.order
+    t = array(g.table[0].format, g.table[0].obj)
+    e, a = g.identity, 1
+    assert _one_run_blocks(t, n, e) == list(range(0, n, _LIGHT_BLOCK_CELLS // n))
+    for s in (e, a, g.inverse[a]):
+        assert _light_failure(memoryview(t), n, None, (s,)) is None
+    # The identity's pass fails only where column e changes, which cuts the
+    # run of the changed row's block.
+    for rows in _block_rows(n):
+        x = rows[0]
+        changed = array(t.typecode, t)
+        changed[x * n + e] = (x + 1) % n
+        failure = _light_failure(memoryview(changed), n, None, (e,))
+        assert failure[0] == x and is_first_failure(changed, n, failure), rows
+    for s in (a, g.inverse[a]):
+        assert _check_one_changed_cell_per_block(t, n, e, s, rng) >= 3, s
 
 
 def test_light_in_place_on_a_relabeled_cyclic_table():
@@ -818,9 +907,11 @@ def test_builder_tables_match_their_formulas(spec):
 def test_rows_are_compact_and_read_only(spec, typecode):
     g = build_group(spec)
     assert {row.format for row in g.table} == {typecode}
-    assert all(row.readonly and isinstance(row.obj, bytes) for row in g.table)
-    with pytest.raises(TypeError):
-        g.table[0][0] = 1
+    assert all(row.readonly for row in g.table)
+    # symmetric and permutation tables stay in the bytearray they are made in
+    for view in (*g.table, g._flat()):
+        with pytest.raises(TypeError):
+            view[0] = 1
     assert all(len(row) == g.order for row in g.table)
 
 
@@ -939,3 +1030,14 @@ def test_cayley_input_only_raises_spec_errors(spec):
 def test_cayley_rejects_an_unprintable_integer():
     with pytest.raises(InvalidSpec, match="table row 1 holds an integer of 16610 bits"):
         build_group({"kind": "cayley", "names": ["e", "x"], "table": [[0, 1], [1, 10 ** 5000]]})
+
+
+@pytest.mark.parametrize("n", [2, 200, 255, 256, 257, 300])
+def test_cayley_cells_must_be_below_the_order(n):
+    # One-byte rows (order up to 256) are range-checked as bytes, wider rows
+    # by their largest cell; both keep n - 1 and refuse n.
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    assert build_group(cayley(table)).order == n
+    table[n // 2][n - 1 - n // 2] = n
+    with pytest.raises(InvalidSpec, match=f"^table row {n // 2} holds {n}, expected 0..{n - 1}$"):
+        build_group(cayley(table))
