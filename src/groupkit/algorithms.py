@@ -12,6 +12,10 @@ the run ends when the chain hits the empty set.
 - mta:  seed G, blocks H*g*K                  -> middle transversal
 - msfa: seed Mid(H, K), blocks H*g*K          -> maximal direct middle X
 
+The seed comes from the same partition (_seed_and_blocks): x lies in the
+middle director Mid exactly when |H*x*K| = |H||K|, so Mid is the union of
+the blocks of that size, and no search calls a Mid kernel of its own.
+
 A finished msfa run covers Mid but not necessarily G; the extension runs the
 same chain from the uncovered remainder and grows X to a middle transversal
 (at the price of directness).  AlgoTrace.validate() reruns the search with
@@ -37,7 +41,11 @@ from .errors import (
     TraceMismatch,
 )
 from .groups import ElementSet, Group, _mask_of, bit_indices
-from .products import _cell_maker, _subgroup_pair, mid_director_subgroups
+from .products import _cell_maker, _subgroup_pair
+
+# the searches read Mid off the blocks and call no Mid kernel, but this name
+# stays importable from here: perfbench/tracing.py wraps it by name
+from .products import mid_director_subgroups  # noqa: F401
 
 __all__ = [
     "ChoicePolicy",
@@ -222,15 +230,29 @@ def _coset_blocks(h: ElementSet, k: ElementSet) -> list[int]:
     return blocks
 
 
-def _mid_seed(h: ElementSet, k: ElementSet) -> ElementSet:
-    """The middle director of (H, K), which checks the pair, or MidEmpty."""
-    mid = mid_director_subgroups(h, k)
+def _seed_and_blocks(h: ElementSet, k: ElementSet, mid: bool) -> tuple[int, list[int]]:
+    """Check the pair, build its blocks once, and return the seed mask with
+    them: G, or when mid the middle director.  Mid is the union of the
+    blocks of |H||K| elements, as x is in Mid exactly when |H*x*K| =
+    |H||K|; raises MidEmpty when there are none."""
+    g = _subgroup_pair(h, k)
+    blocks = _coset_blocks(h, k)
     if not mid:
+        return g.full_mask, blocks
+    size = len(h) * len(k)
+    seed = 0
+    c = g.full_mask
+    while c:
+        block = blocks[(c & -c).bit_length() - 1]
+        c &= ~block
+        if block.bit_count() == size:
+            seed |= block
+    if not seed:
         raise MidEmpty(
             f"the middle director of H={h.shown()} and K={k.shown()} is empty; "
             "no direct middle exists"
         )
-    return mid
+    return seed, blocks
 
 
 def _run_chain(
@@ -264,13 +286,13 @@ def _search(
     g0: int | None,
     chooser: _Chooser,
 ) -> AlgoTrace:
-    seed = _mid_seed(h, k).mask if algorithm == "MSFA" else _subgroup_pair(h, k).full_mask
+    seed, blocks = _seed_and_blocks(h, k, algorithm == "MSFA")
     g = h.group
     if g0 is None:
         g0 = chooser.pick(g, seed)
     elif seed >> g._check_index(g0) & 1 == 0:
         raise G0NotInMid(f"g0={g.names[g0]!r} lies outside the middle director")
-    return _run_chain(algorithm, h, k, _coset_blocks(h, k), seed, [], g0, chooser)
+    return _run_chain(algorithm, h, k, blocks, seed, [], g0, chooser)
 
 
 def rta(h: ElementSet, g0: int | None = None, policy: ChoicePolicy = SMALLEST) -> AlgoTrace:
@@ -388,15 +410,14 @@ def _middle_transversal_masks(
     h: ElementSet, k: ElementSet, *, limit: int | None = None
 ) -> list[int]:
     """enumerate_all_middle_transversals as masks, each once."""
-    g = _subgroup_pair(h, k)
-    return _enumerate(g.full_mask, _coset_blocks(h, k), limit)
+    return _enumerate(*_seed_and_blocks(h, k, False), limit)
 
 
 def _middle_subfactor_masks(
     h: ElementSet, k: ElementSet, *, limit: int | None = None
 ) -> list[int]:
     """enumerate_all_middle_subfactors as masks, each once."""
-    return _enumerate(_mid_seed(h, k).mask, _coset_blocks(h, k), limit)
+    return _enumerate(*_seed_and_blocks(h, k, True), limit)
 
 
 def _element_sets(g: Group, masks: list[int]) -> set[ElementSet]:

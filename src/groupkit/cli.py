@@ -239,11 +239,14 @@ def _cmd_msfa(args: argparse.Namespace) -> RunReport:
     chooser = policy.start()
     trace = msfa(h, k, g0=g0, policy=chooser)
     full = args.trace == "full"
-    mid, x = trace.seed, trace.output
+    x = trace.output
     hxk = products.set_product(products.set_product(h, x), k)
     direct = products.is_direct_triple(h, x, k)
+    # Mid by definition, not the search's seed: the seed is read off the
+    # same gathers as H*X*K, so a block missing from both would pass unseen.
     # Mid is a union of (H, K) blocks, so a direct X is maximal exactly when
-    # H*X*K already covers Mid
+    # H*X*K already covers Mid.
+    mid = products.mid_director(h, k)
     maximal = mid <= hxk
     result = {
         "trace": trace_payload(trace, full),

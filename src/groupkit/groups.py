@@ -957,6 +957,7 @@ def _symmetric_cells(perms: Sequence[tuple[int, ...]]) -> bytearray:
                 end += row_bytes
 
     walk(0, (1 << m) - 1)
+    del walk  # its closure refers to walk itself: a cycle that only gc would free
     return cells
 
 

@@ -92,6 +92,64 @@ def test_msfa_g0_not_in_mid(d12, proper_mid_pair):
         msfa(h, k, g0=bad)
 
 
+def _cyclic_subgroup(g, rng, most):
+    """A random cyclic subgroup of at most `most` elements: a power of a
+    random element, mostly of the largest order that fits."""
+    x = rng.randrange(g.order)
+    powers = [g.identity]
+    while (y := g.table[powers[-1]][x]) != g.identity:
+        powers.append(y)
+    m = len(powers)
+    orders = [d for d in range(1, min(m, most) + 1) if m % d == 0]
+    d = orders[-1] if rng.random() < 0.8 else rng.choice(orders)
+    return g.subset(powers[::m // d])
+
+
+def test_msfa_reads_mid_off_the_blocks_on_a_seeded_fleet():
+    # the search's seed is the union of the blocks of |H||K| elements; it must
+    # agree with both Mid kernels that work by definition
+    d10 = build_group({"kind": "dihedral", "n": 10})
+    specs = [
+        {"kind": "cyclic", "n": 1024},
+        {"kind": "dihedral", "n": 300},
+        {"kind": "symmetric", "n": 5},
+        {"kind": "direct_product", "factors": [{"kind": "cyclic", "n": 4},
+                                               {"kind": "symmetric", "n": 4}]},
+        {"kind": "permutation", "degree": 6, "generators": [[[1, 2, 3]], [[2, 3, 4, 5, 6]]]},
+        {"kind": "cayley", "names": list(d10.names), "table": [list(r) for r in d10.table]},
+    ]
+    rng = random.Random(26)
+    seen = {"empty": 0, "full": 0, "proper": 0, "k_larger": 0}
+    for g in map(build_group, specs):
+        for _ in range(8):
+            h = _cyclic_subgroup(g, rng, 12)
+            k = _cyclic_subgroup(g, rng, 12)
+            if rng.random() < 0.3:  # a K with two generators, kept when small
+                k2 = g.subset_from_mask(k.mask | _cyclic_subgroup(g, rng, 6).mask)
+                k2 = k2.generated_subgroup()
+                if len(k2) <= 24:
+                    k = k2
+            mid = products.mid_director(h, k)
+            assert mid.mask == oracle._raw_mid_mask(g, h.mask, k.mask)
+            seen["k_larger"] += len(k) > len(h)
+            if not mid:
+                seen["empty"] += 1
+                with pytest.raises(MidEmpty):
+                    msfa(h, k)
+                with pytest.raises(MidEmpty):
+                    enumerate_all_middle_subfactors(h, k)
+                continue
+            assert msfa(h, k).seed == mid
+            if mid == g.full_set():
+                seen["full"] += 1
+                continue
+            seen["proper"] += 1
+            outside = (g.full_mask & ~mid.mask).bit_length() - 1
+            with pytest.raises(G0NotInMid):
+                msfa(h, k, g0=outside)
+    assert min(seen.values()) >= 3, seen
+
+
 def test_extension_worked_run(d12, proper_mid_pair):
     h, k = proper_mid_pair
     trace = msfa(h, k, g0=0)

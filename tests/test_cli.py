@@ -850,6 +850,24 @@ def test_msfa_extend_checks_the_pair_and_builds_the_blocks_a_few_times(capsys, m
     assert calls["_coset_blocks"] <= 3
 
 
+def test_msfa_maximality_is_checked_against_mid_not_the_seed(capsys, monkeypatch):
+    # a seed missing one Mid block gives a consistent run that its own
+    # validate() accepts; only Mid by definition shows X is not maximal
+    from groupkit import algorithms
+
+    seed_and_blocks = algorithms._seed_and_blocks
+
+    def dropping(h, k, mid):
+        seed, blocks = seed_and_blocks(h, k, mid)
+        if mid:
+            seed &= ~blocks[(seed & -seed).bit_length() - 1]
+        return seed, blocks
+
+    monkeypatch.setattr(algorithms, "_seed_and_blocks", dropping)
+    assert main(["msfa", "--group", D12, "-H", "1,b", "-K", "1,ba", "--extend"]) == 4
+    assert "maximal: NO" in capsys.readouterr().out
+
+
 def test_the_parser_is_built_once_and_reused(capsys):
     from groupkit.cli import _build_parser
 

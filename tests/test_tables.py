@@ -810,6 +810,27 @@ def test_only_all_of_s_m_takes_lane_sums(generators, lane_sums, monkeypatch):
     assert calls == ([g.order] if lane_sums else [])
 
 
+def test_s_m_builds_leave_no_cyclic_garbage():
+    # cli.main pauses the collector while a command runs, so a cycle left by
+    # a build would keep its table alive until the collector runs again
+    import gc
+
+    specs = [
+        {"kind": "symmetric", "n": 5},
+        {"kind": "permutation", "degree": 5, "generators": [[[1, 2, 3, 4, 5]], [[1, 2]]]},
+    ]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for spec in specs:
+            assert build_group(spec).order == 120
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_gathers_keep_only_the_frontier_rows():
     # A6 on (1 2 3), (2 3 4 5 6) is not all of S_6, so its table is gathered;
     # each row is packed once its children are made, not kept to the end
