@@ -36,9 +36,11 @@ from .errors import (
     EnumerationLimitExceeded,
     G0NotInMid,
     GroupKitError,
+    InvalidSpec,
     MidEmpty,
     ScriptedChoiceInvalid,
     TraceMismatch,
+    quote,
 )
 from .groups import ElementSet, Group, _mask_of, bit_indices
 from .products import _cell_maker, _subgroup_pair
@@ -74,6 +76,12 @@ class ChoicePolicy:
     mode: str = "smallest"
     seed: int | None = None
     script: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("smallest", "random", "script"):
+            raise InvalidSpec(
+                f"choice policy {quote(self.mode)} not understood; use smallest, random or script"
+            )
 
     @classmethod
     def smallest(cls) -> "ChoicePolicy":

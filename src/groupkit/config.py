@@ -16,9 +16,6 @@ ENUM_LIMIT_ENV = "GROUPKIT_ENUM_LIMIT"
 DEFAULT_MAX_ORDER = 4096
 DEFAULT_ENUM_LIMIT = 10 ** 6
 
-# Brute-force subgroup enumeration refuses larger groups by default.
-DEFAULT_SUBGROUP_ENUM_BOUND = 24
-
 
 def _positive_int_env(name: str, default: int) -> int:
     raw = os.environ.get(name)
@@ -44,10 +41,11 @@ def enum_limit() -> int:
 
 
 def enum_cap(limit: int | None, name: str = "limit") -> int:
-    """The enumeration cap: limit when given, else the default; a cap below 1
-    is refused, as it is for the environment variable."""
+    """The enumeration cap: limit when given, else the default; a cap that is
+    not an int (a bool included) or is below 1 is refused, as it is for the
+    environment variable."""
     if limit is None:
         return enum_limit()
-    if limit < 1:
+    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
         raise InvalidSpec(f"{name} must be a positive integer, got {quote(limit)}")
     return limit

@@ -271,18 +271,7 @@ class Group:
     checks every table alike.  It validates the group axioms exactly, at every
     order: distinct names, a two-sided identity, two-sided inverses (the
     supplied ones checked, else searched for row by row), then associativity by
-    Light's test (_light_failure), at most floor(log2 n) + 1 passes of n*n
-    cells.  Each pass checks one s, taken from generators, then the lowest
-    unreached element, and fills each block of rows by slice copies: one per
-    run of column s on the left side, none when the block is one run, whose
-    left side is then read from the table itself, and on the right one for
-    the longest run of row s across the whole block, then one per row for
-    each other long run and one strided column for each cell of a short run;
-    the block's cells of the two sides are compared by one memcmp.  When row
-    s has no long run, the right side is not built, nor the plan of its
-    copies: each column of the left side is compared in place with the
-    column of flat that it must equal, and only a block that differs is
-    built, to find the first failing cell.
+    Light's test, whose passes _light_failure describes.
     """
 
     __slots__ = (
@@ -620,17 +609,6 @@ class ElementSet:
         return ElementSet._from_mask(self.group, self.mask | 1 << self.group._check_index(x))
 
     # -- group-aware operations ------------------------------------------------
-
-    def conjugate_by(self, x: int) -> "ElementSet":
-        """The set x * self * x^-1."""
-        g = self.group
-        g._check_index(x)
-        t = g.table
-        xi = g.inverse[x]
-        mask = 0
-        for s in bit_indices(self.mask):
-            mask |= 1 << t[t[x][s]][xi]
-        return ElementSet._from_mask(g, mask)
 
     def is_subgroup(self) -> bool:
         """True when the set holds the identity and is closed under the

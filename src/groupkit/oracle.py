@@ -3,6 +3,9 @@
 Everything here recomputes coset structure straight off the multiplication
 table and enumerates by cartesian product over partition blocks, so the
 results are independent of the incremental searches they are used to check.
+H and K are checked here too, by their own |H|^2 products, not by the
+subgroup test the searches share; the subgroups the tests feed in come from
+a naive closure in tests/suites.py.
 The enumerations build each answer as an int mask, in lexicographic order
 over the cells: cells by least element, each cell ascending, the first cell
 varying slowest.  By default they wrap the masks as a set of ElementSets;
@@ -14,24 +17,23 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import config
 from .errors import (
     EnumerationLimitExceeded,
     GroupMismatch,
     MidEmpty,
-    SizeLimitExceeded,
+    NotASubgroup,
 )
 from .groups import ElementSet, Group, bit_indices
 
 __all__ = [
     "Partition",
-    "right_coset_partition",
     "double_coset_partition",
     "all_right_transversals",
     "all_middle_transversals",
     "all_maximal_direct_triples",
-    "enumerate_subgroups",
 ]
 
 
@@ -59,24 +61,37 @@ class Partition:
         return [len(b) for b in self.blocks]
 
 
+def _require_subgroup(s: ElementSet, label: str) -> None:
+    """Refuse s unless it holds the identity and every product of two of its
+    members: one gather of its members' columns from each of its rows."""
+    g = s.group
+    members = list(bit_indices(s.mask))
+    closed = s.mask >> g.identity & 1 == 1
+    if closed and len(members) > 1:
+        inside = frozenset(members)
+        columns = itemgetter(*members)
+        closed = all(inside.issuperset(columns(g.table[a])) for a in members)
+    if not closed:
+        raise NotASubgroup(f"{label} {s.shown()} is not a subgroup")
+
+
 def _require_subgroup_pair(h: ElementSet, k: ElementSet) -> Group:
     g = h.group
-    h.require_subgroup("H")
+    _require_subgroup(h, "H")
     if k.group is not g:
         raise GroupMismatch("H and K belong to different groups")
-    k.require_subgroup("K")
+    _require_subgroup(k, "K")
     return g
 
 
-def right_coset_partition(h: ElementSet) -> Partition:
-    """All right cosets H*g, ordered by least member: the double cosets of
-    (H, {1})."""
-    return double_coset_partition(h, h.group.trivial_subgroup())
-
-
 def double_coset_partition(h: ElementSet, k: ElementSet) -> Partition:
-    """All double cosets H*g*K, ordered by least member."""
-    g = _require_subgroup_pair(h, k)
+    """All double cosets H*g*K, ordered by least member.  The right cosets
+    H*g are the double cosets of (H, {1})."""
+    return _double_cosets(_require_subgroup_pair(h, k), h, k)
+
+
+def _double_cosets(g: Group, h: ElementSet, k: ElementSet) -> Partition:
+    """double_coset_partition for a pair the caller has checked."""
     t = g.table
     hbits = list(bit_indices(h.mask))
     kbits = list(bit_indices(k.mask))
@@ -168,7 +183,7 @@ def all_maximal_direct_triples(
     mid = _raw_mid_mask(g, h.mask, k.mask)
     if mid == 0:
         raise MidEmpty("the middle director is empty; no direct middle exists")
-    blocks = double_coset_partition(h, k).blocks
+    blocks = _double_cosets(g, h, k).blocks
     # cells by their own least element, as the search orders them; Mid is a
     # union of blocks, so that is the blocks' order, but the oracle does not
     # lean on that
@@ -176,24 +191,3 @@ def all_maximal_direct_triples(
     masks = _one_per_cell(cells, limit)
     return masks if as_masks else set(map(g.subset_from_mask, masks))
 
-
-def enumerate_subgroups(g: Group, *, bound: int | None = None) -> set[ElementSet]:
-    """All subgroups of g, by closing each known subgroup with one extra
-    element until nothing new appears.  Refuses groups above the bound."""
-    cap = config.DEFAULT_SUBGROUP_ENUM_BOUND if bound is None else bound
-    if g.order > cap:
-        raise SizeLimitExceeded(
-            f"subgroup enumeration is limited to order {cap}, got {g.order}"
-        )
-    trivial = g.trivial_subgroup()
-    known = {trivial}
-    frontier = [trivial]
-    while frontier:
-        s = frontier.pop()
-        outside = g.full_mask & ~s.mask
-        for x in bit_indices(outside):
-            bigger = s.with_element(x).generated_subgroup()
-            if bigger not in known:
-                known.add(bigger)
-                frontier.append(bigger)
-    return known

@@ -161,13 +161,47 @@ def small_fleet() -> list[Group]:
     return [g for g in build_fleet() if g.order <= 8]
 
 
+def naive_closure(g: Group, mask: int) -> int:
+    """The mask of the subgroup generated by the members of mask: the
+    identity and those members, multiplied two at a time until nothing new
+    appears.  A finite set closed under the product is a subgroup."""
+    t = g.table
+    members = {g.identity, *bit_indices(mask)}
+    while new := {t[a][b] for a in members for b in members} - members:
+        members |= new
+    return sum(1 << x for x in members)
+
+
+def naive_subgroups(g: Group) -> set[ElementSet]:
+    """Every subgroup of g: from the trivial one, the closure of each known
+    subgroup with one more element, until nothing new appears."""
+    known = {1 << g.identity}
+    frontier = list(known)
+    while frontier:
+        mask = frontier.pop()
+        for x in bit_indices(g.full_mask & ~mask):
+            bigger = naive_closure(g, mask | 1 << x)
+            if bigger not in known:
+                known.add(bigger)
+                frontier.append(bigger)
+    return {g.subset_from_mask(m) for m in known}
+
+
+def conjugate(s: ElementSet, x: int) -> ElementSet:
+    """The set x * s * x^-1, one member at a time."""
+    g = s.group
+    t = g.table
+    xi = g.inverse[x]
+    return g.subset(t[t[x][a]][xi] for a in s)
+
+
 _SUBGROUPS: dict[int, list[ElementSet]] = {}
 
 
 def subgroups_of(g: Group) -> list[ElementSet]:
     subs = _SUBGROUPS.get(id(g))
     if subs is None:
-        subs = sorted(oracle.enumerate_subgroups(g), key=lambda s: (len(s), s.mask))
+        subs = sorted(naive_subgroups(g), key=lambda s: (len(s), s.mask))
         _SUBGROUPS[id(g)] = subs
     return subs
 
@@ -184,12 +218,12 @@ def conjugacy_class_representatives(g: Group) -> list[ElementSet]:
     for s in subgroups_of(g):
         if s not in seen:
             reps.append(s)
-            seen.update(s.conjugate_by(x) for x in range(g.order))
+            seen.update(conjugate(s, x) for x in range(g.order))
     return reps
 
 
 def is_normal(s: ElementSet) -> bool:
-    return all(s.conjugate_by(x) == s for x in range(s.group.order))
+    return all(conjugate(s, x) == s for x in range(s.group.order))
 
 
 def random_subset(g: Group, rng: random.Random, nonempty: bool = True) -> ElementSet:
@@ -293,8 +327,8 @@ def suite_singleton_four_way(groups: list[Group]) -> list[str]:
             for x in range(g.order):
                 xset = g.singleton(x)
                 c1 = products.is_direct_triple(h, xset, k)
-                c2 = (h & k.conjugate_by(x)) == g.singleton(e)
-                c3 = (h.conjugate_by(g.inverse[x]) & k) == g.singleton(e)
+                c2 = (h & conjugate(k, x)) == g.singleton(e)
+                c3 = (conjugate(h, g.inverse[x]) & k) == g.singleton(e)
                 hx = g.subset_from_mask(_right_mask(g, h, x))
                 xk = g.subset_from_mask(_left_mask(g, x, k))
                 c4 = (hx & xk) == xset
@@ -339,7 +373,7 @@ def suite_right_transversal_forms(groups: list[Group], seed: int = 3) -> list[st
     bad = []
     for g in groups:
         for h in subgroups_of(g):
-            blocks = oracle.right_coset_partition(h).blocks
+            blocks = oracle.double_coset_partition(h, g.trivial_subgroup()).blocks
             known = oracle.all_right_transversals(h, limit=10 ** 4)
             for t in _transversal_candidates(g, blocks, rng, known):
                 a = _one_per_block(blocks, t)
@@ -541,8 +575,8 @@ def suite_block_partition(groups: list[Group]) -> list[str]:
     bad = []
     for g in groups:
         for h, k in subgroup_pairs(g):
-            for kk, partition in ((g.trivial_subgroup(), oracle.right_coset_partition(h)),
-                                  (k, oracle.double_coset_partition(h, k))):
+            for kk in (g.trivial_subgroup(), k):
+                partition = oracle.double_coset_partition(h, kk)
                 blocks = algorithms._coset_blocks(h, kk)
                 if any(blocks[x] >> x & 1 == 0 for x in range(g.order)):
                     bad.append(f"{g.description}: an element outside its block, H={h!r} K={kk!r}")
@@ -647,11 +681,7 @@ def _chain_follows_oracle(trace) -> bool:
     pick from the live set, and an extension's chain starts from G minus the
     oracle blocks of its inherited picks: a check of the chain that shares
     nothing with the search's own blocks or validate()."""
-    h, k = trace.h, trace.k
-    if k is None:
-        partition = oracle.right_coset_partition(h)
-    else:
-        partition = oracle.double_coset_partition(h, k)
+    partition = oracle.double_coset_partition(trace.h, trace.k)
     block = {x: b.mask for b in partition.blocks for x in b}
     start = trace.extension_start
     picks = trace.chosen

@@ -4,6 +4,7 @@ import io
 import itertools
 import math
 import random
+import re
 import time
 from pathlib import Path
 
@@ -402,8 +403,9 @@ def test_enumeration_is_the_product_of_the_cells():
     # middle director, not from the search's blocks
     for g in suites.build_fleet():
         subs = suites.subgroups_of(g)
-        runs = [(enumerate_all_right_transversals, (h,), oracle.right_coset_partition(h).blocks)
-                for h in subs]
+        trivial = g.trivial_subgroup()
+        runs = [(enumerate_all_right_transversals, (h,),
+                 oracle.double_coset_partition(h, trivial).blocks) for h in subs]
         for h in subs:
             for k in subs:
                 blocks = oracle.double_coset_partition(h, k).blocks
@@ -455,7 +457,7 @@ def test_enumeration_cap_is_exact(z12, d12, what):
     if what == "right-transversals":
         args = (z12.subset([0, 3, 6, 9]),)
         search, brute = enumerate_all_right_transversals, oracle.all_right_transversals
-        cells = oracle.right_coset_partition(*args).blocks
+        cells = oracle.double_coset_partition(*args, z12.trivial_subgroup()).blocks
     elif what == "middle-transversals":
         args = (parse_subset(d12, "1,a^3,ba^3,b"), parse_subset(d12, "1,a^3,ba,ba^4"))
         search, brute = enumerate_all_middle_transversals, oracle.all_middle_transversals
@@ -517,17 +519,20 @@ def test_split_products_match_plain_products(n_cells):
             algorithms._enumerate(seed, blocks, total - 1)
 
 
-@pytest.mark.parametrize("limit", [0, -3])
-def test_enumeration_rejects_non_positive_limit(z12, limit):
-    # the search and the oracle refuse the same limits the same way
+@pytest.mark.parametrize("limit", [0, -3, True, False, 2.5, "3"])
+def test_enumeration_rejects_a_limit_that_is_no_positive_int(z12, limit):
+    # the search and the oracle refuse the same limits the same way; a bool
+    # is no count, as it is no element index
     h, k = z12.subset([0, 6]), z12.subset([0, 4, 8])
     for enumerate_all, args in (
         (enumerate_all_right_transversals, (h,)),
+        (enumerate_all_middle_transversals, (h, k)),
+        (enumerate_all_middle_subfactors, (h, k)),
         (oracle.all_right_transversals, (h,)),
         (oracle.all_middle_transversals, (h, k)),
         (oracle.all_maximal_direct_triples, (h, k)),
     ):
-        with pytest.raises(InvalidSpec, match="limit must be a positive integer"):
+        with pytest.raises(InvalidSpec, match=f"^limit must be a positive integer, got {limit!r}$"):
             enumerate_all(*args, limit=limit)
 
 
@@ -535,3 +540,9 @@ def test_policy_descriptions():
     assert ChoicePolicy.smallest().describe() == "smallest"
     assert ChoicePolicy.random(7).describe() == "random:7"
     assert "script" in ChoicePolicy.scripted([1, 2]).describe()
+
+
+@pytest.mark.parametrize("mode", ["bogus", "", "Smallest", None])
+def test_policy_mode_must_be_known(mode):
+    with pytest.raises(InvalidSpec, match=f"^choice policy {re.escape(repr(mode))} not understood"):
+        ChoicePolicy(mode)

@@ -14,6 +14,7 @@ from groupkit import (
     build_group,
 )
 from groupkit.groups import Group, _perm_from_cycles, bit_indices
+import suites
 
 
 def test_cyclic_arithmetic(z12):
@@ -367,7 +368,49 @@ def test_generated_subgroup_matches_the_closure(spec):
 def test_conjugation(d12):
     b = d12.index_of_name("b")
     rot = d12.subset(range(6))
-    assert rot.conjugate_by(b) == rot  # rotations are normal
+    assert suites.conjugate(rot, b) == rot  # rotations are normal
+
+
+def _q8_spec() -> dict:
+    """The quaternion group as a cayley spec: elements (sign, unit)."""
+    unit = {(u, "1"): (1, u) for u in "1ijk"}
+    unit.update({("1", u): (1, u) for u in "ijk"})
+    unit.update({(u, u): (-1, "1") for u in "ijk"})
+    for u, v, w in ("ijk", "jki", "kij"):
+        unit[u, v], unit[v, u] = (1, w), (-1, w)
+    elements = [(s, u) for s in (1, -1) for u in "1ijk"]
+    index = {e: i for i, e in enumerate(elements)}
+    table = [[index[s * t * unit[u, v][0], unit[u, v][1]] for t, v in elements]
+             for s, u in elements]
+    return {"kind": "cayley", "names": [("-" if s < 0 else "") + u for s, u in elements],
+            "table": table}
+
+
+# one group of each builder kind, of order at most 24, with its number of
+# subgroups where it is well known
+_C2 = {"kind": "cyclic", "n": 2}
+_SMALL_OF_EACH_KIND = [
+    ({"kind": "cyclic", "n": 24}, 8),
+    ({"kind": "dihedral", "n": 12}, 34),
+    ({"kind": "symmetric", "n": 4}, 30),
+    ({"kind": "direct_product", "factors": [_C2, _C2, {"kind": "dihedral", "n": 3}]}, None),
+    ({"kind": "permutation", "degree": 4, "generators": [[[1, 2, 3]], [[2, 3, 4]]]}, 10),
+    (_q8_spec(), 6),
+]
+
+
+@pytest.mark.parametrize("spec, count", _SMALL_OF_EACH_KIND,
+                         ids=[spec["kind"] for spec, _ in _SMALL_OF_EACH_KIND])
+def test_generated_subgroup_is_the_naive_closure(spec, count):
+    # the growth that is_subgroup and generated_subgroup share, against
+    # products taken until nothing new appears
+    g = build_group(spec)
+    subgroups = suites.naive_subgroups(g)
+    assert count is None or len(subgroups) == count
+    for s in subgroups:
+        for x in range(g.order):
+            want = suites.naive_closure(g, s.mask | 1 << x)
+            assert s.with_element(x).generated_subgroup().mask == want, (s, g.names[x])
 
 
 def test_center_of_abelian(z12):

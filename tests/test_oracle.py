@@ -1,6 +1,8 @@
+import inspect
+
 import pytest
 
-from groupkit import GroupMismatch, MidEmpty, SizeLimitExceeded, build_group
+from groupkit import GroupMismatch, MidEmpty, NotASubgroup, build_group
 from groupkit import oracle, products
 from groupkit.oracle import Partition
 from groupkit.words import parse_subset
@@ -9,7 +11,7 @@ import suites
 
 def test_right_coset_partition(z12):
     h = z12.subset([0, 4, 8])
-    part = oracle.right_coset_partition(h)
+    part = oracle.double_coset_partition(h, z12.trivial_subgroup())
     assert len(part.blocks) == 4
     assert all(len(b) == 3 for b in part.blocks)
     assert part.blocks[0] == h
@@ -93,33 +95,70 @@ def test_oracle_limits(z12):
     assert len(oracle.all_right_transversals(h, limit=64)) == 64
 
 
-def test_enumerate_subgroups_counts(z12, d12, s3):
-    assert len(oracle.enumerate_subgroups(z12)) == 6
-    assert len(oracle.enumerate_subgroups(d12)) == 16
-    assert len(oracle.enumerate_subgroups(s3)) == 6
+def _c2_cubed():
+    c2 = {"kind": "cyclic", "n": 2}
+    return build_group({"kind": "direct_product", "factors": [c2, c2, c2]})
+
+
+def test_oracle_refuses_exactly_the_non_subgroups(s3):
+    # every subset of four groups, as H and as K: the oracle's own product
+    # check must agree with the search side's is_subgroup
+    groups = [build_group({"kind": "dihedral", "n": 4}),
+              build_group({"kind": "cyclic", "n": 8}), _c2_cubed(), s3]
+    for g in groups:
+        trivial = g.trivial_subgroup()
+        for mask in range(g.full_mask + 1):
+            s = g.subset_from_mask(mask)
+            for label, pair in (("H", (s, trivial)), ("K", (trivial, s))):
+                if s.is_subgroup():
+                    oracle.double_coset_partition(*pair)
+                    continue
+                with pytest.raises(NotASubgroup, match=f"^{label} .* is not a subgroup$"):
+                    oracle.double_coset_partition(*pair)
+
+
+def test_oracle_checks_h_then_the_groups_then_k(z12, d12):
+    not_h = d12.subset([0, 1])
+    with pytest.raises(NotASubgroup, match=r"^H \{1, a\} is not a subgroup$"):
+        oracle.all_middle_transversals(not_h, z12.subset([1]))
+    with pytest.raises(GroupMismatch):
+        oracle.all_middle_transversals(d12.trivial_subgroup(), z12.subset([1]))
+    with pytest.raises(NotASubgroup, match=r"^K \{a\} is not a subgroup$"):
+        oracle.all_maximal_direct_triples(d12.trivial_subgroup(), d12.subset([1]))
+
+
+@pytest.mark.parametrize("entry", ["double_coset_partition", "all_right_transversals",
+                                   "all_middle_transversals", "all_maximal_direct_triples"])
+def test_oracle_checks_the_pair_once(d12, proper_mid_pair, monkeypatch, entry):
+    calls = []
+    check = oracle._require_subgroup_pair
+    monkeypatch.setattr(oracle, "_require_subgroup_pair",
+                        lambda h, k: calls.append(1) or check(h, k))
+    h, k = proper_mid_pair
+    getattr(oracle, entry)(*((h,) if entry == "all_right_transversals" else (h, k)))
+    assert len(calls) == 1
+
+
+def test_naive_subgroup_counts(z12, d12, s3):
+    assert len(suites.naive_subgroups(z12)) == 6
+    assert len(suites.naive_subgroups(d12)) == 16
+    assert len(suites.naive_subgroups(s3)) == 6
     k4 = build_group({"kind": "direct_product", "factors": [
         {"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 2}]})
-    assert len(oracle.enumerate_subgroups(k4)) == 5
+    assert len(suites.naive_subgroups(k4)) == 5
 
 
-def test_enumerate_subgroups_are_subgroups(d12):
-    for s in oracle.enumerate_subgroups(d12):
+def test_naive_subgroups_are_subgroups(d12):
+    for s in suites.naive_subgroups(d12):
         assert s.is_subgroup()
 
 
-def test_enumerate_subgroups_bound():
-    g = build_group({"kind": "dihedral", "n": 14})  # order 28
-    with pytest.raises(SizeLimitExceeded):
-        oracle.enumerate_subgroups(g)
-    assert len(oracle.enumerate_subgroups(g, bound=28)) > 0
-
-
-def test_enumerate_subgroups_closed_under_conjugation(d12, s3):
+def test_naive_subgroups_closed_under_conjugation(d12, s3):
     for g in (d12, s3):
-        subs = oracle.enumerate_subgroups(g)
+        subs = suites.naive_subgroups(g)
         for s in subs:
             for x in range(g.order):
-                assert s.conjugate_by(x) in subs
+                assert suites.conjugate(s, x) in subs
 
 
 def test_oracle_independent_of_search_modules():
@@ -132,3 +171,7 @@ def test_oracle_independent_of_search_modules():
             assert val.__name__ in allowed, name
         elif callable(val) and getattr(val, "__module__", "").startswith("groupkit"):
             assert val.__module__ in allowed, name
+    # nor may it test H and K by the subgroup growth that the searches share
+    source = inspect.getsource(oracle)
+    for shared in ("require_subgroup(", "is_subgroup(", "generated_subgroup(", "_grow("):
+        assert f".{shared}" not in source, shared

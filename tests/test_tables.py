@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupkit import Group, InvalidSpec, NotAGroup, build_group
+from groupkit import Group, GroupKitError, InvalidSpec, NotAGroup, build_group
 from groupkit import groups
 from groupkit.cli import main
 from groupkit.groups import (
@@ -1046,6 +1046,65 @@ def test_cayley_input_only_raises_spec_errors(spec):
         return
     assert [list(row) for row in g.table] == table
     assert naive_associative(table)
+
+
+# a field of a hostile spec that no builder takes: sizes of every sign and
+# width, and values of the wrong type
+JUNK = st.one_of(
+    st.integers(min_value=-2, max_value=0),
+    st.integers(min_value=2 ** 31, max_value=2 ** 70),
+    st.integers(max_value=-(2 ** 31)),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.none(),
+    st.text(max_size=2),
+    st.lists(st.integers(0, 3), max_size=2),
+)
+
+
+def or_junk(good):
+    """good half of the time, else JUNK (one_of would flatten JUNK's
+    branches in among good's and draw it far more often)."""
+    return st.booleans().flatmap(lambda ok: good if ok else JUNK)
+
+
+@st.composite
+def permutation_specs(draw):
+    degree = draw(or_junk(st.integers(min_value=1, max_value=6)))
+    top = degree + 1 if isinstance(degree, int) and 0 < degree < 2 ** 31 else 7
+    # points in range, just out of it, repeated within a cycle, or junk
+    points = or_junk(st.integers(min_value=0, max_value=top))
+    cycles = or_junk(st.lists(st.lists(points, max_size=4), max_size=3))
+    generators = draw(or_junk(st.lists(cycles, max_size=3)))
+    return {"kind": "permutation", "degree": degree, "generators": generators}
+
+
+def hostile_specs():
+    sized = st.builds(lambda kind, n: {"kind": kind, "n": n},
+                      st.sampled_from(["cyclic", "dihedral", "symmetric"]),
+                      or_junk(st.integers(min_value=1, max_value=64)))
+    leaf = st.one_of(sized, permutation_specs())
+
+    def product(factor):
+        return st.builds(lambda fs: {"kind": "direct_product", "factors": fs},
+                         or_junk(st.lists(factor, max_size=3)))
+
+    # factors that are specs, products of specs, empty lists or junk
+    return st.one_of(leaf, product(or_junk(st.one_of(leaf, product(leaf)))))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(hostile_specs())
+def test_hostile_specs_only_raise_groupkit_errors(spec):
+    # every kind but cayley, whose table has its own fuzz above; a group
+    # that builds stays within the order cap
+    with pytest.MonkeyPatch.context() as env:
+        env.setenv("GROUPKIT_MAX_ORDER", "48")
+        try:
+            g = build_group(spec)
+        except GroupKitError:
+            return
+    assert g.order <= 48
 
 
 def test_cayley_rejects_an_unprintable_integer():
