@@ -42,7 +42,7 @@ from .errors import (
     TraceMismatch,
     quote,
 )
-from .groups import ElementSet, Group, _mask_of, bit_indices
+from .groups import ElementSet, Group, _is_int, _mask_of, bit_indices
 from .products import _cell_maker, _subgroup_pair
 
 # the searches read Mid off the blocks and call no Mid kernel, but this name
@@ -68,7 +68,7 @@ class ChoicePolicy:
     """How the next element is picked from the current candidate set.
 
     - smallest: always the least index (deterministic default)
-    - random:   seeded uniform pick
+    - random:   uniform pick seeded by seed, an int that describe() records
     - script:   a fixed sequence of element indices; each must be available
                 at its step, and leftovers are simply unused
     """
@@ -82,6 +82,8 @@ class ChoicePolicy:
             raise InvalidSpec(
                 f"choice policy {quote(self.mode)} not understood; use smallest, random or script"
             )
+        if self.mode == "random" and not _is_int(self.seed):
+            raise InvalidSpec(f"choice policy random needs an integer seed, got {quote(self.seed)}")
 
     @classmethod
     def smallest(cls) -> "ChoicePolicy":
@@ -138,13 +140,10 @@ class _Chooser:
             )
         choice = self._script[self._pos]
         self._pos += 1
-        # a bool is no element index, as in Group._check_index
-        valid = (
-            isinstance(choice, int) and not isinstance(choice, bool) and 0 <= choice < group.order
-        )
+        valid = group._is_index(choice)
         if not valid or mask >> choice & 1 == 0:
             raise ScriptedChoiceInvalid(
-                f"scripted pick {choice} ({group.names[choice] if valid else '?'}) "
+                f"scripted pick {quote(choice)} ({group.names[choice] if valid else '?'}) "
                 f"is not in the candidate set at step {self._pos - 1}"
             )
         return choice

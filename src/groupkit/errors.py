@@ -3,23 +3,40 @@
 Every error raised on purpose by this package derives from GroupKitError,
 so callers can catch one type at the boundary.  Each class carries the
 command line's exit code for it and the label that prefixes its message on
-stderr: 2 and "error" unless a class below says otherwise.  A message
-quotes at most the first SHOWN characters of an input (quote, or
-ElementSet.shown for a set).
+stderr: 2 and "error" unless a class below says otherwise.  A message shows
+a caller's value through quote, which never raises, and quotes at most its
+first SHOWN characters (ElementSet.shown does the same for a set).
 """
+
+import reprlib
 
 SHOWN = 40  # the most characters of an input that a message quotes
 
 
+class _Repr(reprlib.Repr):
+    def repr_int(self, x: int, level: int) -> str:
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # past the interpreter's digit limit: show its size
+            return f"{'a negative' if x < 0 else 'an'} integer of {x.bit_length()} bits"
+
+
+def cut(text: str) -> str:
+    """text, cut to its first SHOWN characters when it is longer."""
+    return text if len(text) <= SHOWN else f"{text[:SHOWN]}... ({len(text)} characters)"
+
+
 def quote(value: object) -> str:
-    """repr(value), cut to its first SHOWN characters when it is longer.  A
-    string is cut before its repr is taken, so its quotes stay."""
-    if not isinstance(value, str):
+    """repr(value), cut to its first SHOWN characters when it is longer; a
+    string is cut before its repr is taken, so its quotes stay.  It never
+    raises: an int too long to print, alone or in a list, shows its size."""
+    if isinstance(value, str) and len(value) > SHOWN:
+        return f"{value[:SHOWN]!r}... ({len(value)} characters)"
+    try:
         text = repr(value)
-        return text if len(text) <= SHOWN else f"{text[:SHOWN]}... ({len(text)} characters)"
-    if len(value) <= SHOWN:
-        return repr(value)
-    return f"{value[:SHOWN]!r}... ({len(value)} characters)"
+    except Exception:  # a repr may raise anything, and a message must not
+        text = _Repr().repr(value)
+    return text if isinstance(value, str) else cut(text)
 
 
 class GroupKitError(Exception):

@@ -26,6 +26,7 @@ from .errors import (
     NotAGroup,
     NotASubgroup,
     SizeLimitExceeded,
+    cut,
     quote,
 )
 
@@ -64,13 +65,12 @@ def _table_rows(flat: memoryview, n: int) -> tuple[memoryview, ...]:
     return tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
 
-def _table_row(i: int, row: Sequence[int], n: int, typecode: str, below: bytes) -> array:
-    """Row i of a caller's table as an array of typecode.  A malformed row
-    fails with the message of a cell-by-cell check: its length, else its
-    first cell that is not an int (bools excluded) in 0..n-1.  For one-byte
-    cells, below is bytes(range(n)): deleting those bytes from the row's
-    leaves nothing exactly when every cell is below n."""
-    row = tuple(row)
+def _table_row(i: int, row: tuple, n: int, typecode: str, below: bytes) -> array:
+    """Row i of a caller's table, a tuple, as an array of typecode.  A
+    malformed row fails with the message of a cell-by-cell check: its
+    length, else its first cell that is not an int (bools excluded) in
+    0..n-1.  For one-byte cells, below is bytes(range(n)): deleting those
+    bytes from the row's leaves nothing exactly when every cell is below n."""
     if len(row) != n:
         raise InvalidSpec(f"table row {i} has length {len(row)}, expected {n}")
     if all(issubclass(t, int) and t is not bool for t in set(map(type, row))):
@@ -85,14 +85,8 @@ def _table_row(i: int, row: Sequence[int], n: int, typecode: str, below: bytes) 
                 in_range = max(row) < n
             if in_range:
                 return cells
-    bad = next(
-        v for v in row if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n
-    )
-    try:
-        shown = repr(bad)
-    except ValueError:  # an int too long to print in decimal
-        shown = f"an integer of {bad.bit_length()} bits"
-    raise InvalidSpec(f"table row {i} holds {shown}, expected 0..{n - 1}")
+    bad = next(v for v in row if not _is_int(v) or not 0 <= v < n)
+    raise InvalidSpec(f"table row {i} holds {quote(bad)}, expected 0..{n - 1}")
 
 
 def _gather(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -320,10 +314,10 @@ class Group:
 
         gen = dict(generator_names or {})
         for sym, idx in gen.items():
-            if len(sym) != 1 or not sym.isalpha():
-                raise InvalidSpec(f"generator symbol {sym!r} must be a single letter")
-            if not 0 <= idx < n:
-                raise InvalidSpec(f"generator {sym!r} maps to invalid index {idx}")
+            if not isinstance(sym, str) or len(sym) != 1 or not sym.isalpha():
+                raise InvalidSpec(f"generator symbol {quote(sym)} must be a single letter")
+            if not self._is_index(idx):
+                raise InvalidSpec(f"generator {quote(sym)} maps to invalid index {quote(idx)}")
         self.generator_names = gen
 
         self._name_to_index = {s: i for i, s in enumerate(self.names)}
@@ -383,9 +377,13 @@ class Group:
 
     # -- arithmetic -------------------------------------------------------
 
+    def _is_index(self, x: object) -> bool:
+        """Whether x is an element index: an int, not a bool, in 0..order-1."""
+        return _is_int(x) and 0 <= x < self.order
+
     def _check_index(self, x: int) -> int:
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.order:
-            raise IndexOutOfRange(f"element index {x!r} not in 0..{self.order - 1}")
+        if not self._is_index(x):
+            raise IndexOutOfRange(f"element index {quote(x)} not in 0..{self.order - 1}")
         return x
 
     def _flat(self) -> memoryview:
@@ -466,7 +464,7 @@ class Group:
 
     def subset_from_mask(self, mask: int) -> ElementSet:
         if not 0 <= mask <= self.full_mask:
-            raise IndexOutOfRange(f"mask {mask:#x} has bits outside 0..{self.order - 1}")
+            raise IndexOutOfRange(f"mask {cut(f'{mask:#x}')} has bits outside 0..{self.order - 1}")
         return ElementSet._from_mask(self, mask)
 
     def singleton(self, x: int) -> ElementSet:
@@ -515,12 +513,8 @@ class ElementSet:
     __slots__ = ("group", "mask")
 
     def __init__(self, group: Group, elements: Iterable[int]) -> None:
-        mask = 0
-        for x in elements:
-            group._check_index(x)
-            mask |= 1 << x
         self.group = group
-        self.mask = mask
+        self.mask = _mask_of(map(group._check_index, elements))
 
     @classmethod
     def _from_mask(cls, group: Group, mask: int) -> "ElementSet":
@@ -541,13 +535,7 @@ class ElementSet:
         return bit_indices(self.mask)
 
     def __contains__(self, x: int) -> bool:
-        # a bool is no element index, as in Group._check_index
-        return (
-            isinstance(x, int)
-            and not isinstance(x, bool)
-            and 0 <= x < self.group.order
-            and self.mask >> x & 1 == 1
-        )
+        return self.group._is_index(x) and self.mask >> x & 1 == 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ElementSet):
@@ -631,8 +619,9 @@ class ElementSet:
 # -- specs and builders ----------------------------------------------------------
 
 
-def _is_positive_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+def _is_int(value: object) -> bool:
+    """Whether value is an int, a bool excepted: True is no count or index."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _tuples(value, depth: int):
@@ -647,8 +636,8 @@ def _tuples(value, depth: int):
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Validated description of a buildable group.  Every spec is checked
-    when it is made, however it is made, so the builders trust its fields."""
+    """Validated description of a buildable group, checked when it is made,
+    however it is made; a builder checks only a cayley table's cells."""
 
     kind: str
     n: int | None = None
@@ -661,7 +650,7 @@ class GroupSpec:
     def __post_init__(self) -> None:
         kind = self.kind
         if kind in ("cyclic", "dihedral", "symmetric"):
-            if not _is_positive_int(self.n):
+            if not _is_int(self.n) or self.n < 1:
                 raise InvalidSpec(f"{kind} group needs a positive integer n")
         elif kind == "direct_product":
             factors = self.factors
@@ -675,19 +664,31 @@ class GroupSpec:
                 raise InvalidSpec("cayley group needs a list of string names")
             if not isinstance(table, tuple) or not all(isinstance(r, tuple) for r in table):
                 raise InvalidSpec("cayley group needs a table as a list of rows")
+            if not table:
+                raise InvalidSpec("a group needs at least one element")
+            if len(names) != len(table):
+                raise InvalidSpec(f"{len(table)} table rows but {len(names)} names")
         elif kind == "permutation":
-            if not _is_positive_int(self.degree):
+            degree = self.degree
+            if not _is_int(degree) or degree < 1:
                 raise InvalidSpec("permutation group needs a positive integer degree")
+            try:
+                str(degree)  # the group's description shows it
+            except ValueError:
+                raise InvalidSpec(f"permutation degree too big to print: {quote(degree)}") from None
             if not isinstance(self.generators, tuple):
                 raise InvalidSpec("permutation group needs a generators list")
             for gi, cycles in enumerate(self.generators):
                 if not isinstance(cycles, tuple):
                     raise InvalidSpec(f"generator {gi} must be a list of cycles")
                 for cycle in cycles:
-                    if not isinstance(cycle, tuple) or not all(
-                        isinstance(p, int) and not isinstance(p, bool) for p in cycle
-                    ):
+                    if not isinstance(cycle, tuple) or not all(map(_is_int, cycle)):
                         raise InvalidSpec(f"generator {gi} holds a malformed cycle")
+                    if len(cycle) != len(set(cycle)):
+                        raise InvalidSpec(f"cycle {quote(list(cycle))} repeats a point")
+                    bad = [p for p in cycle if not 1 <= p <= degree]
+                    if bad:
+                        raise InvalidSpec(f"cycle point {quote(bad[0])} outside 1..{quote(degree)}")
         else:
             raise InvalidSpec(f"unknown group kind {quote(kind)}")
 
@@ -1050,15 +1051,7 @@ def _build_permutation(spec: GroupSpec, limit: int) -> Group:
     elements numbered in lex order of their images on those points, as
     symmetric:n numbers S_n, so that the numbering does not depend on the
     generators listed; _permutation_group picks the table kernel."""
-    degree = spec.degree
     generators = spec.generators
-    for cycles in generators:
-        for cycle in cycles:
-            if len(cycle) != len(set(cycle)):
-                raise InvalidSpec(f"cycle {list(cycle)} repeats a point")
-            for p in cycle:
-                if not 1 <= p <= degree:
-                    raise InvalidSpec(f"cycle point {p} outside 1..{degree}")
     # Every other point is fixed by the whole group, so the closure runs on
     # the points the generators name: its cost does not grow with degree.
     points = sorted({p for cycles in generators for cycle in cycles for p in cycle})
@@ -1085,16 +1078,12 @@ def _build_permutation(spec: GroupSpec, limit: int) -> Group:
         gens,
         _GEN_SYMBOLS,
         kind="permutation",
-        description=f"permutation:deg{degree}",
+        description=f"permutation:deg{spec.degree}",
     )
 
 
 def _build_cayley(table: Sequence[Sequence[int]], names: Sequence[str]) -> Group:
     n = len(table)
-    if n == 0:
-        raise InvalidSpec("a group needs at least one element")
-    if len(names) != n:
-        raise InvalidSpec(f"{n} table rows but {len(names)} names")
     typecode = _typecode(n)
     below = bytes(range(n)) if typecode == "B" else b""
     cells = b"".join(_table_row(i, row, n, typecode, below) for i, row in enumerate(table))

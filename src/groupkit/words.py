@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 
-from .errors import SHOWN, IndexOutOfRange, ParseError, UnknownSymbol, quote
+from .errors import IndexOutOfRange, ParseError, UnknownSymbol, quote
 from .groups import ElementSet, Group
 
 __all__ = ["parse_element", "parse_subset"]
@@ -94,13 +94,7 @@ def parse_element(group: Group, text: str) -> int:
                 raise
 
     if digits:
-        idx = _to_int(s, "index")
-        if idx >= group.order:
-            shown = idx if len(s) <= SHOWN else quote(s)
-            raise IndexOutOfRange(
-                f"index {shown} out of range for a group of order {group.order}"
-            )
-        return idx
+        return group._check_index(_to_int(s, "index"))
 
     raise ParseError(f"cannot parse {quote(text)} as an element of {group.description}")
 

@@ -11,11 +11,13 @@ from __future__ import annotations
 import itertools
 import random
 from array import array
-from math import gcd
-from operator import itemgetter
+from functools import reduce
+from math import factorial, gcd, prod
+from operator import itemgetter, or_
 
 from groupkit import (
     ChoicePolicy,
+    GroupKitError,
     MidEmpty,
     build_group,
     enumerate_all_middle_subfactors,
@@ -741,3 +743,68 @@ def run_trace_invariants(groups: list[Group], n_runs: int = 1000, seed: int = 20
             bad.append(f"{g.description}: {kind} output fails its predicate for H={h!r} K={k!r}")
         runs += 1
     return bad, runs
+
+
+# -- every pick order of the chain search ----------------------------------------
+
+
+def pick_order_problems(cap: int) -> tuple[list[str], dict]:
+    """Replay every pick order the chain search allows, for mta and msfa
+    over every subgroup pair of C12, D12, S3 and D8, through the public
+    searches with g0 and a scripted policy.
+
+    A pick removes its whole block, so the orders of a case are the
+    sequences that take one element of each cell (a block of the oracle's
+    partition cut down to the seed) in any order of the cells: the product
+    of the cell sizes times (number of cells)!.  They are counted before
+    any is walked, and a case with more than cap is skipped.  The seed is
+    G for mta and, for msfa, the union of the oracle's answers, which is
+    Mid.  Every oracle answer X must be reached by exactly |X|! orders and
+    nothing else reached.  Returns (violations, stats)."""
+    groups = [build_group({"kind": kind, "n": n})
+              for kind, n in (("cyclic", 12), ("dihedral", 6), ("symmetric", 3), ("dihedral", 4))]
+    bad = []
+    stats = {"cases": 0, "runs": 0, "skipped": 0}
+    for g in groups:
+        for (h, k), (name, search, answers_of) in itertools.product(
+            subgroup_pairs(g),
+            (("mta", mta, oracle.all_middle_transversals),
+             ("msfa", msfa, oracle.all_maximal_direct_triples)),
+        ):
+            case = f"{g.description} {name} H={h!r} K={k!r}"
+            try:
+                answers = answers_of(h, k, as_masks=True)
+            except MidEmpty:
+                continue
+            seed = reduce(or_, answers)
+            block = {x: b.mask for b in oracle.double_coset_partition(h, k).blocks for x in b}
+            cells = {block[x] & seed for x in bit_indices(seed)}
+            orders = factorial(len(cells)) * prod(c.bit_count() for c in cells)
+            if orders > cap:
+                stats["skipped"] += 1
+                continue
+            stats["cases"] += 1
+            reached: dict[int, int] = {}
+
+            def walk(live: int, picks: list[int]) -> None:
+                if not live:
+                    try:
+                        trace = search(h, k, g0=picks[0],
+                                       policy=ChoicePolicy.scripted(picks[1:]))
+                    except GroupKitError as exc:
+                        bad.append(f"{case}: picks {picks} refused: {exc}")
+                        return
+                    out = trace.output.mask
+                    reached[out] = reached.get(out, 0) + 1
+                    stats["runs"] += 1
+                    return
+                for x in bit_indices(live):
+                    walk(live & ~block[x], picks + [x])
+
+            walk(seed, [])
+            for x in answers:
+                times = reached.pop(x, 0)
+                if times != factorial(x.bit_count()):
+                    bad.append(f"{case}: {g.subset_from_mask(x)!r} reached {times} times")
+            bad += [f"{case}: {g.subset_from_mask(x)!r} is no answer" for x in reached]
+    return bad, stats

@@ -546,3 +546,22 @@ def test_policy_descriptions():
 def test_policy_mode_must_be_known(mode):
     with pytest.raises(InvalidSpec, match=f"^choice policy {re.escape(repr(mode))} not understood"):
         ChoicePolicy(mode)
+
+
+@pytest.mark.parametrize("seed", [None, True, False, 2.5, "7"])
+def test_random_policy_needs_an_int_seed(seed):
+    # describe() records the seed, so a random policy must have one that
+    # replays: None would seed from the OS, and a bool is no int here
+    with pytest.raises(InvalidSpec,
+                       match=f"^choice policy random needs an integer seed, got {re.escape(repr(seed))}$"):
+        ChoicePolicy("random", seed=seed)
+
+
+def test_the_chain_search_reaches_every_answer():
+    # the paper's completeness claim, on the searches themselves: every pick
+    # order that mta and msfa allow, replayed through them, ends in an oracle
+    # answer, and each answer X is reached by exactly |X|! orders; the counts
+    # show no case was skipped unseen
+    bad, stats = suites.pick_order_problems(120)
+    assert bad == []
+    assert stats == {"cases": 515, "runs": 15164, "skipped": 176}

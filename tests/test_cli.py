@@ -642,6 +642,9 @@ def test_max_order_env_exits_5(capsys, monkeypatch):
     ({"degree": 3, "generators": [[[1, 2, 1]]]}, "cycle [1, 2, 1] repeats a point"),
     ({"degree": 3, "generators": [[[1, 4]]]}, "cycle point 4 outside 1..3"),
     ({"degree": 3, "generators": [[[0, 1]]]}, "cycle point 0 outside 1..3"),
+    # with several faults, the first in generator and cycle order
+    ({"degree": 3, "generators": [[[1, 1]], 5]}, "cycle [1, 1] repeats a point"),
+    ({"degree": 3, "generators": [[[1, 2, 4, 2]]]}, "cycle [1, 2, 4, 2] repeats a point"),
 ])
 def test_malformed_permutation_spec_exits_2(capsys, spec, message):
     group = json.dumps({"kind": "permutation", **spec})

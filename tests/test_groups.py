@@ -443,6 +443,10 @@ def test_name_lookup(d12, s3):
     ({"1": 1}, "generator symbol '1' must be a single letter"),
     ({"a": 2}, "generator 'a' maps to invalid index 2"),
     ({"a": -1}, "generator 'a' maps to invalid index -1"),
+    # a value of any type is refused, and shown, without a TypeError
+    ({1: 0}, "generator symbol 1 must be a single letter"),
+    ({"a": "x"}, "generator 'a' maps to invalid index 'x'"),
+    ({"a": True}, "generator 'a' maps to invalid index True"),
 ])
 def test_group_refuses_bad_generator_names(generator_names, message):
     with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):

@@ -14,8 +14,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupkit import Group, GroupKitError, InvalidSpec, NotAGroup, build_group
-from groupkit import groups
+from groupkit import (
+    ChoicePolicy,
+    ElementSet,
+    Group,
+    GroupKitError,
+    IndexOutOfRange,
+    InvalidSpec,
+    NotAGroup,
+    ScriptedChoiceInvalid,
+    build_group,
+    enumerate_all_middle_subfactors,
+    enumerate_all_middle_transversals,
+    enumerate_all_right_transversals,
+    rta,
+)
+from groupkit import groups, oracle
+from groupkit.errors import quote
 from groupkit.cli import main
 from groupkit.groups import (
     _LIGHT_BLOCK_CELLS,
@@ -1048,12 +1063,16 @@ def test_cayley_input_only_raises_spec_errors(spec):
     assert naive_associative(table)
 
 
+# an int past the interpreter's 4,300-digit limit for printing in decimal
+UNPRINTABLE = 10 ** 5000
+
 # a field of a hostile spec that no builder takes: sizes of every sign and
-# width, and values of the wrong type
+# width, ints too long to print, and values of the wrong type
 JUNK = st.one_of(
     st.integers(min_value=-2, max_value=0),
     st.integers(min_value=2 ** 31, max_value=2 ** 70),
     st.integers(max_value=-(2 ** 31)),
+    st.sampled_from([UNPRINTABLE, -UNPRINTABLE]),
     st.booleans(),
     st.floats(allow_nan=False),
     st.none(),
@@ -1096,20 +1115,69 @@ def hostile_specs():
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(hostile_specs())
 def test_hostile_specs_only_raise_groupkit_errors(spec):
-    # every kind but cayley, whose table has its own fuzz above; a group
-    # that builds stays within the order cap
+    # every kind but cayley, whose table has its own fuzz above; a refusal
+    # has a short message, and a group that builds stays within the order cap
     with pytest.MonkeyPatch.context() as env:
         env.setenv("GROUPKIT_MAX_ORDER", "48")
         try:
             g = build_group(spec)
-        except GroupKitError:
+        except GroupKitError as exc:
+            assert len(str(exc)) <= 200
             return
     assert g.order <= 48
 
 
 def test_cayley_rejects_an_unprintable_integer():
     with pytest.raises(InvalidSpec, match="table row 1 holds an integer of 16610 bits"):
-        build_group({"kind": "cayley", "names": ["e", "x"], "table": [[0, 1], [1, 10 ** 5000]]})
+        build_group({"kind": "cayley", "names": ["e", "x"], "table": [[0, 1], [1, UNPRINTABLE]]})
+
+
+def _permutation(degree, *cycles):
+    return build_group({"kind": "permutation", "degree": degree, "generators": [list(cycles)]})
+
+
+_Z12 = build_group({"kind": "cyclic", "n": 12})
+_H, _K = _Z12.subset([0, 6]), _Z12.subset([0, 4, 8])
+
+
+# Each entry point given an int too long to print; a limit takes it negative,
+# as a positive one is a valid cap.
+@pytest.mark.parametrize("call, error", [
+    (lambda: _Z12.multiply(UNPRINTABLE, 0), IndexOutOfRange),
+    (lambda: _Z12.power(UNPRINTABLE, 1), IndexOutOfRange),
+    (lambda: _Z12.singleton(UNPRINTABLE), IndexOutOfRange),
+    (lambda: ElementSet(_Z12, [UNPRINTABLE]), IndexOutOfRange),
+    (lambda: rta(_H, g0=UNPRINTABLE), IndexOutOfRange),
+    (lambda: rta(_H, policy=ChoicePolicy.scripted([UNPRINTABLE])), ScriptedChoiceInvalid),
+    (lambda: enumerate_all_right_transversals(_H, limit=-UNPRINTABLE), InvalidSpec),
+    (lambda: enumerate_all_middle_transversals(_H, _K, limit=-UNPRINTABLE), InvalidSpec),
+    (lambda: enumerate_all_middle_subfactors(_H, _K, limit=-UNPRINTABLE), InvalidSpec),
+    (lambda: oracle.all_right_transversals(_H, limit=-UNPRINTABLE), InvalidSpec),
+    (lambda: oracle.all_middle_transversals(_H, _K, limit=-UNPRINTABLE), InvalidSpec),
+    (lambda: oracle.all_maximal_direct_triples(_H, _K, limit=-UNPRINTABLE), InvalidSpec),
+    (lambda: Group(2, bytes([0, 1, 1, 0]), ["e", "x"], kind="cayley", description="c2",
+                   generator_names={"a": UNPRINTABLE}), InvalidSpec),
+    (lambda: _permutation(UNPRINTABLE, [1, 2]), InvalidSpec),
+    (lambda: _permutation(3, [1, UNPRINTABLE]), InvalidSpec),
+    (lambda: _permutation(3, [1, UNPRINTABLE, 1]), InvalidSpec),
+    (lambda: _permutation(10 ** 6, list(range(1, 3000)) + [1]), InvalidSpec),
+], ids=["multiply", "power", "singleton", "ElementSet", "rta-g0", "scripted-pick",
+        "right-transversals", "middle-transversals", "middle-subfactors",
+        "oracle-right", "oracle-middle", "oracle-maximal", "generator-names",
+        "permutation-degree", "cycle-point", "repeated-cycle", "long-repeated-cycle"])
+def test_unprintable_ints_raise_short_groupkit_errors(call, error):
+    with pytest.raises(error) as info:
+        call()
+    assert info.value.exit_code == 2
+    assert len(str(info.value)) <= 200
+
+
+def test_quote_shows_unprintable_ints_by_their_size():
+    assert quote(UNPRINTABLE) == "an integer of 16610 bits"
+    assert quote(-UNPRINTABLE) == "a negative integer of 16610 bits"
+    assert quote([[UNPRINTABLE, 1], (UNPRINTABLE,)]) == (
+        "[[an integer of 16610 bits, 1], (an inte... (60 characters)"
+    )
 
 
 @pytest.mark.parametrize("n", [2, 200, 255, 256, 257, 300])

@@ -37,7 +37,8 @@ def test_integer_index_fallback(d12, z12):
     assert parse_element(z12, "11") == 11
     with pytest.raises(IndexOutOfRange):
         parse_element(d12, "12")
-    with pytest.raises(IndexOutOfRange):
+    # a bare index is checked as every element index is, by Group._check_index
+    with pytest.raises(IndexOutOfRange, match=r"^element index 99 not in 0\.\.11$"):
         parse_element(z12, "99")
 
 
