@@ -15,8 +15,8 @@ SHOWN = 40  # the most characters of an input that a message quotes
 
 class _Repr(reprlib.Repr):
     def repr_int(self, x: int, level: int) -> str:
-        try:
-            return super().repr_int(x, level)
+        try:  # not super().repr_int: newer reprlib versions do not raise here
+            return repr(x)
         except ValueError:  # past the interpreter's digit limit: show its size
             return f"{'a negative' if x < 0 else 'an'} integer of {x.bit_length()} bits"
 

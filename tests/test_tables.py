@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import reprlib
 import sys
 from array import array
 from operator import itemgetter
@@ -1178,6 +1179,16 @@ def test_quote_shows_unprintable_ints_by_their_size():
     assert quote([[UNPRINTABLE, 1], (UNPRINTABLE,)]) == (
         "[[an integer of 16610 bits, 1], (an inte... (60 characters)"
     )
+
+
+def test_quote_does_not_lean_on_reprlib_for_long_ints(monkeypatch):
+    # Newer interpreters' reprlib returns its own text for an int past the
+    # digit limit instead of raising; quote must read the same either way.
+    def newer_repr_int(self, x, level):
+        return "<int instance with roughly 5001 digits (limit at 4300)>"
+
+    monkeypatch.setattr(reprlib.Repr, "repr_int", newer_repr_int)
+    assert quote([UNPRINTABLE, 1]) == "[an integer of 16610 bits, 1]"
 
 
 @pytest.mark.parametrize("n", [2, 200, 255, 256, 257, 300])
