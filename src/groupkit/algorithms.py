@@ -22,8 +22,10 @@ same chain from the uncovered remainder and grows X to a middle transversal
 the recorded picks as its script and compares the runs.  The exhaustive
 enumerations build every output at once: a pick removes its whole block, so
 the outputs are the sets taking one element from each block inside the
-seed, the Cartesian product of those cells.  They build it as int masks;
-the enumerate_all_* functions wrap each mask as an ElementSet.
+seed, the Cartesian product of those cells, built as int masks by _enumerate.
+The enumerate_all_* functions return them as a set of ElementSets, or with
+as_masks=True as the list of masks in _enumerate's order, the order in which
+the oracle's all_* functions list theirs.
 """
 
 from __future__ import annotations
@@ -408,56 +410,31 @@ def _products(base: int, cells: list[int]) -> list[int]:
     return out
 
 
-def _right_transversal_masks(h: ElementSet, *, limit: int | None = None) -> list[int]:
-    """enumerate_all_right_transversals as masks, each once."""
-    return _middle_transversal_masks(h, h.group.trivial_subgroup(), limit=limit)
-
-
-def _middle_transversal_masks(
-    h: ElementSet, k: ElementSet, *, limit: int | None = None
-) -> list[int]:
-    """enumerate_all_middle_transversals as masks, each once."""
-    return _enumerate(*_seed_and_blocks(h, k, False), limit)
-
-
-def _middle_subfactor_masks(
-    h: ElementSet, k: ElementSet, *, limit: int | None = None
-) -> list[int]:
-    """enumerate_all_middle_subfactors as masks, each once."""
-    return _enumerate(*_seed_and_blocks(h, k, True), limit)
-
-
-def _element_sets(g: Group, masks: list[int]) -> set[ElementSet]:
-    return {ElementSet._from_mask(g, m) for m in masks}
-
-
 def enumerate_all_right_transversals(
-    h: ElementSet,
-    *,
-    limit: int | None = None,
-) -> set[ElementSet]:
+    h: ElementSet, *, limit: int | None = None, as_masks: bool = False
+) -> set[ElementSet] | list[int]:
     """Every right transversal of H: the middle transversals of (H, {1}).
-    Built as masks by _right_transversal_masks, then wrapped."""
-    return _element_sets(h.group, _right_transversal_masks(h, limit=limit))
+    With as_masks, the list of their int masks, in the order
+    enumerate_all_middle_transversals gives."""
+    return enumerate_all_middle_transversals(
+        h, h.group.trivial_subgroup(), limit=limit, as_masks=as_masks
+    )
 
 
 def enumerate_all_middle_transversals(
-    h: ElementSet,
-    k: ElementSet,
-    *,
-    limit: int | None = None,
-) -> set[ElementSet]:
-    """Every middle transversal of (H, K).  Built as masks by
-    _middle_transversal_masks, then wrapped."""
-    return _element_sets(h.group, _middle_transversal_masks(h, k, limit=limit))
+    h: ElementSet, k: ElementSet, *, limit: int | None = None, as_masks: bool = False
+) -> set[ElementSet] | list[int]:
+    """Every middle transversal of (H, K).  With as_masks, the list of their
+    int masks in _enumerate's order."""
+    masks = _enumerate(*_seed_and_blocks(h, k, False), limit)
+    return masks if as_masks else {ElementSet._from_mask(h.group, m) for m in masks}
 
 
 def enumerate_all_middle_subfactors(
-    h: ElementSet,
-    k: ElementSet,
-    *,
-    limit: int | None = None,
-) -> set[ElementSet]:
+    h: ElementSet, k: ElementSet, *, limit: int | None = None, as_masks: bool = False
+) -> set[ElementSet] | list[int]:
     """Every maximal direct middle X for (H, K); raises MidEmpty when none
-    exist.  Built as masks by _middle_subfactor_masks, then wrapped."""
-    return _element_sets(h.group, _middle_subfactor_masks(h, k, limit=limit))
+    exist.  With as_masks, the list of their int masks in _enumerate's
+    order."""
+    masks = _enumerate(*_seed_and_blocks(h, k, True), limit)
+    return masks if as_masks else {ElementSet._from_mask(h.group, m) for m in masks}

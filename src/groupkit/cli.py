@@ -21,21 +21,13 @@ from . import config, oracle, products, verify
 from .algorithms import (
     SMALLEST,
     ChoicePolicy,
-    _middle_subfactor_masks,
-    _middle_transversal_masks,
-    _right_transversal_masks,
+    enumerate_all_middle_subfactors,
+    enumerate_all_middle_transversals,
+    enumerate_all_right_transversals,
     extend_to_middle_transversal,
     msfa,
     mta,
     rta,
-)
-
-# enumerate cross-checks the search's raw masks and does not call these, but
-# they stay importable from here: perfbench/tracing.py wraps them by name
-from .algorithms import (  # noqa: F401
-    enumerate_all_middle_subfactors,
-    enumerate_all_middle_transversals,
-    enumerate_all_right_transversals,
 )
 from .errors import GroupKitError, InvalidSpec, quote
 from .groups import ElementSet, Group, GroupSpec, build_group
@@ -297,16 +289,16 @@ def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
         inputs["K"] = inputs.pop("K")  # enumerate's reports list K last
     operands = (h,) if k is None else (h, k)
     search, brute = {
-        "right-transversals": (_right_transversal_masks, oracle.all_right_transversals),
-        "middle-transversals": (_middle_transversal_masks, oracle.all_middle_transversals),
-        "middle-subfactors": (_middle_subfactor_masks, oracle.all_maximal_direct_triples),
+        "right-transversals": (enumerate_all_right_transversals, oracle.all_right_transversals),
+        "middle-transversals": (enumerate_all_middle_transversals, oracle.all_middle_transversals),
+        "middle-subfactors": (enumerate_all_middle_subfactors, oracle.all_maximal_direct_triples),
     }[args.what]
     result: dict = {"what": args.what, "via": args.via}
     # both sides stay as the int-mask lists they return; --list alone wraps
     # the masks as sets
     algo_masks = oracle_masks = None
     if args.via != "oracle":
-        algo_masks = search(*operands, limit=limit)
+        algo_masks = search(*operands, limit=limit, as_masks=True)
         if os.environ.get(FAULT_ENV) == "drop-algorithm-set" and algo_masks:
             # test hook: force a cross-check mismatch deterministically
             algo_masks.remove(max(algo_masks))

@@ -400,6 +400,8 @@ class Group:
     def power(self, x: int, k: int) -> int:
         """x**k for any integer k (negative powers use the inverse)."""
         self._check_index(x)
+        if not _is_int(k):
+            raise InvalidSpec(f"exponent {quote(k)} is not an integer")
         if k < 0:
             x, k = self.inverse[x], -k
         acc = self.identity
@@ -463,6 +465,8 @@ class Group:
         return ElementSet(self, elements)
 
     def subset_from_mask(self, mask: int) -> ElementSet:
+        if not _is_int(mask):
+            raise IndexOutOfRange(f"mask {quote(mask)} is not an integer")
         if not 0 <= mask <= self.full_mask:
             raise IndexOutOfRange(f"mask {cut(f'{mask:#x}')} has bits outside 0..{self.order - 1}")
         return ElementSet._from_mask(self, mask)

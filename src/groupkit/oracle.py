@@ -23,6 +23,7 @@ from . import config
 from .errors import (
     EnumerationLimitExceeded,
     GroupMismatch,
+    InvalidSpec,
     MidEmpty,
     NotASubgroup,
 )
@@ -50,12 +51,12 @@ class Partition:
             if block.group is not self.group:
                 raise GroupMismatch("partition block belongs to a different group")
             if block.mask == 0:
-                raise ValueError("partition blocks must be nonempty")
+                raise InvalidSpec("partition blocks must be nonempty")
             if block.mask & union:
-                raise ValueError("partition blocks overlap")
+                raise InvalidSpec("partition blocks overlap")
             union |= block.mask
         if union != self.group.full_mask:
-            raise ValueError("partition blocks fail to cover the group")
+            raise InvalidSpec("partition blocks fail to cover the group")
 
     def sizes(self) -> list[int]:
         return [len(b) for b in self.blocks]

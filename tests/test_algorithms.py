@@ -451,9 +451,9 @@ def test_enumeration_cap_checked_before_branching():
 @pytest.mark.parametrize("what", ["right-transversals", "middle-transversals",
                                   "middle-subfactors"])
 def test_enumeration_cap_is_exact(z12, d12, what):
-    # the oracle's masks (as_masks=True) meet the same cap and are the plain
+    # both sides' masks (as_masks=True) meet the same cap and are the plain
     # product over the cells by least element, each ascending, the first
-    # slowest: the masks of its sets, each once
+    # slowest: the masks of their sets, each once
     if what == "right-transversals":
         args = (z12.subset([0, 3, 6, 9]),)
         search, brute = enumerate_all_right_transversals, oracle.all_right_transversals
@@ -472,8 +472,10 @@ def test_enumeration_cap_is_exact(z12, d12, what):
     bit_cells = [[1 << i for i in cell.indices()] for cell in sorted(cells, key=min)]
     plain = list(map(sum, itertools.product(*bit_cells)))
     assert len(plain) == count and set(plain) == {s.mask for s in want}
-    masks = functools.partial(brute, as_masks=True)
-    for enumerate_all, expected in ((search, want), (brute, want), (masks, plain)):
+    search_masks = functools.partial(search, as_masks=True)
+    brute_masks = functools.partial(brute, as_masks=True)
+    for enumerate_all, expected in ((search, want), (brute, want), (search_masks, plain),
+                                    (brute_masks, plain)):
         assert enumerate_all(*args, limit=count) == expected
         with pytest.raises(EnumerationLimitExceeded):
             enumerate_all(*args, limit=count - 1)

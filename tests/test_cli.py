@@ -430,14 +430,14 @@ def _first_for_largest(masks):
 def test_search_side_duplicate_exits_4(capsys, monkeypatch, tamper, count_algorithm):
     from groupkit import cli
 
-    honest = cli._right_transversal_masks
+    honest = cli.enumerate_all_right_transversals
 
     def tampered(*args, **kwargs):
         masks = honest(*args, **kwargs)
         tamper(masks)
         return masks
 
-    monkeypatch.setattr(cli, "_right_transversal_masks", tampered)
+    monkeypatch.setattr(cli, "enumerate_all_right_transversals", tampered)
     code, data = run_json(capsys, ["enumerate", "--group", "cyclic:12", "-H", "0,3,6,9",
                                    "--what", "right-transversals"])
     assert code == 4
@@ -459,8 +459,8 @@ def _last_as_foreign(masks):
 
 
 @pytest.mark.parametrize("what, search, h, k", [
-    ("middle-transversals", "_middle_transversal_masks", H_EMPTY, K_EMPTY),
-    ("middle-subfactors", "_middle_subfactor_masks", H_PROPER, K_PROPER),
+    ("middle-transversals", "enumerate_all_middle_transversals", H_EMPTY, K_EMPTY),
+    ("middle-subfactors", "enumerate_all_middle_subfactors", H_PROPER, K_PROPER),
 ], ids=["transversals", "subfactors"])
 @pytest.mark.parametrize("tamper, code", [(_reverse, 0), (_last_as_first, 4),
                                           (_last_as_foreign, 4)],
@@ -485,6 +485,35 @@ def test_a_reordered_search_list_is_checked_as_a_set(capsys, monkeypatch, what, 
     r = data["result"]
     assert r["count_oracle"] >= 2
     assert (r["count_algorithm"], r["match"]) == (r["count_oracle"], code == 0)
+
+
+@pytest.mark.parametrize("what, name, subgroups", [
+    ("right-transversals", "enumerate_all_right_transversals", ["-H", H_PROPER]),
+    ("middle-transversals", "enumerate_all_middle_transversals", ["-H", H_EMPTY, "-K", K_EMPTY]),
+    ("middle-subfactors", "enumerate_all_middle_subfactors", ["-H", H_PROPER, "-K", K_PROPER]),
+], ids=["right", "middle", "subfactors"])
+def test_enumerate_calls_its_public_search_once_for_masks(capsys, monkeypatch, what, name,
+                                                          subgroups):
+    # the search side of the cross-check goes through the public name, so a
+    # wrapper on it (as the benchmark's tracer installs) sees every call
+    from groupkit import cli
+
+    calls = {}
+
+    def counting(public):
+        honest = getattr(cli, public)
+
+        def counted(*args, **kwargs):
+            calls.setdefault(public, []).append(kwargs.get("as_masks"))
+            return honest(*args, **kwargs)
+        return counted
+
+    for public in ("enumerate_all_right_transversals", "enumerate_all_middle_transversals",
+                   "enumerate_all_middle_subfactors"):
+        monkeypatch.setattr(cli, public, counting(public))
+    code, data = run_json(capsys, ["enumerate", "--group", D12, *subgroups, "--what", what])
+    assert code == 0 and data["result"]["match"] is True
+    assert calls == {name: [True]}
 
 
 # -- relabeling: answers do not depend on the element order ------------------------

@@ -217,6 +217,27 @@ def test_subset_bounds(z12):
     assert repr(z12) == "Group('cyclic:12', order=12)"
 
 
+_C4 = build_group({"kind": "cyclic", "n": 4})
+
+
+# an exponent or a mask must be an int, and a bool is none
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: _C4.power(1, "2"), InvalidSpec, "exponent '2' is not an integer"),
+    (lambda: _C4.power(1, 2.5), InvalidSpec, "exponent 2.5 is not an integer"),
+    (lambda: _C4.power(1, True), InvalidSpec, "exponent True is not an integer"),
+    (lambda: _C4.power(1, "x" * 100), InvalidSpec, "exponent 'xxxx"),
+    (lambda: _C4.subset_from_mask("x"), IndexOutOfRange, "mask 'x' is not an integer"),
+    (lambda: _C4.subset_from_mask(True), IndexOutOfRange, "mask True is not an integer"),
+    (lambda: _C4.subset_from_mask(1.0), IndexOutOfRange, "mask 1.0 is not an integer"),
+], ids=["power-str", "power-float", "power-bool", "power-long-str", "mask-str", "mask-bool",
+        "mask-float"])
+def test_exponents_and_masks_must_be_ints(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(message)
+    assert len(str(info.value)) <= 200
+
+
 def test_membership_refuses_what_subset_refuses(z12):
     # a bool is an int but no element index, in a subset or a membership test
     s = z12.subset([0, 1])

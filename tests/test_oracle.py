@@ -2,8 +2,8 @@ import inspect
 
 import pytest
 
-from groupkit import GroupMismatch, MidEmpty, NotASubgroup, build_group
-from groupkit import oracle, products
+from groupkit import GroupMismatch, InvalidSpec, MidEmpty, NotASubgroup, build_group
+from groupkit import algorithms, oracle, products
 from groupkit.oracle import Partition
 from groupkit.words import parse_subset
 import suites
@@ -33,11 +33,11 @@ def test_double_coset_sizes_vary(d12, proper_mid_pair):
 
 def test_partition_validation(d12, z12):
     full = d12.full_set()
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec, match="^partition blocks overlap$"):
         Partition(group=d12, blocks=(d12.subset([0, 1]), d12.subset([1, 2])))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec, match="^partition blocks fail to cover the group$"):
         Partition(group=d12, blocks=(d12.subset([0]),))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec, match="^partition blocks must be nonempty$"):
         Partition(group=d12, blocks=(d12.empty_set(), full))
     with pytest.raises(GroupMismatch):
         Partition(group=d12, blocks=(z12.full_set(),))
@@ -86,6 +86,53 @@ def test_maximal_direct_triples_mid_empty(d12, empty_mid_pair):
     h, k = empty_mid_pair
     with pytest.raises(MidEmpty):
         oracle.all_maximal_direct_triples(h, k)
+
+
+def test_maximal_direct_middles_by_definition():
+    # For every subset X of G: H*X*K is direct when no product h*x*k repeats,
+    # and X is a maximal direct middle when no y outside X keeps X + {y}
+    # direct.  Both enumerations must list exactly these sets, each once;
+    # when the only one is the empty set, Mid is empty and both refuse.
+    c2 = {"kind": "cyclic", "n": 2}
+    specs = [{"kind": "symmetric", "n": 3}, {"kind": "dihedral", "n": 4},
+             {"kind": "direct_product", "factors": [c2, c2, c2]}, {"kind": "cyclic", "n": 12}]
+    searches = (oracle.all_maximal_direct_triples, algorithms.enumerate_all_middle_subfactors)
+    pairs = subsets = found = empty = 0
+    for spec in specs:
+        g = build_group(spec)
+        t, n = g.table, g.order
+        for h, k in suites.subgroup_pairs(g):
+            hs, ks = list(h), list(k)
+            # the mask of the products h*y*k of each y, or None when one repeats
+            products_of = []
+            for y in range(n):
+                seen = {t[t[a][y]][b] for a in hs for b in ks}
+                products_of.append(sum(1 << p for p in seen) if len(seen) == len(hs) * len(ks)
+                                   else None)
+            # the mask of H*X*K for each direct X, else None: X is direct when
+            # X less its top element is and that element's products neither
+            # repeat nor meet the others
+            hxk = [0] + [None] * ((1 << n) - 1)
+            for x in range(1, 1 << n):
+                top = x.bit_length() - 1
+                rest, new = hxk[x & ~(1 << top)], products_of[top]
+                if rest is not None and new is not None and not rest & new:
+                    hxk[x] = rest | new
+            maximal = {x for x in range(1 << n) if hxk[x] is not None
+                       and all(hxk[x | 1 << y] is None for y in range(n) if not x >> y & 1)}
+            pairs += 1
+            subsets += 1 << n
+            found += len(maximal)
+            if maximal == {0}:
+                empty += 1
+                for enumerate_all in searches:
+                    with pytest.raises(MidEmpty):
+                        enumerate_all(h, k)
+                continue
+            for enumerate_all in searches:
+                listed = enumerate_all(h, k, as_masks=True)
+                assert len(listed) == len(maximal) and set(listed) == maximal, (spec, h, k)
+    assert (pairs, subsets, found, empty) == (428, 240896, 3235, 199)
 
 
 def test_oracle_limits(z12):
