@@ -236,14 +236,18 @@ def _cmd_msfa(args: argparse.Namespace) -> RunReport:
     direct = products.is_direct_triple(h, x, k)
     # Mid by definition, not the search's seed: the seed is read off the
     # same gathers as H*X*K, so a block missing from both would pass unseen.
-    # Mid is a union of (H, K) blocks, so a direct X is maximal exactly when
-    # H*X*K already covers Mid.
-    mid = products.mid_director(h, k)
-    maximal = mid <= hxk
+    # A direct X gives H*X*K inside Mid, so X is maximal exactly when no x
+    # outside H*X*K is in Mid.
+    if direct:
+        extra = products.mid_director(h, k, among=hxk.complement())
+        maximal, mid_size = not extra, len(hxk) + len(extra)
+    else:
+        mid = products.mid_director(h, k)
+        maximal, mid_size = mid <= hxk, len(mid)
     result = {
         "trace": trace_payload(trace, full),
         "x": x.names(),
-        "mid_size": len(mid),
+        "mid_size": mid_size,
         "covers_group": hxk == g.full_set(),
         "direct": direct,
         "maximal": maximal,

@@ -10,9 +10,9 @@ exactly the x with H meeting K^x trivially.
 Products are read off the table by C-level gathers over whole rows and
 columns, never one lookup per product.  A cell A*x*B costs min(|A|, |B|)
 gathers (_cell_maker), so a check over X makes |X|*min(|A|, |B|) of them
-and holds one cell at a time.  mid_director gathers along x instead: one
-gather per pair (a, b) for each run of x, n*|A||B| products in all, at most
-_MID_PRODUCTS of them held at once.
+and holds one cell, at most n products, at a time.  mid_director is such a
+check: n*min(|A|, |B|) gathers over all of G, or |among|*min(|A|, |B|)
+over the x it is given.
 """
 
 from __future__ import annotations
@@ -118,46 +118,21 @@ def is_direct_triple(a: ElementSet, x: ElementSet, b: ElementSet) -> bool:
     return _cells_union(_same_group(a, x, b), a, x, b, direct=True) >= 0
 
 
-# The products that mid_director holds at once: its gathers run over this
-# many x at a time, shared among the |A||B| pairs.
-_MID_PRODUCTS = 1 << 18
+def mid_director(a: ElementSet, b: ElementSet, *, among: ElementSet | None = None) -> ElementSet:
+    """All x with A*{x}*B direct, for arbitrary subsets A and B; with among,
+    only the x in among.
 
-
-def mid_director(a: ElementSet, b: ElementSet) -> ElementSet:
-    """All x with A*{x}*B direct, for arbitrary subsets A and B.
-
-    Counts |A*x*B| for every x, by definition.  For each pair (a, b), the
-    products a*x*b over a run of x are one gather: row a read off at the
-    x, then gathered out of column b (or column b read off, then gathered
-    out of row a, when B is the larger).  The cell of x is the x-th entry of
-    every pair's vector.  No cell of G holds more than n products, so none
-    is direct when |A||B| > n."""
-    g = _same_group(a, b)
-    n = g.order
-    pairs = len(a) * len(b)
-    if pairs == 0:
-        return g.full_set()
-    if pairs > n:
+    Keeps x when its cell A*x*B has |A||B| elements, by definition:
+    n*min(|A|, |B|) gathers, or |among|*min(|A|, |B|), holding one cell of
+    at most n products at a time.  No cell of G holds more than n products,
+    so none is direct when |A||B| > n."""
+    g = _same_group(a, b) if among is None else _same_group(a, b, among)
+    size = len(a) * len(b)
+    if size > g.order:
         return g.empty_set()
-    # The fixed side goes to lists once, at most sqrt(n) of them, so that
-    # each gather out of it reads list items.
-    flat = g._flat()
-    if len(a) >= len(b):
-        fixed = [flat[v::n].tolist() for v in b.indices()]
-        runs = [g.table[u] for u in a.indices()]
-    else:
-        fixed = [g.table[u].tolist() for u in a.indices()]
-        runs = [flat[v::n] for v in b.indices()]
-    step = max(1, _MID_PRODUCTS // pairs)
-    mask = 0
-    for x0 in range(0, n, step):
-        vectors = []
-        for run in runs:
-            vectors += map(_gather(run[x0:x0 + step]), fixed)
-        for x, cell in enumerate(zip(*vectors), x0):
-            if len(set(cell)) == pairs:
-                mask |= 1 << x
-    return g.subset_from_mask(mask)
+    cell_of = _cell_maker(g, a.indices(), b.indices())
+    xs = range(g.order) if among is None else among.indices()
+    return g.subset_from_mask(_mask_of(x for x in xs if len(cell_of(x)) == size))
 
 
 def mid_director_subgroups(h: ElementSet, k: ElementSet) -> ElementSet:

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import itertools
+import json
 import math
 import random
 import re
@@ -27,7 +28,7 @@ from groupkit import (
     mta,
     rta,
 )
-from groupkit import algorithms, oracle, products
+from groupkit import algorithms, cli, oracle, products
 from groupkit.words import parse_element, parse_subset
 import suites
 
@@ -106,9 +107,17 @@ def _cyclic_subgroup(g, rng, most):
     return g.subset(powers[::m // d])
 
 
+def _typed(s):
+    """s as -H or -K text: each element's name, or its index where the name
+    holds the list's comma."""
+    names = s.group.names
+    return ",".join(str(i) if "," in names[i] else names[i] for i in s)
+
+
 def test_msfa_reads_mid_off_the_blocks_on_a_seeded_fleet():
     # the search's seed is the union of the blocks of |H||K| elements; it must
-    # agree with both Mid kernels that work by definition
+    # agree with both Mid kernels that work by definition, and the CLI must
+    # find the msfa answer maximal with the same |Mid|
     d10 = build_group({"kind": "dihedral", "n": 10})
     specs = [
         {"kind": "cyclic", "n": 1024},
@@ -121,7 +130,8 @@ def test_msfa_reads_mid_off_the_blocks_on_a_seeded_fleet():
     ]
     rng = random.Random(26)
     seen = {"empty": 0, "full": 0, "proper": 0, "k_larger": 0}
-    for g in map(build_group, specs):
+    for spec in specs:
+        g = build_group(spec)
         for _ in range(8):
             h = _cyclic_subgroup(g, rng, 12)
             k = _cyclic_subgroup(g, rng, 12)
@@ -141,6 +151,12 @@ def test_msfa_reads_mid_off_the_blocks_on_a_seeded_fleet():
                     enumerate_all_middle_subfactors(h, k)
                 continue
             assert msfa(h, k).seed == mid
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["msfa", "--group", json.dumps(spec), "-H", _typed(h),
+                                 "-K", _typed(k), "--format", "json"])
+            result = json.loads(out.getvalue())["result"]
+            assert code == 0 and result["maximal"] is True and result["mid_size"] == len(mid)
             if mid == g.full_set():
                 seen["full"] += 1
                 continue

@@ -900,6 +900,79 @@ def test_msfa_maximality_is_checked_against_mid_not_the_seed(capsys, monkeypatch
     assert "maximal: NO" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("tamper", ["drop", "widen"])
+def test_msfa_reports_mid_by_definition_when_x_fails(capsys, monkeypatch, tamper):
+    # a seed that loses a Mid block gives a direct X that is not maximal; one
+    # that gains a block of fewer than |H||K| elements gives an X that is not
+    # direct, whose H*X*K is no longer inside Mid, so |Mid| comes from all of G
+    from groupkit import algorithms, products
+    from groupkit.words import parse_subset
+
+    seed_and_blocks = algorithms._seed_and_blocks
+
+    def tampered(h, k, mid):
+        seed, blocks = seed_and_blocks(h, k, mid)
+        if mid and tamper == "drop":
+            seed &= ~blocks[(seed & -seed).bit_length() - 1]
+        elif mid:
+            seed |= next(b for b in blocks if b.bit_count() < len(h) * len(k))
+        return seed, blocks
+
+    monkeypatch.setattr(algorithms, "_seed_and_blocks", tampered)
+    h, k = "(),(1 2)", "(),(3 4)"
+    argv = ["msfa", "--group", "symmetric:4", "-H", h, "-K", k]
+    assert main(argv) == 4
+    assert ("maximal: NO" if tamper == "drop" else "direct: NO") in capsys.readouterr().out
+    code, data = run_json(capsys, argv)
+    result = data["result"]
+    assert code == 4 and result["direct"] == (tamper == "drop") != result["maximal"]
+    s4 = groupkit.build_group({"kind": "symmetric", "n": 4})
+    mid = products.mid_director(parse_subset(s4, h), parse_subset(s4, k))
+    assert 0 < result["mid_size"] == len(mid) < s4.order
+
+
+@pytest.mark.parametrize("group, order, h, k", [
+    ("dihedral:64", 128, ",".join(["1"] + [f"a^{i}" for i in range(2, 64, 2)]), "1,b"),
+    ("symmetric:4", 24, "(),(1 2)", "(),(3 4)"),
+])
+def test_msfa_checks_maximality_only_outside_hxk(capsys, monkeypatch, group, order, h, k):
+    # a direct X puts H*X*K inside Mid, so the check builds one cell for each
+    # x outside H*X*K: none when X covers G
+    from groupkit import products
+
+    cell_maker, mid_director = products._cell_maker, products.mid_director
+    cells = []  # the cells built by each cell function made
+
+    def counting_maker(*args):
+        cell_of = cell_maker(*args)
+        slot = len(cells)
+        cells.append(0)
+
+        def counted(x):
+            cells[slot] += 1
+            return cell_of(x)
+        return counted
+
+    built = []  # the cells built during each mid_director call
+
+    def counting_mid(*args, **kwargs):
+        first = len(cells)
+        try:
+            return mid_director(*args, **kwargs)
+        finally:
+            built.append(sum(cells[first:]))
+
+    monkeypatch.setattr(products, "_cell_maker", counting_maker)
+    monkeypatch.setattr(products, "mid_director", counting_mid)
+    code, data = run_json(capsys, ["msfa", "--group", group, "-H", h, "-K", k])
+    result = data["result"]
+    assert code == 0 and result["direct"] and result["maximal"]
+    size = len(h.split(",")) * len(k.split(","))
+    remainder = order - len(result["x"]) * size
+    assert built == [remainder]
+    assert (remainder == 0) == result["covers_group"]
+
+
 def test_the_parser_is_built_once_and_reused(capsys):
     from groupkit.cli import _build_parser
 

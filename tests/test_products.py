@@ -107,21 +107,24 @@ def _random_subset(g, rng, max_size):
 
 
 @pytest.mark.parametrize("spec", KERNEL_GROUPS.values(), ids=KERNEL_GROUPS)
-def test_mid_director_matches_definition(spec, monkeypatch):
-    # Seeded arbitrary subsets, from empty to |A||B| above the order.  A
-    # budget of 5 products splits the x into runs of one or a few.
+def test_mid_director_matches_definition(spec):
+    # Seeded arbitrary subsets, from empty to |A||B| above the order, each
+    # pair also read over a random subset of the x
     g = build_group(spec)
     rng = random.Random(20)
-    pairs = [(_random_subset(g, rng, 6), _random_subset(g, rng, 6)) for _ in range(40)]
     kinds = set()
-    for budget in (products._MID_PRODUCTS, 5):
-        monkeypatch.setattr(products, "_MID_PRODUCTS", budget)
-        for a, b in pairs:
-            want = {x for x in range(g.order)
-                    if len(set(_naive_cell(g, a, x, b))) == len(a) * len(b)}
-            assert set(mid_director(a, b)) == want, (a, b)
-            kinds.add("empty" if not want else "full" if len(want) == g.order else "proper")
+    for _ in range(40):
+        a, b = _random_subset(g, rng, 6), _random_subset(g, rng, 6)
+        among = _random_subset(g, rng, g.order)
+        want = {x for x in range(g.order)
+                if len(set(_naive_cell(g, a, x, b))) == len(a) * len(b)}
+        assert set(mid_director(a, b)) == want, (a, b)
+        assert set(mid_director(a, b, among=among)) == want & set(among), (a, b, among)
+        kinds.add("empty" if not want else "full" if len(want) == g.order else "proper")
     assert kinds == {"empty", "proper", "full"}
+    other = build_group({"kind": "cyclic", "n": g.order})
+    with pytest.raises(GroupMismatch):
+        mid_director(a, b, among=other.full_set())
 
 
 @pytest.mark.parametrize("spec", KERNEL_GROUPS.values(), ids=KERNEL_GROUPS)
