@@ -11,8 +11,11 @@ Products are read off the table by C-level gathers over whole rows and
 columns, never one lookup per product.  A cell A*x*B costs min(|A|, |B|)
 gathers (_cell_maker), so a check over X makes |X|*min(|A|, |B|) of them
 and holds one cell, at most n products, at a time.  mid_director is such a
-check: n*min(|A|, |B|) gathers over all of G, or |among|*min(|A|, |B|)
-over the x it is given.
+check over the x it is given, all of G by default, except that for
+subgroups the cell of x is its double coset H*x*K, whose verdict holds for
+all of its members: one cell per double coset.  mid_director_subgroups
+conjugates the smaller subgroup instead: at most n*(min(|H|, |K|) - 1)
+lookups.
 """
 
 from __future__ import annotations
@@ -122,34 +125,57 @@ def mid_director(a: ElementSet, b: ElementSet, *, among: ElementSet | None = Non
     """All x with A*{x}*B direct, for arbitrary subsets A and B; with among,
     only the x in among.
 
-    Keeps x when its cell A*x*B has |A||B| elements, by definition:
-    n*min(|A|, |B|) gathers, or |among|*min(|A|, |B|), holding one cell of
-    at most n products at a time.  No cell of G holds more than n products,
-    so none is direct when |A||B| > n."""
+    Keeps x when its cell A*x*B has |A||B| elements, by definition, holding
+    one cell of at most n products at a time.  When A and B are subgroups,
+    the cell is the double coset of x, whose members all share its cell and
+    so its verdict: one cell per double coset that meets among, each of
+    min(|A|, |B|) gathers.  Otherwise one cell per x: |among|*min(|A|, |B|)
+    gathers, n*min(|A|, |B|) over all of G.  No cell of G holds more than n
+    products, so none is direct when |A||B| > n."""
     g = _same_group(a, b) if among is None else _same_group(a, b, among)
     size = len(a) * len(b)
     if size > g.order:
         return g.empty_set()
     cell_of = _cell_maker(g, a.indices(), b.indices())
-    xs = range(g.order) if among is None else among.indices()
-    return g.subset_from_mask(_mask_of(x for x in xs if len(cell_of(x)) == size))
+    blocks = a.is_subgroup() and b.is_subgroup()
+    wanted = g.full_mask if among is None else among.mask
+    undecided, mid = wanted, 0
+    while undecided:
+        x = (undecided & -undecided).bit_length() - 1
+        cell = cell_of(x)
+        span = _mask_of(cell) if blocks else 1 << x  # the x this verdict decides
+        if len(cell) == size:
+            mid |= span
+        undecided &= ~span
+    return g.subset_from_mask(mid & wanted)
 
 
 def mid_director_subgroups(h: ElementSet, k: ElementSet) -> ElementSet:
     """The middle director of subgroups via the conjugate test
-    H ∩ K^x = {1}; agrees with mid_director on subgroup inputs."""
+    H ∩ K^x = {1}; agrees with mid_director on subgroup inputs.
+
+    H ∩ xKx⁻¹ = x(x⁻¹Hx ∩ K)x⁻¹, so x is tested by conjugating the
+    non-identity members of the smaller side into the other, up to the first
+    that lands in it: at most n*(min(|H|, |K|) - 1) lookups.  Empty when
+    |H||K| > n, as no double coset is that large."""
     g = _subgroup_pair(h, k)
-    t = g.table
-    inv = g.inverse
-    id_bit = 1 << g.identity
-    kbits = list(bit_indices(k.mask))
+    n = g.order
+    if len(h) * len(k) > n:
+        return g.empty_set()
+    t, inv = g.table, g.inverse
+    if len(k) <= len(h):  # x*s*x⁻¹ for s in K, tested against H
+        small, other, left, right = k, h, range(n), inv
+    else:  # x⁻¹*s*x for s in H, tested against K
+        small, other, left, right = h, k, inv, range(n)
+    sbits = [s for s in bit_indices(small.mask) if s != g.identity]
+    inside = set(bit_indices(other.mask))
     mask = 0
-    for x in range(g.order):
-        xi = inv[x]
-        kx = 0
-        for s in kbits:
-            kx |= 1 << t[t[x][s]][xi]
-        if h.mask & kx == id_bit:
+    for x in range(n):
+        row, y = t[left[x]], right[x]
+        for s in sbits:
+            if t[row[s]][y] in inside:
+                break
+        else:
             mask |= 1 << x
     return g.subset_from_mask(mask)
 

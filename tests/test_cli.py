@@ -878,7 +878,7 @@ def test_msfa_extend_checks_the_pair_and_builds_the_blocks_a_few_times(capsys, m
     monkeypatch.setattr(algorithms, "_coset_blocks", counted("_coset_blocks", algorithms._coset_blocks))
     assert main(["msfa", "--group", "symmetric:4", "-H", "(),(1 2)", "-K", "(),(3 4)", "--extend"]) == 0
     assert "X* = " in capsys.readouterr().out
-    assert calls["is_subgroup"] <= 8
+    assert calls["is_subgroup"] == 10
     assert calls["_coset_blocks"] <= 3
 
 
@@ -937,8 +937,10 @@ def test_msfa_reports_mid_by_definition_when_x_fails(capsys, monkeypatch, tamper
 ])
 def test_msfa_checks_maximality_only_outside_hxk(capsys, monkeypatch, group, order, h, k):
     # a direct X puts H*X*K inside Mid, so the check builds one cell for each
-    # x outside H*X*K: none when X covers G
-    from groupkit import products
+    # double coset outside H*X*K: none when X covers G
+    from groupkit import oracle, products
+    from groupkit.groups import GroupSpec
+    from groupkit.words import parse_subset
 
     cell_maker, mid_director = products._cell_maker, products.mid_director
     cells = []  # the cells built by each cell function made
@@ -967,10 +969,14 @@ def test_msfa_checks_maximality_only_outside_hxk(capsys, monkeypatch, group, ord
     code, data = run_json(capsys, ["msfa", "--group", group, "-H", h, "-K", k])
     result = data["result"]
     assert code == 0 and result["direct"] and result["maximal"]
-    size = len(h.split(",")) * len(k.split(","))
-    remainder = order - len(result["x"]) * size
-    assert built == [remainder]
-    assert (remainder == 0) == result["covers_group"]
+    g = groupkit.build_group(GroupSpec.from_inline(group))
+    hxk = set(groupkit.set_product(groupkit.set_product(
+        parse_subset(g, h), parse_subset(g, ",".join(result["x"]))), parse_subset(g, k)))
+    blocks = oracle.double_coset_partition(parse_subset(g, h), parse_subset(g, k)).blocks
+    outside = sum(hxk.isdisjoint(block) for block in blocks)
+    assert g.order == order and built == [outside]
+    assert outside == {"dihedral:64": 0, "symmetric:4": 2}[group]
+    assert (outside == 0) == result["covers_group"]
 
 
 def test_the_parser_is_built_once_and_reused(capsys):

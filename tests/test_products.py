@@ -180,12 +180,87 @@ def test_mid_director_of_an_empty_side_is_everything(d12):
     assert mid_director(empty, empty) == d12.full_set()
 
 
-def test_mid_director_subgroup_fast_path_agrees(d12, s3):
-    for g in (d12, s3):
-        subs = suites.subgroups_of(g)
-        for h in subs:
-            for k in subs:
-                assert mid_director_subgroups(h, k) == mid_director(h, k)
+def test_mid_director_subgroup_fast_path_agrees():
+    # Both kernels against the oracle's loop over x, on every subgroup pair:
+    # either side the smaller, and |H||K| at and above the order
+    def cmp(u, v):
+        return (u > v) - (u < v)
+
+    shapes, pairs = set(), 0
+    for kind, n in [("cyclic", 12), ("dihedral", 6), ("symmetric", 4),
+                    ("dihedral", 4), ("dihedral", 10), ("cyclic", 24)]:
+        g = build_group({"kind": kind, "n": n})
+        for h, k in suites.subgroup_pairs(g):
+            want = oracle._raw_mid_mask(g, h.mask, k.mask)
+            assert mid_director(h, k).mask == want == mid_director_subgroups(h, k).mask, (h, k)
+            shapes.add((cmp(len(h), len(k)), cmp(len(h) * len(k), g.order)))
+            pairs += 1
+    assert pairs == 1840
+    assert {(-1, 0), (1, 0), (-1, 1), (1, 1)} <= shapes
+
+
+@pytest.mark.parametrize("spec", KERNEL_GROUPS.values(), ids=KERNEL_GROUPS)
+def test_mid_director_on_a_subgroup_and_a_subset(spec):
+    # One side a subgroup, the other not, so no cell decides more than its x
+    g = build_group(spec)
+    rng = random.Random(22)
+    kinds = set()
+    for h in suites.subgroups_of(g):
+        for _ in range(5):
+            s = _random_subset(g, rng, 8)
+            while s.is_subgroup():
+                s = _random_subset(g, rng, 8)
+            among = _random_subset(g, rng, g.order)
+            for a, b in ((h, s), (s, h)):
+                want = oracle._raw_mid_mask(g, a.mask, b.mask)
+                assert mid_director(a, b).mask == want, (a, b)
+                assert mid_director(a, b, among=among).mask == want & among.mask, (a, b, among)
+                kinds.add("empty" if not want else "full" if want == g.full_mask else "proper")
+    assert kinds == {"empty", "proper", "full"}
+
+
+@pytest.mark.parametrize("spec", KERNEL_GROUPS.values(), ids=KERNEL_GROUPS)
+def test_mid_director_builds_one_cell_per_block_for_subgroups(spec, monkeypatch):
+    # Counted cells, not time: one per double coset that meets among for
+    # subgroups, one per x in among otherwise, none when |A||B| > n
+    g = build_group(spec)
+    cell_maker = products._cell_maker
+    built = [0]
+
+    def counting_maker(*args):
+        cell_of = cell_maker(*args)
+
+        def counted(x):
+            built[0] += 1
+            return cell_of(x)
+        return counted
+
+    def cells(a, b, among=None):
+        built[0] = 0
+        mid_director(a, b, among=among)
+        return built[0]
+
+    monkeypatch.setattr(products, "_cell_maker", counting_maker)
+    rng = random.Random(23)
+    for h, k in suites.subgroup_pairs(g):
+        among = _random_subset(g, rng, g.order)
+        if len(h) * len(k) > g.order:
+            assert cells(h, k) == cells(h, k, among) == 0
+            continue
+        blocks = oracle.double_coset_partition(h, k).blocks
+        assert cells(h, k) == len(blocks), (h, k)
+        assert cells(h, k, among) == sum(block.mask & among.mask != 0 for block in blocks)
+    shortcuts = set()
+    for _ in range(20):
+        a, b = _random_subset(g, rng, 6), _random_subset(g, rng, 6)
+        if a.is_subgroup() and b.is_subgroup():
+            continue
+        among = _random_subset(g, rng, g.order)
+        shortcut = len(a) * len(b) > g.order
+        expected = (0, 0) if shortcut else (g.order, len(among))
+        assert (cells(a, b), cells(a, b, among)) == expected, (a, b)
+        shortcuts.add(shortcut)
+    assert shortcuts == {False, True}
 
 
 def test_mid_director_subgroups_rejects_non_subgroup(d12):
