@@ -65,22 +65,25 @@ def _table_rows(flat: memoryview, n: int) -> tuple[memoryview, ...]:
     return tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
 
-def _table_row(i: int, row: tuple, n: int, typecode: str, below: bytes) -> array:
-    """Row i of a caller's table, a tuple, as an array of typecode.  A
-    malformed row fails with the message of a cell-by-cell check: its
-    length, else its first cell that is not an int (bools excluded) in
-    0..n-1.  For one-byte cells, below is bytes(range(n)): deleting those
-    bytes from the row's leaves nothing exactly when every cell is below n."""
+def _table_row(i: int, row: tuple, n: int, typecode: str, below: bytes) -> bytes | array:
+    """Row i of a caller's table, a tuple, packed: bytes for one-byte
+    cells, else an array of typecode.  A malformed row fails with the
+    message of a cell-by-cell check: its length, else its first cell that
+    is not an int (bools excluded) in 0..n-1.  The type gate runs first,
+    since bytes() and array() also take a bool, or any object with
+    __index__.  For one-byte cells, below is bytes(range(n)): deleting
+    those bytes from the row's leaves nothing exactly when every cell is
+    below n."""
     if len(row) != n:
         raise InvalidSpec(f"table row {i} has length {len(row)}, expected {n}")
     if all(issubclass(t, int) and t is not bool for t in set(map(type, row))):
         try:
-            cells = array(typecode, row)
-        except OverflowError:  # a negative or too wide cell; reported below
+            cells = bytes(row) if below else array(typecode, row)
+        except (ValueError, OverflowError):  # a negative or too wide cell; reported below
             pass
         else:
             if below:
-                in_range = not cells.tobytes().translate(None, below)
+                in_range = not cells.translate(None, below)
             else:
                 in_range = max(row) < n
             if in_range:
@@ -990,18 +993,32 @@ def _build_symmetric(n: int) -> Group:
 
 
 def _product_cells(
-    a_rows: Sequence[Sequence[int]], b_rows: Sequence[Sequence[int]], typecode: str
+    a_rows: Sequence[Sequence[int]], b_rows: Sequence[memoryview], typecode: str
 ) -> bytes:
     """The table of A x B with (x, y) at index x*|B| + y: row (x1, y1) is,
-    for x2 in turn, row y1 of B shifted up by |B| times x1*x2 in A."""
+    for x2 in turn, row y1 of B shifted up by |B| times x1*x2 in A.  Each
+    row of B is read once as one int with one lane per cell, of typecode's
+    width, in the byte order of the table's buffer, as _symmetric_cells
+    reads its vectors; B's own narrower cells fill the low bytes of their
+    lanes.  A shifted copy is then that int plus k*|B| in every lane, made
+    bytes: no lane carries, as every cell is below |A|*|B|."""
     nb = len(b_rows)
-    # tuples, not ranges: a gather reads a tuple's items without making ints
-    shifts = [tuple(range(k * nb, (k + 1) * nb)) for k in range(len(a_rows))]
+    size = array(typecode).itemsize
+    row_bytes = nb * size
+    order = sys.byteorder
+    ones = int.from_bytes((1).to_bytes(size, order) * nb, order)
+    lanes = bytearray(row_bytes)
+    b_ints = []
+    for row in b_rows:
+        width = row.itemsize
+        low = 0 if order == "little" else size - width
+        raw = row.cast("B")
+        for j in range(width):
+            lanes[low + j::size] = raw[j::width]
+        b_ints.append(int.from_bytes(lanes, order))
+    shifts = [k * nb * ones for k in range(len(a_rows))]
     # shifted[y][k] = row y of B plus k*|B|
-    shifted = [
-        [array(typecode, via_y(shift)).tobytes() for shift in shifts]
-        for via_y in map(_gather, b_rows)
-    ]
+    shifted = [[(r + s).to_bytes(row_bytes, order) for s in shifts] for r in b_ints]
     return b"".join(
         itertools.chain.from_iterable(
             via_x(shifted_y) for via_x in map(_gather, a_rows) for shifted_y in shifted
@@ -1054,7 +1071,10 @@ def _build_permutation(spec: GroupSpec, limit: int) -> Group:
     """The closure of spec's generators on the points they move, its
     elements numbered in lex order of their images on those points, as
     symmetric:n numbers S_n, so that the numbering does not depend on the
-    generators listed; _permutation_group picks the table kernel."""
+    generators listed; _permutation_group picks the table kernel.  The
+    closure grows by left products, "g, then p" for each generator g, which
+    is p read at the positions g: one gather made per generator, not one
+    per element, and the same set as right products reach."""
     generators = spec.generators
     # Every other point is fixed by the whole group, so the closure runs on
     # the points the generators name: its cost does not grow with degree.
@@ -1064,10 +1084,11 @@ def _build_permutation(spec: GroupSpec, limit: int) -> Group:
     identity = tuple(range(len(points)))
     elements = [identity]
     found = {identity}
-    # Iterating the growing list visits the elements breadth first; p, then
-    # q, is q read at the positions p.
+    # Iterating the growing list visits the elements breadth first.
+    lefts = [_gather(g) for g in gens]
     for p in elements:
-        for r in map(_gather(p), gens):
+        for left in lefts:
+            r = left(p)
             if r not in found:
                 if len(elements) >= limit:
                     raise SizeLimitExceeded(

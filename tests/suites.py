@@ -159,6 +159,29 @@ def _swapped_row_problems(
     return []
 
 
+def product_row(factors: list[Group], x: int) -> list[int]:
+    """Row x of the direct product of factors, by the factors' formula, not
+    by its table: for two, (x1, y1)*(x2, y2) = a[x1][x2]*|B| + b[y1][y2],
+    and more factors fold in from the left."""
+    parts = []
+    for f in reversed(factors):
+        x, part = divmod(x, f.order)
+        parts.append(part)
+    row = [0]
+    for f, part in zip(factors, reversed(parts)):
+        row = [r * f.order + c for r in row for c in f.table[part]]
+    return row
+
+
+def product_formula_problems(spec: dict) -> list[str]:
+    """Every row of the direct product spec against product_row over its
+    factors, each built alone; one string per row that differs."""
+    g = build_group(spec)
+    factors = [build_group(f) for f in spec["factors"]]
+    return [f"{g.description}: row {x} differs from the factors' formula"
+            for x in range(g.order) if g.table[x].tolist() != product_row(factors, x)]
+
+
 def small_fleet() -> list[Group]:
     return [g for g in build_fleet() if g.order <= 8]
 

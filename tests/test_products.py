@@ -263,6 +263,42 @@ def test_mid_director_builds_one_cell_per_block_for_subgroups(spec, monkeypatch)
     assert shortcuts == {False, True}
 
 
+class _CountingRows:
+    """A group's table rows, counting the reads of a row."""
+
+    def __init__(self, rows):
+        self.rows, self.reads = rows, 0
+
+    def __getitem__(self, x):
+        self.reads += 1
+        return self.rows[x]
+
+
+@pytest.mark.parametrize("spec", KERNEL_GROUPS.values(), ids=KERNEL_GROUPS)
+def test_mid_director_subgroups_conjugates_over_the_smaller_side(spec):
+    # Counted table reads, not time: besides the subgroup checks and one row
+    # per x, each read is one conjugation, at most n*(min(|H|, |K|) - 1)
+    g = build_group(spec)
+    pairs = [(h, k) for h, k in suites.subgroup_pairs(g)
+             if len(h) != len(k) and mid_director(h, k)]
+    g.table = rows = _CountingRows(g.table)
+
+    def reads(call, *args):
+        rows.reads = 0
+        call(*args)
+        return rows.reads
+
+    smaller = set()
+    for h, k in pairs:
+        checks = reads(h.is_subgroup) + reads(k.is_subgroup)
+        conjugations = reads(mid_director_subgroups, h, k) - checks - g.order
+        least = min(len(h), len(k))
+        # every x takes at least one, unless the smaller side is trivial
+        assert g.order * (least > 1) <= conjugations <= g.order * (least - 1), (h, k)
+        smaller.add("H" if len(h) < len(k) else "K")
+    assert smaller == {"H", "K"}
+
+
 def test_mid_director_subgroups_rejects_non_subgroup(d12):
     with pytest.raises(NotASubgroup):
         mid_director_subgroups(d12.subset([1]), d12.trivial_subgroup())

@@ -1,6 +1,7 @@
 """The compact table format, Light's associativity test, and the cayley
 input path, each checked against a naive reference kept in this file."""
 
+import enum
 import itertools
 import json
 import math
@@ -900,33 +901,42 @@ def _expected_table(spec):
         index = {p: i for i, p in enumerate(perms)}
         return [[index[_compose(p, q)] for q in perms] for p in perms]
     factors = [build_group(f) for f in spec["factors"]]
-    sizes = [f.order for f in factors]
-
-    def split(idx):
-        parts = []
-        for size in reversed(sizes):
-            parts.append(idx % size)
-            idx //= size
-        return parts[::-1]
-
-    def join(parts):
-        idx = 0
-        for size, p in zip(sizes, parts):
-            idx = idx * size + p
-        return idx
-
-    order = math.prod(sizes)
-    return [
-        [join([f.table[a][b] for f, a, b in zip(factors, split(x), split(y))])
-         for y in range(order)]
-        for x in range(order)
-    ]
+    return [suites.product_row(factors, x) for x in range(math.prod(f.order for f in factors))]
 
 
 @pytest.mark.parametrize("spec", small_builder_specs(), ids=lambda s: str(s)[:60])
 def test_builder_tables_match_their_formulas(spec):
     g = build_group(spec)
     assert [list(row) for row in g.table] == _expected_table(spec)
+
+
+def _product(*factors):
+    return {"kind": "direct_product", "factors": list(factors)}
+
+
+_C2 = {"kind": "cyclic", "n": 2}
+
+
+# Each row of B is shifted as one int with a lane per cell, the product's
+# width: one-byte factors fill two-byte lanes from order 257 on, and in
+# C2 x C2 x D65 only the last fold does.
+@pytest.mark.parametrize("spec, typecode", [
+    (_product(_C2, {"kind": "dihedral", "n": 64}), "B"),
+    (_product(_C2, {"kind": "dihedral", "n": 65}), "H"),
+    (_product(_C2, _C2, {"kind": "dihedral", "n": 65}), "H"),
+], ids=["C2xD64", "C2xD65", "C2xC2xD65"])
+def test_direct_products_on_both_sides_of_two_byte_cells(spec, typecode):
+    g = build_group(spec)
+    assert g.table[0].format == typecode
+    assert [list(row) for row in g.table] == _expected_table(spec)
+
+
+def test_direct_product_sampled_rows_match_the_factors_formula():
+    spec = _product({"kind": "cyclic", "n": 8}, {"kind": "dihedral", "n": 32})
+    g = build_group(spec)
+    factors = [build_group(f) for f in spec["factors"]]
+    for x in random.Random(33).sample(range(g.order), 64):
+        assert list(g.table[x]) == suites.product_row(factors, x), x
 
 
 @pytest.mark.parametrize("spec, typecode", [
@@ -1200,3 +1210,39 @@ def test_cayley_cells_must_be_below_the_order(n):
     table[n // 2][n - 1 - n // 2] = n
     with pytest.raises(InvalidSpec, match=f"^table row {n // 2} holds {n}, expected 0..{n - 1}$"):
         build_group(cayley(table))
+
+
+class _Index:
+    """Not an int, though bytes() and array() would take it as 1."""
+
+    def __index__(self):
+        return 1
+
+    def __repr__(self):
+        return "_Index()"
+
+
+class _Cell(enum.IntEnum):
+    ONE = 1
+
+
+# Row 0 holds 1 at column 1, so each cell below stands where 1 belongs:
+# bytes() would pack True and _Index() as a valid row; only the type gate,
+# run before any packing, refuses them.
+@pytest.mark.parametrize("n", [255, 256, 257])
+@pytest.mark.parametrize("cell, shown", [(True, "True"), (1.0, "1.0"), (_Index(), "_Index()")],
+                         ids=["bool", "float", "__index__"])
+def test_cayley_cells_must_be_ints(n, cell, shown):
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    table[0][1] = cell
+    with pytest.raises(InvalidSpec, match=f"^table row 0 holds {re.escape(shown)}, "
+                                          f"expected 0..{n - 1}$"):
+        build_group(cayley(table))
+
+
+@pytest.mark.parametrize("n", [255, 256, 257])
+def test_cayley_cells_may_be_int_subclasses(n):
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    table[0][1] = _Cell.ONE
+    g = build_group(cayley(table))
+    assert [list(row) for row in g.table] == table
