@@ -116,6 +116,31 @@ _LIGHT_BLOCK_CELLS = 1 << 18
 # of exactly 32, 0.70, 0.69, 0.63 and 0.51 s; cyclic:8 x dihedral:32 11, 10,
 # 7.6 and 4.8 ms.  cyclic:2048 and dihedral:512 are alike from 2 to 128.
 _LIGHT_RUN_CELLS = 64
+# The shortest run of row s that an in-place pass made of runs of one width
+# compares as one 2-D view per side over a whole block, not one strided
+# column per cell.  Measured on a 2-CPU Xeon, Python 3.11.7, over blocks of
+# 364 rows: a run of 24 cells costs 1.05 ns a cell as a view and 3.31 ns as
+# columns; at 8 cells the two are even, 3.57 and 3.53 ns; below 8 the
+# columns win.
+_LIGHT_RUN_VIEW_CELLS = 8
+
+
+def _run_differs(
+    left: memoryview, at_left: int, right: memoryview, at_right: int,
+    rows: int, step: int, width: int,
+) -> bool:
+    """Whether one run of row s reads differently on the two sides of a
+    block of rows: left and right are byte views of the sides, at_left and
+    at_right the run's first byte in the block's first row, and the run's
+    width bytes recur every step * width bytes, once a row.  Each side is
+    cast to rows of width bytes, every step-th of which is the run in one
+    row of the block, and compared as bytes."""
+    shape = [(rows - 1) * step + 1, width]
+    span = shape[0] * width
+    return (
+        left[at_left:at_left + span].cast("B", shape)[::step].tobytes()
+        != right[at_right:at_right + span].cast("B", shape)[::step].tobytes()
+    )
 
 
 def _light_copy_plan(
@@ -170,17 +195,25 @@ def _light_failure(
     the other runs, each copied row by row if at least _LIGHT_RUN_CELLS long
     and else column by column.  The block's cells of the two sides are then
     compared as bytes, by one memcmp.  A pass whose row s has no run that
-    long (a relabeled table, S_n from its builder's generators) builds no
-    right side, nor the plan of its copies: column y of it is column
-    row_s[y] of the block's rows in flat, compared with column y of the left
-    side by one strided compare, which copies nothing.  Only a block where a
-    column differs is built as above, so that the returned triple is still
-    the first failure in row-major order.  Closing the reached set reads
-    each passed s's column once, as a list.
+    long compares in place and builds no right side, nor the plan of its
+    copies.  If row s is runs of one width L of at least
+    _LIGHT_RUN_VIEW_CELLS (S_m's first seed, the (0,b) row of a direct
+    product with a dihedral factor), each run is compared over the whole
+    block at once: on each side a byte view from the run's first cell is
+    cast to rows of L cells, every (n/L)-th of which is the run in one row
+    of the block, and the two are compared as bytes.  Any other such row
+    (a relabeled table, S_m's second seed) compares column y of the right
+    side, column row_s[y] of the block's rows in flat, with column y of the
+    left side by one strided compare, which copies nothing.  Only a block
+    where a run or a column differs is built as above, so that the returned
+    triple is still the first failure in row-major order.  Closing the
+    reached set reads each passed s's column once, as a list.
     """
     block = min(n, _LIGHT_BLOCK_CELLS // n)
-    lhs = memoryview(bytearray(block * n * flat.itemsize)).cast(flat.format)
-    rhs = memoryview(bytearray(block * n * flat.itemsize)).cast(flat.format)
+    size = flat.itemsize
+    flat_bytes = flat.cast("B")
+    lhs = memoryview(bytearray(block * n * size)).cast(flat.format)
+    rhs = memoryview(bytearray(block * n * size)).cast(flat.format)
     passed: list[list[int]] = []  # column g, x*g over x, of each g that passed
     reached: list[int] = []
     seen = bytearray(n)
@@ -196,6 +229,11 @@ def _light_failure(
         starts = [0] + [y for y in range(1, n) if row_s[y] != row_s[y - 1] + 1]
         lengths = list(map(sub, starts[1:] + [n], starts))
         in_place = max(lengths) < _LIGHT_RUN_CELLS
+        width = lengths[0]
+        runs = None  # per run of row s, its first byte in row x and in row x*s
+        if in_place and width >= _LIGHT_RUN_VIEW_CELLS and lengths.count(width) == len(lengths):
+            runs = [(y0 * size, row_s[y0] * size) for y0 in starts]
+            step, run_bytes = n // width, width * size
         plan = None  # made by the first block that builds its right side
         for x0 in range(0, n, block):
             x1 = min(x0 + block, n)
@@ -212,11 +250,19 @@ def _light_failure(
                     src = col_s[a] * n
                     lhs[(a - x0) * n:(b - x0) * n] = flat[src:src + (b - a) * n]
                 left = lhs[:cells]
-            # With no long run, column y of the right side is compared where
-            # it lies, column row_s[y] of the block's rows: a strided compare
-            # copies nothing, a strided copy goes through a temporary buffer.
-            # Only a block that differs builds its right side, below.
-            if in_place and not any(
+            # With no long run, each run of row s, else each column y, of
+            # the right side is compared where it lies, at row_s[y] in the
+            # block's rows: a strided compare copies nothing, a strided copy
+            # goes through a temporary buffer.  Only a block that differs
+            # builds its right side, below.
+            if runs is not None:
+                left_bytes, rows, at = left.cast("B"), x1 - x0, base * size
+                if not any(
+                    _run_differs(left_bytes, y0, flat_bytes, at + p0, rows, step, run_bytes)
+                    for y0, p0 in runs
+                ):
+                    continue
+            elif in_place and not any(
                 left[y::n] != flat[base + sy:base + cells:n] for y, sy in enumerate(row_s)
             ):
                 continue
@@ -259,8 +305,11 @@ class Group:
     order ('B' up to order 256, 'H' up to 65536), so the table is immutable
     and costs one or two bytes per cell.  Every builder behind build_group
     ends in the one constructor, with the row-major table as n*n cells of
-    typecode _typecode(n), the indices it was generated from as generators
-    and, except for cayley tables, the inverse of each element as inverse.
+    typecode _typecode(n), as generators indices that generate the group,
+    which seed Light's test (the spec's generators, but for all of S_m the
+    swap of its first two points, whose row has long runs, and the cycle of
+    the others), and, except for cayley tables, the inverse of each element
+    as inverse.
     The cells are bytes, or for S_m and permutation closures the bytearray
     they were made in, kept without a copy: every view of them is read-only,
     _flat() too.  However a builder makes the cells (slices, lex-rank sums for
@@ -960,16 +1009,30 @@ def _permutation_group(
     identity, position i standing for the point points[i], generated by
     gens, whose indices get the names in symbols.  This is where the table
     kernel is chosen: a group of m! elements is all of S_m, whose lex ranks
-    _symmetric_cells sums; any other closure, and the one with no moved
-    point, takes the gathers of _permutation_cells."""
+    _symmetric_cells sums and which seeds Light's test with generators of its
+    own, so that gens may be empty; any other closure, and the one with no
+    moved point, takes the gathers of _permutation_cells."""
     m, n = len(points), len(perms)
     index = {p: i for i, p in enumerate(perms)}
+    generators = [index[g] for g in gens]
+    seeds = generators
     if m and n == _capped_prod(range(2, m + 1), n):
         cells = _symmetric_cells(perms)
-        inverse = [index[tuple(map(p.index, range(m)))] for p in perms]
+        # Inversion pairs the elements off: one lookup sets both of a pair.
+        inverse = [-1] * n
+        for i, p in enumerate(perms):
+            if inverse[i] < 0:
+                j = index[tuple(map(p.index, range(m)))]
+                inverse[i] = j
+                inverse[j] = i
+        if m >= 3:
+            # Light's test is seeded with the swap of the first two points,
+            # whose row is runs of (m-2)! cells, and the cycle of the other
+            # m-1 points, which together generate S_m.
+            rest = tuple(range(2, m))
+            seeds = [index[(1, 0) + rest], index[(0,) + rest + (1,)]]
     else:
         cells, inverse = _permutation_cells(perms, index, gens)
-    generators = [index[g] for g in gens]
     return Group(
         n,
         cells,
@@ -977,7 +1040,7 @@ def _permutation_group(
         kind=kind,
         description=description,
         generator_names=dict(zip(symbols, generators)),
-        generators=generators,
+        generators=seeds,
         inverse=inverse,
     )
 
@@ -985,10 +1048,9 @@ def _permutation_group(
 def _build_symmetric(n: int) -> Group:
     """S_n on its permutations in lex order."""
     perms = list(itertools.permutations(range(n)))
-    # perms[1] swaps the last two points; with the n-cycle it generates S_n.
-    gens = perms[1:2] + [tuple(range(1, n)) + (0,)]
+    # _permutation_group picks the seeds of Light's test for all of S_n.
     return _permutation_group(
-        perms, range(1, n + 1), gens, "", kind="symmetric", description=f"symmetric:{n}"
+        perms, range(1, n + 1), (), "", kind="symmetric", description=f"symmetric:{n}"
     )
 
 

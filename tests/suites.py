@@ -30,7 +30,9 @@ from groupkit import (
 )
 from groupkit import algorithms, oracle, products
 from groupkit.groups import (
+    _LIGHT_BLOCK_CELLS,
     _LIGHT_RUN_CELLS,
+    _LIGHT_RUN_VIEW_CELLS,
     ElementSet,
     Group,
     _light_failure,
@@ -157,6 +159,102 @@ def _swapped_row_problems(
     if t[t[x * n + s] * n + y] == t[x * n + t[s * n + y]]:
         return [f"{label}: {found} is returned but associates"]
     return []
+
+
+def first_failure(t, n: int, s: int) -> tuple[int, int, int] | None:
+    """The first (x, s, y) in row-major order over (x, y) with
+    (x*s)*y != x*(s*y) in the flat table t, or None; n > 1."""
+    read_row_s = itemgetter(*t[s * n:(s + 1) * n])
+    for x in range(n):
+        xs = t[x * n + s]
+        lhs, rhs = tuple(t[xs * n:(xs + 1) * n]), read_row_s(t[x * n:(x + 1) * n])
+        if lhs != rhs:
+            return x, s, next(y for y in range(n) if lhs[y] != rhs[y])
+    return None
+
+
+def one_cell_changed(t: array, n: int, s: int, side: str, x: int, y: int) -> array:
+    """A copy of the flat table t with the one cell changed that the pass for
+    s reads at row x, column y: (x*s, y) on the left side, (x*s)*y, and
+    (x, s*y) on the right side, x*(s*y)."""
+    i, j = (t[x * n + s], y) if side == "left" else (x, t[s * n + y])
+    out = array(t.typecode, t)
+    out[i * n + j] = (out[i * n + j] + 1) % n
+    return out
+
+
+def witness_row(t, n: int, e: int, s: int, side: str, rows, y: int) -> int | None:
+    """The first x of rows where one changed cell on side of the pass for s
+    gives the witness (x, s, y), or None: the other row of the pass that
+    reads the cell, x*s on the left side and x*s^-1 on the right, comes
+    after x, and x, y avoid e and s, whose row or column would change the
+    whole pass."""
+    col_s = t[s::n]
+    for x in rows:
+        other = col_s[x] if side == "left" else col_s.index(x)
+        if x not in (e, s) and y not in (e, s) and other > x:
+            return x
+    return None
+
+
+def block_rows(n: int) -> tuple[range, range, range]:
+    """Rows of the first, a middle and the last block of a pass, the last
+    taken from the bottom up."""
+    block = _LIGHT_BLOCK_CELLS // n
+    last = (n - 1) // block * block
+    middle = (last // block) // 2 * block or block
+    return range(1, block), range(middle, min(middle + block, n)), range(n - 1, last - 1, -1)
+
+
+def on_runs(t, n: int, s: int) -> bool:
+    """Whether the pass for s compares each run of row s over a whole block:
+    row s of the flat table t is runs of one width, at least
+    _LIGHT_RUN_VIEW_CELLS and short of _LIGHT_RUN_CELLS."""
+    lengths = run_lengths(t[s * n:(s + 1) * n])
+    return len(set(lengths)) == 1 and _LIGHT_RUN_VIEW_CELLS <= lengths[0] < _LIGHT_RUN_CELLS
+
+
+def changed_cell_problems(
+    t: array, n: int, e: int, s: int, rng: random.Random
+) -> tuple[int, list[str]]:
+    """One changed cell on either side of the pass for s, in the first, a
+    middle and the last block of the flat group table t with identity e:
+    Light's test handed s alone and no identity must return the naive loop's
+    witness (x, s, y), with row s, and so the pass's path, unchanged.  The
+    number of cells checked, and one string per problem."""
+    checked, bad = 0, []
+    row_s = t[s * n:(s + 1) * n]
+    for rows in block_rows(n):
+        for side in ("left", "right"):
+            y = rng.choice([y for y in range(n) if y not in (e, s)])
+            x = witness_row(t, n, e, s, side, rows, y)
+            if x is None:
+                continue
+            changed = one_cell_changed(t, n, s, side, x, y)
+            found = _light_failure(memoryview(changed), n, None, (s,))
+            where = f"pass for {s}, cell ({x}, {y}) on the {side} side"
+            if changed[s * n:(s + 1) * n] != row_s:
+                bad.append(f"{where}: row {s} changed")
+            elif found != (x, s, y) or first_failure(changed, n, s) != found:
+                bad.append(f"{where}: {found} returned")
+            checked += 1
+    return checked, bad
+
+
+def changed_cell_light_problems(spec: dict, generator: str, seed: int) -> list[str]:
+    """changed_cell_problems on the table of spec, for the pass of the
+    element named generator, whose row must be compared run by run; a cell
+    must be checked on each side in each of the three blocks.  One string
+    per problem."""
+    g = build_group(spec)
+    n = g.order
+    t = array(g.table[0].format, g.table[0].obj)
+    s = g.names.index(generator)
+    bad = [] if on_runs(t, n, s) else [f"{g.description}: row {generator} is not compared by runs"]
+    checked, problems = changed_cell_problems(t, n, g.identity, s, random.Random(seed))
+    if checked != 6:
+        bad.append(f"{g.description}: {checked} of 6 changed cells checked")
+    return bad + [f"{g.description}: {p}" for p in problems]
 
 
 def product_row(factors: list[Group], x: int) -> list[int]:

@@ -2,6 +2,7 @@
 input path, each checked against a naive reference kept in this file."""
 
 import enum
+import functools
 import itertools
 import json
 import math
@@ -10,7 +11,6 @@ import re
 import reprlib
 import sys
 from array import array
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -43,7 +43,19 @@ from groupkit.groups import (
     _typecode,
 )
 import suites
-from suites import relabeled_flat, run_lengths
+from suites import (
+    block_rows,
+    first_failure,
+    on_runs,
+    one_cell_changed,
+    relabeled_flat,
+    run_lengths,
+    witness_row,
+)
+
+S6_CLOSURE = {"kind": "permutation", "degree": 6, "generators": [[[1, 2]], [[1, 2, 3, 4, 5, 6]]]}
+C16xD32 = {"kind": "direct_product",
+           "factors": [{"kind": "cyclic", "n": 16}, {"kind": "dihedral", "n": 32}]}
 
 LOOP5 = [
     [0, 1, 2, 3, 4],
@@ -68,18 +80,6 @@ def light_failure(table):
     """_light_failure on a list of rows, given no identity: exact on any magma."""
     flat = array(_typecode(len(table)), itertools.chain.from_iterable(table))
     return _light_failure(memoryview(flat), len(table), None)
-
-
-def first_failure(t, n, s):
-    """The first (x, s, y) in row-major order over (x, y) with
-    (x*s)*y != x*(s*y) in the flat table t, or None; n > 1."""
-    read_row_s = itemgetter(*t[s * n:(s + 1) * n])
-    for x in range(n):
-        xs = t[x * n + s]
-        lhs, rhs = tuple(t[xs * n:(xs + 1) * n]), read_row_s(t[x * n:(x + 1) * n])
-        if lhs != rhs:
-            return x, s, next(y for y in range(n) if lhs[y] != rhs[y])
-    return None
 
 
 def is_first_failure(t, n, triple):
@@ -120,30 +120,49 @@ def light_passes(t, n, e, seeds, last=None):
                     reached.append(c)
 
 
-def seedings(t, n, e, gens):
+def seedings(t, n, e, gens, spec=None):
     """Seeds for Light's test: the identity, a repeated index, an index that
-    the first seed reaches, and the builder's generators."""
+    the first seed reaches, the builder's generators and, for S_m, the swap
+    of the last two points with the m-cycle, whose rows have no run of
+    _LIGHT_RUN_VIEW_CELLS, so that both of its passes compare columns."""
     g = gens[0] if gens else 1 % n
-    return [(e,), (g, g), (g, t[g * n + g]), tuple(gens)]
+    seeds = [(e,), (g, g), (g, t[g * n + g]), tuple(gens)]
+    if spec is not None and spec["kind"] == "symmetric":
+        seeds.append(tuple(_column_seeds(spec["n"])))
+    return seeds
 
 
-def check_seeded(t, n, e, gens, associative):
+def check_seeded(t, n, e, gens, associative, spec=None):
     """Every seeded test on the flat table t, given no identity, returns None
     when the table is associative and else a triple that really fails."""
-    for seeds in seedings(t, n, e, gens):
+    for seeds in seedings(t, n, e, gens, spec):
         failure = _light_failure(memoryview(t), n, None, seeds)
         assert (failure is None) == associative, seeds
         assert failure is None or is_first_failure(t, n, failure), (seeds, failure)
 
 
+def _column_seeds(m):
+    """The indices in symmetric:m of the swap of the last two points and the
+    m-cycle, which generate S_m."""
+    perms = list(itertools.permutations(range(m)))
+    return [1 % len(perms), perms.index(tuple(range(1, m)) + (0,))]
+
+
 def generating_indices(spec, g):
-    """Indices that the builder's table of spec is generated from."""
+    """Indices that the builder's table of spec is generated from.  For all
+    of S_m on m >= 3 points p1 < ... < pm, they are the seeds that its
+    builder hands Light's test: the swap (p1 p2), whose row is runs of
+    (m-2)! cells, and the cycle (p2 ... pm)."""
     kind = spec["kind"]
     if kind == "cyclic":
         return [1 % g.order]
+    if kind in ("symmetric", "permutation"):
+        points = sorted({int(p) for name in g.names for p in re.findall(r"\d+", name)})
+        if len(points) >= 3 and g.order == math.factorial(len(points)):
+            return [g.names.index(f"({points[0]} {points[1]})"),
+                    g.names.index("(" + " ".join(map(str, points[1:])) + ")")]
     if kind == "symmetric":
-        perms = list(itertools.permutations(range(spec["n"])))
-        return [1 % len(perms), perms.index(tuple(range(1, spec["n"])) + (0,))]
+        return _column_seeds(spec["n"])
     return list(g.generator_names.values())
 
 
@@ -229,8 +248,8 @@ def test_seeded_light_passes_the_builders(spec):
     g = build_group(spec)
     t = memoryview(g.table[0].obj).cast(g.table[0].format)
     gens = generating_indices(spec, g)
-    check_seeded(t, g.order, g.identity, gens, True)
-    for seeds in seedings(t, g.order, g.identity, gens):
+    check_seeded(t, g.order, g.identity, gens, True, spec)
+    for seeds in seedings(t, g.order, g.identity, gens, spec):
         assert _light_failure(t, g.order, g.identity, seeds) is None
 
 
@@ -258,7 +277,8 @@ def test_light_agrees_with_naive_on_perturbed_tables():
         failure = light_failure(table)
         assert (failure is None) == associative
         flat = array(_typecode(len(table)), itertools.chain.from_iterable(table))
-        check_seeded(flat, len(table), g.identity, generating_indices(spec, g), associative)
+        check_seeded(flat, len(table), g.identity, generating_indices(spec, g), associative,
+                     spec)
         if failure is not None:
             x, s, y = failure
             assert table[table[x][s]][y] != table[x][table[s][y]]
@@ -496,39 +516,15 @@ def test_light_run_split_edge_cases():
         assert failure is not None and is_first_failure(broken, n, failure)
 
 
-def _one_cell_changed(t, n, s, side, x, y):
-    """A copy of the flat table t with the one cell changed that the pass for
-    s reads at row x, column y: (x*s, y) on the left side, (x*s)*y, and
-    (x, s*y) on the right side, x*(s*y)."""
-    i, j = (t[x * n + s], y) if side == "left" else (x, t[s * n + y])
-    out = array(t.typecode, t)
-    out[i * n + j] = (out[i * n + j] + 1) % n
-    return out
-
-
-def _witness_row(t, n, e, s, side, rows, y):
-    """The first x of rows where one changed cell on side of the pass for s
-    gives the witness (x, s, y), or None: the other row of the pass that
-    reads the cell, x*s on the left side and x*s^-1 on the right, comes
-    after x, and x, y avoid e and s, whose row or column would change the
-    whole pass."""
-    col_s = t[s::n]
-    for x in rows:
-        other = col_s[x] if side == "left" else col_s.index(x)
-        if x not in (e, s) and y not in (e, s) and other > x:
-            return x
-    return None
-
-
 def _copy_path_cases(t, n, e, s_left, s_right):
     """(place, side, s, x, y) for one changed cell in each place that a pass
-    copies in its own way, each at a row that _witness_row picks."""
+    copies in its own way, each at a row that witness_row picks."""
     block = _LIGHT_BLOCK_CELLS // n
     last = (n - 1) // block * block  # the first row of the last block
     cases = []
 
     def add(place, side, s, rows, y):
-        x = _witness_row(t, n, e, s, side, rows, y)
+        x = witness_row(t, n, e, s, side, rows, y)
         if x is not None:
             cases.append((place, side, s, x, y))
 
@@ -576,7 +572,7 @@ def test_one_changed_cell_on_each_copy_path(spec):
     for t, e, s_left, s_right, short in [(base, g.identity, a, a_2, False),
                                          (relabeled, pi[g.identity], pi[a], pi[a_2], True)]:
         for place, side, s, x, y in _copy_path_cases(t, n, e, s_left, s_right):
-            changed = _one_cell_changed(t, n, s, side, x, y)
+            changed = one_cell_changed(t, n, s, side, x, y)
             assert in_place(changed, n, s) == short, (place, side)
             assert first_failure(changed, n, s) == (x, s, y), (place, side)
             assert _light_failure(memoryview(changed), n, None, (s,)) == (x, s, y), (place, side)
@@ -597,15 +593,6 @@ def _relabeled_group(spec, seed):
     return t, n, pi[g.identity], pi[1]
 
 
-def _block_rows(n):
-    """Rows of the first, a middle and the last block of a pass, the last
-    taken from the bottom up."""
-    block = _LIGHT_BLOCK_CELLS // n
-    last = (n - 1) // block * block
-    middle = (last // block) // 2 * block or block
-    return range(1, block), range(middle, min(middle + block, n)), range(n - 1, last - 1, -1)
-
-
 def _one_run_blocks(t, n, s):
     """The first rows of the blocks whose rows x*s are consecutive, so that
     the pass for s reads their left side straight from the flat table t."""
@@ -619,18 +606,8 @@ def _check_one_changed_cell_per_block(t, n, e, s, rng):
     """One changed cell on either side of the pass for s, in the first, a
     middle and the last block, must give the naive loop's witness on the
     same path as the unchanged table.  The number of cells checked."""
-    checked = 0
-    for rows in _block_rows(n):
-        for side in ("left", "right"):
-            y = rng.choice([y for y in range(n) if y not in (e, s)])
-            x = _witness_row(t, n, e, s, side, rows, y)
-            if x is None:
-                continue
-            changed = _one_cell_changed(t, n, s, side, x, y)
-            assert in_place(changed, n, s) == in_place(t, n, s), (s, rows, side)
-            failure = _light_failure(memoryview(changed), n, None, (s,))
-            assert failure == (x, s, y) and is_first_failure(changed, n, failure), (s, rows, side)
-            checked += 1
+    checked, problems = suites.changed_cell_problems(t, n, e, s, rng)
+    assert problems == []
     return checked
 
 
@@ -656,12 +633,12 @@ def test_two_changed_cells_in_one_in_place_block():
     block = _LIGHT_BLOCK_CELLS // n
     y_early, y_late = n - 2, 2
     assert {y_early, y_late}.isdisjoint((e, s))
-    x_early = _witness_row(t, n, e, s, "right", range(1, block), y_early)
-    x_late = _witness_row(t, n, e, s, "right", range(x_early + 1, block), y_late)
+    x_early = witness_row(t, n, e, s, "right", range(1, block), y_early)
+    x_late = witness_row(t, n, e, s, "right", range(x_early + 1, block), y_late)
     assert x_late is not None
-    late_only = _one_cell_changed(t, n, s, "right", x_late, y_late)
+    late_only = one_cell_changed(t, n, s, "right", x_late, y_late)
     assert _light_failure(memoryview(late_only), n, None, (s,)) == (x_late, s, y_late)
-    both = _one_cell_changed(late_only, n, s, "right", x_early, y_early)
+    both = one_cell_changed(late_only, n, s, "right", x_early, y_early)
     assert first_failure(both, n, s) == (x_early, s, y_early)
     assert _light_failure(memoryview(both), n, None, (s,)) == (x_early, s, y_early)
 
@@ -712,7 +689,7 @@ def test_one_changed_cell_against_a_one_run_left_side(spec):
         assert _light_failure(memoryview(t), n, None, (s,)) is None
     # The identity's pass fails only where column e changes, which cuts the
     # run of the changed row's block.
-    for rows in _block_rows(n):
+    for rows in block_rows(n):
         x = rows[0]
         changed = array(t.typecode, t)
         changed[x * n + e] = (x + 1) % n
@@ -720,6 +697,76 @@ def test_one_changed_cell_against_a_one_run_left_side(spec):
         assert failure[0] == x and is_first_failure(changed, n, failure), rows
     for s in (a, g.inverse[a]):
         assert _check_one_changed_cell_per_block(t, n, e, s, rng) >= 3, s
+
+
+@pytest.mark.parametrize("spec, name", [({"kind": "symmetric", "n": 6}, "(1 2)"),
+                                        (C16xD32, "(0,b)")], ids=["S6", "C16xD32"])
+def test_one_changed_cell_on_the_run_path(spec, name):
+    # Row (1 2) of S6 is 30 runs of 24 cells and row (0,b) of C16xD32 is 32
+    # runs of 32, so each pass compares every run over a whole block as one
+    # view per side, and builds a block's right side only once a run
+    # differs.  Order 720 makes a block of 364 rows and a short one of 356;
+    # order 1024 four blocks of 256 rows.  CI runs the same check on (0,b)
+    # in cyclic:64 x dihedral:32, 64 blocks of 64 rows.
+    assert suites.changed_cell_light_problems(spec, name, 20261027) == []
+
+
+def _counted(monkeypatch, name):
+    """The argument tuples of every call to groups.<name> from now on."""
+    calls = []
+    real = getattr(groups, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groups, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("spec", [{"kind": "symmetric", "n": 6}, S6_CLOSURE],
+                         ids=["S6", "S6 closure"])
+def test_s6_is_checked_by_60_run_compares(spec, monkeypatch):
+    # Both builds hand Light's test (1 2), whose row is 30 runs of 24 cells,
+    # then (2 3 4 5 6), whose row has no run of _LIGHT_RUN_VIEW_CELLS.  Over
+    # two blocks the first pass makes 2 * 30 run compares and the second
+    # compares columns; neither builds a right side.
+    checks = _counted(monkeypatch, "_light_failure")
+    compares = _counted(monkeypatch, "_run_differs")
+    plans = _counted(monkeypatch, "_light_copy_plan")
+    g = build_group(spec)
+    n = g.order
+    t = g._flat()
+    seeds = generating_indices(spec, g)
+    assert [list(args[3]) for args in checks] == [seeds]
+    assert [g.names[x] for x in seeds] == ["(1 2)", "(2 3 4 5 6)"]
+    assert list(light_passes(t, n, g.identity, seeds)) == seeds
+    assert [on_runs(t, n, x) for x in seeds] == [True, False]
+    assert len(compares) == 60 and plans == []
+
+
+@pytest.mark.parametrize("spec, name, compares", [
+    ({"kind": "cyclic", "n": 16}, "8", 2),  # two runs of 8
+    ({"kind": "cyclic", "n": 14}, "7", 0),  # two runs of 7
+    ({"kind": "symmetric", "n": 5}, "(1 2)", 0),  # 20 runs of 6
+    ({"kind": "cyclic", "n": 40}, "20", 2),  # two runs of 20
+    ({"kind": "cyclic", "n": 40}, "16", 0),  # runs of 24 and 16, neither dividing 40
+    ({"kind": "cyclic", "n": 48}, "8", 0),  # runs of 40 and 8
+], ids=["C16 8", "C14 7", "S5 (1 2)", "C40 20", "C40 16", "C48 8"])
+def test_short_or_uneven_runs_stay_on_columns(spec, name, compares, monkeypatch):
+    # A pass compares runs only when row s is runs of one width of at least
+    # _LIGHT_RUN_VIEW_CELLS, over one block here; the pass after it, for 1
+    # or the lowest index not reached, compares columns.
+    g = build_group(spec)
+    n = g.order
+    t = array(g.table[0].format, g.table[0].obj)
+    s = g.names.index(name)
+    assert on_runs(t, n, s) == (compares > 0)
+    calls = _counted(monkeypatch, "_run_differs")
+    assert _light_failure(memoryview(t), n, g.identity, (s,)) is None
+    assert len(calls) == compares
+    changed = one_cell_changed(t, n, s, "right", 1, n - 1)
+    assert _light_failure(memoryview(changed), n, None, (s,)) == first_failure(changed, n, s)
 
 
 def test_light_in_place_on_a_relabeled_cyclic_table():
@@ -962,9 +1009,6 @@ def test_rows_are_compact_and_read_only(spec, typecode):
     assert all(len(row) == g.order for row in g.table)
 
 
-S6_CLOSURE = {"kind": "permutation", "degree": 6, "generators": [[[1, 2]], [[1, 2, 3, 4, 5, 6]]]}
-
-
 @pytest.mark.parametrize("spec", small_builder_specs() + [
     {"kind": "symmetric", "n": 5},
     {"kind": "symmetric", "n": 6},
@@ -1007,6 +1051,113 @@ def test_a_one_sided_inverse_is_refused(rows):
     cells = bytes(itertools.chain.from_iterable(rows))
     with pytest.raises(NotAGroup, match="element 1 is not inverted by the supplied 2"):
         Group(4, cells, "eabc", kind="cayley", description="magma", inverse=[0, 2, 3, 1])
+
+
+# -- builder tables are the named group ----------------------------------------------
+
+
+def _name_arithmetic(spec):
+    """The group that spec names, on values read off the printed element
+    names, with no use of groupkit's tables: (parse, multiply, identity,
+    generators), where parse maps a name to its value and fails on a name
+    outside the group, multiply is the product, and the generators are
+    values that generate the group."""
+    kind = spec["kind"]
+    if kind == "cyclic":
+        n = spec["n"]
+
+        def parse(name):
+            assert name.isdigit() and int(name) < n, name
+            return int(name)
+
+        return parse, lambda x, y: (x + y) % n, 0, [1 % n]
+    if kind == "dihedral":
+        # (f, r) is b^f a^r, and a^r b = b a^-r
+        n = spec["n"]
+
+        def parse(name):
+            f = int(name.startswith("b"))
+            power = name[f:]
+            r = {"1": 0, "": 0, "a": 1}.get(power)
+            if r is None:
+                assert power.startswith("a^") and 2 <= int(power[2:]) < n, name
+                r = int(power[2:])
+            return f, r
+
+        def multiply(x, y):
+            return (x[0] + y[0]) % 2, (y[1] - x[1] if y[0] else x[1] + y[1]) % n
+
+        return parse, multiply, (0, 0), [(0, 1 % n), (1, 0)]
+    if kind in ("symmetric", "permutation"):
+        degree = spec.get("n") or spec["degree"]
+        if kind == "symmetric":
+            generators = [[[1, 2]], [list(range(1, degree + 1))]]
+        else:
+            generators = spec["generators"]
+        identity = tuple(range(degree))
+
+        def product(cycles):  # the cycles applied left to right
+            perms = [_perm_of_name("(" + " ".join(map(str, c)) + ")", degree) for c in cycles]
+            return functools.reduce(_compose, perms, identity)
+
+        values = [product(cycles) for cycles in generators]
+        return lambda name: _perm_of_name(name, degree), _compose, identity, values
+    factors = [_name_arithmetic(f) for f in spec["factors"]]
+
+    def parse(name):
+        assert name[0] == "(" and name[-1] == ")", name
+        parts = name[1:-1].split(",")
+        assert len(parts) == len(factors), name
+        return tuple(f[0](part) for f, part in zip(factors, parts))
+
+    def multiply(x, y):
+        return tuple(f[1](a, b) for f, a, b in zip(factors, x, y))
+
+    identity = tuple(f[2] for f in factors)
+    generators = [identity[:i] + (g,) + identity[i + 1:]
+                  for i, f in enumerate(factors) for g in f[3]]
+    return parse, multiply, identity, generators
+
+
+@pytest.mark.parametrize("spec, order", [
+    ({"kind": "cyclic", "n": 256}, 256),
+    ({"kind": "cyclic", "n": 257}, 257),
+    ({"kind": "dihedral", "n": 128}, 256),
+    ({"kind": "dihedral", "n": 129}, 258),
+    ({"kind": "cyclic", "n": 4096}, 4096),
+    ({"kind": "dihedral", "n": 2048}, 4096),
+    ({"kind": "symmetric", "n": 5}, 120),
+    ({"kind": "symmetric", "n": 6}, 720),
+    ({"kind": "permutation", "degree": 11,
+      "generators": [[[1, 2]], [[1, 2, 3, 4, 5, 6]], [[7, 8, 9, 10, 11]]]}, 3600),
+    (_product({"kind": "cyclic", "n": 64}, {"kind": "dihedral", "n": 32}), 4096),
+], ids=["C256", "C257", "D128", "D129", "C4096", "D2048", "S5", "S6", "S6xC5", "C64xD32"])
+def test_builder_tables_are_the_named_group(spec, order):
+    # build_group has shown by Light's test that the table is a group.  Its
+    # names parse one to one onto the group that spec names, grown here from
+    # its generators by the names' own arithmetic, and the rows of those
+    # generators agree with that arithmetic.  Then the whole table does: the
+    # elements whose rows agree are closed under the product, so they hold
+    # the subgroup that the generators make in the table, which maps onto
+    # the named group and so is all of it.  One spec per builder on each
+    # side of the two-byte cells, at the order cap, and past the lane sums
+    # of S_m, a closure that is not all of S_m, with its gathers.
+    g = build_group(spec)
+    parse, multiply, identity, generators = _name_arithmetic(spec)
+    elements = [parse(name) for name in g.names]
+    group = [identity]
+    seen = {identity}
+    for x in group:
+        for s in generators:
+            y = multiply(x, s)
+            if y not in seen:
+                seen.add(y)
+                group.append(y)
+    assert len(group) == order == g.order and seen == set(elements)
+    index = {x: i for i, x in enumerate(elements)}
+    for s in generators:
+        row = g.table[index[s]]
+        assert [elements[c] for c in row] == [multiply(s, y) for y in elements], g.names[index[s]]
 
 
 # -- fuzzing the cayley input path --------------------------------------------------
