@@ -19,13 +19,15 @@ the blocks of that size, and no search calls a Mid kernel of its own.
 A finished msfa run covers Mid but not necessarily G; the extension runs the
 same chain from the uncovered remainder and grows X to a middle transversal
 (at the price of directness).  AlgoTrace.validate() reruns the search with
-the recorded picks as its script and compares the runs.  The exhaustive
-enumerations build every output at once: a pick removes its whole block, so
-the outputs are the sets taking one element from each block inside the
-seed, the Cartesian product of those cells, built as int masks by _enumerate.
-The enumerate_all_* functions return them as a set of ElementSets, or with
-as_masks=True as the list of masks in _enumerate's order, the order in which
-the oracle's all_* functions list theirs.
+the recorded picks as its script, compares the runs and returns the blocks
+the rerun built; the extension validates the msfa trace it is given and
+continues over those blocks.  The exhaustive enumerations build every output
+at once: a pick removes its whole block, so the outputs are the sets taking
+one element from each block inside the seed, the Cartesian product of those
+cells, built as int masks by _enumerate.  The enumerate_all_* functions
+return them as a set of ElementSets, or with as_masks=True as the list of
+masks in _enumerate's order, the order in which the oracle's all_* functions
+list theirs.
 """
 
 from __future__ import annotations
@@ -200,24 +202,29 @@ class AlgoTrace:
     def n_steps(self) -> int:
         return len(self.chosen) - 1
 
-    def validate(self) -> None:
+    def validate(self) -> list[int]:
         """Rerun the search with g_0 as its first pick and the other recorded
         picks as its script; an extension reruns its msfa part from Mid and
         continues from what that leaves uncovered.  Raises TraceMismatch
-        when the rerun fails or differs from the recorded run."""
+        when the rerun fails or differs from the recorded run; otherwise
+        returns the (H, K) partition the rerun rebuilt, the mask of the
+        block of each element, as _coset_blocks gives it."""
         # with no picks the rerun asks the empty script for g_0, and fails
         g0, *script = self.chosen or [None]
         chooser = ChoicePolicy.scripted(script).start()
         extension = self.algorithm == "Extension"
         try:
-            rerun = _search("MSFA" if extension else self.algorithm, self.h, self.k, g0, chooser)
+            rerun, blocks = _search(
+                "MSFA" if extension else self.algorithm, self.h, self.k, g0, chooser
+            )
             if extension:
-                rerun = _extend(rerun, chooser)
+                rerun = _extend(rerun, blocks, chooser)
         except GroupKitError as exc:
             raise TraceMismatch(f"the recorded picks do not rerun: {exc}") from None
         recorded = (self.algorithm, self.chosen, self.chain)
         if (rerun.algorithm, rerun.chosen, rerun.chain) != recorded:
             raise TraceMismatch("the rerun differs from the recorded trace")
+        return blocks
 
 
 def _coset_blocks(h: ElementSet, k: ElementSet) -> list[int]:
@@ -294,26 +301,27 @@ def _search(
     k: ElementSet,
     g0: int | None,
     chooser: _Chooser,
-) -> AlgoTrace:
+) -> tuple[AlgoTrace, list[int]]:
+    """The run and the blocks it ran over."""
     seed, blocks = _seed_and_blocks(h, k, algorithm == "MSFA")
     g = h.group
     if g0 is None:
         g0 = chooser.pick(g, seed)
     elif seed >> g._check_index(g0) & 1 == 0:
         raise G0NotInMid(f"g0={g.names[g0]!r} lies outside the middle director")
-    return _run_chain(algorithm, h, k, blocks, seed, [], g0, chooser)
+    return _run_chain(algorithm, h, k, blocks, seed, [], g0, chooser), blocks
 
 
 def rta(h: ElementSet, g0: int | None = None, policy: ChoicePolicy = SMALLEST) -> AlgoTrace:
     """Right-transversal search for a subgroup H: the K = {1} case."""
-    return _search("RTA", h, h.group.trivial_subgroup(), g0, policy.start())
+    return _search("RTA", h, h.group.trivial_subgroup(), g0, policy.start())[0]
 
 
 def mta(
     h: ElementSet, k: ElementSet, g0: int | None = None, policy: ChoicePolicy = SMALLEST
 ) -> AlgoTrace:
     """Middle-transversal search for a subgroup pair (H, K)."""
-    return _search("MTA", h, k, g0, policy.start())
+    return _search("MTA", h, k, g0, policy.start())[0]
 
 
 def msfa(
@@ -325,7 +333,7 @@ def msfa(
     """Maximal-direct-middle search, seeded with the middle director.  A
     started policy (policy.start()) as policy keeps its picks going, so
     that an extension passed the same one continues them."""
-    return _search("MSFA", h, k, g0, policy.start())
+    return _search("MSFA", h, k, g0, policy.start())[0]
 
 
 def extend_to_middle_transversal(
@@ -337,18 +345,19 @@ def extend_to_middle_transversal(
     Returns the input trace unchanged when it already covers G.  The result
     is a middle transversal containing the msfa output; the added picks lie
     outside the middle director, so directness is given up.  A started
-    policy continues from the picks it has already made.
+    policy continues from the picks it has already made.  The trace is
+    validated first, and the extension continues over the partition that
+    its rerun has rebuilt.
     """
     if trace.algorithm != "MSFA":
         raise TraceMismatch(f"expected an MSFA trace, got {trace.algorithm}")
-    trace.validate()
-    return _extend(trace, policy.start())
+    return _extend(trace, trace.validate(), policy.start())
 
 
-def _extend(trace: AlgoTrace, chooser: _Chooser) -> AlgoTrace:
-    """extend_to_middle_transversal for an msfa trace known to be valid."""
+def _extend(trace: AlgoTrace, blocks: list[int], chooser: _Chooser) -> AlgoTrace:
+    """extend_to_middle_transversal for an msfa trace known to be valid,
+    over the blocks of its (H, K)."""
     g, h, k = trace.group, trace.h, trace.k
-    blocks = _coset_blocks(h, k)
     uncovered = g.full_mask
     for pick in trace.chosen:
         uncovered &= ~blocks[pick]

@@ -215,9 +215,10 @@ def _cmd_transversal(args: argparse.Namespace) -> RunReport:
         count, valid = "index", products.is_right_transversal(h, out)
     else:
         count, valid = "double_coset_count", products.is_middle_transversal(h, out, k)
+    payload = trace_payload(trace, out, args.trace == "full")
     result = {
-        "trace": trace_payload(trace, args.trace == "full"),
-        "transversal": out.names(),
+        "trace": payload,
+        "transversal": payload["output"],
         count: trace.n_steps + 1,
         "valid": valid,
     }
@@ -233,20 +234,24 @@ def _cmd_msfa(args: argparse.Namespace) -> RunReport:
     full = args.trace == "full"
     x = trace.output
     hxk = products.set_product(products.set_product(h, x), k)
-    direct = products.is_direct_triple(h, x, k)
-    # Mid by definition, not the search's seed: the seed is read off the
-    # same gathers as H*X*K, so a block missing from both would pass unseen.
+    # H*X*K is direct when its products h*x*k are pairwise distinct, that is,
+    # by definition, when |H*X*K| = |H||X||K|: read off the product that the
+    # maximality check needs anyway.  Maximality is judged against Mid by
+    # definition, not the search's seed: the seed is read off the same
+    # gathers as H*X*K, so a block missing from both would pass unseen.
     # A direct X gives H*X*K inside Mid, so X is maximal exactly when no x
     # outside H*X*K is in Mid.
+    direct = len(hxk) == len(h) * len(x) * len(k)
     if direct:
         extra = products.mid_director(h, k, among=hxk.complement())
         maximal, mid_size = not extra, len(hxk) + len(extra)
     else:
         mid = products.mid_director(h, k)
         maximal, mid_size = mid <= hxk, len(mid)
+    payload = trace_payload(trace, x, full)
     result = {
-        "trace": trace_payload(trace, full),
-        "x": x.names(),
+        "trace": payload,
+        "x": payload["output"],
         "mid_size": mid_size,
         "covers_group": hxk == g.full_set(),
         "direct": direct,
@@ -256,8 +261,8 @@ def _cmd_msfa(args: argparse.Namespace) -> RunReport:
     if args.extend:
         extended = extend_to_middle_transversal(trace, policy=chooser)
         x_star = extended.output
-        result["extension"] = trace_payload(extended, full)
-        result["x_star"] = x_star.names()
+        result["extension"] = payload = trace_payload(extended, x_star, full)
+        result["x_star"] = payload["output"]
         ok = ok and products.is_middle_transversal(h, x_star, k)
     return RunReport("msfa", g, inputs, result, exit_code=0 if ok else 4)
 

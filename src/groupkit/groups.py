@@ -73,10 +73,12 @@ def _table_row(i: int, row: tuple, n: int, typecode: str, below: bytes) -> bytes
     since bytes() and array() also take a bool, or any object with
     __index__.  For one-byte cells, below is bytes(range(n)): deleting
     those bytes from the row's leaves nothing exactly when every cell is
-    below n."""
+    below n.  A row of plain ints, the usual case, passes the gate on one
+    C-level count; only other rows build the set of their cell types."""
     if len(row) != n:
         raise InvalidSpec(f"table row {i} has length {len(row)}, expected {n}")
-    if all(issubclass(t, int) and t is not bool for t in set(map(type, row))):
+    types = list(map(type, row))
+    if types.count(int) == n or all(issubclass(t, int) and t is not bool for t in set(types)):
         try:
             cells = bytes(row) if below else array(typecode, row)
         except (ValueError, OverflowError):  # a negative or too wide cell; reported below

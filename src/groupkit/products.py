@@ -97,9 +97,10 @@ def double_coset(h: ElementSet, x: int, k: ElementSet) -> ElementSet:
 def _cells_union(
     g: Group, a: ElementSet, x: ElementSet, b: ElementSet, direct: bool = False
 ) -> int:
-    """The union of the cells A*t*B over t in X, or -1 when two cells meet
-    or, when direct, a cell holds fewer than |A||B| elements.  Builds one
-    cell at a time."""
+    """The size of the union of the cells A*t*B over t in X, or -1 when
+    two cells meet or, when direct, a cell holds fewer than |A||B|
+    elements.  Builds one cell at a time.  Every cell lies in G, so the
+    union is G exactly when its size is the order: no mask is built."""
     cell_of = _cell_maker(g, a.indices(), b.indices())
     size = len(a) * len(b)
     seen: set[int] = set()
@@ -108,7 +109,7 @@ def _cells_union(
         if direct and len(cell) != size or not seen.isdisjoint(cell):
             return -1
         seen |= cell
-    return _mask_of(seen)
+    return len(seen)
 
 
 def is_middle_direct(a: ElementSet, x: ElementSet, b: ElementSet) -> bool:
@@ -214,10 +215,10 @@ def is_right_transversal(h: ElementSet, t: ElementSet) -> bool:
 def is_middle_transversal(h: ElementSet, x: ElementSet, k: ElementSet) -> bool:
     """True when X hits every double coset H*g*K exactly once."""
     g = _subgroup_pair(h, k, x)
-    return _cells_union(g, h, x, k) == g.full_mask
+    return _cells_union(g, h, x, k) == g.order
 
 
 def is_middle_factor(h: ElementSet, x: ElementSet, k: ElementSet) -> bool:
     """True when H*X*K is direct and covers the whole group."""
     g = _subgroup_pair(h, k, x)
-    return _cells_union(g, h, x, k, direct=True) == g.full_mask
+    return _cells_union(g, h, x, k, direct=True) == g.order

@@ -9,13 +9,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 
 from .algorithms import AlgoTrace
-from .groups import Group
+from .groups import ElementSet, Group
 
 
-def trace_payload(trace: AlgoTrace, full: bool) -> dict:
-    """The trace's JSON form; the chain's sets are listed only when full."""
+def trace_payload(trace: AlgoTrace, output: ElementSet, full: bool) -> dict:
+    """The trace's JSON form; the chain's sets are listed only when full.
+    output is trace.output, which the caller has built for its own checks."""
     g = trace.group
     return {
         "algorithm": trace.algorithm,
@@ -24,7 +26,7 @@ def trace_payload(trace: AlgoTrace, full: bool) -> dict:
         "n_steps": trace.n_steps,
         "chain_sizes": trace.chain_sizes,
         "chain_sets": [c.names() for c in trace.chain_sets] if full else None,
-        "output": trace.output.names(),
+        "output": output.names(),
         "extension_start": trace.extension_start,
     }
 
@@ -55,7 +57,69 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """to_dict() as json.dumps(..., indent=2) writes it, byte for byte."""
+        return _dumps(self.to_dict(), "\n")
+
+
+_INF = float("inf")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key that is not a str, as json writes it."""
+    if isinstance(key, (int, float)) or key is None:  # bools too, as json does
+        return _quote(_dumps(key, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _dumps(obj, newline: str) -> str:
+    """obj as json.dumps(obj, indent=2) writes it, where newline is the
+    line break and indent of the line obj starts on.  json.dumps takes its
+    pure-Python encoder when it indents; here a list of only strs or only
+    ints (not bools) is written by one join over a C-level map, and the
+    rest as json writes it."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        types = set(map(type, obj))
+        if types == {str}:
+            items = map(_quote, obj)
+        elif types == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = (_dumps(v, inner) for v in obj)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (
+            (_quote(k) if isinstance(k, str) else _key_text(k)) + ": " + _dumps(v, inner)
+            for k, v in obj.items()
+        )
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def load_schema() -> dict:

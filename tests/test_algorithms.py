@@ -378,6 +378,30 @@ def test_extension_replay_rejects_tampered_picks(d12, proper_mid_pair):
         extend_to_middle_transversal(trace)
 
 
+def test_extension_refuses_a_forged_trace_before_any_extension_pick(monkeypatch):
+    # the extension continues over the partition its validation rerun
+    # rebuilds, so a forged trace must fail that rerun before the policy
+    # given to the extension picks anything
+    s4 = build_group({"kind": "symmetric", "n": 4})
+    h, k = parse_subset(s4, "(),(1 2)"), parse_subset(s4, "(),(3 4)")
+    trace = msfa(h, k)
+    assert len(extend_to_middle_transversal(trace).chosen) > len(trace.chosen)
+    trace.chain[1] ^= 1 << trace.chosen[0]
+    pickers = []
+    pick = algorithms._Chooser.pick
+
+    def recording(self, group, mask):
+        pickers.append(self)
+        return pick(self, group, mask)
+
+    monkeypatch.setattr(algorithms._Chooser, "pick", recording)
+    chooser = ChoicePolicy.smallest().start()
+    with pytest.raises(TraceMismatch, match="differs"):
+        extend_to_middle_transversal(trace, policy=chooser)
+    assert pickers  # the rerun ran its scripted picks
+    assert all(p is not chooser for p in pickers)
+
+
 # -- exhaustive enumeration ----------------------------------------------------
 
 

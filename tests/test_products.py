@@ -69,8 +69,12 @@ def test_middle_direct_and_triple(d12, proper_mid_pair):
     assert is_middle_direct(h, x, k)
     assert not is_direct_triple(h, x, k)
     assert set_product(set_product(h, x), k) == d12.full_set()
+    # the union of the cells is given by its size, the order when it is G
+    assert products._cells_union(d12, h, x, k) == d12.order
+    assert products._cells_union(d12, h, x, k, direct=True) == -1
     # a single element of Mid gives a direct triple
     assert is_direct_triple(h, parse_subset(d12, "a^4"), k)
+    assert products._cells_union(d12, h, parse_subset(d12, "a^4"), k) == len(h) * len(k)
     # 1 and a^3 land in the same cell: not middle direct
     y = parse_subset(d12, "1,a^3")
     assert not is_middle_direct(h, y, k)
@@ -83,6 +87,7 @@ def test_empty_x_cases(d12, empty_mid_pair):
     assert is_middle_direct(h, empty, k)  # vacuous
     assert is_direct_triple(h, empty, k)
     assert not is_middle_transversal(h, empty, k)
+    # the union of no cells is empty: its size is 0
     assert products._cells_union(d12, h, empty, k) == 0
     assert products._cells_union(d12, h, empty, k, direct=True) == 0
 
