@@ -13,7 +13,6 @@ import math
 import struct
 import sys
 from array import array
-from dataclasses import dataclass
 from operator import itemgetter, lt, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -33,7 +32,6 @@ from .errors import (
 __all__ = [
     "Group",
     "ElementSet",
-    "GroupSpec",
     "build_group",
     "bit_indices",
 ]
@@ -65,8 +63,8 @@ def _table_rows(flat: memoryview, n: int) -> tuple[memoryview, ...]:
     return tuple(flat[i * n:(i + 1) * n] for i in range(n))
 
 
-def _table_row(i: int, row: tuple, n: int, typecode: str, below: bytes) -> bytes | array:
-    """Row i of a caller's table, a tuple, packed: bytes for one-byte
+def _table_row(i: int, row: Sequence, n: int, typecode: str, below: bytes) -> bytes | array:
+    """Row i of a caller's table, a list or tuple, packed: bytes for one-byte
     cells, else an array of typecode.  A malformed row fails with the
     message of a cell-by-cell check: its length, else its first cell that
     is not an int (bools excluded) in 0..n-1.  The type gate runs first,
@@ -214,8 +212,7 @@ def _light_failure(
     block = min(n, _LIGHT_BLOCK_CELLS // n)
     size = flat.itemsize
     flat_bytes = flat.cast("B")
-    lhs = memoryview(bytearray(block * n * size)).cast(flat.format)
-    rhs = memoryview(bytearray(block * n * size)).cast(flat.format)
+    lhs = rhs = None  # made by the first block that needs each
     passed: list[list[int]] = []  # column g, x*g over x, of each g that passed
     reached: list[int] = []
     seen = bytearray(n)
@@ -248,6 +245,8 @@ def _light_failure(
                 src = col_s[x0] * n
                 left = flat[src:src + cells]
             else:
+                if lhs is None:
+                    lhs = memoryview(bytearray(block * n * size)).cast(flat.format)
                 for a, b in zip(cuts, cuts[1:] + [x1]):
                     src = col_s[a] * n
                     lhs[(a - x0) * n:(b - x0) * n] = flat[src:src + (b - a) * n]
@@ -270,6 +269,8 @@ def _light_failure(
                 continue
             if plan is None:
                 plan = _light_copy_plan(row_s, starts, lengths)
+            if rhs is None:
+                rhs = memoryview(bytearray(block * n * size)).cast(flat.format)
             (y0, p0, length), long_runs, columns = plan
             # The longest run, from the block's first row to its last.
             src, span = base + p0, cells - n + length
@@ -682,119 +683,6 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _tuples(value, depth: int):
-    """value with its lists, nested up to depth >= 1 deep, turned into
-    tuples; anything else is left as it is, for GroupSpec to refuse."""
-    if not isinstance(value, list):
-        return value
-    if depth == 1:
-        return tuple(value)
-    return tuple(_tuples(v, depth - 1) for v in value)
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """Validated description of a buildable group, checked when it is made,
-    however it is made; a builder checks only a cayley table's cells."""
-
-    kind: str
-    n: int | None = None
-    factors: tuple["GroupSpec", ...] | None = None
-    names: tuple[str, ...] | None = None
-    table: tuple[tuple[int, ...], ...] | None = None
-    degree: int | None = None
-    generators: tuple[tuple[tuple[int, ...], ...], ...] | None = None
-
-    def __post_init__(self) -> None:
-        kind = self.kind
-        if kind in ("cyclic", "dihedral", "symmetric"):
-            if not _is_int(self.n) or self.n < 1:
-                raise InvalidSpec(f"{kind} group needs a positive integer n")
-        elif kind == "direct_product":
-            factors = self.factors
-            if not isinstance(factors, tuple) or not factors or not all(
-                isinstance(f, GroupSpec) for f in factors
-            ):
-                raise InvalidSpec("direct_product needs a nonempty factors list")
-        elif kind == "cayley":
-            names, table = self.names, self.table
-            if not isinstance(names, tuple) or not all(isinstance(s, str) for s in names):
-                raise InvalidSpec("cayley group needs a list of string names")
-            if not isinstance(table, tuple) or not all(isinstance(r, tuple) for r in table):
-                raise InvalidSpec("cayley group needs a table as a list of rows")
-            if not table:
-                raise InvalidSpec("a group needs at least one element")
-            if len(names) != len(table):
-                raise InvalidSpec(f"{len(table)} table rows but {len(names)} names")
-        elif kind == "permutation":
-            degree = self.degree
-            if not _is_int(degree) or degree < 1:
-                raise InvalidSpec("permutation group needs a positive integer degree")
-            try:
-                str(degree)  # the group's description shows it
-            except ValueError:
-                raise InvalidSpec(f"permutation degree too big to print: {quote(degree)}") from None
-            if not isinstance(self.generators, tuple):
-                raise InvalidSpec("permutation group needs a generators list")
-            for gi, cycles in enumerate(self.generators):
-                if not isinstance(cycles, tuple):
-                    raise InvalidSpec(f"generator {gi} must be a list of cycles")
-                for cycle in cycles:
-                    if not isinstance(cycle, tuple) or not all(map(_is_int, cycle)):
-                        raise InvalidSpec(f"generator {gi} holds a malformed cycle")
-                    if len(cycle) != len(set(cycle)):
-                        raise InvalidSpec(f"cycle {quote(list(cycle))} repeats a point")
-                    bad = [p for p in cycle if not 1 <= p <= degree]
-                    if bad:
-                        raise InvalidSpec(f"cycle point {quote(bad[0])} outside 1..{quote(degree)}")
-        else:
-            raise InvalidSpec(f"unknown group kind {quote(kind)}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GroupSpec":
-        try:
-            return cls._from_dict(data)
-        except RecursionError:
-            raise InvalidSpec("group spec is nested too deeply") from None
-
-    @classmethod
-    def _from_dict(cls, data: dict) -> "GroupSpec":
-        if not isinstance(data, dict):
-            raise InvalidSpec(f"group spec must be an object, got {type(data).__name__}")
-        kind = data.get("kind")
-        if kind == "direct_product":
-            factors = data.get("factors")
-            if isinstance(factors, list):
-                factors = tuple(cls._from_dict(f) for f in factors)
-            return cls(kind=kind, factors=factors)
-        if kind == "cayley":
-            names, table = data.get("names"), data.get("table")
-            return cls(kind=kind, names=_tuples(names, 1), table=_tuples(table, 2))
-        if kind == "permutation":
-            gens = _tuples(data.get("generators"), 3)
-            return cls(kind=kind, degree=data.get("degree"), generators=gens)
-        return cls(kind=kind, n=data.get("n"))
-
-    @classmethod
-    def from_inline(cls, text: str) -> "GroupSpec":
-        """Parse the compact kind:n form, e.g. 'cyclic:12'.  n is ASCII
-        digits, as in element words; whitespace around it is ignored."""
-        kind, sep, arg = text.partition(":")
-        kind, arg = kind.strip(), arg.strip()
-        if not sep or kind not in ("cyclic", "dihedral", "symmetric"):
-            raise InvalidSpec(
-                f"inline group {quote(text)} not understood; use kind:n with kind in "
-                "cyclic/dihedral/symmetric, or give a JSON object"
-            )
-        if not arg.isascii() or not arg.isdigit():
-            raise InvalidSpec(f"inline group {quote(text)} needs an integer parameter")
-        try:
-            n = int(arg)
-        except ValueError:  # more digits than the interpreter converts
-            raise InvalidSpec(f"inline group {quote(text)} needs an integer parameter") from None
-        return cls.from_dict({"kind": kind, "n": n})
-
-
 def _check_order(order: int, limit: int, what: str) -> None:
     if order > limit:
         raise SizeLimitExceeded(f"{what} has order above the limit {limit}")
@@ -811,21 +699,69 @@ def _capped_prod(values: Iterable[int], limit: int) -> int:
     return out
 
 
-def _least_order(spec: GroupSpec, limit: int) -> int:
-    """The order spec builds, capped at limit + 1, found without building
-    anything.  A permutation closure counts as 1: its order is known only
-    once the closure is built, which checks the limit as it grows."""
-    if spec.kind == "cyclic":
-        return min(spec.n, limit + 1)
-    if spec.kind == "dihedral":
-        return min(2 * spec.n, limit + 1)
-    if spec.kind == "symmetric":
-        return _capped_prod(range(2, spec.n + 1), limit)
-    if spec.kind == "direct_product":
-        return _capped_prod((_least_order(f, limit) for f in spec.factors), limit)
-    if spec.kind == "cayley":
-        return min(len(spec.table), limit + 1)
-    return 1
+_ARRAY = (list, tuple)  # what a spec's JSON array may be
+
+
+def _spec_order(spec: object, limit: int) -> int:
+    """Check the whole spec tree, a JSON object as a dict whose arrays may
+    be lists or tuples, and return the order it builds, capped at limit + 1,
+    found without building or copying anything.  Faults are reported in the
+    order of the tree: factors, generators and cycles in turn.  A
+    permutation closure counts as 1: its order is known only once the
+    closure is built, which checks the limit as it grows.  A cayley table's
+    cells are left to its builder, which checks them as it packs them."""
+    if not isinstance(spec, dict):
+        raise InvalidSpec(f"group spec must be an object, got {type(spec).__name__}")
+    kind = spec.get("kind")
+    if kind in ("cyclic", "dihedral", "symmetric"):
+        n = spec.get("n")
+        if not _is_int(n) or n < 1:
+            raise InvalidSpec(f"{kind} group needs a positive integer n")
+        if kind == "cyclic":
+            return min(n, limit + 1)
+        if kind == "dihedral":
+            return min(2 * n, limit + 1)
+        return _capped_prod(range(2, n + 1), limit)
+    if kind == "direct_product":
+        factors = spec.get("factors")
+        if not isinstance(factors, _ARRAY) or not factors:
+            raise InvalidSpec("direct_product needs a nonempty factors list")
+        # Every factor is checked, also past one that passes the limit.
+        return _capped_prod([_spec_order(f, limit) for f in factors], limit)
+    if kind == "cayley":
+        names, table = spec.get("names"), spec.get("table")
+        if not isinstance(names, _ARRAY) or not all(isinstance(s, str) for s in names):
+            raise InvalidSpec("cayley group needs a list of string names")
+        if not isinstance(table, _ARRAY) or not all(isinstance(r, _ARRAY) for r in table):
+            raise InvalidSpec("cayley group needs a table as a list of rows")
+        if not table:
+            raise InvalidSpec("a group needs at least one element")
+        if len(names) != len(table):
+            raise InvalidSpec(f"{len(table)} table rows but {len(names)} names")
+        return min(len(table), limit + 1)
+    if kind == "permutation":
+        degree, generators = spec.get("degree"), spec.get("generators")
+        if not _is_int(degree) or degree < 1:
+            raise InvalidSpec("permutation group needs a positive integer degree")
+        try:
+            str(degree)  # the group's description shows it
+        except ValueError:
+            raise InvalidSpec(f"permutation degree too big to print: {quote(degree)}") from None
+        if not isinstance(generators, _ARRAY):
+            raise InvalidSpec("permutation group needs a generators list")
+        for gi, cycles in enumerate(generators):
+            if not isinstance(cycles, _ARRAY):
+                raise InvalidSpec(f"generator {gi} must be a list of cycles")
+            for cycle in cycles:
+                if not isinstance(cycle, _ARRAY) or not all(map(_is_int, cycle)):
+                    raise InvalidSpec(f"generator {gi} holds a malformed cycle")
+                if len(cycle) != len(set(cycle)):
+                    raise InvalidSpec(f"cycle {quote(list(cycle))} repeats a point")
+                bad = [p for p in cycle if not 1 <= p <= degree]
+                if bad:
+                    raise InvalidSpec(f"cycle point {quote(bad[0])} outside 1..{quote(degree)}")
+        return 1
+    raise InvalidSpec(f"unknown group kind {quote(kind)}")
 
 
 def _build_cyclic(n: int) -> Group:
@@ -1090,8 +1026,9 @@ def _product_cells(
     )
 
 
-def _build_direct_product(spec: GroupSpec, limit: int) -> Group:
-    factors = [_build(f, limit) for f in spec.factors]
+def _build_direct_product(specs: Sequence[dict], limit: int) -> Group:
+    factors = [_build(f, limit) for f in specs]
+    # A permutation factor's order is known only now that it is built.
     order = _capped_prod((f.order for f in factors), limit)
     _check_order(order, limit, "direct product")
     # Fold the factors in pairwise, from the trivial group.
@@ -1131,15 +1068,14 @@ def _perm_from_cycles(
 _GEN_SYMBOLS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _build_permutation(spec: GroupSpec, limit: int) -> Group:
-    """The closure of spec's generators on the points they move, its
-    elements numbered in lex order of their images on those points, as
+def _build_permutation(degree: int, generators: Sequence, limit: int) -> Group:
+    """The closure of generators, lists of cycles, on the points they move,
+    its elements numbered in lex order of their images on those points, as
     symmetric:n numbers S_n, so that the numbering does not depend on the
     generators listed; _permutation_group picks the table kernel.  The
     closure grows by left products, "g, then p" for each generator g, which
     is p read at the positions g: one gather made per generator, not one
     per element, and the same set as right products reach."""
-    generators = spec.generators
     # Every other point is fixed by the whole group, so the closure runs on
     # the points the generators name: its cost does not grow with degree.
     points = sorted({p for cycles in generators for cycle in cycles for p in cycle})
@@ -1167,7 +1103,7 @@ def _build_permutation(spec: GroupSpec, limit: int) -> Group:
         gens,
         _GEN_SYMBOLS,
         kind="permutation",
-        description=f"permutation:deg{spec.degree}",
+        description=f"permutation:deg{degree}",
     )
 
 
@@ -1179,30 +1115,32 @@ def _build_cayley(table: Sequence[Sequence[int]], names: Sequence[str]) -> Group
     return Group(n, cells, names, kind="cayley", description="cayley")
 
 
-def _build(spec: GroupSpec, limit: int) -> Group:
-    what = "direct product" if spec.kind == "direct_product" else f"{spec.kind} group"
-    _check_order(_least_order(spec, limit), limit, what)
-    if spec.kind == "cyclic":
-        return _build_cyclic(spec.n)
-    if spec.kind == "dihedral":
-        return _build_dihedral(spec.n)
-    if spec.kind == "symmetric":
-        return _build_symmetric(spec.n)
-    if spec.kind == "direct_product":
-        return _build_direct_product(spec, limit)
-    if spec.kind == "cayley":
-        return _build_cayley(spec.table, spec.names)
-    return _build_permutation(spec, limit)
+def _build(spec: dict, limit: int) -> Group:
+    """The group of a spec that _spec_order has checked."""
+    kind = spec["kind"]
+    if kind == "cyclic":
+        return _build_cyclic(spec["n"])
+    if kind == "dihedral":
+        return _build_dihedral(spec["n"])
+    if kind == "symmetric":
+        return _build_symmetric(spec["n"])
+    if kind == "direct_product":
+        return _build_direct_product(spec["factors"], limit)
+    if kind == "cayley":
+        return _build_cayley(spec["table"], spec["names"])
+    return _build_permutation(spec["degree"], spec["generators"], limit)
 
 
-def build_group(spec: GroupSpec | dict) -> Group:
-    """Build a group from a GroupSpec or its dict form, refusing one whose
-    order passes GROUPKIT_MAX_ORDER."""
-    if isinstance(spec, dict):
-        spec = GroupSpec.from_dict(spec)
-    elif not isinstance(spec, GroupSpec):
-        raise InvalidSpec(f"build_group needs a GroupSpec or a dict, got {type(spec).__name__}")
+def build_group(spec: dict) -> Group:
+    """Build a group from its spec, the JSON object as a dict.  The whole
+    spec is checked before anything is built, and one whose order passes
+    GROUPKIT_MAX_ORDER is refused."""
+    limit = config.max_order()
     try:
-        return _build(spec, config.max_order())
+        order = _spec_order(spec, limit)
+        kind = spec["kind"]
+        what = "direct product" if kind == "direct_product" else f"{kind} group"
+        _check_order(order, limit, what)
+        return _build(spec, limit)
     except RecursionError:
         raise InvalidSpec("group spec is nested too deeply") from None

@@ -994,7 +994,7 @@ def test_msfa_checks_maximality_only_outside_hxk(capsys, monkeypatch, group, ord
     # a direct X puts H*X*K inside Mid, so the check builds one cell for each
     # double coset outside H*X*K: none when X covers G
     from groupkit import oracle, products
-    from groupkit.groups import GroupSpec
+    from groupkit.cli import _load_group
     from groupkit.words import parse_subset
 
     cell_maker, mid_director = products._cell_maker, products.mid_director
@@ -1024,7 +1024,7 @@ def test_msfa_checks_maximality_only_outside_hxk(capsys, monkeypatch, group, ord
     code, data = run_json(capsys, ["msfa", "--group", group, "-H", h, "-K", k])
     result = data["result"]
     assert code == 0 and result["direct"] and result["maximal"]
-    g = groupkit.build_group(GroupSpec.from_inline(group))
+    g = _load_group(group)
     hxk = set(groupkit.set_product(groupkit.set_product(
         parse_subset(g, h), parse_subset(g, ",".join(result["x"]))), parse_subset(g, k)))
     blocks = oracle.double_coset_partition(parse_subset(g, h), parse_subset(g, k)).blocks

@@ -5,7 +5,6 @@ import time
 import pytest
 
 from groupkit import (
-    GroupSpec,
     IndexOutOfRange,
     InvalidSpec,
     NotAGroup,
@@ -76,11 +75,13 @@ def test_cayley_kind_roundtrip():
 
 
 def test_spec_roundtrip():
-    assert GroupSpec.from_inline("cyclic:5").n == 5
+    from groupkit.cli import _load_group
+
+    assert _load_group("cyclic:5").order == 5
     with pytest.raises(InvalidSpec):
-        GroupSpec.from_inline("cayley:3")
+        _load_group("cayley:3")
     with pytest.raises(InvalidSpec):
-        GroupSpec.from_inline("cyclic:zero")
+        _load_group("cyclic:zero")
 
 
 @pytest.mark.parametrize("bad", [
@@ -117,7 +118,7 @@ def test_build_group_refuses_other_types(bad):
 ])
 def test_a_directly_built_spec_is_validated(fields):
     with pytest.raises(InvalidSpec):
-        build_group(GroupSpec(**fields))
+        build_group(fields)
 
 
 def test_not_a_group_no_identity():
@@ -496,6 +497,46 @@ def test_order_is_refused_from_the_spec(spec):
         build_group(spec)
 
 
+def test_an_over_cap_table_is_refused_without_a_copy(monkeypatch):
+    # the spec is checked where it lies, so refusing a table past the cap
+    # costs no memory of its size
+    import tracemalloc
+
+    monkeypatch.setenv("GROUPKIT_MAX_ORDER", "16")
+    row = list(range(1024))
+    spec = {"kind": "cayley", "names": [str(i) for i in range(1024)], "table": [row] * 1024}
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimitExceeded, match="^cayley group has order above the limit 16$"):
+            build_group(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+
+
+def test_a_fault_anywhere_in_the_spec_comes_before_the_order_cap():
+    # the first factor alone passes the cap, the fault is in the last
+    spec = {"kind": "direct_product", "factors": [
+        {"kind": "cyclic", "n": 5000},
+        {"kind": "direct_product", "factors": [{"kind": "symmetric", "n": 10 ** 6}]},
+        {"kind": "cyclic", "n": 0},
+    ]}
+    with pytest.raises(InvalidSpec, match="^cyclic group needs a positive integer n$"):
+        build_group(spec)
+
+
+def test_spec_arrays_may_be_lists_or_tuples():
+    c3 = ((0, 1, 2), [1, 2, 0], (2, 0, 1))
+    spec = {"kind": "direct_product", "factors": (
+        {"kind": "cayley", "names": ("e", "x", "y"), "table": c3},
+        {"kind": "permutation", "degree": 3, "generators": (((1, 2),), [[2, 3]])},
+    )}
+    g = build_group(spec)
+    assert g.order == 18
+    assert g.names[:4] == ("(e,())", "(e,(2 3))", "(e,(1 2))", "(e,(1 2 3))")
+
+
 def test_permutation_closure_ignores_unmoved_points():
     import tracemalloc
 
@@ -558,7 +599,7 @@ def _nested_product(depth):
 
 @pytest.mark.parametrize("depth", [400, 5000])
 def test_deep_spec_is_invalid(depth):
-    # 400 deep passes GroupSpec.from_dict and overflows the build; 5000 deep
-    # overflows from_dict itself
+    # 400 deep passes the check of the spec tree and overflows the build;
+    # 5000 deep overflows the check itself
     with pytest.raises(InvalidSpec, match="nested too deeply"):
         build_group(_nested_product(depth))

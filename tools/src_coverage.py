@@ -30,7 +30,6 @@ SRC = ROOT / "src" / "groupkit"
 _TOO_DEEP = 'raise InvalidSpec("group spec is nested too deeply") from None'
 _UNSEEN = "reached by test_deep_spec_is_invalid, but a RecursionError unsets the trace function"
 ALLOWED = {
-    ("groups.py", "GroupSpec.from_dict", _TOO_DEEP): _UNSEEN,
     ("groups.py", "build_group", _TOO_DEEP): _UNSEEN,
     ("verify.py", "_example_2_5",
      '_check(checks, "direct-middle search reports inapplicability", False)'):
