@@ -313,14 +313,15 @@ class Group:
     swap of its first two points, whose row has long runs, and the cycle of
     the others), and, except for cayley tables, the inverse of each element
     as inverse.
-    The cells are bytes, or for S_m and permutation closures the bytearray
-    they were made in, kept without a copy: every view of them is read-only,
-    _flat() too.  However a builder makes the cells (slices, lex-rank sums for
-    all of S_m, gathers for other permutation closures), the constructor
-    checks every table alike.  It validates the group axioms exactly, at every
-    order: distinct names, a two-sided identity, two-sided inverses (the
-    supplied ones checked, else searched for row by row), then associativity by
-    Light's test, whose passes _light_failure describes.
+    The cells are bytes, or for cayley tables, S_m and permutation closures
+    the bytearray they were made in, kept without a copy: every view of them
+    is read-only, _flat() too.  However a builder makes the cells (packed
+    rows, slices, lex-rank sums for all of S_m, gathers for other permutation
+    closures), the constructor checks every table alike.  It validates the
+    group axioms exactly, at every order: distinct names, a two-sided
+    identity, two-sided inverses (the supplied ones checked, else searched for
+    row by row), then associativity by Light's test, whose passes
+    _light_failure describes.
     """
 
     __slots__ = (
@@ -651,9 +652,6 @@ class ElementSet:
 
     def complement(self) -> "ElementSet":
         return ElementSet._from_mask(self.group, self.group.full_mask & ~self.mask)
-
-    def with_element(self, x: int) -> "ElementSet":
-        return ElementSet._from_mask(self.group, self.mask | 1 << self.group._check_index(x))
 
     # -- group-aware operations ------------------------------------------------
 
@@ -1111,7 +1109,10 @@ def _build_cayley(table: Sequence[Sequence[int]], names: Sequence[str]) -> Group
     n = len(table)
     typecode = _typecode(n)
     below = bytes(range(n)) if typecode == "B" else b""
-    cells = b"".join(_table_row(i, row, n, typecode, below) for i, row in enumerate(table))
+    width = n * array(typecode).itemsize
+    cells = bytearray(n * width)
+    for i, row in enumerate(table):
+        cells[i * width:(i + 1) * width] = _table_row(i, row, n, typecode, below)
     return Group(n, cells, names, kind="cayley", description="cayley")
 
 

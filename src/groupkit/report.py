@@ -7,6 +7,7 @@ two runs with the same picks produce byte-identical JSON (timing aside).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
@@ -61,46 +62,30 @@ class RunReport:
         return _dumps(self.to_dict(), "\n")
 
 
-_INF = float("inf")
-
-
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _key_text(key) -> str:
-    """A dict key that is not a str, as json writes it."""
-    if isinstance(key, (int, float)) or key is None:  # bools too, as json does
-        return _quote(_dumps(key, ""))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _dumps(obj, newline: str) -> str:
     """obj as json.dumps(obj, indent=2) writes it, where newline is the
     line break and indent of the line obj starts on.  json.dumps takes its
-    pure-Python encoder when it indents; here a list of only strs or only
-    ints (not bools) is written by one join over a C-level map, and the
-    rest as json writes it."""
-    if isinstance(obj, str):
+    pure-Python encoder when it indents.  Here what a report holds is
+    written directly: dicts with str keys, lists (one join over a C-level
+    map for a list of only strs or only exact ints), strs, exact ints,
+    bools, None and finite floats.  Anything else is json.dumps's own text
+    with its line breaks indented, which is safe because JSON text holds no
+    raw newline."""
+    t = type(obj)
+    if t is str:
         return _quote(obj)
+    if t is int:
+        return int.__repr__(obj)
     if obj is None:
         return "null"
     if obj is True:
         return "true"
     if obj is False:
         return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return _float_text(obj)
+    if t is float and math.isfinite(obj):
+        return float.__repr__(obj)
     inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
+    if t is list:
         if not obj:
             return "[]"
         types = set(map(type, obj))
@@ -111,15 +96,12 @@ def _dumps(obj, newline: str) -> str:
         else:
             items = (_dumps(v, inner) for v in obj)
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(obj, dict):
+    if t is dict and all(type(k) is str for k in obj):
         if not obj:
             return "{}"
-        items = (
-            (_quote(k) if isinstance(k, str) else _key_text(k)) + ": " + _dumps(v, inner)
-            for k, v in obj.items()
-        )
+        items = (_quote(k) + ": " + _dumps(v, inner) for k, v in obj.items())
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return json.dumps(obj, indent=2).replace("\n", newline)
 
 
 def load_schema() -> dict:

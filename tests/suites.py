@@ -3,17 +3,21 @@
 Each suite runner takes groups (and usually a seed), checks one equivalence between
 independent formulations across many inputs, and returns a list of violation strings.
 The unit tests run them on a small fleet; the acceptance tests run them on
-the full one.
+the full one, and scale/ at sizes too slow for tier-1.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from array import array
 from functools import reduce
 from math import factorial, gcd, prod
 from operator import itemgetter, or_
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groupkit import (
     ChoicePolicy,
@@ -40,6 +44,7 @@ from groupkit.groups import (
     _symmetric_cells,
     bit_indices,
 )
+from groupkit.report import RunReport
 
 
 def build_fleet() -> list[Group]:
@@ -374,7 +379,7 @@ def _one_per_block(blocks, t: ElementSet) -> bool:
 def _maximal_direct(h: ElementSet, x: ElementSet, k: ElementSet) -> bool:
     g = h.group
     return all(
-        y in x or not products.is_direct_triple(h, x.with_element(y), k)
+        y in x or not products.is_direct_triple(h, x | g.singleton(y), k)
         for y in range(g.order)
     )
 
@@ -382,7 +387,7 @@ def _maximal_direct(h: ElementSet, x: ElementSet, k: ElementSet) -> bool:
 def _maximal_middle_direct(h: ElementSet, x: ElementSet, k: ElementSet) -> bool:
     g = h.group
     return all(
-        y in x or not products.is_middle_direct(h, x.with_element(y), k)
+        y in x or not products.is_middle_direct(h, x | g.singleton(y), k)
         for y in range(g.order)
     )
 
@@ -483,7 +488,7 @@ def _transversal_candidates(g, blocks, rng, known: set[ElementSet]) -> list[Elem
     for t in picks:
         indices = t.indices()
         out.append(g.subset_from_mask(t.mask & ~(1 << indices[0])))  # drop one
-        out.append(t.with_element(rng.randrange(g.order)))  # may add a duplicate rep
+        out.append(t | g.singleton(rng.randrange(g.order)))  # may add a duplicate rep
     for _ in range(3):
         out.append(random_subset(g, rng))
     return out
@@ -506,7 +511,7 @@ def suite_right_transversal_forms(groups: list[Group], seed: int = 3) -> list[st
                     products.is_direct_pair(h, t)
                     and bool(t)
                     and all(
-                        y in t or not products.is_direct_pair(h, t.with_element(y))
+                        y in t or not products.is_direct_pair(h, t | g.singleton(y))
                         for y in range(g.order)
                     )
                 )
@@ -728,7 +733,7 @@ def suite_maximal_covers_mid(groups: list[Group], seed: int = 9) -> list[str]:
                         continue
                     covers = mid <= _hxk(h, x, k)
                     maximal = all(
-                        y in x or not products.is_direct_triple(h, x.with_element(y), k)
+                        y in x or not products.is_direct_triple(h, x | g.singleton(y), k)
                         for y in mid
                     )
                     if covers != maximal:
@@ -929,3 +934,54 @@ def pick_order_problems(cap: int) -> tuple[list[str], dict]:
                     bad.append(f"{case}: {g.subset_from_mask(x)!r} reached {times} times")
             bad += [f"{case}: {g.subset_from_mask(x)!r} is no answer" for x in reached]
     return bad, stats
+
+
+# -- the report's JSON against json.dumps ----------------------------------------
+
+
+_JSON_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+    st.text(),
+    st.sampled_from(["é", "\x00\x1f\x7f", "\u2028\U0001f600", "\ud800", '"\\/']),
+)
+_JSON_PAYLOADS = st.recursive(
+    st.one_of(
+        _JSON_LEAVES,
+        st.lists(st.text()),
+        st.lists(st.integers()),
+        st.lists(st.one_of(st.integers(), st.booleans())),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(st.text(), inner),
+        # json writes keys that are not strs as strs
+        st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), st.none()), inner),
+    ),
+    max_leaves=25,
+)
+
+
+def report_json_property(max_examples: int):
+    """A hypothesis test that RunReport.to_json writes what
+    json.dumps(..., indent=2) writes, byte for byte, on one fixed example
+    and max_examples derandomized ones."""
+    group = build_group({"kind": "cyclic", "n": 2})
+
+    @settings(max_examples=max_examples, deadline=None, derandomize=True, database=None)
+    @given(_JSON_PAYLOADS, _JSON_PAYLOADS, st.lists(st.text()), st.floats())
+    @example(
+        {"ints": [1, -(10**30), True, 0], "names": ["é", "\x00", "a\nb"], "none": None, "empty": {}},
+        [[], [1, "a", None], {}, [float("nan"), float("inf"), float("-inf"), -0.0]],
+        ["ünïcode \x07"],
+        float("nan"),
+    )
+    def report_json_is_json_dumps_indent_2(inputs, result, warnings, timing_ms):
+        report = RunReport("rta", group, inputs, result, warnings, timing_ms)
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+    return report_json_is_json_dumps_indent_2

@@ -10,8 +10,6 @@ from pathlib import Path
 import jsonschema
 import pytest
 import suites
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import groupkit
 from groupkit.cli import main
@@ -734,45 +732,8 @@ def test_json_deterministic_modulo_timing(capsys):
     assert first == second
 
 
-_JSON_LEAVES = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.integers(min_value=-(10**40), max_value=10**40),
-    st.floats(),
-    st.text(),
-    st.sampled_from(["é", "\x00\x1f\x7f", "\u2028\U0001f600", "\ud800", '"\\/']),
-)
-_JSON_PAYLOADS = st.recursive(
-    st.one_of(
-        _JSON_LEAVES,
-        st.lists(st.text()),
-        st.lists(st.integers()),
-        st.lists(st.one_of(st.integers(), st.booleans())),
-    ),
-    lambda inner: st.one_of(
-        st.lists(inner),
-        st.lists(inner).map(tuple),
-        st.dictionaries(st.text(), inner),
-        # json writes keys that are not strs as strs
-        st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), st.none()), inner),
-    ),
-    max_leaves=25,
-)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_JSON_PAYLOADS, _JSON_PAYLOADS, st.lists(st.text()), st.floats())
-@example(
-    {"ints": [1, -(10**30), True, 0], "names": ["é", "\x00", "a\nb"], "none": None, "empty": {}},
-    [[], [1, "a", None], {}, [float("nan"), float("inf"), float("-inf"), -0.0]],
-    ["ünïcode \x07"],
-    float("nan"),
-)
-def test_report_json_is_json_dumps_indent_2(inputs, result, warnings, timing_ms):
-    # to_json writes what json.dumps(..., indent=2) writes, byte for byte
-    report = RunReport("rta", JSON_GROUP, inputs, result, warnings, timing_ms)
-    assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+# a small setting here; scale/ runs the same property at 200 examples
+test_report_json_is_json_dumps_indent_2 = suites.report_json_property(20)
 
 
 def test_report_json_refuses_what_json_refuses():

@@ -175,7 +175,7 @@ def test_element_set_algebra(d12):
     assert (s & t).indices() == (2,)
     assert (s | t).indices() == (0, 1, 2, 3)
     assert (s - t).indices() == (0, 1)
-    assert s.with_element(5).indices() == (0, 1, 2, 5)
+    assert (s | d12.singleton(5)).indices() == (0, 1, 2, 5)
     assert t <= (s | t)
     assert not s <= t
     assert s.complement() & s == d12.empty_set()
@@ -301,7 +301,7 @@ def test_is_subgroup_matches_the_definition(spec):
         h = g.subset(rng.sample(range(g.order), rng.randint(1, 2))).generated_subgroup()
         cyclic = g.singleton(rng.randrange(g.order)).generated_subgroup()
         near = g.subset(rng.sample(range(g.order), rng.randint(1, 4))) | g.trivial_subgroup()
-        candidates = [h, h.with_element(rng.randrange(g.order)), h - g.trivial_subgroup(),
+        candidates = [h, h | g.singleton(rng.randrange(g.order)), h - g.trivial_subgroup(),
                       g.subset(g.table[x][y] for x in h for y in cyclic),
                       near, two_sided_closure(near)]
         if len(h) > 1:
@@ -322,7 +322,7 @@ def test_is_subgroup_of_half_the_order_cap_is_fast():
     evens = z.subset(range(0, 4096, 2))
     start = time.perf_counter()
     assert evens.is_subgroup()
-    assert not evens.with_element(1).is_subgroup()
+    assert not (evens | z.singleton(1)).is_subgroup()
     assert not (evens - z.singleton(4094)).is_subgroup()
     assert time.perf_counter() - start < 0.25
 
@@ -432,7 +432,7 @@ def test_generated_subgroup_is_the_naive_closure(spec, count):
     for s in subgroups:
         for x in range(g.order):
             want = suites.naive_closure(g, s.mask | 1 << x)
-            assert s.with_element(x).generated_subgroup().mask == want, (s, g.names[x])
+            assert (s | g.singleton(x)).generated_subgroup().mask == want, (s, g.names[x])
 
 
 def test_center_of_abelian(z12):
@@ -513,6 +513,26 @@ def test_an_over_cap_table_is_refused_without_a_copy(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def test_a_cayley_table_is_packed_into_one_buffer():
+    # each row is written into the table as it is packed, so no packed row
+    # outlives its check: a join of all rows would hold the table twice
+    import tracemalloc
+
+    n = 1024
+    base = list(range(n))
+    spec = {"kind": "cayley", "names": [str(i) for i in range(n)],
+            "table": [base[i:] + base[:i] for i in range(n)]}
+    tracemalloc.start()
+    try:
+        g = build_group(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.table[5][n - 1] == 4
+    # the table's two-byte cells, and Light's 1 MiB of block buffers
+    assert peak < 1.8 * n * n * 2
 
 
 def test_a_fault_anywhere_in_the_spec_comes_before_the_order_cap():
