@@ -1,6 +1,9 @@
 """Tier-1's checks at sizes too slow for it: PYTHONPATH=src:tests python -m pytest scale"""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import suites
@@ -8,6 +11,7 @@ import suites
 from groupkit import build_group
 from groupkit.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
 C64_D32 = {"kind": "direct_product", "factors": [{"kind": "cyclic", "n": 64}, {"kind": "dihedral", "n": 32}]}
 HALF = ",".join(["1"] + [f"a^{i}" for i in range(2, 2048, 2)])  # <a^2> in dihedral:2048
 ROTATIONS = ",".join(["1"] + [f"a^{i}" for i in range(1, 2048)])
@@ -104,3 +108,25 @@ def test_the_oracle_at_the_cap_exits_5():
 
 # tier-1 runs the same property at 20 examples
 test_report_json_is_json_dumps_indent_2 = suites.report_json_property(200)
+
+
+# perfbench/run.py exits 0 even when rounds fail or answers are wrong, so the
+# verdict is read off the last line of a short run of each workload, once
+# untraced and once with the per-layer spans.  Every workload's tour runs
+# enumerate --via both, so a traced run must also time both sides of the
+# cross-check, which the tracer finds only through their public names; and
+# msfa --extend, whose validation rerun the tracer finds only through
+# AlgoTrace.validate, which the extension must go through.
+@pytest.mark.parametrize("trace", [0, 1])
+@pytest.mark.parametrize("workload", ["enum-crosscheck", "query-mix", "table-build"])
+def test_clean_benchmark_run(workload, trace):
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", "1", "--trace", str(trace)],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    )
+    r = json.loads(run.stdout.splitlines()[-1])
+    assert (r["correct"], r["failed"]) == (True, 0), run.stdout
+    if trace:
+        for name in ("algorithms.enumerate_s", "oracle.enumerate_s", "algorithms.validate_s"):
+            assert r["metrics"][name]["value"] > 0, name

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import json
 import os
 import sys
@@ -30,7 +29,7 @@ from .algorithms import (
     rta,
 )
 from .errors import GroupKitError, InvalidSpec, quote
-from .groups import ElementSet, Group, build_group
+from .groups import ElementSet, Group, bit_indices, build_group
 from .report import RunReport, trace_payload
 from .words import parse_element, parse_subset
 
@@ -319,8 +318,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
         "middle-subfactors": (enumerate_all_middle_subfactors, oracle.all_maximal_direct_triples),
     }[args.what]
     result: dict = {"what": args.what, "via": args.via}
-    # both sides stay as the int-mask lists they return; --list alone wraps
-    # the masks as sets
+    # both sides stay as the int-mask lists they return, and --list names
+    # its sets straight from them
     algo_masks = oracle_masks = None
     if args.via != "oracle":
         algo_masks = search(*operands, limit=limit, as_masks=True)
@@ -347,8 +346,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
             match = not missing and len(algo_masks) == result["count_oracle"]
         result["match"] = match
     if args.list:
-        shown = map(g.subset_from_mask, oracle_masks if algo_masks is None else algo_masks)
-        result["sets"] = [s.names() for s in sorted(shown, key=lambda s: s.indices())]
+        # the sets in order of their index tuples, each tuple replaced by its
+        # names in place, so that no tuple outlives its names
+        shown = oracle_masks if algo_masks is None else algo_masks
+        sets = sorted(map(tuple, map(bit_indices, shown)))
+        name = g.names.__getitem__
+        for i, indices in enumerate(sets):
+            sets[i] = list(map(name, indices))
+        result["sets"] = sets
     return RunReport("enumerate", g, inputs, result, exit_code=0 if match else 4)
 
 
@@ -433,7 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args: argparse.Namespace) -> int:
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         with _warnings.catch_warnings(record=True) as caught:
@@ -449,27 +455,6 @@ def _run(args: argparse.Namespace) -> int:
     else:
         print(_render_text(report))
     return report.exit_code
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    # The cyclic collector is paused while the command runs, and re-enabled
-    # only if it was on at entry.  No command builds reference cycles in bulk
-    # (ElementSet, its masks, the result sets and the reports are acyclic),
-    # so reference counting frees them as before, and a stray cycle waits
-    # only until the collector resumes.  The pause pays off for enumerate
-    # --list, which builds a set and its names for each result: on D32 with
-    # H = <b>, K = <ba>, middle-subfactors --via both --list (65,536 results)
-    # ran about 280 collector passes a call, 0.41 s with the collector on
-    # against 0.38 s paused (2-CPU Xeon, Python 3.11.7).  Without --list both
-    # sides cross-check int masks, and the collector ran no pass in 40 calls.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _run(args)
-    finally:
-        if collecting:
-            gc.enable()
 
 
 if __name__ == "__main__":

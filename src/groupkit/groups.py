@@ -317,8 +317,10 @@ class Group:
     the bytearray they were made in, kept without a copy: every view of them
     is read-only, _flat() too.  However a builder makes the cells (packed
     rows, slices, lex-rank sums for all of S_m, gathers for other permutation
-    closures), the constructor checks every table alike.  It validates the
-    group axioms exactly, at every order: distinct names, a two-sided
+    closures), the constructor checks every table alike.  It first refuses
+    arguments that do not fit n: other than n names, other than n*n cells,
+    or a generator that is no element index.  It validates the group axioms
+    exactly, at every order: distinct names, a two-sided
     identity, two-sided inverses (the supplied ones checked, else searched for
     row by row), then associativity by Light's test, whose passes
     _light_failure describes.
@@ -351,7 +353,16 @@ class Group:
         inverse: Sequence[int] | None = None,
     ) -> None:
         self.order = n
-        flat = memoryview(cells).cast(_typecode(n)).toreadonly()
+        typecode = _typecode(n)
+        if len(names) != n:
+            raise InvalidSpec(f"order {n} needs {n} element names, got {len(names)}")
+        raw, size = memoryview(cells), n * n * array(typecode).itemsize
+        if raw.nbytes != size:
+            raise InvalidSpec(f"a table of order {n} takes {size} bytes, not {raw.nbytes}")
+        for x in generators:
+            if not self._is_index(x):
+                raise InvalidSpec(f"generator {quote(x)} is not an element index in 0..{n - 1}")
+        flat = raw.cast(typecode).toreadonly()
         self.table = _table_rows(flat, n)
         self.names = tuple(str(s) for s in names)
         if len(set(self.names)) != n:
@@ -700,14 +711,15 @@ def _capped_prod(values: Iterable[int], limit: int) -> int:
 _ARRAY = (list, tuple)  # what a spec's JSON array may be
 
 
-def _spec_order(spec: object, limit: int) -> int:
+def _spec_order(spec: object, limit: int) -> tuple[int, Callable[[], Group]]:
     """Check the whole spec tree, a JSON object as a dict whose arrays may
     be lists or tuples, and return the order it builds, capped at limit + 1,
-    found without building or copying anything.  Faults are reported in the
-    order of the tree: factors, generators and cycles in turn.  A
-    permutation closure counts as 1: its order is known only once the
-    closure is built, which checks the limit as it grows.  A cayley table's
-    cells are left to its builder, which checks them as it packs them."""
+    found without building or copying anything, with a no-argument callable
+    that builds it.  Faults are reported in the order of the tree: factors,
+    generators and cycles in turn.  A permutation closure counts as 1: its
+    order is known only once the closure is built, which checks the limit as
+    it grows.  A cayley table's cells are left to its builder, which checks
+    them as it packs them."""
     if not isinstance(spec, dict):
         raise InvalidSpec(f"group spec must be an object, got {type(spec).__name__}")
     kind = spec.get("kind")
@@ -716,16 +728,17 @@ def _spec_order(spec: object, limit: int) -> int:
         if not _is_int(n) or n < 1:
             raise InvalidSpec(f"{kind} group needs a positive integer n")
         if kind == "cyclic":
-            return min(n, limit + 1)
+            return min(n, limit + 1), lambda: _build_cyclic(n)
         if kind == "dihedral":
-            return min(2 * n, limit + 1)
-        return _capped_prod(range(2, n + 1), limit)
+            return min(2 * n, limit + 1), lambda: _build_dihedral(n)
+        return _capped_prod(range(2, n + 1), limit), lambda: _build_symmetric(n)
     if kind == "direct_product":
         factors = spec.get("factors")
         if not isinstance(factors, _ARRAY) or not factors:
             raise InvalidSpec("direct_product needs a nonempty factors list")
         # Every factor is checked, also past one that passes the limit.
-        return _capped_prod([_spec_order(f, limit) for f in factors], limit)
+        orders, builds = zip(*[_spec_order(f, limit) for f in factors])
+        return _capped_prod(orders, limit), lambda: _build_direct_product(builds, limit)
     if kind == "cayley":
         names, table = spec.get("names"), spec.get("table")
         if not isinstance(names, _ARRAY) or not all(isinstance(s, str) for s in names):
@@ -736,7 +749,7 @@ def _spec_order(spec: object, limit: int) -> int:
             raise InvalidSpec("a group needs at least one element")
         if len(names) != len(table):
             raise InvalidSpec(f"{len(table)} table rows but {len(names)} names")
-        return min(len(table), limit + 1)
+        return min(len(table), limit + 1), lambda: _build_cayley(table, names)
     if kind == "permutation":
         degree, generators = spec.get("degree"), spec.get("generators")
         if not _is_int(degree) or degree < 1:
@@ -758,7 +771,7 @@ def _spec_order(spec: object, limit: int) -> int:
                 bad = [p for p in cycle if not 1 <= p <= degree]
                 if bad:
                     raise InvalidSpec(f"cycle point {quote(bad[0])} outside 1..{quote(degree)}")
-        return 1
+        return 1, lambda: _build_permutation(degree, generators, limit)
     raise InvalidSpec(f"unknown group kind {quote(kind)}")
 
 
@@ -1024,8 +1037,8 @@ def _product_cells(
     )
 
 
-def _build_direct_product(specs: Sequence[dict], limit: int) -> Group:
-    factors = [_build(f, limit) for f in specs]
+def _build_direct_product(builds: Sequence[Callable[[], Group]], limit: int) -> Group:
+    factors = [build() for build in builds]
     # A permutation factor's order is known only now that it is built.
     order = _capped_prod((f.order for f in factors), limit)
     _check_order(order, limit, "direct product")
@@ -1116,32 +1129,16 @@ def _build_cayley(table: Sequence[Sequence[int]], names: Sequence[str]) -> Group
     return Group(n, cells, names, kind="cayley", description="cayley")
 
 
-def _build(spec: dict, limit: int) -> Group:
-    """The group of a spec that _spec_order has checked."""
-    kind = spec["kind"]
-    if kind == "cyclic":
-        return _build_cyclic(spec["n"])
-    if kind == "dihedral":
-        return _build_dihedral(spec["n"])
-    if kind == "symmetric":
-        return _build_symmetric(spec["n"])
-    if kind == "direct_product":
-        return _build_direct_product(spec["factors"], limit)
-    if kind == "cayley":
-        return _build_cayley(spec["table"], spec["names"])
-    return _build_permutation(spec["degree"], spec["generators"], limit)
-
-
 def build_group(spec: dict) -> Group:
     """Build a group from its spec, the JSON object as a dict.  The whole
     spec is checked before anything is built, and one whose order passes
     GROUPKIT_MAX_ORDER is refused."""
     limit = config.max_order()
     try:
-        order = _spec_order(spec, limit)
+        order, build = _spec_order(spec, limit)
         kind = spec["kind"]
         what = "direct product" if kind == "direct_product" else f"{kind} group"
         _check_order(order, limit, what)
-        return _build(spec, limit)
+        return build()
     except RecursionError:
         raise InvalidSpec("group spec is nested too deeply") from None

@@ -195,6 +195,30 @@ def test_enumerate_list_order_on_pairs(capsys, case):
         assert data["result"]["sets"] == want, via
 
 
+def test_enumerate_list_names_its_sets_from_the_masks(capsys, monkeypatch):
+    # --list wraps no answer as a set: with and without it, a run of the
+    # 65,536 maximal direct middles of D32 makes as many subset_from_mask calls
+    subset_from_mask = groupkit.Group.subset_from_mask
+    calls = []
+
+    def counting(self, mask):
+        calls.append(mask)
+        return subset_from_mask(self, mask)
+
+    monkeypatch.setattr(groupkit.Group, "subset_from_mask", counting)
+    argv = ["enumerate", "--via", "both", "--group", "dihedral:16", "-H", "1,b", "-K", "1,ba",
+            "--what", "middle-subfactors"]
+    counts = []
+    for extra in ([], ["--list"]):
+        calls.clear()
+        assert main(argv + extra) == 0
+        counts.append(len(calls))
+        out = capsys.readouterr().out
+        assert "count (search): 65536\n" in out
+    assert out.count("\n  {") == 65536
+    assert counts[1] == counts[0]
+
+
 def test_verify_paper(capsys):
     code, data = run_json(capsys, ["verify-paper"])
     assert code == 0
@@ -833,8 +857,8 @@ def test_error_class_exit_code(capsys, monkeypatch, name):
 
     monkeypatch.setattr("groupkit.cli.rta", fail)
     assert main(["rta", "--group", "cyclic:4", "-H", "0"]) == code
-    # the cyclic collector is paused inside the command and back on after it
-    assert collecting == [False]
+    # the command runs under the caller's collector state and leaves it as is
+    assert collecting == [True]
     assert gc.isenabled()
     captured = capsys.readouterr()
     assert captured.err == f"{label}: boom\n"

@@ -875,8 +875,8 @@ def test_only_all_of_s_m_takes_lane_sums(generators, lane_sums, monkeypatch):
 
 
 def test_s_m_builds_leave_no_cyclic_garbage():
-    # cli.main pauses the collector while a command runs, so a cycle left by
-    # a build would keep its table alive until the collector runs again
+    # a cycle left by a build would keep its table alive until the cyclic
+    # collector next runs, which a caller may have paused or never triggers
     import gc
 
     specs = [
