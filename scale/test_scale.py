@@ -67,7 +67,7 @@ def test_light_on_a_relabeled_order_4096_table():
 
 
 def test_lane_sums_against_the_gathers_at_n_6():
-    # tier-1 stops at n = 5; all 518,400 products and the inverses of S6
+    # tier-1 stops at n = 5; all 518,400 products of S6
     assert suites.lane_sum_gather_disagreements(6) == []
 
 

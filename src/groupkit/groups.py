@@ -164,7 +164,11 @@ def _light_copy_plan(
 
 
 def _light_failure(
-    flat: memoryview, n: int, identity: int | None, generators: Sequence[int] = ()
+    flat: memoryview,
+    n: int,
+    identity: int | None,
+    generators: Sequence[int] = (),
+    inverse: list[int] | None = None,
 ) -> tuple[int, int, int] | None:
     """Light's associativity test on the row-major n*n table flat: a triple
     (x, s, y) with (x*s)*y != x*(s*y), or None when the table is associative.
@@ -174,12 +178,21 @@ def _light_failure(
     left-bracketed product of those that passed.  On any magma the elements
     that pass are closed under the product, so the table is associative once
     all are reached, whichever unreached s each pass takes.  A given two-sided
-    identity passes trivially and is reached without a pass.  With the
-    identity and two-sided inverses verified, at most floor(log2 n) + 1 passes
-    run: x = s^-1, then y = s^-1, in (x*s)*y = x*(s*y) show that every s that
-    passes has injective row and column maps, so the reached set is a finite
-    cancellative monoid, that is a subgroup, and by Lagrange each newly passed
-    s at least doubles it.
+    identity passes trivially and is reached without a pass.
+
+    Given the identity, the test also finds every inverse, into inverse when
+    given.  Before its pass, s must have a two-sided inverse: j, the first
+    cell of row s that holds the identity, with j*s the identity too; else
+    NotAGroup names s.  The axioms are thus checked s by s, in pass order: s's
+    inverse, then associativity at s.  Each element that the closure reaches
+    as r*g, r reached and g passed, gets the inverse g^-1 * r^-1, one read of
+    flat.  That is exact: x = s^-1, then y = s^-1, in (x*s)*y = x*(s*y) show
+    that every s that passes has injective row and column maps, so the
+    reached set is a finite cancellative monoid, that is a subgroup, which
+    holds r^-1 and g^-1.  By Lagrange each newly passed s at least doubles
+    it, so at most floor(log2 n) + 1 passes run.  Given no identity, no
+    inverse is checked and the bound need not hold, but the triple or None
+    is still exact on any magma.
 
     A pass runs over blocks of rows x with no lookup per cell, by slice
     copies whose number depends on the runs of row s and column s, not on
@@ -213,18 +226,28 @@ def _light_failure(
     size = flat.itemsize
     flat_bytes = flat.cast("B")
     lhs = rhs = None  # made by the first block that needs each
-    passed: list[list[int]] = []  # column g, x*g over x, of each g that passed
+    inv = [0] * n if inverse is None else inverse
+    passed: list[tuple[int, list[int]]] = []  # each g that passed, with its column x*g over x
     reached: list[int] = []
     seen = bytearray(n)
     if identity is not None:
         seen[identity] = 1
         reached.append(identity)
+        inv[identity] = identity
     while len(reached) < n:
         s = next((g for g in generators if not seen[g]), None)
         if s is None:
             s = seen.index(0)
         row_s = flat[s * n:(s + 1) * n].tolist()
         col_s = flat[s::n].tolist()
+        if identity is not None:
+            try:
+                j = row_s.index(identity)
+            except ValueError:
+                raise NotAGroup(f"element {s} has no two-sided inverse") from None
+            if col_s[j] != identity:
+                raise NotAGroup(f"element {s} has a right inverse {j} that is not a left inverse")
+            inv[s] = j
         starts = [0] + [y for y in range(1, n) if row_s[y] != row_s[y - 1] + 1]
         lengths = list(map(sub, starts[1:] + [n], starts))
         in_place = max(lengths) < _LIGHT_RUN_CELLS
@@ -287,16 +310,17 @@ def _light_failure(
                 k = next(k for k in range(0, cells, n) if left[k:k + n] != rhs[k:k + n])
                 y = next(y for y in range(n) if left[k + y] != rhs[k + y])
                 return x0 + k // n, s, y
-        passed.append(col_s)
+        passed.append((s, col_s))
         seen[s] = 1
         reached.append(s)
         # Iterating the growing list closes it under right products.
         for r in reached:
-            for col in passed:
+            for g, col in passed:
                 c = col[r]
                 if not seen[c]:
                     seen[c] = 1
                     reached.append(c)
+                    inv[c] = flat[inv[g] * n + inv[r]]
     return None
 
 
@@ -308,22 +332,24 @@ class Group:
     order ('B' up to order 256, 'H' up to 65536), so the table is immutable
     and costs one or two bytes per cell.  Every builder behind build_group
     ends in the one constructor, with the row-major table as n*n cells of
-    typecode _typecode(n), as generators indices that generate the group,
+    typecode _typecode(n), and as generators indices that generate the group,
     which seed Light's test (the spec's generators, but for all of S_m the
     swap of its first two points, whose row has long runs, and the cycle of
-    the others), and, except for cayley tables, the inverse of each element
-    as inverse.
+    the others).  No builder hands over inverses: Light's test finds them.
     The cells are bytes, or for cayley tables, S_m and permutation closures
     the bytearray they were made in, kept without a copy: every view of them
     is read-only, _flat() too.  However a builder makes the cells (packed
     rows, slices, lex-rank sums for all of S_m, gathers for other permutation
-    closures), the constructor checks every table alike.  It first refuses
-    arguments that do not fit n: other than n names, other than n*n cells,
-    or a generator that is no element index.  It validates the group axioms
-    exactly, at every order: distinct names, a two-sided
-    identity, two-sided inverses (the supplied ones checked, else searched for
-    row by row), then associativity by Light's test, whose passes
-    _light_failure describes.
+    closures), the constructor checks every table alike.  It first refuses,
+    with InvalidSpec, arguments of the wrong type (an order that is no
+    positive int, cells that are not bytes or a bytearray, names or
+    generators that are not a list or tuple, generator_names that is not a
+    dict) and arguments that do not fit n: other than n names, other than
+    n*n cells, or a generator that is no element index.  It then validates
+    the group axioms exactly, at every order: distinct names, a two-sided
+    identity, then Light's test, which checks each s it passes for a
+    two-sided inverse and then for associativity, and finds the inverses,
+    as _light_failure describes.
     """
 
     __slots__ = (
@@ -350,8 +376,20 @@ class Group:
         description: str,
         generator_names: dict[str, int] | None = None,
         generators: Sequence[int] = (),
-        inverse: Sequence[int] | None = None,
     ) -> None:
+        if not _is_int(n) or n < 1:
+            raise InvalidSpec(f"a group's order must be a positive integer, not {quote(n)}")
+        if not isinstance(cells, (bytes, bytearray)):
+            raise InvalidSpec(
+                f"a table's cells must be bytes or a bytearray, not {type(cells).__name__}"
+            )
+        for what, value in (("element names", names), ("generators", generators)):
+            if not isinstance(value, _ARRAY):
+                raise InvalidSpec(f"{what} must be a list or tuple, not {type(value).__name__}")
+        if not isinstance(generator_names, (dict, type(None))):
+            raise InvalidSpec(
+                f"generator names must be a dict, not {type(generator_names).__name__}"
+            )
         self.order = n
         typecode = _typecode(n)
         if len(names) != n:
@@ -372,12 +410,10 @@ class Group:
         self.full_mask = (1 << n) - 1
 
         self.identity = self._find_identity(flat)
-        if inverse is None:
-            self.inverse = self._find_inverses(flat)
-        else:
-            self.inverse = self._check_inverses(flat, tuple(inverse))
-        if failure := _light_failure(flat, n, self.identity, generators):
+        inverse = [0] * n
+        if failure := _light_failure(flat, n, self.identity, generators, inverse):
             raise NotAGroup("associativity fails at i={}, j={}, k={}".format(*failure))
+        self.inverse = tuple(inverse)
 
         gen = dict(generator_names or {})
         for sym, idx in gen.items():
@@ -391,7 +427,7 @@ class Group:
         self._loose_names: dict[str, int] | None = None  # made on the first miss
 
     # -- validation -------------------------------------------------------
-    # Each check compares or searches whole rows and columns of the flat
+    # The identity is found by comparing whole rows and columns of the flat
     # table, so its inner loop is in C.
 
     def _find_identity(self, flat: memoryview) -> int:
@@ -403,44 +439,6 @@ class Group:
             if row == ident and flat[e::n] == ident:
                 return e
         raise NotAGroup("no two-sided identity element")
-
-    def _find_inverses(self, flat: memoryview) -> tuple[int, ...]:
-        n = self.order
-        e = self.identity
-        size = flat.itemsize
-        cells: bytes | bytearray = flat.obj  # the buffer the table views
-        target = array(flat.format, [e]).tobytes()
-        inv = []
-        for i in range(n):
-            start, stop = i * n * size, (i + 1) * n * size
-            pos = cells.find(target, start, stop)
-            while pos >= 0 and (pos - start) % size:  # straddles two cells
-                pos = cells.find(target, pos + 1, stop)
-            if pos < 0:
-                raise NotAGroup(f"element {i} has no two-sided inverse")
-            j = (pos - start) // size
-            if flat[j * n + i] != e:
-                raise NotAGroup(
-                    f"element {i} has a right inverse {j} that is not a left inverse"
-                )
-            inv.append(j)
-        return tuple(inv)
-
-    def _check_inverses(self, flat: memoryview, inverse: tuple[int, ...]) -> tuple[int, ...]:
-        # One gather over the flat table per side: the cells i*inv[i] and
-        # inv[i]*i for every i.
-        n = self.order
-        if len(inverse) != n or min(inverse) < 0 or max(inverse) >= n:
-            raise NotAGroup(f"the supplied inverses must be {n} indices in 0..{n - 1}")
-        for cells in (
-            [i * n + j for i, j in enumerate(inverse)],
-            [j * n + i for i, j in enumerate(inverse)],
-        ):
-            products = _gather(cells)(flat)
-            if products.count(self.identity) != n:
-                i = next(i for i, c in enumerate(products) if c != self.identity)
-                raise NotAGroup(f"element {i} is not inverted by the supplied {inverse[i]}")
-        return inverse
 
     # -- arithmetic -------------------------------------------------------
 
@@ -780,8 +778,7 @@ def _build_cyclic(n: int) -> Group:
     doubled = memoryview(array(_typecode(n), range(n)) * 2)
     cells = b"".join(doubled[i:i + n] for i in range(n))
     names = [str(i) for i in range(n)]
-    inverse = [(n - i) % n for i in range(n)]
-    return Group(n, cells, names, kind="cyclic", description=f"cyclic:{n}", inverse=inverse)
+    return Group(n, cells, names, kind="cyclic", description=f"cyclic:{n}")
 
 
 def _rot_name(i: int) -> str:
@@ -804,15 +801,8 @@ def _build_dihedral(n: int) -> Group:
     cells = b"".join(itertools.chain.from_iterable(halves))
     names = [_rot_name(i) for i in range(n)] + [_refl_name(i) for i in range(n)]
     gens = {"a": 1 % n, "b": n}
-    inverse = [(n - i) % n for i in range(n)] + list(range(n, size))  # reflections are involutions
     return Group(
-        size,
-        cells,
-        names,
-        kind="dihedral",
-        description=f"dihedral:{n}",
-        generator_names=gens,
-        inverse=inverse,
+        size, cells, names, kind="dihedral", description=f"dihedral:{n}", generator_names=gens
     )
 
 
@@ -844,23 +834,20 @@ def _permutation_cells(
     elements: Sequence[tuple[int, ...]],
     index: dict[tuple[int, ...], int],
     gens: Sequence[tuple[int, ...]],
-) -> tuple[bytearray, list[int]]:
+) -> bytearray:
     """The table of a permutation closure on elements, elements[0] the
-    identity, generated by right products of gens, and the inverse of each
-    element.  Only the generator rows take dict lookups: the others follow a
-    breadth-first tree from the identity, since row(p*g)[y] = p*(g*y) is
-    row(p) read at the indices row(g), and inv(p*g) = g^-1 * inv(p).  Each
-    row is packed into the cells, at its element's index, once its children
-    are made, and its tuple dropped, so only the frontier's rows are alive."""
+    identity, generated by right products of gens.  Only the generator rows
+    take dict lookups: the others follow a breadth-first tree from the
+    identity, since row(p*g)[y] = p*(g*y) is row(p) read at the indices
+    row(g).  Each row is packed into the cells, at its element's index, once
+    its children are made, and its tuple dropped, so only the frontier's
+    rows are alive."""
     n = len(elements)
     steps = []
     for g in gens:
         # row g holds g*q, that is g, then q: q read at the positions g
         row_g = list(map(index.__getitem__, map(_gather(g), elements)))
-        g_inv_times = [0] * n  # g_inv_times[x] = g^-1 * x, as row_g[y] = g * y
-        for y, x in enumerate(row_g):
-            g_inv_times[x] = y
-        steps.append((index[g], _gather(row_g), g_inv_times))
+        steps.append((index[g], _gather(row_g)))
     typecode = _typecode(n)
     pack_into = struct.Struct(f"{n}{typecode}").pack_into
     row_bytes = n * array(typecode).itemsize
@@ -869,20 +856,18 @@ def _permutation_cells(
     rows[0] = tuple(range(n))
     seen = bytearray(n)
     seen[0] = 1
-    inverse = [0] * n
     queue = [0]
     for p in queue:
         row = rows[p]
         rows[p] = None
-        for g, via_g, g_inv_times in steps:
+        for g, via_g in steps:
             child = row[g]
             if not seen[child]:
                 seen[child] = 1
                 rows[child] = via_g(row)
-                inverse[child] = g_inv_times[inverse[p]]
                 queue.append(child)
         pack_into(cells, p * row_bytes, *row)
-    return cells, inverse
+    return cells
 
 
 def _symmetric_cells(perms: Sequence[tuple[int, ...]]) -> bytearray:
@@ -967,13 +952,6 @@ def _permutation_group(
     seeds = generators
     if m and n == _capped_prod(range(2, m + 1), n):
         cells = _symmetric_cells(perms)
-        # Inversion pairs the elements off: one lookup sets both of a pair.
-        inverse = [-1] * n
-        for i, p in enumerate(perms):
-            if inverse[i] < 0:
-                j = index[tuple(map(p.index, range(m)))]
-                inverse[i] = j
-                inverse[j] = i
         if m >= 3:
             # Light's test is seeded with the swap of the first two points,
             # whose row is runs of (m-2)! cells, and the cycle of the other
@@ -981,7 +959,7 @@ def _permutation_group(
             rest = tuple(range(2, m))
             seeds = [index[(1, 0) + rest], index[(0,) + rest + (1,)]]
     else:
-        cells, inverse = _permutation_cells(perms, index, gens)
+        cells = _permutation_cells(perms, index, gens)
     return Group(
         n,
         cells,
@@ -990,7 +968,6 @@ def _permutation_group(
         description=description,
         generator_names=dict(zip(symbols, generators)),
         generators=seeds,
-        inverse=inverse,
     )
 
 
@@ -1044,19 +1021,15 @@ def _build_direct_product(builds: Sequence[Callable[[], Group]], limit: int) -> 
     _check_order(order, limit, "direct product")
     # Fold the factors in pairwise, from the trivial group.
     rows: Sequence[Sequence[int]] = ((0,),)
-    inverse: Sequence[int] = (0,)
     for f in factors:
         n = len(rows) * f.order
         cells = _product_cells(rows, f.table, _typecode(n))
         rows = _table_rows(memoryview(cells).cast(_typecode(n)), n)
-        inverse = [a * f.order + b for a in inverse for b in f.inverse]
     names = [
         "(" + ",".join(parts) + ")" for parts in itertools.product(*(f.names for f in factors))
     ]
     desc = "x".join(f.description for f in factors)
-    return Group(
-        order, cells, names, kind="direct_product", description=desc, inverse=inverse
-    )
+    return Group(order, cells, names, kind="direct_product", description=desc)
 
 
 def _perm_from_cycles(

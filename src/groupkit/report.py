@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
-from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 
 from .algorithms import AlgoTrace
@@ -105,6 +105,8 @@ def _dumps(obj, newline: str) -> str:
 
 
 def load_schema() -> dict:
-    """The RunReport JSON schema shipped with the package."""
-    text = resources.files("groupkit").joinpath("schema/runreport.schema.json").read_text()
-    return json.loads(text)
+    """The RunReport JSON schema shipped with the package, read from beside
+    this file, where the wheel's package data puts it too."""
+    path = os.path.join(os.path.dirname(__file__), "schema", "runreport.schema.json")
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)

@@ -5,6 +5,8 @@ import itertools
 import json
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -1037,6 +1039,22 @@ def test_the_parser_is_built_once_and_reused(capsys):
     assert main(argv) == 0
     again = capsys.readouterr().out
     assert json.loads(again) | {"timing_ms": 0} == json.loads(fresh) | {"timing_ms": 0}
+
+
+def test_the_cli_imports_only_the_standard_library():
+    # The runtime has no third-party dependency: with no site directories
+    # (python -S) and only the package's parent on the path, importing the
+    # CLI loads standard-library modules, the -c script's __main__ and
+    # groupkit, and no importlib.resources, which pulls in pathlib and
+    # urllib.parse on a cold start.  A count of modules, not a clock.
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import groupkit.cli; print(*sys.modules)"
+    parent = str(Path(groupkit.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-S", "-c", code, parent],
+                         capture_output=True, text=True, check=True).stdout.split()
+    assert "groupkit.cli" in out
+    tops = {name.partition(".")[0] for name in out}
+    assert tops - set(sys.stdlib_module_names) == {"__main__", "groupkit"}
+    assert "importlib.resources" not in out
 
 
 # -- frozen outputs ---------------------------------------------------------------

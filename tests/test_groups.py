@@ -480,6 +480,8 @@ def test_name_lookup(d12, s3):
     ({1: 0}, "generator symbol 1 must be a single letter"),
     ({"a": "x"}, "generator 'a' maps to invalid index 'x'"),
     ({"a": True}, "generator 'a' maps to invalid index True"),
+    # dict() would take a string of pairs, and raise a ValueError on "ab"
+    ("ab", "generator names must be a dict, not str"),
 ])
 def test_group_refuses_bad_generator_names(generator_names, message):
     with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
@@ -493,7 +495,15 @@ def test_group_refuses_bad_generator_names(generator_names, message):
     (2, bytes([0, 1, 1, 0]), ["e", "x"], [5], "generator 5 is not an element index in 0..1"),
     (2, bytes([1, 0, 0, 1, 9]), ["x", "y"], (), "a table of order 2 takes 4 bytes, not 5"),
     (2, bytes([0, 1, 1, 0]), ["e"], (), "order 2 needs 2 element names, got 1"),
-], ids=["short-cells", "generator-out-of-range", "extra-cell", "too-few-names"])
+    # each of these was used before it was checked: a group of order True, a
+    # TypeError from memoryview(), from len() and from iterating an int
+    (True, bytes([0]), ["e"], (), "a group's order must be a positive integer, not True"),
+    (2, [0, 1, 1, 0], ["e", "x"], (), "a table's cells must be bytes or a bytearray, not list"),
+    (2, bytes([0, 1, 1, 0]), (s for s in "ex"), (),
+     "element names must be a list or tuple, not generator"),
+    (2, bytes([0, 1, 1, 0]), ["e", "x"], 1, "generators must be a list or tuple, not int"),
+], ids=["short-cells", "generator-out-of-range", "extra-cell", "too-few-names",
+        "order-bool", "cells-list", "names-generator", "generators-int"])
 def test_group_refuses_a_malformed_table(n, cells, names, generators, message):
     with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
         Group(n, cells, names, kind="cayley", description="x", generators=generators)

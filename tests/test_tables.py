@@ -331,6 +331,16 @@ NOT_GROUPS = [
     # index 1 is a two-sided identity although column 0 holds 0 twice
     ([[0, 0, 2], [0, 1, 2], [2, 2, 1]], "element 0 has no two-sided inverse"),
     ([[0, 1, 2], [1, 2, 0], [2, 2, 0]], "element 1 has a right inverse 2 that is not a left"),
+    # identity 0 and x*inv[x] = 0 for inv = (0, 2, 3, 1), but 2*1 = 3; its
+    # transpose, below, fails the other side
+    ([[0, 1, 2, 3], [1, 2, 0, 3], [2, 3, 1, 0], [3, 0, 1, 2]],
+     "element 1 has a right inverse 2 that is not a left inverse"),
+    ([[0, 1, 2, 3], [1, 2, 3, 0], [2, 0, 1, 1], [3, 3, 0, 2]],
+     "element 1 has a right inverse 3 that is not a left inverse"),
+    # s = 1 has its inverse and passes first; 2 is refused at its own pass
+    ([[0, 1, 2], [1, 0, 2], [2, 2, 2]], "element 2 has no two-sided inverse"),
+    # 2 has no inverse either, but associativity fails at the earlier pass
+    ([[0, 1, 2], [1, 0, 2], [2, 1, 1]], "associativity fails at i=2, j=1, k=1"),
 ]
 
 
@@ -907,11 +917,11 @@ def test_gathers_keep_only_the_frontier_rows():
     gens = [_perm_of_name("(1 2 3)", 6), _perm_of_name("(2 3 4 5 6)", 6)]
     tracemalloc.start()
     try:
-        cells, inverse = _permutation_cells(perms, index, gens)
+        cells = _permutation_cells(perms, index, gens)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (g.order, cells, tuple(inverse)) == (360, g.table[0].obj, g.inverse)
+    assert (g.order, cells) == (360, g.table[0].obj)
     assert peak < 10 ** 6  # all 360 row tuples alive at once take 1.65 MB
 
 
@@ -1017,40 +1027,24 @@ def test_rows_are_compact_and_read_only(spec, typecode):
     S6_CLOSURE,
 ], ids=lambda s: str(s)[:60])
 def test_builders_supply_the_inverses_the_search_finds(spec):
+    # no builder hands over inverses: Light's test finds each, two-sided
     g = build_group(spec)
-    flat = memoryview(g.table[0].obj).cast(_typecode(g.order))
-    assert g.inverse == g._find_inverses(flat)
+    t, e = g.table, g.identity
+    assert type(g.inverse) is tuple and len(g.inverse) == g.order
+    assert all(t[x][y] == e == t[y][x] for x, y in enumerate(g.inverse))
 
 
-def _rebuilt_cyclic(inverse):
-    g = build_group({"kind": "cyclic", "n": 6})
-    return Group(6, g.table[0].obj, g.names, kind="cyclic", description="c6", inverse=inverse)
-
-
-@pytest.mark.parametrize("inverse, message", [
-    ([0, 5, 4, 3, 2, 0], "element 5 is not inverted by the supplied 0"),
-    ([0, 1, 2, 3, 4, 5], "element 1 is not inverted by the supplied 1"),
-    ([0, 5, 4, 3, 2], "must be 6 indices in 0..5"),
-    ([0, 5, 4, 3, 2, 7], "must be 6 indices in 0..5"),
-    ([0, 5, 4, 3, 2, -1], "must be 6 indices in 0..5"),
-])
-def test_a_wrong_inverse_tuple_is_refused(inverse, message):
-    assert _rebuilt_cyclic([0, 5, 4, 3, 2, 1]).inverse == (0, 5, 4, 3, 2, 1)
-    with pytest.raises(NotAGroup, match=message):
-        _rebuilt_cyclic(inverse)
-
-
-ONE_SIDED = [[0, 1, 2, 3], [1, 2, 0, 3], [2, 3, 1, 0], [3, 0, 1, 2]]
-
-
-@pytest.mark.parametrize("rows", [ONE_SIDED, [list(c) for c in zip(*ONE_SIDED)]],
-                         ids=["right inverses", "left inverses"])
-def test_a_one_sided_inverse_is_refused(rows):
-    # ONE_SIDED has identity 0 and x*inv[x] = 0 for inv = (0, 2, 3, 1), but
-    # inv[1]*1 = 2*1 = 3; its transpose fails the other side alone
-    cells = bytes(itertools.chain.from_iterable(rows))
-    with pytest.raises(NotAGroup, match="element 1 is not inverted by the supplied 2"):
-        Group(4, cells, "eabc", kind="cayley", description="magma", inverse=[0, 2, 3, 1])
+@pytest.mark.parametrize("spec", [{"kind": "dihedral", "n": 6}, {"kind": "symmetric", "n": 4},
+                                  C16xD32], ids=["D12", "S4", "C16xD32"])
+def test_a_relabeled_cayley_table_gets_two_sided_inverses(spec):
+    # renamed by pi, the inverse of pi(x) is pi(x^-1), whichever element each
+    # pass of Light's test takes and whichever the closure reaches
+    g = build_group(spec)
+    n = g.order
+    t, pi = relabeled_flat(array(g.table[0].format, g.table[0].obj), n, random.Random(n))
+    h = build_group(cayley([list(t[x * n:(x + 1) * n]) for x in range(n)]))
+    assert all(h.inverse[pi[x]] == pi[y] for x, y in enumerate(g.inverse))
+    assert all(h.table[x][y] == h.identity == h.table[y][x] for x, y in enumerate(h.inverse))
 
 
 # -- builder tables are the named group ----------------------------------------------
