@@ -32,9 +32,6 @@ list theirs.
 
 from __future__ import annotations
 
-import random as _random
-from dataclasses import dataclass
-
 from . import config
 from .errors import (
     EnumerationLimitExceeded,
@@ -67,7 +64,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ChoicePolicy:
     """How the next element is picked from the current candidate set.
 
@@ -77,17 +73,18 @@ class ChoicePolicy:
                 at its step, and leftovers are simply unused
     """
 
-    mode: str = "smallest"
-    seed: int | None = None
-    script: tuple[int, ...] | None = None
+    __slots__ = ("mode", "seed", "script")
 
-    def __post_init__(self) -> None:
-        if self.mode not in ("smallest", "random", "script"):
+    def __init__(
+        self, mode: str = "smallest", seed: int | None = None, script: tuple[int, ...] | None = None
+    ) -> None:
+        if mode not in ("smallest", "random", "script"):
             raise InvalidSpec(
-                f"choice policy {quote(self.mode)} not understood; use smallest, random or script"
+                f"choice policy {quote(mode)} not understood; use smallest, random or script"
             )
-        if self.mode == "random" and not _is_int(self.seed):
-            raise InvalidSpec(f"choice policy random needs an integer seed, got {quote(self.seed)}")
+        if mode == "random" and not _is_int(seed):
+            raise InvalidSpec(f"choice policy random needs an integer seed, got {quote(seed)}")
+        self.mode, self.seed, self.script = mode, seed, script
 
     @classmethod
     def smallest(cls) -> "ChoicePolicy":
@@ -123,7 +120,10 @@ class _Chooser:
 
     def __init__(self, policy: ChoicePolicy) -> None:
         self.policy = policy
-        self._rng = _random.Random(policy.seed) if policy.mode == "random" else None
+        self._rng = None
+        if policy.mode == "random":
+            import random  # loaded only for the policies that use it
+            self._rng = random.Random(policy.seed)
         self._script = list(policy.script or ())
         self._pos = 0
 
@@ -153,7 +153,6 @@ class _Chooser:
         return choice
 
 
-@dataclass
 class AlgoTrace:
     """Complete record of one chain-intersection run: its picks and its
     candidate chain, from which everything else is read off.
@@ -165,12 +164,19 @@ class AlgoTrace:
     extension_start is the index of the last inherited pick.
     """
 
-    algorithm: str
-    h: ElementSet
-    k: ElementSet
-    chosen: list[int]
-    chain: list[int]
-    policy: str = "smallest"
+    __slots__ = ("algorithm", "h", "k", "chosen", "chain", "policy")
+
+    def __init__(
+        self,
+        algorithm: str,
+        h: ElementSet,
+        k: ElementSet,
+        chosen: list[int],
+        chain: list[int],
+        policy: str = "smallest",
+    ) -> None:
+        self.algorithm, self.h, self.k = algorithm, h, k
+        self.chosen, self.chain, self.policy = chosen, chain, policy
 
     @property
     def group(self) -> Group:
@@ -208,7 +214,12 @@ class AlgoTrace:
         continues from what that leaves uncovered.  Raises TraceMismatch
         when the rerun fails or differs from the recorded run; otherwise
         returns the (H, K) partition the rerun rebuilt, the mask of the
-        block of each element, as _coset_blocks gives it."""
+        block of each element, as _coset_blocks gives it.  A trace of no
+        search, or an RTA trace whose K is not {1}, is refused first."""
+        if self.algorithm not in ("RTA", "MTA", "MSFA", "Extension"):
+            raise TraceMismatch(f"no search is called {quote(self.algorithm)}")
+        if self.algorithm == "RTA" and self.k != self.group.trivial_subgroup():
+            raise TraceMismatch(f"an RTA trace has K = {{1}}, not {self.k.shown()}")
         # with no picks the rerun asks the empty script for g_0, and fails
         g0, *script = self.chosen or [None]
         chooser = ChoicePolicy.scripted(script).start()

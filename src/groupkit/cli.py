@@ -16,7 +16,7 @@ import sys
 import time
 import warnings as _warnings
 
-from . import config, oracle, products, verify
+from . import config, products
 from .algorithms import (
     SMALLEST,
     ChoicePolicy,
@@ -293,7 +293,7 @@ def _cmd_mid(args: argparse.Namespace) -> RunReport:
     mid = by_def if by_conj is None else by_conj
     result = {
         "method": args.method,
-        "tag": products.MidCase(mid).tag.value,
+        "tag": products.mid_tag(mid),
         "size": len(mid),
         "mid": mid.names(),
     }
@@ -304,6 +304,7 @@ def _cmd_mid(args: argparse.Namespace) -> RunReport:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
+    from . import oracle  # loaded only for the command that uses it
     limit = config.enum_cap(args.limit, "--limit")
     if args.what == "right-transversals" and args.subgroup_k is not None:
         raise InvalidSpec("-K does not apply to --what right-transversals")
@@ -358,6 +359,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
 
 
 def _cmd_verify(args: argparse.Namespace) -> RunReport:
+    from . import verify
     parts = (args.example or "").split(",")
     examples = [part.strip() for part in parts if part.strip()] or list(verify.EXAMPLES)
     # the report's header names the group of the first example

@@ -13,8 +13,8 @@ import math
 import struct
 import sys
 from array import array
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from operator import itemgetter, lt, sub
-from typing import Callable, Iterable, Iterator, Sequence
 
 from . import config
 from .errors import (
@@ -344,11 +344,13 @@ class Group:
     with InvalidSpec, arguments of the wrong type (an order that is no
     positive int, cells that are not bytes or a bytearray, names or
     generators that are not a list or tuple, generator_names that is not a
-    dict) and arguments that do not fit n: other than n names, other than
-    n*n cells, or a generator that is no element index.  It then validates
-    the group axioms exactly, at every order: distinct names, a two-sided
-    identity, then Light's test, which checks each s it passes for a
-    two-sided inverse and then for associativity, and finds the inverses,
+    dict, a kind, description or name that is not a str) and arguments that
+    do not fit n: other than n names, other than n*n cells, a generator that
+    is no element index, or generator_names that maps anything but a single
+    letter to an element index.  Only then does it read the table, and it
+    validates the group axioms exactly, at every order: distinct names, a
+    two-sided identity, then Light's test, which checks each s it passes for
+    a two-sided inverse and then for associativity, and finds the inverses,
     as _light_failure describes.
     """
 
@@ -390,6 +392,9 @@ class Group:
             raise InvalidSpec(
                 f"generator names must be a dict, not {type(generator_names).__name__}"
             )
+        for value in (kind, description, *names):
+            if not isinstance(value, str):
+                raise InvalidSpec(f"kind, description and names must be str, not {quote(value)}")
         self.order = n
         typecode = _typecode(n)
         if len(names) != n:
@@ -400,9 +405,16 @@ class Group:
         for x in generators:
             if not self._is_index(x):
                 raise InvalidSpec(f"generator {quote(x)} is not an element index in 0..{n - 1}")
+        gen = dict(generator_names or {})
+        for sym, idx in gen.items():
+            if not isinstance(sym, str) or len(sym) != 1 or not sym.isalpha():
+                raise InvalidSpec(f"generator symbol {quote(sym)} must be a single letter")
+            if not self._is_index(idx):
+                raise InvalidSpec(f"generator {quote(sym)} maps to invalid index {quote(idx)}")
+        self.generator_names = gen
         flat = raw.cast(typecode).toreadonly()
         self.table = _table_rows(flat, n)
-        self.names = tuple(str(s) for s in names)
+        self.names = tuple(names)
         if len(set(self.names)) != n:
             raise InvalidSpec("element names must be pairwise distinct")
         self.kind = kind
@@ -414,14 +426,6 @@ class Group:
         if failure := _light_failure(flat, n, self.identity, generators, inverse):
             raise NotAGroup("associativity fails at i={}, j={}, k={}".format(*failure))
         self.inverse = tuple(inverse)
-
-        gen = dict(generator_names or {})
-        for sym, idx in gen.items():
-            if not isinstance(sym, str) or len(sym) != 1 or not sym.isalpha():
-                raise InvalidSpec(f"generator symbol {quote(sym)} must be a single letter")
-            if not self._is_index(idx):
-                raise InvalidSpec(f"generator {quote(sym)} maps to invalid index {quote(idx)}")
-        self.generator_names = gen
 
         self._name_to_index = {s: i for i, s in enumerate(self.names)}
         self._loose_names: dict[str, int] | None = None  # made on the first miss

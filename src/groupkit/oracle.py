@@ -16,7 +16,6 @@ with as_masks=True they return the list of masks in that order, which is how
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import itemgetter
 
 from . import config
@@ -38,25 +37,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Partition:
     """Disjoint blocks covering a whole group, ordered by least element."""
 
-    group: Group
-    blocks: tuple[ElementSet, ...]
+    __slots__ = ("group", "blocks")
 
-    def __post_init__(self) -> None:
+    def __init__(self, group: Group, blocks: tuple[ElementSet, ...]) -> None:
         union = 0
-        for block in self.blocks:
-            if block.group is not self.group:
+        for block in blocks:
+            if block.group is not group:
                 raise GroupMismatch("partition block belongs to a different group")
             if block.mask == 0:
                 raise InvalidSpec("partition blocks must be nonempty")
             if block.mask & union:
                 raise InvalidSpec("partition blocks overlap")
             union |= block.mask
-        if union != self.group.full_mask:
+        if union != group.full_mask:
             raise InvalidSpec("partition blocks fail to cover the group")
+        self.group, self.blocks = group, blocks
 
     def sizes(self) -> list[int]:
         return [len(b) for b in self.blocks]

@@ -20,10 +20,8 @@ lookups.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from itertools import chain
-from typing import Callable, Sequence
 
 from .errors import GroupMismatch
 from .groups import ElementSet, Group, _gather, _mask_of, bit_indices
@@ -36,8 +34,7 @@ __all__ = [
     "is_direct_triple",
     "mid_director",
     "mid_director_subgroups",
-    "MidTag",
-    "MidCase",
+    "mid_tag",
     "classify_mid",
     "is_right_transversal",
     "is_middle_transversal",
@@ -181,29 +178,16 @@ def mid_director_subgroups(h: ElementSet, k: ElementSet) -> ElementSet:
     return g.subset_from_mask(mask)
 
 
-class MidTag(enum.Enum):
-    EMPTY = "Empty"
-    FULL = "Full"
-    PROPER_NONEMPTY = "ProperNonempty"
+def mid_tag(mid: ElementSet) -> str:
+    """A middle director's case by its size: "Empty", "Full" (all of G) or "ProperNonempty"."""
+    if not mid:
+        return "Empty"
+    return "Full" if len(mid) == mid.group.order else "ProperNonempty"
 
 
-@dataclass(frozen=True)
-class MidCase:
-    """A middle director, classified by its size."""
-
-    mid: ElementSet
-
-    @property
-    def tag(self) -> MidTag:
-        size = len(self.mid)
-        if size == 0:
-            return MidTag.EMPTY
-        return MidTag.FULL if size == self.mid.group.order else MidTag.PROPER_NONEMPTY
-
-
-def classify_mid(h: ElementSet, k: ElementSet) -> MidCase:
-    """Compute and classify the middle director of two subgroups."""
-    return MidCase(mid_director_subgroups(h, k))
+def classify_mid(h: ElementSet, k: ElementSet) -> str:
+    """The case of the middle director of two subgroups, as mid_tag gives it."""
+    return mid_tag(mid_director_subgroups(h, k))
 
 
 def is_right_transversal(h: ElementSet, t: ElementSet) -> bool:

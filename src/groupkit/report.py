@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 
 from .algorithms import AlgoTrace
@@ -32,15 +31,21 @@ def trace_payload(trace: AlgoTrace, output: ElementSet, full: bool) -> dict:
     }
 
 
-@dataclass
 class RunReport:
-    command: str
-    group: Group
-    inputs: dict
-    result: dict
-    warnings: list[str] = field(default_factory=list)
-    timing_ms: float = 0.0
-    exit_code: int = 0
+    __slots__ = ("command", "group", "inputs", "result", "warnings", "timing_ms", "exit_code")
+
+    def __init__(
+        self,
+        command: str,
+        group: Group,
+        inputs: dict,
+        result: dict,
+        warnings: list[str] | None = None,
+        timing_ms: float = 0.0,
+        exit_code: int = 0,
+    ) -> None:
+        self.command, self.group, self.inputs, self.result = command, group, inputs, result
+        self.warnings, self.timing_ms, self.exit_code = warnings or [], timing_ms, exit_code
 
     def to_dict(self) -> dict:
         return {

@@ -106,8 +106,7 @@ def test_criterion_3_extension_worked_run(d12):
     hk = products.set_product(h, k)
     ok = products.is_direct_pair(h, k) and len(hk) == 8
     mid = products.mid_director_subgroups(h, k)
-    case = products.classify_mid(h, k)
-    ok = ok and mid == hk and case.tag.value == "ProperNonempty"
+    ok = ok and mid == hk and products.classify_mid(h, k) == "ProperNonempty"
     for g0 in mid:
         t = msfa(h, k, g0=g0)
         t.validate()

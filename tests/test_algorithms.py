@@ -314,6 +314,22 @@ def test_trace_validate_replays_picks(z12):
         trace.validate()
 
 
+@pytest.mark.parametrize("algorithm, message", [
+    # the picks are no right transversal: 2 of them, while |G:H| = 3
+    ("RTA", "an RTA trace has K = {1}, not {1, a^3, ba, ba^4}"),
+    # no search has this name, although the picks rerun as an mta
+    ("XYZ", "no search is called 'XYZ'"),
+], ids=["rta", "no-such-search"])
+def test_trace_validate_refuses_a_relabelled_mta_trace(d12, algorithm, message):
+    h, k = parse_subset(d12, "1,a^3,ba^3,b"), parse_subset(d12, "1,a^3,ba,ba^4")
+    trace = mta(h, k)
+    trace.validate()
+    assert len(trace.chosen) == 2 and d12.order // len(h) == 3
+    trace.algorithm = algorithm
+    with pytest.raises(TraceMismatch, match=f"^{re.escape(message)}$"):
+        trace.validate()
+
+
 def test_trace_validate_checks_seed(d12, proper_mid_pair):
     h, k = proper_mid_pair
     trace = msfa(h, k, g0=0)

@@ -594,12 +594,12 @@ def _cross_check(capsys, group, h, k, what):
 
 
 def _pair_answers(capsys, group, h, k):
-    mid = groupkit.classify_mid(h, k)
+    mid = groupkit.mid_director_subgroups(h, k)
     return (
         _cross_check(capsys, group, h, k, "middle-transversals"),
         _cross_check(capsys, group, h, k, "middle-subfactors"),
-        len(mid.mid),
-        mid.tag,
+        len(mid),
+        groupkit.mid_tag(mid),
         groupkit.mta(h, k).n_steps + 1,
     )
 
@@ -1045,8 +1045,10 @@ def test_the_cli_imports_only_the_standard_library():
     # The runtime has no third-party dependency: with no site directories
     # (python -S) and only the package's parent on the path, importing the
     # CLI loads standard-library modules, the -c script's __main__ and
-    # groupkit, and no importlib.resources, which pulls in pathlib and
-    # urllib.parse on a cold start.  A count of modules, not a clock.
+    # groupkit.  It loads none of the modules that dominate a cold start or
+    # serve only some commands: importlib.resources (pathlib, urllib.parse),
+    # dataclasses (inspect, ast, dis, tokenize), typing, random, and the
+    # oracle and verify-paper layers.  A count of modules, not a clock.
     code = "import sys; sys.path.insert(0, sys.argv[1]); import groupkit.cli; print(*sys.modules)"
     parent = str(Path(groupkit.__file__).parent.parent)
     out = subprocess.run([sys.executable, "-S", "-c", code, parent],
@@ -1054,7 +1056,9 @@ def test_the_cli_imports_only_the_standard_library():
     assert "groupkit.cli" in out
     tops = {name.partition(".")[0] for name in out}
     assert tops - set(sys.stdlib_module_names) == {"__main__", "groupkit"}
-    assert "importlib.resources" not in out
+    loaded = {"importlib.resources", "dataclasses", "inspect", "typing", "random",
+              "groupkit.oracle", "groupkit.verify"}.intersection(out)
+    assert not loaded
 
 
 # -- frozen outputs ---------------------------------------------------------------

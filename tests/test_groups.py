@@ -489,24 +489,46 @@ def test_group_refuses_bad_generator_names(generator_names, message):
               generator_names=generator_names)
 
 
-@pytest.mark.parametrize("n, cells, names, generators, message", [
-    (300, b"\0" * 3, [str(i) for i in range(300)], (),
+@pytest.mark.parametrize("n, cells, names, generators, labels, message", [
+    (300, b"\0" * 3, [str(i) for i in range(300)], (), {},
      "a table of order 300 takes 180000 bytes, not 3"),
-    (2, bytes([0, 1, 1, 0]), ["e", "x"], [5], "generator 5 is not an element index in 0..1"),
-    (2, bytes([1, 0, 0, 1, 9]), ["x", "y"], (), "a table of order 2 takes 4 bytes, not 5"),
-    (2, bytes([0, 1, 1, 0]), ["e"], (), "order 2 needs 2 element names, got 1"),
+    (2, bytes([0, 1, 1, 0]), ["e", "x"], [5], {}, "generator 5 is not an element index in 0..1"),
+    (2, bytes([1, 0, 0, 1, 9]), ["x", "y"], (), {}, "a table of order 2 takes 4 bytes, not 5"),
+    (2, bytes([0, 1, 1, 0]), ["e"], (), {}, "order 2 needs 2 element names, got 1"),
     # each of these was used before it was checked: a group of order True, a
     # TypeError from memoryview(), from len() and from iterating an int
-    (True, bytes([0]), ["e"], (), "a group's order must be a positive integer, not True"),
-    (2, [0, 1, 1, 0], ["e", "x"], (), "a table's cells must be bytes or a bytearray, not list"),
-    (2, bytes([0, 1, 1, 0]), (s for s in "ex"), (),
+    (True, bytes([0]), ["e"], (), {}, "a group's order must be a positive integer, not True"),
+    (2, [0, 1, 1, 0], ["e", "x"], (), {},
+     "a table's cells must be bytes or a bytearray, not list"),
+    (2, bytes([0, 1, 1, 0]), (s for s in "ex"), (), {},
      "element names must be a list or tuple, not generator"),
-    (2, bytes([0, 1, 1, 0]), ["e", "x"], 1, "generators must be a list or tuple, not int"),
+    (2, bytes([0, 1, 1, 0]), ["e", "x"], 1, {}, "generators must be a list or tuple, not int"),
+    # each of these was taken, a name through str(): [0, 1.5] named a group
+    # ('0', '1.5'), and [1, "1"] was refused as not pairwise distinct
+    (2, bytes([0, 1, 1, 0]), [0, 1.5], (), {},
+     "kind, description and names must be str, not 0"),
+    (2, bytes([0, 1, 1, 0]), [1, "1"], (), {},
+     "kind, description and names must be str, not 1"),
+    (2, bytes([0, 1, 1, 0]), ["e", "x"], (), {"kind": 3},
+     "kind, description and names must be str, not 3"),
+    (2, bytes([0, 1, 1, 0]), ["e", "x"], (), {"description": None},
+     "kind, description and names must be str, not None"),
 ], ids=["short-cells", "generator-out-of-range", "extra-cell", "too-few-names",
-        "order-bool", "cells-list", "names-generator", "generators-int"])
-def test_group_refuses_a_malformed_table(n, cells, names, generators, message):
+        "order-bool", "cells-list", "names-generator", "generators-int",
+        "names-not-str", "names-int-and-str", "kind-int", "description-none"])
+def test_group_refuses_a_malformed_table(n, cells, names, generators, labels, message):
+    labels = {"kind": "cayley", "description": "x"} | labels
     with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
-        Group(n, cells, names, kind="cayley", description="x", generators=generators)
+        Group(n, cells, names, generators=generators, **labels)
+
+
+def test_generator_names_are_checked_before_the_table():
+    # a bad symbol is refused as such, even on a table that is no group:
+    # this one fails associativity at i=2, j=1, k=1
+    cells = bytes([0, 1, 2, 1, 0, 2, 2, 1, 1])
+    with pytest.raises(InvalidSpec, match="^generator symbol 'ab' must be a single letter$"):
+        Group(3, cells, ["0", "1", "2"], kind="cayley", description="x",
+              generator_names={"ab": 1})
 
 
 def test_large_group_exact_validation():

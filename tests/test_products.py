@@ -6,7 +6,6 @@ import pytest
 from groupkit import GroupMismatch, NotASubgroup, algorithms, build_group, oracle
 from groupkit import products
 from groupkit.products import (
-    MidTag,
     classify_mid,
     double_coset,
     is_direct_pair,
@@ -16,6 +15,7 @@ from groupkit.products import (
     is_right_transversal,
     mid_director,
     mid_director_subgroups,
+    mid_tag,
     set_product,
 )
 from groupkit.words import parse_element, parse_subset
@@ -319,17 +319,13 @@ def test_known_mid_values(d12, empty_mid_pair, proper_mid_pair):
 
 
 def test_classify_mid(d12, s3, empty_mid_pair, proper_mid_pair):
-    h_em, k_em = empty_mid_pair
-    case = classify_mid(h_em, k_em)
-    assert case.tag is MidTag.EMPTY
-    assert len(case.mid) == 0
-    h_pr, k_pr = proper_mid_pair
-    case = classify_mid(h_pr, k_pr)
-    assert case.tag is MidTag.PROPER_NONEMPTY
-    assert len(case.mid) == 8
-    case = classify_mid(s3.trivial_subgroup(), s3.trivial_subgroup())
-    assert case.tag is MidTag.FULL
-    assert case.mid == s3.full_set()
+    # classify_mid returns the tag that mid_tag gives its middle director
+    e = s3.trivial_subgroup()
+    for (h, k), tag, size in [(empty_mid_pair, "Empty", 0), (proper_mid_pair, "ProperNonempty", 8),
+                              ((e, e), "Full", 6)]:
+        mid = mid_director_subgroups(h, k)
+        assert len(mid) == size
+        assert classify_mid(h, k) == mid_tag(mid) == tag
 
 
 def test_transversal_predicates(d12, z12, empty_mid_pair):
