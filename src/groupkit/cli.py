@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 4 when an output check or the cross-check fails, and
-otherwise the code of the GroupKitError raised: each class in errors.py
-carries its own (2 bad input, 3 not applicable, 4 failed internal check,
-5 a size or enumeration limit).
+Exit codes: 0 success, 4 when an output check or the cross-check fails,
+141 (128 + SIGPIPE, as a shell reports a pipe's writer killed by it) when
+stdout is closed before the report is written, and otherwise the code of the
+GroupKitError raised: each class in errors.py carries its own (2 bad input,
+3 not applicable, 4 failed internal check, 5 a size or enumeration limit).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .report import RunReport, trace_payload
 from .words import parse_element, parse_subset
 
 FAULT_ENV = "GROUPKIT_FAULT_INJECT"
+CLOSED_STDOUT = 141
 
 
 def _load_group(text: str) -> Group:
@@ -225,12 +227,11 @@ def _cmd_transversal(args: argparse.Namespace) -> RunReport:
     """rta, or mta when the command takes -K."""
     g, h, k, policy, g0, inputs = _prologue(args, needs_k=args.command == "mta")
     trace = rta(h, g0=g0, policy=policy) if k is None else mta(h, k, g0=g0, policy=policy)
-    out = trace.output
     if k is None:
-        count, valid = "index", products.is_right_transversal(h, out)
+        count, valid = "index", products.is_right_transversal(h, trace.output)
     else:
-        count, valid = "double_coset_count", products.is_middle_transversal(h, out, k)
-    payload = trace_payload(trace, out, args.trace == "full")
+        count, valid = "double_coset_count", products.is_middle_transversal(h, trace.output, k)
+    payload = trace_payload(trace, args.trace == "full")
     result = {
         "trace": payload,
         "transversal": payload["output"],
@@ -247,38 +248,15 @@ def _cmd_msfa(args: argparse.Namespace) -> RunReport:
     chooser = policy.start()
     trace = msfa(h, k, g0=g0, policy=chooser)
     full = args.trace == "full"
-    x = trace.output
-    hxk = products.set_product(products.set_product(h, x), k)
-    # H*X*K is direct when its products h*x*k are pairwise distinct, that is,
-    # by definition, when |H*X*K| = |H||X||K|: read off the product that the
-    # maximality check needs anyway.  Maximality is judged against Mid by
-    # definition, not the search's seed: the seed is read off the same
-    # gathers as H*X*K, so a block missing from both would pass unseen.
-    # A direct X gives H*X*K inside Mid, so X is maximal exactly when no x
-    # outside H*X*K is in Mid.
-    direct = len(hxk) == len(h) * len(x) * len(k)
-    if direct:
-        extra = products.mid_director(h, k, among=hxk.complement())
-        maximal, mid_size = not extra, len(hxk) + len(extra)
-    else:
-        mid = products.mid_director(h, k)
-        maximal, mid_size = mid <= hxk, len(mid)
-    payload = trace_payload(trace, x, full)
-    result = {
-        "trace": payload,
-        "x": payload["output"],
-        "mid_size": mid_size,
-        "covers_group": hxk == g.full_set(),
-        "direct": direct,
-        "maximal": maximal,
-    }
-    ok = direct and maximal
+    verdict = products.direct_middle_verdict(h, trace.output, k)
+    payload = trace_payload(trace, full)
+    result = {"trace": payload, "x": payload["output"], **verdict}
+    ok = verdict["direct"] and verdict["maximal"]
     if args.extend:
         extended = extend_to_middle_transversal(trace, policy=chooser)
-        x_star = extended.output
-        result["extension"] = payload = trace_payload(extended, x_star, full)
+        result["extension"] = payload = trace_payload(extended, full)
         result["x_star"] = payload["output"]
-        ok = ok and products.is_middle_transversal(h, x_star, k)
+        ok = ok and products.is_middle_transversal(h, extended.output, k)
     return RunReport("msfa", g, inputs, result, exit_code=0 if ok else 4)
 
 
@@ -452,10 +430,15 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
     report.warnings = [str(w.message) for w in caught]
     report.timing_ms = round((time.perf_counter() - started) * 1000, 3)
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        print(_render_text(report))
+    try:
+        print(report.to_json() if args.format == "json" else _render_text(report), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush at
+        # exit does not fail again, as the note on SIGPIPE in signal's docs does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_STDOUT
     return report.exit_code
 
 

@@ -1,21 +1,23 @@
 """Subset products, directness predicates, and the middle director.
 
-Conventions: A*B is the setwise product {a*b}.  The pair (A, B) is direct
-when every product a*b is distinct, i.e. |A*B| = |A||B|.  A triple A*X*B is
-middle direct when the sets A*x*B for x in X are pairwise disjoint, and
-direct when additionally every A*x*B is itself direct.  The middle director
-of (A, B) is the set of x making A*{x}*B direct; for subgroups H, K that is
+Conventions: A*B is the setwise product {a*b}.  A pair or a triple is
+direct when its products are pairwise distinct, and every check here judges
+that one way, by counting the product: (A, B) is direct when |A*B| = |A||B|,
+and A*X*B when |A*X*B| = |A||X||B|.  A triple is middle direct when the
+cells A*x*B for x in X are pairwise disjoint.  The middle director of
+(A, B) is the set of x making A*{x}*B direct; for subgroups H, K that is
 exactly the x with H meeting K^x trivially.
 
 Products are read off the table by C-level gathers over whole rows and
-columns, never one lookup per product.  A cell A*x*B costs min(|A|, |B|)
-gathers (_cell_maker), so a check over X makes |X|*min(|A|, |B|) of them
-and holds one cell, at most n products, at a time.  mid_director is such a
-check over the x it is given, all of G by default, except that for
-subgroups the cell of x is its double coset H*x*K, whose verdict holds for
-all of its members: one cell per double coset.  mid_director_subgroups
-conjugates the smaller subgroup instead: at most n*(min(|H|, |K|) - 1)
-lookups.
+columns, never one lookup per product.  A*B costs min(|A|, |B|) gathers
+(_cell_maker), so a triple's directness costs min(|A|, |X|) + min(|A*X|,
+|B|).  A cell A*x*B costs min(|A|, |B|), so a check over the cells of X
+makes |X|*min(|A|, |B|) gathers and holds one cell, at most n products, at
+a time.  mid_director is such a check over the x it is given, all of G by
+default, except that for subgroups the cell of x is its double coset H*x*K,
+whose verdict holds for all of its members: one cell per double coset.
+mid_director_subgroups conjugates the smaller subgroup instead: at most
+n*(min(|H|, |K|) - 1) lookups.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
     "is_right_transversal",
     "is_middle_transversal",
     "is_middle_factor",
+    "direct_middle_verdict",
 ]
 
 
@@ -91,19 +94,15 @@ def double_coset(h: ElementSet, x: int, k: ElementSet) -> ElementSet:
     return g.subset_from_mask(_mask_of(_cell_maker(g, h.indices(), k.indices())(x)))
 
 
-def _cells_union(
-    g: Group, a: ElementSet, x: ElementSet, b: ElementSet, direct: bool = False
-) -> int:
+def _cells_union(g: Group, a: ElementSet, x: ElementSet, b: ElementSet) -> int:
     """The size of the union of the cells A*t*B over t in X, or -1 when
-    two cells meet or, when direct, a cell holds fewer than |A||B|
-    elements.  Builds one cell at a time.  Every cell lies in G, so the
-    union is G exactly when its size is the order: no mask is built."""
+    two cells meet.  Builds one cell at a time.  Every cell lies in G, so
+    the union is G exactly when its size is the order: no mask is built."""
     cell_of = _cell_maker(g, a.indices(), b.indices())
-    size = len(a) * len(b)
     seen: set[int] = set()
     for t in bit_indices(x.mask):
         cell = cell_of(t)
-        if direct and len(cell) != size or not seen.isdisjoint(cell):
+        if not seen.isdisjoint(cell):
             return -1
         seen |= cell
     return len(seen)
@@ -115,8 +114,9 @@ def is_middle_direct(a: ElementSet, x: ElementSet, b: ElementSet) -> bool:
 
 
 def is_direct_triple(a: ElementSet, x: ElementSet, b: ElementSet) -> bool:
-    """True when all products a*t*b over A x X x B are pairwise distinct."""
-    return _cells_union(_same_group(a, x, b), a, x, b, direct=True) >= 0
+    """True when all products a*t*b over A x X x B are pairwise distinct:
+    |A*X*B| = |A||X||B|."""
+    return len(set_product(set_product(a, x), b)) == len(a) * len(x) * len(b)
 
 
 def mid_director(a: ElementSet, b: ElementSet, *, among: ElementSet | None = None) -> ElementSet:
@@ -203,6 +203,27 @@ def is_middle_transversal(h: ElementSet, x: ElementSet, k: ElementSet) -> bool:
 
 
 def is_middle_factor(h: ElementSet, x: ElementSet, k: ElementSet) -> bool:
-    """True when H*X*K is direct and covers the whole group."""
-    g = _subgroup_pair(h, k, x)
-    return _cells_union(g, h, x, k, direct=True) == g.order
+    """True when H*X*K is direct and covers the whole group: |H||X||K| is
+    the order, and so is |H*X*K|."""
+    n = _subgroup_pair(h, k, x).order
+    return len(h) * len(x) * len(k) == n == len(set_product(set_product(h, x), k))
+
+
+def direct_middle_verdict(h: ElementSet, x: ElementSet, k: ElementSet) -> dict:
+    """msfa's output check of X between subgroups H and K, which the caller
+    has checked: the report's mid_size, covers_group, direct and maximal, in
+    its key order.  Maximal is judged against Mid by definition, not the
+    search's seed, which is read off the same gathers as H*X*K.  A direct X
+    puts H*X*K inside Mid, so only the x outside it are tested; otherwise X
+    is maximal when all of Mid lies in H*X*K."""
+    g = _same_group(h, x, k)
+    hxk = set_product(set_product(h, x), k)
+    direct = len(hxk) == len(h) * len(x) * len(k)
+    if direct:
+        extra = mid_director(h, k, among=hxk.complement())
+        maximal, mid_size = not extra, len(hxk) + len(extra)
+    else:
+        mid = mid_director(h, k)
+        maximal, mid_size = mid <= hxk, len(mid)
+    covers = len(hxk) == g.order
+    return {"mid_size": mid_size, "covers_group": covers, "direct": direct, "maximal": maximal}

@@ -12,12 +12,11 @@ import os
 from json.encoder import encode_basestring_ascii as _quote
 
 from .algorithms import AlgoTrace
-from .groups import ElementSet, Group
+from .groups import Group
 
 
-def trace_payload(trace: AlgoTrace, output: ElementSet, full: bool) -> dict:
-    """The trace's JSON form; the chain's sets are listed only when full.
-    output is trace.output, which the caller has built for its own checks."""
+def trace_payload(trace: AlgoTrace, full: bool) -> dict:
+    """The trace's JSON form; the chain's sets are listed only when full."""
     g = trace.group
     return {
         "algorithm": trace.algorithm,
@@ -26,7 +25,7 @@ def trace_payload(trace: AlgoTrace, output: ElementSet, full: bool) -> dict:
         "n_steps": trace.n_steps,
         "chain_sizes": trace.chain_sizes,
         "chain_sets": [c.names() for c in trace.chain_sets] if full else None,
-        "output": output.names(),
+        "output": trace.output.names(),
         "extension_start": trace.extension_start,
     }
 

@@ -202,16 +202,9 @@ def _example_2_14(g: Group) -> dict:
     trace = msfa(h, k, g0=g0, policy=ChoicePolicy.scripted([]))
     _check(checks, "direct-middle run ends after N=0 steps", trace.n_steps == 0)
     _listing(checks, "direct middle is the listed {1}", trace.output, parse_subset(g, "1"))
-    _check(
-        checks,
-        "the direct middle is a direct triple",
-        products.is_direct_triple(h, trace.output, k),
-    )
-    _check(
-        checks,
-        "it does not cover the group",
-        products.set_product(products.set_product(h, trace.output), k) != g.full_set(),
-    )
+    verdict = products.direct_middle_verdict(h, trace.output, k)
+    _check(checks, "the direct middle is a direct triple", verdict["direct"])
+    _check(checks, "it does not cover the group", not verdict["covers_group"])
 
     maximal = oracle.all_maximal_direct_triples(h, k)
     _check(

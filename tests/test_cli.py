@@ -3,6 +3,7 @@ import gc
 import io
 import itertools
 import json
+import os
 import random
 import re
 import subprocess
@@ -408,6 +409,33 @@ def test_fault_injection_exits_4(capsys, monkeypatch):
     data = json.loads(out)
     assert data["result"]["count_algorithm"] == 63
     assert data["result"]["match"] is False
+
+
+@pytest.mark.parametrize("search, argv, line, field, value", [
+    ("rta", ["rta", "--group", D12, "-H", "1,b"], "valid right transversal: NO", "valid", False),
+    ("mta", ["mta", "--group", D12, "-H", "1,b", "-K", "1,ba"],
+     "valid middle transversal: NO", "valid", False),
+    ("extend_to_middle_transversal", ["msfa", "--group", D12, "-H", H_PROPER, "-K", K_PROPER,
+                                      "--extend"], "X* = {1}", "x_star", ["1"]),
+], ids=["rta", "mta", "extension"])
+def test_a_search_output_that_fails_its_check_exits_4(capsys, monkeypatch, search, argv, line,
+                                                      field, value):
+    # the search returns its honest trace with its last pick replaced by its
+    # first: an output one element short, which the CLI's check refuses
+    from groupkit import cli
+
+    honest = getattr(cli, search)
+
+    def tampered(*args, **kwargs):
+        trace = honest(*args, **kwargs)
+        trace.chosen[-1] = trace.chosen[0]
+        return trace
+
+    monkeypatch.setattr(cli, search, tampered)
+    assert main(argv) == 4
+    assert line in capsys.readouterr().out.splitlines()
+    code, data = run_json(capsys, argv)
+    assert code == 4 and data["result"][field] == value
 
 
 def _drop_largest(masks):
@@ -1059,6 +1087,30 @@ def test_the_cli_imports_only_the_standard_library():
     loaded = {"importlib.resources", "dataclasses", "inspect", "typing", "random",
               "groupkit.oracle", "groupkit.verify"}.intersection(out)
     assert not loaded
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # 4,096 listed sets, more than a pipe's buffer holds: the reader takes one
+    # line and closes the pipe while the report is still being written
+    argv = [sys.executable, "-m", "groupkit.cli", "enumerate", "--group", "cyclic:24",
+            "-H", "0,12", "--what", "right-transversals", "--via", "algorithm", "--list"]
+    env = {**os.environ, "PYTHONPATH": str(Path(groupkit.__file__).parent.parent)}
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"group: cyclic:24 (order 24)\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, b"")
+
+
+def test_a_closed_stdout_is_pointed_at_devnull(monkeypatch):
+    # in-process, on a pipe whose reader is already gone: the report's flush
+    # fails, and the write end is then devnull, so closing it flushes quietly
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["rta", "--group", "cyclic:12", "-H", "0,6"]) == 141
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
 
 
 # -- frozen outputs ---------------------------------------------------------------

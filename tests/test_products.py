@@ -5,6 +5,7 @@ import pytest
 
 from groupkit import GroupMismatch, NotASubgroup, algorithms, build_group, oracle
 from groupkit import products
+from groupkit.groups import bit_indices
 from groupkit.products import (
     classify_mid,
     double_coset,
@@ -71,7 +72,6 @@ def test_middle_direct_and_triple(d12, proper_mid_pair):
     assert set_product(set_product(h, x), k) == d12.full_set()
     # the union of the cells is given by its size, the order when it is G
     assert products._cells_union(d12, h, x, k) == d12.order
-    assert products._cells_union(d12, h, x, k, direct=True) == -1
     # a single element of Mid gives a direct triple
     assert is_direct_triple(h, parse_subset(d12, "a^4"), k)
     assert products._cells_union(d12, h, parse_subset(d12, "a^4"), k) == len(h) * len(k)
@@ -89,7 +89,6 @@ def test_empty_x_cases(d12, empty_mid_pair):
     assert not is_middle_transversal(h, empty, k)
     # the union of no cells is empty: its size is 0
     assert products._cells_union(d12, h, empty, k) == 0
-    assert products._cells_union(d12, h, empty, k, direct=True) == 0
 
 
 def _naive_cell(g, a, x, b):
@@ -348,6 +347,33 @@ def test_middle_factor(s3, d12, proper_mid_pair):
     assert products.is_middle_factor(h, s3.singleton(s3.identity), k)
     h_pr, k_pr = proper_mid_pair
     assert not products.is_middle_factor(h_pr, d12.subset([0]), k_pr)
+
+
+def test_direct_middle_verdict_against_the_definitions(d12):
+    # msfa's output, that output less its largest element, and mta's output,
+    # on every subgroup pair with a nonempty Mid; each field is judged
+    # naively, from Group.multiply and the oracle's Mid by definition
+    cases, outcomes = 0, set()
+    for g in [*suites.small_fleet(), d12]:
+        for h, k in suites.subgroup_pairs(g):
+            mid = oracle._raw_mid_mask(g, h.mask, k.mask)
+            if not mid:
+                continue
+            x = algorithms.msfa(h, k).output
+            short = g.subset_from_mask(x.mask & ~(1 << x.mask.bit_length() - 1))
+            for y in (x, short, algorithms.mta(h, k).output):
+                hxk = {g.multiply(g.multiply(a, t), b) for a in h for t in y for b in k}
+                verdict = products.direct_middle_verdict(h, y, k)
+                assert list(verdict.items()) == [
+                    ("mid_size", mid.bit_count()),
+                    ("covers_group", len(hxk) == g.order),
+                    ("direct", suites.raw_direct_triple(g, h, y, k)),
+                    ("maximal", all(m in hxk for m in bit_indices(mid))),
+                ], (g.description, h, y, k)
+                outcomes.add((verdict["direct"], verdict["maximal"]))
+                cases += 1
+    # both branches: a direct X, maximal or one short, and mta's X that is not direct
+    assert cases == 3 * 323 and outcomes == {(True, True), (True, False), (False, True)}
 
 
 def test_equivalent_conditions_for_double_coset_representatives():
