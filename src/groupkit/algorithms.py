@@ -1,8 +1,9 @@
 """Chain-intersection searches for transversals and direct middles.
 
 Everything here runs over one partition of G per subgroup pair: the blocks
-H*x*K, built once by _coset_blocks.  Right cosets are the case K = {1}: rta
-and the right-transversal enumeration pass the trivial subgroup as K.
+H*x*K, built once by products._coset_blocks.  Right cosets are the case
+K = {1}: rta and the right-transversal enumeration pass the trivial
+subgroup as K.
 A search keeps a candidate set, starts it from a seed, repeatedly removes
 the block of the element just chosen, and picks the next element from what
 is left.  The candidate chain C^(-1) ⊇ C^(0) ⊇ ... is recorded in the trace;
@@ -12,9 +13,10 @@ the run ends when the chain hits the empty set.
 - mta:  seed G, blocks H*g*K                  -> middle transversal
 - msfa: seed Mid(H, K), blocks H*g*K          -> maximal direct middle X
 
-The seed comes from the same partition (_seed_and_blocks): x lies in the
-middle director Mid exactly when |H*x*K| = |H||K|, so Mid is the union of
-the blocks of that size, and no search calls a Mid kernel of its own.
+The seed comes from the same walk (_seed_and_blocks): x lies in the middle
+director Mid exactly when |H*x*K| = |H||K|, so _coset_blocks returns Mid,
+the union of the blocks of that size, with the partition, and
+products.mid_director reads it off the same walk.
 
 A finished msfa run covers Mid but not necessarily G; the extension runs the
 same chain from the uncovered remainder and grows X to a middle transversal
@@ -44,7 +46,7 @@ from .errors import (
     quote,
 )
 from .groups import ElementSet, Group, _is_int, _mask_of, bit_indices
-from .products import _cell_maker, _subgroup_pair
+from .products import _coset_blocks, _subgroup_pair
 
 # the searches read Mid off the blocks and call no Mid kernel, but this name
 # stays importable from here: perfbench/tracing.py wraps it by name
@@ -238,48 +240,18 @@ class AlgoTrace:
         return blocks
 
 
-def _coset_blocks(h: ElementSet, k: ElementSet) -> list[int]:
-    """The mask of the block H*x*K holding each element x of G.  Covers G
-    from the lowest uncovered element, one block at a time.  A block costs
-    min(|H|, |K|) gathers (_cell_maker), and it holds at least max(|H|, |K|)
-    elements, so the walk makes at most n gathers and O(n) other steps in
-    all, whatever the orders of H and K."""
-    g = h.group
-    cell_of = _cell_maker(g, h.indices(), k.indices())
-    blocks = [0] * g.order
-    uncovered = g.full_mask
-    while uncovered:
-        cell = cell_of((uncovered & -uncovered).bit_length() - 1)
-        block = _mask_of(cell)
-        for y in cell:
-            blocks[y] = block
-        uncovered &= ~block
-    return blocks
-
-
 def _seed_and_blocks(h: ElementSet, k: ElementSet, mid: bool) -> tuple[int, list[int]]:
     """Check the pair, build its blocks once, and return the seed mask with
-    them: G, or when mid the middle director.  Mid is the union of the
-    blocks of |H||K| elements, as x is in Mid exactly when |H*x*K| =
-    |H||K|; raises MidEmpty when there are none."""
+    them: G, or when mid the middle director that the same walk reads off
+    the blocks; raises MidEmpty when it is empty."""
     g = _subgroup_pair(h, k)
-    blocks = _coset_blocks(h, k)
-    if not mid:
-        return g.full_mask, blocks
-    size = len(h) * len(k)
-    seed = 0
-    c = g.full_mask
-    while c:
-        block = blocks[(c & -c).bit_length() - 1]
-        c &= ~block
-        if block.bit_count() == size:
-            seed |= block
-    if not seed:
+    blocks, mid_mask = _coset_blocks(h, k)
+    if mid and not mid_mask:
         raise MidEmpty(
             f"the middle director of H={h.shown()} and K={k.shown()} is empty; "
             "no direct middle exists"
         )
-    return seed, blocks
+    return (mid_mask if mid else g.full_mask), blocks
 
 
 def _run_chain(

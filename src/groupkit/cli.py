@@ -62,12 +62,9 @@ def _load_group(text: str) -> Group:
                 f"inline group {quote(text)} not understood; use kind:n with kind in "
                 "cyclic/dihedral/symmetric, or give a JSON object"
             )
-        if not arg.isascii() or not arg.isdigit():
+        n = config._ascii_int(arg)
+        if n is None or arg.startswith("-"):
             raise InvalidSpec(f"inline group {quote(text)} needs an integer parameter")
-        try:
-            n = int(arg)
-        except ValueError:  # more digits than the interpreter converts
-            raise InvalidSpec(f"inline group {quote(text)} needs an integer parameter") from None
         return build_group({"kind": kind, "n": n})
     try:
         data = json.loads(text)
@@ -85,10 +82,10 @@ def _parse_policy(g: Group, text: str) -> ChoicePolicy:
         return SMALLEST
     mode, sep, arg = text.partition(":")
     if mode == "random" and sep:
-        try:
-            return ChoicePolicy.random(int(arg))
-        except ValueError:
-            raise InvalidSpec(f"--policy random needs an integer seed, got {quote(arg)}") from None
+        seed = config._ascii_int(arg)
+        if seed is None:
+            raise InvalidSpec(f"--policy random needs an integer seed, got {quote(arg)}")
+        return ChoicePolicy.random(seed)
     if mode == "script" and sep:
         picks = [parse_element(g, part) for part in arg.split(",") if part.strip()]
         return ChoicePolicy.scripted(picks)
@@ -263,11 +260,8 @@ def _cmd_msfa(args: argparse.Namespace) -> RunReport:
 def _cmd_mid(args: argparse.Namespace) -> RunReport:
     g, h, k, _, _, inputs = _prologue(args)
     inputs["method"] = args.method
-    by_def = by_conj = None
-    if args.method != "conjugacy":
-        by_def = products.mid_director(h, k)
-    if args.method != "definition":
-        by_conj = products.mid_director_subgroups(h, k)
+    by_def = None if args.method == "conjugacy" else products.mid_director(h, k)
+    by_conj = None if args.method == "definition" else products.mid_director_subgroups(h, k)
     mid = by_def if by_conj is None else by_conj
     result = {
         "method": args.method,
@@ -283,11 +277,14 @@ def _cmd_mid(args: argparse.Namespace) -> RunReport:
 
 def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
     from . import oracle  # loaded only for the command that uses it
-    limit = config.enum_cap(args.limit, "--limit")
+    given = None if args.limit is None else config._ascii_int(args.limit)
+    if given is None and args.limit is not None:
+        raise InvalidSpec(f"--limit must be a positive integer, got {quote(args.limit)}")
+    limit = config.enum_cap(given, "--limit")
     if args.what == "right-transversals" and args.subgroup_k is not None:
         raise InvalidSpec("-K does not apply to --what right-transversals")
     g, h, k, _, _, inputs = _prologue(args, needs_k=args.what != "right-transversals")
-    inputs |= {"what": args.what, "via": args.via, "limit": args.limit, "list": bool(args.list)}
+    inputs |= {"what": args.what, "via": args.via, "limit": given, "list": bool(args.list)}
     if k is not None:
         inputs["K"] = inputs.pop("K")  # enumerate's reports list K last
     operands = (h,) if k is None else (h, k)
@@ -338,8 +335,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
 
 def _cmd_verify(args: argparse.Namespace) -> RunReport:
     from . import verify
-    parts = (args.example or "").split(",")
-    examples = [part.strip() for part in parts if part.strip()] or list(verify.EXAMPLES)
+    named: dict[str, None] = {}  # the examples asked for, each once, in order
+    for name in filter(None, map(str.strip, (args.example or "").split(","))):
+        if name in named:
+            _warnings.warn(f"duplicate example {quote(name)} collapsed", stacklevel=2)
+        named[name] = None
+    examples = list(named or verify.EXAMPLES)
     # the report's header names the group of the first example
     group, result = verify.run(examples)
     exit_code = 4 if result["counts"]["fail"] else 0
@@ -406,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
     )
     p.add_argument("--via", choices=("algorithm", "oracle", "both"), default="both")
-    p.add_argument("--limit", type=int, help="cap on the number of results")
+    p.add_argument("--limit", help="cap on the number of results")
     p.add_argument("--list", action="store_true", help="include the sets in the output")
     p.set_defaults(handler=_cmd_enumerate)
 

@@ -17,15 +17,23 @@ DEFAULT_MAX_ORDER = 4096
 DEFAULT_ENUM_LIMIT = 10 ** 6
 
 
+def _ascii_int(text: str) -> int | None:
+    """The int that text writes in ASCII digits after an optional '-', as
+    element words do: None for any other text ('+', '_', spaces, other
+    digits) and for more digits than the interpreter converts."""
+    digits = text[1:] if text.startswith("-") else text
+    try:
+        return int(text) if digits.isascii() and digits.isdigit() else None
+    except ValueError:
+        return None
+
+
 def _positive_int_env(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidSpec(f"{name} must be a positive integer, got {quote(raw)}") from None
-    if value <= 0:
+    value = _ascii_int(raw)
+    if value is None or value <= 0:
         raise InvalidSpec(f"{name} must be a positive integer, got {quote(raw)}")
     return value
 

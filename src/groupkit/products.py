@@ -14,8 +14,9 @@ columns, never one lookup per product.  A*B costs min(|A|, |B|) gathers
 |B|).  A cell A*x*B costs min(|A|, |B|), so a check over the cells of X
 makes |X|*min(|A|, |B|) gathers and holds one cell, at most n products, at
 a time.  mid_director is such a check over the x it is given, all of G by
-default, except that for subgroups the cell of x is its double coset H*x*K,
-whose verdict holds for all of its members: one cell per double coset.
+default.  For subgroups the cell of x is its double coset H*x*K, one per
+block of the (H, K) partition that _coset_blocks builds for the searches
+too; Mid is the union of its blocks of |H||K| elements.
 mid_director_subgroups conjugates the smaller subgroup instead: at most
 n*(min(|H|, |K|) - 1) lookups.
 """
@@ -119,33 +120,49 @@ def is_direct_triple(a: ElementSet, x: ElementSet, b: ElementSet) -> bool:
     return len(set_product(set_product(a, x), b)) == len(a) * len(x) * len(b)
 
 
+def _coset_blocks(h: ElementSet, k: ElementSet, within: int | None = None) -> tuple[list[int], int]:
+    """The mask of the block H*x*K holding each element x of G, 0 for the
+    blocks that miss the mask within (all of G by default), and Mid within
+    them: the union of the blocks of |H||K| elements.  Covers within from
+    its lowest uncovered element, one block at a time.  A block costs
+    min(|H|, |K|) gathers (_cell_maker) and holds at least max(|H|, |K|)
+    elements, so a walk makes at most n gathers and O(n) other steps."""
+    g = h.group
+    cell_of = _cell_maker(g, h.indices(), k.indices())
+    size = len(h) * len(k)
+    blocks, mid = [0] * g.order, 0
+    uncovered = g.full_mask if within is None else within
+    while uncovered:
+        cell = cell_of((uncovered & -uncovered).bit_length() - 1)
+        block = _mask_of(cell)
+        for y in cell:
+            blocks[y] = block
+        if len(cell) == size:
+            mid |= block
+        uncovered &= ~block
+    return blocks, mid
+
+
 def mid_director(a: ElementSet, b: ElementSet, *, among: ElementSet | None = None) -> ElementSet:
     """All x with A*{x}*B direct, for arbitrary subsets A and B; with among,
     only the x in among.
 
-    Keeps x when its cell A*x*B has |A||B| elements, by definition, holding
-    one cell of at most n products at a time.  When A and B are subgroups,
-    the cell is the double coset of x, whose members all share its cell and
-    so its verdict: one cell per double coset that meets among, each of
-    min(|A|, |B|) gathers.  Otherwise one cell per x: |among|*min(|A|, |B|)
-    gathers, n*min(|A|, |B|) over all of G.  No cell of G holds more than n
-    products, so none is direct when |A||B| > n."""
+    Keeps x when its cell A*x*B has |A||B| elements, by definition.  When A
+    and B are subgroups, the cell is the double coset of x, so Mid is read
+    off the (H, K) partition (_coset_blocks) restricted to the blocks that
+    meet among: one cell per such block, each of min(|A|, |B|) gathers.
+    Otherwise one cell per x, holding one of at most n products at a time:
+    |among|*min(|A|, |B|) gathers, n*min(|A|, |B|) over all of G.  No cell
+    of G holds more than n products, so none is direct when |A||B| > n."""
     g = _same_group(a, b) if among is None else _same_group(a, b, among)
     size = len(a) * len(b)
     if size > g.order:
         return g.empty_set()
-    cell_of = _cell_maker(g, a.indices(), b.indices())
-    blocks = a.is_subgroup() and b.is_subgroup()
     wanted = g.full_mask if among is None else among.mask
-    undecided, mid = wanted, 0
-    while undecided:
-        x = (undecided & -undecided).bit_length() - 1
-        cell = cell_of(x)
-        span = _mask_of(cell) if blocks else 1 << x  # the x this verdict decides
-        if len(cell) == size:
-            mid |= span
-        undecided &= ~span
-    return g.subset_from_mask(mid & wanted)
+    if a.is_subgroup() and b.is_subgroup():
+        return g.subset_from_mask(_coset_blocks(a, b, wanted)[1] & wanted)
+    cell_of = _cell_maker(g, a.indices(), b.indices())
+    return g.subset_from_mask(_mask_of(x for x in bit_indices(wanted) if len(cell_of(x)) == size))
 
 
 def mid_director_subgroups(h: ElementSet, k: ElementSet) -> ElementSet:

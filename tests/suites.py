@@ -702,7 +702,7 @@ def suite_block_partition(groups: list[Group]) -> list[str]:
         for h, k in subgroup_pairs(g):
             for kk in (g.trivial_subgroup(), k):
                 partition = oracle.double_coset_partition(h, kk)
-                blocks = algorithms._coset_blocks(h, kk)
+                blocks = algorithms._coset_blocks(h, kk)[0]
                 if any(blocks[x] >> x & 1 == 0 for x in range(g.order)):
                     bad.append(f"{g.description}: an element outside its block, H={h!r} K={kk!r}")
                 # distinct blocks in order of first appearance, i.e. of least member

@@ -236,6 +236,16 @@ def test_verify_paper_single_example(capsys):
     assert data["result"]["counts"]["warn"] == 0
 
 
+def test_verify_paper_collapses_a_repeated_example(capsys):
+    code, data = run_json(capsys, ["verify-paper", "--example", "1.3, 2.14,1.3"])
+    assert code == 0
+    assert data["inputs"]["examples"] == ["1.3", "2.14"]
+    assert [s["example"] for s in data["result"]["sections"]] == ["1.3", "2.14"]
+    alone = run_json(capsys, ["verify-paper", "--example", "1.3,2.14"])[1]
+    assert data["result"]["counts"] == alone["result"]["counts"]
+    assert data["warnings"] == ["duplicate example '1.3' collapsed"]
+
+
 def test_verify_paper_text(capsys):
     code = main(["verify-paper", "--example", "2.5"])
     out = capsys.readouterr().out
@@ -325,6 +335,22 @@ def test_bad_policy_exits_2(capsys):
     assert main(["rta", "--group", "cyclic:12", "-H", "0,6",
                  "--policy", "random:two"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("reader", ["seed", "limit", "max-order-env", "enum-limit-env"])
+@pytest.mark.parametrize("text", ["1_000", "\u0663", " 5", "+5"])
+def test_typed_integers_take_ascii_digits_only(capsys, monkeypatch, reader, text):
+    # as in element words and kind:n: no '_', Arabic-Indic three, spaces or '+'
+    # (H = C2 has 2 right transversals, within any cap these texts could mean)
+    enum = ["enumerate", "--group", "cyclic:2", "-H", "0,1", "--what", "right-transversals"]
+    argv = {"seed": ["rta", "--group", "cyclic:2", "-H", "0", "--policy", f"random:{text}"],
+            "limit": enum + ["--limit", text]}.get(reader, enum)
+    env = {"max-order-env": "GROUPKIT_MAX_ORDER", "enum-limit-env": "GROUPKIT_ENUM_LIMIT"}
+    if reader in env:
+        monkeypatch.setenv(env[reader], text)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and quote(text) in err
 
 
 @pytest.mark.parametrize("argv,reason", [

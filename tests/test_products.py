@@ -156,7 +156,7 @@ def test_kernels_on_the_order_1_group():
     assert mid_director(one, one) == one == mid_director_subgroups(one, one)
     assert set_product(one, one) == one == double_coset(one, 0, one)
     assert is_middle_transversal(one, one, one) and products.is_middle_factor(one, one, one)
-    assert algorithms._coset_blocks(one, one) == [1]
+    assert algorithms._coset_blocks(one, one)[0] == [1]
     assert algorithms.mta(one, one).output == one
 
 
@@ -167,7 +167,7 @@ def test_kernels_with_a_one_element_side(d12):
     for h in suites.subgroups_of(d12):
         for a, b in ((h, e), (e, h)):
             want = [sum(1 << y for y in set(_naive_cell(d12, a, x, b))) for x in range(d12.order)]
-            assert algorithms._coset_blocks(a, b) == want
+            assert algorithms._coset_blocks(a, b)[0] == want
             assert mid_director(a, b) == d12.full_set() == mid_director_subgroups(a, b)
             assert is_middle_transversal(a, algorithms.mta(a, b).output, b)
     for u in range(d12.order):
@@ -175,6 +175,41 @@ def test_kernels_with_a_one_element_side(d12):
         for other in (single, parse_subset(d12, "a,b,ba^2")):
             assert mid_director(single, other) == d12.full_set()
             assert set(set_product(single, other)) == set(_naive_cell(d12, single, d12.identity, other))
+
+
+def test_coset_blocks_within_a_mask_against_the_oracle(d12, monkeypatch):
+    # Walked over a mask within, each element keeps its double coset when that
+    # meets within and 0 otherwise, Mid is cut to those blocks, and one cell
+    # is built per block that meets within
+    cell_maker = products._cell_maker
+    built = [0]
+
+    def counting_maker(*args):
+        cell_of = cell_maker(*args)
+
+        def counted(x):
+            built[0] += 1
+            return cell_of(x)
+        return counted
+
+    monkeypatch.setattr(products, "_cell_maker", counting_maker)
+    rng = random.Random(42)
+    kinds = set()
+    for g in suites.small_fleet() + [d12]:
+        withins = [0, g.full_mask] + [rng.getrandbits(g.order) for _ in range(3)]
+        for h, k in suites.subgroup_pairs(g):
+            partition = [b.mask for b in oracle.double_coset_partition(h, k).blocks]
+            mid = oracle._raw_mid_mask(g, h.mask, k.mask)
+            for within in withins:
+                met = [b for b in partition if b & within]
+                want = [next((b for b in met if b >> x & 1), 0) for x in range(g.order)]
+                built[0] = 0
+                blocks, got_mid = products._coset_blocks(h, k, within)
+                assert blocks == want, (h, k, within)
+                assert got_mid == mid & sum(met), (h, k, within)
+                assert built[0] == len(met), (h, k, within)
+                kinds.add((len(met) == len(partition), got_mid != 0))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_mid_director_of_an_empty_side_is_everything(d12):

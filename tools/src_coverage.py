@@ -31,9 +31,6 @@ _TOO_DEEP = 'raise InvalidSpec("group spec is nested too deeply") from None'
 _UNSEEN = "reached by test_deep_spec_is_invalid, but a RecursionError unsets the trace function"
 ALLOWED = {
     ("groups.py", "build_group", _TOO_DEEP): _UNSEEN,
-    ("verify.py", "_example_2_5",
-     '_check(checks, "direct-middle search reports inapplicability", False)'):
-        "FAIL branch: msfa refuses the worked example's empty middle director",
 }
 
 
