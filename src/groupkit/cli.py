@@ -224,10 +224,9 @@ def _cmd_transversal(args: argparse.Namespace) -> RunReport:
     """rta, or mta when the command takes -K."""
     g, h, k, policy, g0, inputs = _prologue(args, needs_k=args.command == "mta")
     trace = rta(h, g0=g0, policy=policy) if k is None else mta(h, k, g0=g0, policy=policy)
-    if k is None:
-        count, valid = "index", products.is_right_transversal(h, trace.output)
-    else:
-        count, valid = "double_coset_count", products.is_middle_transversal(h, trace.output, k)
+    # an RTA trace's K is {1}, so one judge serves both
+    count = "index" if k is None else "double_coset_count"
+    valid = products.is_middle_transversal(h, trace.output, trace.k)
     payload = trace_payload(trace, args.trace == "full")
     result = {
         "trace": payload,
@@ -335,14 +334,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
 
 def _cmd_verify(args: argparse.Namespace) -> RunReport:
     from . import verify
-    named: dict[str, None] = {}  # the examples asked for, each once, in order
-    for name in filter(None, map(str.strip, (args.example or "").split(","))):
-        if name in named:
-            _warnings.warn(f"duplicate example {quote(name)} collapsed", stacklevel=2)
-        named[name] = None
-    examples = list(named or verify.EXAMPLES)
     # the report's header names the group of the first example
-    group, result = verify.run(examples)
+    group, result = verify.run([n for n in map(str.strip, (args.example or "").split(",")) if n])
+    examples = [section["example"] for section in result["sections"]]
     exit_code = 4 if result["counts"]["fail"] else 0
     return RunReport("verify-paper", group, {"examples": examples}, result, exit_code=exit_code)
 

@@ -13,12 +13,13 @@ columns, never one lookup per product.  A*B costs min(|A|, |B|) gathers
 (_cell_maker), so a triple's directness costs min(|A|, |X|) + min(|A*X|,
 |B|).  A cell A*x*B costs min(|A|, |B|), so a check over the cells of X
 makes |X|*min(|A|, |B|) gathers and holds one cell, at most n products, at
-a time.  mid_director is such a check over the x it is given, all of G by
-default.  For subgroups the cell of x is its double coset H*x*K, one per
-block of the (H, K) partition that _coset_blocks builds for the searches
-too; Mid is the union of its blocks of |H||K| elements.
-mid_director_subgroups conjugates the smaller subgroup instead: at most
-n*(min(|H|, |K|) - 1) lookups.
+a time.  mid_director is such a check over every x of G.  For subgroups the
+cell of x is its double coset H*x*K, one per block of the (H, K) partition
+that _coset_blocks builds for the searches too; Mid is the union of its
+blocks of |H||K| elements.  mid_director_subgroups conjugates the smaller
+subgroup instead: at most n*(min(|H|, |K|) - 1) lookups.  The two rules
+share no code, and msfa's output check (direct_middle_verdict) takes Mid
+from the conjugate test, so it does not repeat the walk that seeds msfa.
 """
 
 from __future__ import annotations
@@ -120,18 +121,17 @@ def is_direct_triple(a: ElementSet, x: ElementSet, b: ElementSet) -> bool:
     return len(set_product(set_product(a, x), b)) == len(a) * len(x) * len(b)
 
 
-def _coset_blocks(h: ElementSet, k: ElementSet, within: int | None = None) -> tuple[list[int], int]:
-    """The mask of the block H*x*K holding each element x of G, 0 for the
-    blocks that miss the mask within (all of G by default), and Mid within
-    them: the union of the blocks of |H||K| elements.  Covers within from
-    its lowest uncovered element, one block at a time.  A block costs
-    min(|H|, |K|) gathers (_cell_maker) and holds at least max(|H|, |K|)
-    elements, so a walk makes at most n gathers and O(n) other steps."""
+def _coset_blocks(h: ElementSet, k: ElementSet) -> tuple[list[int], int]:
+    """The mask of the block H*x*K holding each element x of G, and Mid:
+    the union of the blocks of |H||K| elements.  Covers G from its lowest
+    uncovered element, one block at a time.  A block costs min(|H|, |K|)
+    gathers (_cell_maker) and holds at least max(|H|, |K|) elements, so a
+    walk makes at most n gathers and O(n) other steps."""
     g = h.group
     cell_of = _cell_maker(g, h.indices(), k.indices())
     size = len(h) * len(k)
     blocks, mid = [0] * g.order, 0
-    uncovered = g.full_mask if within is None else within
+    uncovered = g.full_mask
     while uncovered:
         cell = cell_of((uncovered & -uncovered).bit_length() - 1)
         block = _mask_of(cell)
@@ -143,26 +143,23 @@ def _coset_blocks(h: ElementSet, k: ElementSet, within: int | None = None) -> tu
     return blocks, mid
 
 
-def mid_director(a: ElementSet, b: ElementSet, *, among: ElementSet | None = None) -> ElementSet:
-    """All x with A*{x}*B direct, for arbitrary subsets A and B; with among,
-    only the x in among.
+def mid_director(a: ElementSet, b: ElementSet) -> ElementSet:
+    """All x with A*{x}*B direct, for arbitrary subsets A and B.
 
     Keeps x when its cell A*x*B has |A||B| elements, by definition.  When A
     and B are subgroups, the cell is the double coset of x, so Mid is read
-    off the (H, K) partition (_coset_blocks) restricted to the blocks that
-    meet among: one cell per such block, each of min(|A|, |B|) gathers.
-    Otherwise one cell per x, holding one of at most n products at a time:
-    |among|*min(|A|, |B|) gathers, n*min(|A|, |B|) over all of G.  No cell
-    of G holds more than n products, so none is direct when |A||B| > n."""
-    g = _same_group(a, b) if among is None else _same_group(a, b, among)
+    off the (H, K) partition (_coset_blocks): one cell per block, each of
+    min(|A|, |B|) gathers.  Otherwise one cell per x, holding one of at most
+    n products at a time: n*min(|A|, |B|) gathers.  No cell of G holds more
+    than n products, so none is direct when |A||B| > n."""
+    g = _same_group(a, b)
     size = len(a) * len(b)
     if size > g.order:
         return g.empty_set()
-    wanted = g.full_mask if among is None else among.mask
     if a.is_subgroup() and b.is_subgroup():
-        return g.subset_from_mask(_coset_blocks(a, b, wanted)[1] & wanted)
+        return g.subset_from_mask(_coset_blocks(a, b)[1])
     cell_of = _cell_maker(g, a.indices(), b.indices())
-    return g.subset_from_mask(_mask_of(x for x in bit_indices(wanted) if len(cell_of(x)) == size))
+    return g.subset_from_mask(_mask_of(x for x in range(g.order) if len(cell_of(x)) == size))
 
 
 def mid_director_subgroups(h: ElementSet, k: ElementSet) -> ElementSet:
@@ -229,18 +226,12 @@ def is_middle_factor(h: ElementSet, x: ElementSet, k: ElementSet) -> bool:
 def direct_middle_verdict(h: ElementSet, x: ElementSet, k: ElementSet) -> dict:
     """msfa's output check of X between subgroups H and K, which the caller
     has checked: the report's mid_size, covers_group, direct and maximal, in
-    its key order.  Maximal is judged against Mid by definition, not the
-    search's seed, which is read off the same gathers as H*X*K.  A direct X
-    puts H*X*K inside Mid, so only the x outside it are tested; otherwise X
-    is maximal when all of Mid lies in H*X*K."""
+    its key order.  X is maximal when all of Mid lies in H*X*K.  Mid comes
+    from the conjugate test (mid_director_subgroups), which shares no code
+    with the partition walk that seeds the search, so a fault in the walk
+    cannot hide from this check."""
     g = _same_group(h, x, k)
     hxk = set_product(set_product(h, x), k)
-    direct = len(hxk) == len(h) * len(x) * len(k)
-    if direct:
-        extra = mid_director(h, k, among=hxk.complement())
-        maximal, mid_size = not extra, len(hxk) + len(extra)
-    else:
-        mid = mid_director(h, k)
-        maximal, mid_size = mid <= hxk, len(mid)
-    covers = len(hxk) == g.order
-    return {"mid_size": mid_size, "covers_group": covers, "direct": direct, "maximal": maximal}
+    mid = mid_director_subgroups(h, k)
+    covers, direct = len(hxk) == g.order, len(hxk) == len(h) * len(x) * len(k)
+    return {"mid_size": len(mid), "covers_group": covers, "direct": direct, "maximal": mid <= hxk}

@@ -11,6 +11,7 @@ the ground truth here.
 from __future__ import annotations
 
 import math
+import warnings
 
 from . import oracle, products
 from .algorithms import ChoicePolicy, extend_to_middle_transversal, msfa, mta, rta
@@ -257,15 +258,19 @@ EXAMPLES = {
 
 
 def run(examples: tuple[str, ...] | list[str] | None = None) -> tuple[Group, dict]:
-    """Replay the chosen examples (all three by default).
+    """Replay the chosen examples (all three by default), each once: a
+    repeated name collapses, in first-seen order, with a warning.
 
     Returns the group of the first example, for a report header, and
     {"sections": [...], "counts": {"pass": p, "warn": w, "fail": f}}.
     """
-    names = tuple(examples) if examples else tuple(EXAMPLES)
-    for name in names:
+    names: dict[str, None] = {}  # insertion-ordered, so first-seen order
+    for name in examples or EXAMPLES:
         if name not in EXAMPLES:
             raise InvalidSpec(f"unknown example {quote(name)}; choose from {', '.join(EXAMPLES)}")
+        if name in names:
+            warnings.warn(f"duplicate example {quote(name)} collapsed", stacklevel=2)
+        names[name] = None
     groups = [build_group(EXAMPLES[name][0]) for name in names]
     sections = [EXAMPLES[name][1](g) for name, g in zip(names, groups)]
     counts = {"pass": 0, "warn": 0, "fail": 0}

@@ -246,6 +246,17 @@ def test_verify_paper_collapses_a_repeated_example(capsys):
     assert data["warnings"] == ["duplicate example '1.3' collapsed"]
 
 
+def test_verify_run_collapses_a_repeated_example():
+    # the library replays a repeated example once, as the CLI does
+    from groupkit import verify
+
+    with pytest.warns(UserWarning) as caught:
+        _, result = verify.run(["1.3", "1.3"])
+    assert [section["example"] for section in result["sections"]] == ["1.3"]
+    assert result["counts"] == {"pass": 8, "warn": 0, "fail": 0}
+    assert [str(w.message) for w in caught] == ["duplicate example '1.3' collapsed"]
+
+
 def test_verify_paper_text(capsys):
     code = main(["verify-paper", "--example", "2.5"])
     out = capsys.readouterr().out
@@ -1027,52 +1038,64 @@ def test_msfa_reports_mid_by_definition_when_x_fails(capsys, monkeypatch, tamper
     assert 0 < result["mid_size"] == len(mid) < s4.order
 
 
-@pytest.mark.parametrize("group, order, h, k", [
-    ("dihedral:64", 128, ",".join(["1"] + [f"a^{i}" for i in range(2, 64, 2)]), "1,b"),
-    ("symmetric:4", 24, "(),(1 2)", "(),(3 4)"),
-])
-def test_msfa_checks_maximality_only_outside_hxk(capsys, monkeypatch, group, order, h, k):
-    # a direct X puts H*X*K inside Mid, so the check builds one cell for each
-    # double coset outside H*X*K: none when X covers G
-    from groupkit import oracle, products
-    from groupkit.cli import _load_group
-    from groupkit.words import parse_subset
+def test_each_command_walks_the_partition_a_set_number_of_times(capsys, monkeypatch):
+    # one walk per search and per validation rerun, one for Mid by definition;
+    # msfa judges maximality by the conjugate test, which walks nothing
+    from groupkit import algorithms, products
 
-    cell_maker, mid_director = products._cell_maker, products.mid_director
-    cells = []  # the cells built by each cell function made
+    coset_blocks, walks = products._coset_blocks, [0]
 
-    def counting_maker(*args):
-        cell_of = cell_maker(*args)
-        slot = len(cells)
-        cells.append(0)
+    def counted(*args):
+        walks[0] += 1
+        return coset_blocks(*args)
 
-        def counted(x):
-            cells[slot] += 1
-            return cell_of(x)
-        return counted
+    monkeypatch.setattr(products, "_coset_blocks", counted)
+    monkeypatch.setattr(algorithms, "_coset_blocks", counted)
+    pair = ["--group", "symmetric:4", "-H", "(),(1 2)", "-K", "(),(3 4)"]
+    for argv, want in [
+        (["rta", *pair[:4]], 1),
+        (["mta", *pair], 1),
+        (["msfa", *pair], 1),
+        (["msfa", *pair, "--extend"], 2),
+        (["mid", *pair, "--method", "both"], 1),
+        (["mid", *pair, "--method", "definition"], 1),
+        (["mid", *pair, "--method", "conjugacy"], 0),
+    ]:
+        walks[0] = 0
+        assert main(argv) == 0, argv
+        assert walks[0] == want, argv
+    capsys.readouterr()
+    half = ",".join(["1"] + [f"a^{i}" for i in range(2, 64, 2)])
+    for group, h, k, covers in [
+        ("dihedral:64", half, "1,b", True),
+        ("symmetric:4", "(),(1 2)", "(),(3 4)", False),
+    ]:
+        code, data = run_json(capsys, ["msfa", "--group", group, "-H", h, "-K", k])
+        result = data["result"]
+        assert code == 0 and result["direct"] and result["maximal"], group
+        assert result["covers_group"] == covers, group
 
-    built = []  # the cells built during each mid_director call
 
-    def counting_mid(*args, **kwargs):
-        first = len(cells)
-        try:
-            return mid_director(*args, **kwargs)
-        finally:
-            built.append(sum(cells[first:]))
+def test_msfa_judges_maximality_apart_from_the_partition_walk(capsys, monkeypatch):
+    # a walk that loses its lowest Mid block seeds a consistent run that its
+    # own validate() accepts; the conjugate test still finds all of Mid
+    from groupkit import algorithms, products
 
-    monkeypatch.setattr(products, "_cell_maker", counting_maker)
-    monkeypatch.setattr(products, "mid_director", counting_mid)
-    code, data = run_json(capsys, ["msfa", "--group", group, "-H", h, "-K", k])
-    result = data["result"]
-    assert code == 0 and result["direct"] and result["maximal"]
-    g = _load_group(group)
-    hxk = set(groupkit.set_product(groupkit.set_product(
-        parse_subset(g, h), parse_subset(g, ",".join(result["x"]))), parse_subset(g, k)))
-    blocks = oracle.double_coset_partition(parse_subset(g, h), parse_subset(g, k)).blocks
-    outside = sum(hxk.isdisjoint(block) for block in blocks)
-    assert g.order == order and built == [outside]
-    assert outside == {"dihedral:64": 0, "symmetric:4": 2}[group]
-    assert (outside == 0) == result["covers_group"]
+    coset_blocks = products._coset_blocks
+
+    def dropping(*args):
+        blocks, mid = coset_blocks(*args)
+        if mid:
+            mid &= ~blocks[(mid & -mid).bit_length() - 1]
+        return blocks, mid
+
+    monkeypatch.setattr(products, "_coset_blocks", dropping)
+    monkeypatch.setattr(algorithms, "_coset_blocks", dropping)
+    argv = ["msfa", "--group", D12, "-H", "1,b", "-K", "1,ba", "--extend"]
+    assert main(argv) == 4
+    assert "maximal: NO" in capsys.readouterr().out
+    code, data = run_json(capsys, argv)
+    assert code == 4 and data["result"]["mid_size"] == 12 and not data["result"]["maximal"]
 
 
 def test_the_parser_is_built_once_and_reused(capsys):

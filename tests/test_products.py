@@ -112,23 +112,20 @@ def _random_subset(g, rng, max_size):
 
 @pytest.mark.parametrize("spec", KERNEL_GROUPS.values(), ids=KERNEL_GROUPS)
 def test_mid_director_matches_definition(spec):
-    # Seeded arbitrary subsets, from empty to |A||B| above the order, each
-    # pair also read over a random subset of the x
+    # Seeded arbitrary subsets, from empty to |A||B| above the order
     g = build_group(spec)
     rng = random.Random(20)
     kinds = set()
     for _ in range(40):
         a, b = _random_subset(g, rng, 6), _random_subset(g, rng, 6)
-        among = _random_subset(g, rng, g.order)
         want = {x for x in range(g.order)
                 if len(set(_naive_cell(g, a, x, b))) == len(a) * len(b)}
         assert set(mid_director(a, b)) == want, (a, b)
-        assert set(mid_director(a, b, among=among)) == want & set(among), (a, b, among)
         kinds.add("empty" if not want else "full" if len(want) == g.order else "proper")
     assert kinds == {"empty", "proper", "full"}
     other = build_group({"kind": "cyclic", "n": g.order})
     with pytest.raises(GroupMismatch):
-        mid_director(a, b, among=other.full_set())
+        mid_director(a, other.full_set())
 
 
 @pytest.mark.parametrize("spec", KERNEL_GROUPS.values(), ids=KERNEL_GROUPS)
@@ -178,9 +175,8 @@ def test_kernels_with_a_one_element_side(d12):
 
 
 def test_coset_blocks_within_a_mask_against_the_oracle(d12, monkeypatch):
-    # Walked over a mask within, each element keeps its double coset when that
-    # meets within and 0 otherwise, Mid is cut to those blocks, and one cell
-    # is built per block that meets within
+    # Walked over G, each element gets its double coset, Mid is the union of
+    # the blocks of |H||K| elements, and one cell is built per block
     cell_maker = products._cell_maker
     built = [0]
 
@@ -193,23 +189,18 @@ def test_coset_blocks_within_a_mask_against_the_oracle(d12, monkeypatch):
         return counted
 
     monkeypatch.setattr(products, "_cell_maker", counting_maker)
-    rng = random.Random(42)
     kinds = set()
     for g in suites.small_fleet() + [d12]:
-        withins = [0, g.full_mask] + [rng.getrandbits(g.order) for _ in range(3)]
         for h, k in suites.subgroup_pairs(g):
             partition = [b.mask for b in oracle.double_coset_partition(h, k).blocks]
-            mid = oracle._raw_mid_mask(g, h.mask, k.mask)
-            for within in withins:
-                met = [b for b in partition if b & within]
-                want = [next((b for b in met if b >> x & 1), 0) for x in range(g.order)]
-                built[0] = 0
-                blocks, got_mid = products._coset_blocks(h, k, within)
-                assert blocks == want, (h, k, within)
-                assert got_mid == mid & sum(met), (h, k, within)
-                assert built[0] == len(met), (h, k, within)
-                kinds.add((len(met) == len(partition), got_mid != 0))
-    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+            want = [next(b for b in partition if b >> x & 1) for x in range(g.order)]
+            built[0] = 0
+            blocks, mid = products._coset_blocks(h, k)
+            assert blocks == want, (h, k)
+            assert mid == oracle._raw_mid_mask(g, h.mask, k.mask), (h, k)
+            assert built[0] == len(partition), (h, k)
+            kinds.add(mid != 0)
+    assert kinds == {False, True}
 
 
 def test_mid_director_of_an_empty_side_is_everything(d12):
@@ -249,19 +240,17 @@ def test_mid_director_on_a_subgroup_and_a_subset(spec):
             s = _random_subset(g, rng, 8)
             while s.is_subgroup():
                 s = _random_subset(g, rng, 8)
-            among = _random_subset(g, rng, g.order)
             for a, b in ((h, s), (s, h)):
                 want = oracle._raw_mid_mask(g, a.mask, b.mask)
                 assert mid_director(a, b).mask == want, (a, b)
-                assert mid_director(a, b, among=among).mask == want & among.mask, (a, b, among)
                 kinds.add("empty" if not want else "full" if want == g.full_mask else "proper")
     assert kinds == {"empty", "proper", "full"}
 
 
 @pytest.mark.parametrize("spec", KERNEL_GROUPS.values(), ids=KERNEL_GROUPS)
 def test_mid_director_builds_one_cell_per_block_for_subgroups(spec, monkeypatch):
-    # Counted cells, not time: one per double coset that meets among for
-    # subgroups, one per x in among otherwise, none when |A||B| > n
+    # Counted cells, not time: one per double coset for subgroups, one per x
+    # otherwise, none when |A||B| > n
     g = build_group(spec)
     cell_maker = products._cell_maker
     built = [0]
@@ -274,30 +263,25 @@ def test_mid_director_builds_one_cell_per_block_for_subgroups(spec, monkeypatch)
             return cell_of(x)
         return counted
 
-    def cells(a, b, among=None):
+    def cells(a, b):
         built[0] = 0
-        mid_director(a, b, among=among)
+        mid_director(a, b)
         return built[0]
 
     monkeypatch.setattr(products, "_cell_maker", counting_maker)
     rng = random.Random(23)
     for h, k in suites.subgroup_pairs(g):
-        among = _random_subset(g, rng, g.order)
         if len(h) * len(k) > g.order:
-            assert cells(h, k) == cells(h, k, among) == 0
+            assert cells(h, k) == 0
             continue
-        blocks = oracle.double_coset_partition(h, k).blocks
-        assert cells(h, k) == len(blocks), (h, k)
-        assert cells(h, k, among) == sum(block.mask & among.mask != 0 for block in blocks)
+        assert cells(h, k) == len(oracle.double_coset_partition(h, k).blocks), (h, k)
     shortcuts = set()
     for _ in range(20):
         a, b = _random_subset(g, rng, 6), _random_subset(g, rng, 6)
         if a.is_subgroup() and b.is_subgroup():
             continue
-        among = _random_subset(g, rng, g.order)
         shortcut = len(a) * len(b) > g.order
-        expected = (0, 0) if shortcut else (g.order, len(among))
-        assert (cells(a, b), cells(a, b, among)) == expected, (a, b)
+        assert cells(a, b) == (0 if shortcut else g.order), (a, b)
         shortcuts.add(shortcut)
     assert shortcuts == {False, True}
 
