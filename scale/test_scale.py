@@ -8,8 +8,15 @@ from pathlib import Path
 import pytest
 import suites
 
-from groupkit import build_group
+from groupkit import build_group, msfa, mta
 from groupkit.cli import main
+from groupkit.products import (
+    direct_middle_verdict,
+    is_middle_transversal,
+    mid_director,
+    mid_director_subgroups,
+)
+from groupkit.words import parse_subset
 
 ROOT = Path(__file__).resolve().parent.parent
 C64_D32 = {"kind": "direct_product", "factors": [{"kind": "cyclic", "n": 64}, {"kind": "dihedral", "n": 32}]}
@@ -31,6 +38,20 @@ D36 = ["--via", "both", "--group", "dihedral:18", "-H", "1,b", "-K", "1,ba", "--
 ], ids=lambda v: {HALF: "<a^2>", ROTATIONS: "<a>"}.get(v, v))
 def test_query_at_the_order_cap(cmd, h, k):
     assert main([*cmd.split(), "--group", "dihedral:2048", "-H", h, "-K", k]) == 0
+
+
+def test_inversion_swaps_the_sides_at_the_order_cap():
+    # tier-1 samples groups of order 24 or less: at the cap, with H = <a^2>
+    # and K = <b>, X -> X^-1 takes a middle transversal of (H, K) to one of
+    # (K, H) and a maximal direct middle of (K, H) to one of (H, K), and
+    # Mid(H, K)^-1 = Mid(K, H) by either rule
+    g = build_group({"kind": "dihedral", "n": 2048})
+    h, k = parse_subset(g, HALF), parse_subset(g, "1,b")
+    assert is_middle_transversal(k, suites.inverted(mta(h, k).output), h)
+    verdict = direct_middle_verdict(h, suites.inverted(msfa(k, h).output), k)
+    assert verdict["direct"] and verdict["maximal"]
+    for mid in (mid_director, mid_director_subgroups):
+        assert suites.inverted(mid(h, k)) == mid(k, h)
 
 
 # one of each kind at the cap, where a block of Light's test holds 64 rows, and

@@ -78,7 +78,8 @@ class ChoicePolicy:
     __slots__ = ("mode", "seed", "script")
 
     def __init__(
-        self, mode: str = "smallest", seed: int | None = None, script: tuple[int, ...] | None = None
+        self, mode: str = "smallest", seed: int | None = None,
+        script: list[int] | tuple[int, ...] | None = None,
     ) -> None:
         if mode not in ("smallest", "random", "script"):
             raise InvalidSpec(
@@ -86,7 +87,10 @@ class ChoicePolicy:
             )
         if mode == "random" and not _is_int(seed):
             raise InvalidSpec(f"choice policy random needs an integer seed, got {quote(seed)}")
-        self.mode, self.seed, self.script = mode, seed, script
+        if script is not None and not isinstance(script, (list, tuple)):
+            raise InvalidSpec(f"choice policy script needs a list of picks, got {quote(script)}")
+        self.mode, self.seed = mode, seed
+        self.script = None if script is None else tuple(script)
 
     @classmethod
     def smallest(cls) -> "ChoicePolicy":
@@ -97,8 +101,8 @@ class ChoicePolicy:
         return cls("random", seed=seed)
 
     @classmethod
-    def scripted(cls, picks) -> "ChoicePolicy":
-        return cls("script", script=tuple(picks))
+    def scripted(cls, picks: list[int] | tuple[int, ...]) -> "ChoicePolicy":
+        return cls("script", script=picks)
 
     def describe(self) -> str:
         if self.mode == "random":

@@ -334,8 +334,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
 
 def _cmd_verify(args: argparse.Namespace) -> RunReport:
     from . import verify
+    names = None  # no --example: every example
+    if args.example is not None:
+        names = [n for n in map(str.strip, args.example.split(",")) if n]
     # the report's header names the group of the first example
-    group, result = verify.run([n for n in map(str.strip, (args.example or "").split(",")) if n])
+    group, result = verify.run(names)
     examples = [section["example"] for section in result["sections"]]
     exit_code = 4 if result["counts"]["fail"] else 0
     return RunReport("verify-paper", group, {"examples": examples}, result, exit_code=exit_code)

@@ -1,8 +1,11 @@
 """Brute-force ground truth for the chain searches.
 
 Everything here recomputes coset structure straight off the multiplication
-table and enumerates by cartesian product over partition blocks, so the
+table and enumerates by cartesian product over the double cosets, so the
 results are independent of the incremental searches they are used to check.
+The double cosets are plain int masks, by least member, from one walk that
+strikes each block off what is left; only double_coset_partition wraps them,
+as a tuple of ElementSets.
 H and K are checked here too, by their own |H|^2 products, not by the
 subgroup test the searches share; the subgroups the tests feed in come from
 a naive closure in tests/suites.py.
@@ -19,45 +22,15 @@ import itertools
 from operator import itemgetter
 
 from . import config
-from .errors import (
-    EnumerationLimitExceeded,
-    GroupMismatch,
-    InvalidSpec,
-    MidEmpty,
-    NotASubgroup,
-)
+from .errors import EnumerationLimitExceeded, GroupMismatch, MidEmpty, NotASubgroup
 from .groups import ElementSet, Group, bit_indices
 
 __all__ = [
-    "Partition",
     "double_coset_partition",
     "all_right_transversals",
     "all_middle_transversals",
     "all_maximal_direct_triples",
 ]
-
-
-class Partition:
-    """Disjoint blocks covering a whole group, ordered by least element."""
-
-    __slots__ = ("group", "blocks")
-
-    def __init__(self, group: Group, blocks: tuple[ElementSet, ...]) -> None:
-        union = 0
-        for block in blocks:
-            if block.group is not group:
-                raise GroupMismatch("partition block belongs to a different group")
-            if block.mask == 0:
-                raise InvalidSpec("partition blocks must be nonempty")
-            if block.mask & union:
-                raise InvalidSpec("partition blocks overlap")
-            union |= block.mask
-        if union != group.full_mask:
-            raise InvalidSpec("partition blocks fail to cover the group")
-        self.group, self.blocks = group, blocks
-
-    def sizes(self) -> list[int]:
-        return [len(b) for b in self.blocks]
 
 
 def _require_subgroup(s: ElementSet, label: str) -> None:
@@ -83,14 +56,17 @@ def _require_subgroup_pair(h: ElementSet, k: ElementSet) -> Group:
     return g
 
 
-def double_coset_partition(h: ElementSet, k: ElementSet) -> Partition:
-    """All double cosets H*g*K, ordered by least member.  The right cosets
-    H*g are the double cosets of (H, {1})."""
-    return _double_cosets(_require_subgroup_pair(h, k), h, k)
+def double_coset_partition(h: ElementSet, k: ElementSet) -> tuple[ElementSet, ...]:
+    """All double cosets H*g*K, as a tuple of ElementSets ordered by least
+    member.  The right cosets H*g are the double cosets of (H, {1})."""
+    g = _require_subgroup_pair(h, k)
+    return tuple(map(g.subset_from_mask, _double_cosets(g, h, k)))
 
 
-def _double_cosets(g: Group, h: ElementSet, k: ElementSet) -> Partition:
-    """double_coset_partition for a pair the caller has checked."""
+def _double_cosets(g: Group, h: ElementSet, k: ElementSet) -> list[int]:
+    """The mask of each double coset H*x*K, by least member, for a pair the
+    caller has checked: x is the least element left, and its block is
+    struck off what is left until nothing is."""
     t = g.table
     hbits = list(bit_indices(h.mask))
     kbits = list(bit_indices(k.mask))
@@ -100,13 +76,12 @@ def _double_cosets(g: Group, h: ElementSet, k: ElementSet) -> Partition:
         x = (remaining & -remaining).bit_length() - 1
         cm = 0
         for a in hbits:
-            ax = t[a][x]
-            row = t[ax]
+            row = t[t[a][x]]
             for b in kbits:
                 cm |= 1 << row[b]
-        blocks.append(g.subset_from_mask(cm))
+        blocks.append(cm)
         remaining &= ~cm
-    return Partition(g, tuple(blocks))
+    return blocks
 
 
 def _one_per_cell(cells: list[tuple[int, ...]], limit: int | None) -> list[int]:
@@ -147,9 +122,9 @@ def all_middle_transversals(
     With as_masks, the list of their int masks, in the order of the product
     over the double cosets by least element, each ascending, the first
     slowest."""
-    partition = double_coset_partition(h, k)
-    masks = _one_per_cell([b.indices() for b in partition.blocks], limit)
-    return masks if as_masks else set(map(partition.group.subset_from_mask, masks))
+    g = _require_subgroup_pair(h, k)
+    masks = _one_per_cell([tuple(bit_indices(b)) for b in _double_cosets(g, h, k)], limit)
+    return masks if as_masks else set(map(g.subset_from_mask, masks))
 
 
 def _raw_mid_mask(g: Group, hmask: int, kmask: int) -> int:
@@ -182,11 +157,11 @@ def all_maximal_direct_triples(
     mid = _raw_mid_mask(g, h.mask, k.mask)
     if mid == 0:
         raise MidEmpty("the middle director is empty; no direct middle exists")
-    blocks = _double_cosets(g, h, k).blocks
+    blocks = _double_cosets(g, h, k)
     # cells by their own least element, as the search orders them; Mid is a
     # union of blocks, so that is the blocks' order, but the oracle does not
     # lean on that
-    cells = sorted(tuple(bit_indices(b.mask & mid)) for b in blocks if b.mask & mid)
+    cells = sorted(tuple(bit_indices(b & mid)) for b in blocks if b & mid)
     masks = _one_per_cell(cells, limit)
     return masks if as_masks else set(map(g.subset_from_mask, masks))
 

@@ -145,7 +145,7 @@ def _example_2_5(g: Group) -> dict:
     _check(checks, "direct-middle search reports inapplicability", refused)
 
     count = len(oracle.all_middle_transversals(h, k))
-    sizes = oracle.double_coset_partition(h, k).sizes()
+    sizes = [len(b) for b in oracle.double_coset_partition(h, k)]
     expected = math.prod(sizes)
     _check(
         checks,
@@ -258,12 +258,14 @@ EXAMPLES = {
 
 
 def run(examples: tuple[str, ...] | list[str] | None = None) -> tuple[Group, dict]:
-    """Replay the chosen examples (all three by default), each once: a
-    repeated name collapses, in first-seen order, with a warning.
+    """Replay the chosen examples (all three for None), each once: a repeated
+    name collapses, in first-seen order, with a warning; none is refused.
 
     Returns the group of the first example, for a report header, and
     {"sections": [...], "counts": {"pass": p, "warn": w, "fail": f}}.
     """
+    if examples is not None and not examples:
+        raise InvalidSpec(f"no example chosen; choose from {', '.join(EXAMPLES)}")
     names: dict[str, None] = {}  # insertion-ordered, so first-seen order
     for name in examples or EXAMPLES:
         if name not in EXAMPLES:

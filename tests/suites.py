@@ -320,6 +320,11 @@ def conjugate(s: ElementSet, x: int) -> ElementSet:
     return g.subset(t[t[x][a]][xi] for a in s)
 
 
+def inverted(s: ElementSet) -> ElementSet:
+    """The set of the inverses of the members of s."""
+    return s.group.subset(s.group.inverse[a] for a in s)
+
+
 _SUBGROUPS: dict[int, list[ElementSet]] = {}
 
 
@@ -498,7 +503,7 @@ def suite_right_transversal_forms(groups: list[Group], seed: int = 3) -> list[st
     bad = []
     for g in groups:
         for h in subgroups_of(g):
-            blocks = oracle.double_coset_partition(h, g.trivial_subgroup()).blocks
+            blocks = oracle.double_coset_partition(h, g.trivial_subgroup())
             known = oracle.all_right_transversals(h, limit=10 ** 4)
             for t in _transversal_candidates(g, blocks, rng, known):
                 a = _one_per_block(blocks, t)
@@ -528,7 +533,7 @@ def suite_middle_transversal_forms(groups: list[Group], seed: int = 4) -> list[s
         if len(pairs) > 40:
             pairs = rng.sample(pairs, 40)
         for h, k in pairs:
-            blocks = oracle.double_coset_partition(h, k).blocks
+            blocks = oracle.double_coset_partition(h, k)
             known = oracle.all_middle_transversals(h, k, limit=10 ** 4)
             for x in _transversal_candidates(g, blocks, rng, known):
                 a = _one_per_block(blocks, x)
@@ -707,7 +712,7 @@ def suite_block_partition(groups: list[Group]) -> list[str]:
                     bad.append(f"{g.description}: an element outside its block, H={h!r} K={kk!r}")
                 # distinct blocks in order of first appearance, i.e. of least member
                 got = [g.subset_from_mask(m) for m in dict.fromkeys(blocks)]
-                if got != list(partition.blocks):
+                if got != list(partition):
                     bad.append(f"{g.description}: blocks differ from the oracle, H={h!r} K={kk!r}")
     return bad
 
@@ -807,7 +812,7 @@ def _chain_follows_oracle(trace) -> bool:
     oracle blocks of its inherited picks: a check of the chain that shares
     nothing with the search's own blocks or validate()."""
     partition = oracle.double_coset_partition(trace.h, trace.k)
-    block = {x: b.mask for b in partition.blocks for x in b}
+    block = {x: b.mask for b in partition for x in b}
     start = trace.extension_start
     picks = trace.chosen
     if start is not None:
@@ -900,7 +905,7 @@ def pick_order_problems(cap: int) -> tuple[list[str], dict]:
             except MidEmpty:
                 continue
             seed = reduce(or_, answers)
-            block = {x: b.mask for b in oracle.double_coset_partition(h, k).blocks for x in b}
+            block = {x: b.mask for b in oracle.double_coset_partition(h, k) for x in b}
             cells = {block[x] & seed for x in bit_indices(seed)}
             orders = factorial(len(cells)) * prod(c.bit_count() for c in cells)
             if orders > cap:

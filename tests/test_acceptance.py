@@ -79,7 +79,7 @@ def test_criterion_2_dihedral_worked_run(d12):
         ok = ok and products.is_middle_transversal(h, parse_subset(d12, text), k)
     got = enumerate_all_middle_transversals(h, k)
     want = oracle.all_middle_transversals(h, k)
-    blocks = oracle.double_coset_partition(h, k).blocks
+    blocks = oracle.double_coset_partition(h, k)
     implied = 1
     for b in blocks:
         implied *= len(b)

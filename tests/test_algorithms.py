@@ -369,7 +369,7 @@ def test_extension_validate_rejects_a_cut_short_msfa_part():
     ext.validate()
     # claim that msfa stopped after its first pick: the continuation chain
     # starts from G minus that pick's block and takes every later pick
-    block = {x: b.mask for b in oracle.double_coset_partition(h, k).blocks for x in b}
+    block = {x: b.mask for b in oracle.double_coset_partition(h, k) for x in b}
     c = s4.full_mask & ~block[ext.chosen[0]]
     ext.chain = [c]
     for pick in ext.chosen[1:]:
@@ -461,10 +461,10 @@ def test_enumeration_is_the_product_of_the_cells():
         subs = suites.subgroups_of(g)
         trivial = g.trivial_subgroup()
         runs = [(enumerate_all_right_transversals, (h,),
-                 oracle.double_coset_partition(h, trivial).blocks) for h in subs]
+                 oracle.double_coset_partition(h, trivial)) for h in subs]
         for h in subs:
             for k in subs:
-                blocks = oracle.double_coset_partition(h, k).blocks
+                blocks = oracle.double_coset_partition(h, k)
                 runs.append((enumerate_all_middle_transversals, (h, k), blocks))
                 mid = products.mid_director(h, k)
                 if mid:
@@ -513,16 +513,16 @@ def test_enumeration_cap_is_exact(z12, d12, what):
     if what == "right-transversals":
         args = (z12.subset([0, 3, 6, 9]),)
         search, brute = enumerate_all_right_transversals, oracle.all_right_transversals
-        cells = oracle.double_coset_partition(*args, z12.trivial_subgroup()).blocks
+        cells = oracle.double_coset_partition(*args, z12.trivial_subgroup())
     elif what == "middle-transversals":
         args = (parse_subset(d12, "1,a^3,ba^3,b"), parse_subset(d12, "1,a^3,ba,ba^4"))
         search, brute = enumerate_all_middle_transversals, oracle.all_middle_transversals
-        cells = oracle.double_coset_partition(*args).blocks
+        cells = oracle.double_coset_partition(*args)
     else:
         args = (parse_subset(d12, "1,ab"), parse_subset(d12, "1,a^3,b,ba^3"))
         search, brute = enumerate_all_middle_subfactors, oracle.all_maximal_direct_triples
         mid = products.mid_director(*args)
-        cells = [b for b in oracle.double_coset_partition(*args).blocks if b <= mid]
+        cells = [b for b in oracle.double_coset_partition(*args) if b <= mid]
     want = brute(*args)
     count = len(want)
     bit_cells = [[1 << i for i in cell.indices()] for cell in sorted(cells, key=min)]
@@ -613,6 +613,24 @@ def test_random_policy_needs_an_int_seed(seed):
     with pytest.raises(InvalidSpec,
                        match=f"^choice policy random needs an integer seed, got {re.escape(repr(seed))}$"):
         ChoicePolicy("random", seed=seed)
+
+
+@pytest.mark.parametrize("script", [5, {1: 2}, "12", range(2), frozenset({1})])
+def test_script_policy_needs_a_list_of_picks(script):
+    # describe() and the picker read the script in order, so it must be a
+    # list or a tuple: not an int, nor a dict read key by key
+    match = f"^choice policy script needs a list of picks, got {re.escape(repr(script))}$"
+    with pytest.raises(InvalidSpec, match=match):
+        ChoicePolicy("script", script=script)
+    with pytest.raises(InvalidSpec, match=match):
+        ChoicePolicy.scripted(script)
+
+
+def test_script_policy_takes_a_list_or_a_tuple():
+    for picks in ([3, 1], (3, 1)):
+        assert ChoicePolicy("script", script=picks).describe() == "script:3,1"
+        assert ChoicePolicy.scripted(picks).describe() == "script:3,1"
+    assert ChoicePolicy("script").describe() == "script:"
 
 
 def test_the_chain_search_reaches_every_answer():

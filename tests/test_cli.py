@@ -257,6 +257,25 @@ def test_verify_run_collapses_a_repeated_example():
     assert [str(w.message) for w in caught] == ["duplicate example '1.3' collapsed"]
 
 
+@pytest.mark.parametrize("example", ["", ",", " , "])
+def test_verify_paper_refuses_an_empty_example_list(capsys, example):
+    # only a missing --example means every example
+    assert main(["verify-paper", "--example", example]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no example chosen; choose from 1.3, 2.5, 2.14\n"
+
+
+def test_verify_run_refuses_an_empty_choice():
+    # None replays every example; an empty list or tuple chooses none
+    from groupkit import InvalidSpec, verify
+
+    for examples in ([], ()):
+        with pytest.raises(InvalidSpec, match=r"^no example chosen; choose from 1\.3, 2\.5, 2\.14$"):
+            verify.run(examples)
+    assert [s["example"] for s in verify.run(None)[1]["sections"]] == ["1.3", "2.5", "2.14"]
+
+
 def test_verify_paper_text(capsys):
     code = main(["verify-paper", "--example", "2.5"])
     out = capsys.readouterr().out

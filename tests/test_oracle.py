@@ -2,9 +2,8 @@ import inspect
 
 import pytest
 
-from groupkit import GroupMismatch, InvalidSpec, MidEmpty, NotASubgroup, build_group
+from groupkit import GroupMismatch, MidEmpty, NotASubgroup, build_group
 from groupkit import algorithms, oracle, products
-from groupkit.oracle import Partition
 from groupkit.words import parse_subset
 import suites
 
@@ -12,35 +11,26 @@ import suites
 def test_right_coset_partition(z12):
     h = z12.subset([0, 4, 8])
     part = oracle.double_coset_partition(h, z12.trivial_subgroup())
-    assert len(part.blocks) == 4
-    assert all(len(b) == 3 for b in part.blocks)
-    assert part.blocks[0] == h
+    assert len(part) == 4
+    assert all(len(b) == 3 for b in part)
+    assert part[0] == h
 
 
 def test_double_coset_partition(d12, empty_mid_pair):
     h, k = empty_mid_pair
     part = oracle.double_coset_partition(h, k)
-    assert [len(b) for b in part.blocks] == [8, 4]
-    assert part.blocks[0] == products.set_product(h, k)
+    assert [len(b) for b in part] == [8, 4]
+    assert part[0] == products.set_product(h, k)
 
 
 def test_double_coset_sizes_vary(d12, proper_mid_pair):
     h, k = proper_mid_pair
     part = oracle.double_coset_partition(h, k)
-    assert sum(len(b) for b in part.blocks) == 12
-    assert len(part.blocks) == 2
+    assert sum(len(b) for b in part) == 12
+    assert len(part) == 2
 
 
-def test_partition_validation(d12, z12):
-    full = d12.full_set()
-    with pytest.raises(InvalidSpec, match="^partition blocks overlap$"):
-        Partition(group=d12, blocks=(d12.subset([0, 1]), d12.subset([1, 2])))
-    with pytest.raises(InvalidSpec, match="^partition blocks fail to cover the group$"):
-        Partition(group=d12, blocks=(d12.subset([0]),))
-    with pytest.raises(InvalidSpec, match="^partition blocks must be nonempty$"):
-        Partition(group=d12, blocks=(d12.empty_set(), full))
-    with pytest.raises(GroupMismatch):
-        Partition(group=d12, blocks=(z12.full_set(),))
+def test_oracle_refuses_subgroups_of_different_groups(d12, z12):
     with pytest.raises(GroupMismatch, match="^H and K belong to different groups$"):
         oracle.all_middle_transversals(z12.trivial_subgroup(), d12.trivial_subgroup())
 
@@ -66,7 +56,7 @@ def test_all_middle_transversals_product_of_block_sizes(d12, proper_mid_pair):
     part = oracle.double_coset_partition(h, k)
     got = oracle.all_middle_transversals(h, k)
     want = 1
-    for b in part.blocks:
+    for b in part:
         want *= len(b)
     assert len(got) == want == 32
 

@@ -4,9 +4,18 @@ The full-fleet runs live in the acceptance tests; these keep the suites
 honest during everyday development.
 """
 
+import random
+
 import pytest
 
-from groupkit import build_group
+from groupkit import (
+    MidEmpty,
+    build_group,
+    enumerate_all_middle_subfactors,
+    enumerate_all_middle_transversals,
+)
+from groupkit.groups import bit_indices
+from groupkit.products import mid_director, mid_director_subgroups
 import suites
 
 
@@ -69,3 +78,49 @@ def test_trace_invariants_small(small):
     bad, runs = suites.run_trace_invariants(small, n_runs=120, seed=11)
     assert bad == []
     assert runs == 120
+
+
+def _mapped(perm: list[int], masks: list[int]) -> list[int]:
+    """Each mask with its members sent through perm, in order."""
+    return [sum(1 << perm[x] for x in bit_indices(m)) for m in masks]
+
+
+def _answers(enumerate_all, h, k):
+    try:
+        return sorted(enumerate_all(h, k, as_masks=True))
+    except MidEmpty:
+        return None
+
+
+def test_definitions_are_symmetric():
+    # (h*x*k)^-1 = k^-1 * x^-1 * h^-1, so inversion swaps the sides: Mid(K, H)
+    # is Mid(H, K)^-1, and X -> X^-1 maps the middle transversals and the
+    # maximal direct middles of (H, K) onto those of (K, H), MidEmpty with
+    # them.  Conjugation by x maps the double cosets of (H, K) onto those of
+    # (xHx^-1, xKx^-1), and so their middle transversals.  Search side only:
+    # nothing here is checked against the oracle
+    c2 = {"kind": "cyclic", "n": 2}
+    specs = [{"kind": "dihedral", "n": 8}, {"kind": "symmetric", "n": 4},
+             {"kind": "direct_product", "factors": [c2, {"kind": "dihedral", "n": 4}]}]
+    rng = random.Random(20261022)
+    bad = []
+    for spec in specs:
+        g = build_group(spec)
+        t, inverse = g.table, g.inverse
+        for h, k in rng.sample(suites.subgroup_pairs(g), 60):
+            for mid in (mid_director, mid_director_subgroups):
+                if mid(k, h) != suites.inverted(mid(h, k)):
+                    bad.append((spec, h, k, mid.__name__))
+            for enumerate_all in (enumerate_all_middle_transversals,
+                                  enumerate_all_middle_subfactors):
+                hk, kh = _answers(enumerate_all, h, k), _answers(enumerate_all, k, h)
+                if (hk is None) != (kh is None) or (hk and sorted(_mapped(inverse, hk)) != kh):
+                    bad.append((spec, h, k, enumerate_all.__name__))
+            x = rng.randrange(g.order)
+            conjugation = [t[t[x][a]][inverse[x]] for a in range(g.order)]
+            got = _answers(enumerate_all_middle_transversals, h, k)
+            want = _answers(enumerate_all_middle_transversals,
+                            suites.conjugate(h, x), suites.conjugate(k, x))
+            if sorted(_mapped(conjugation, got)) != want:
+                bad.append((spec, h, k, "conjugation", x))
+    assert bad == []
