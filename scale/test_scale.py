@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -105,11 +106,19 @@ def _enumerate(capsys, argv):
 
 
 # tier-1's relabeling cross-checks stop at 1,296 sets; the maximal direct
-# middles of D36 take H = <b>, K = <ba> with cells cut down to Mid
+# middles of D36 take H = <b>, K = <ba> with cells cut down to Mid.  Each side
+# is compared a row at a time, so the run's traced peak stays under 1 MiB
+# (C38's two whole lists of masks took 43 MiB)
 @pytest.mark.parametrize("argv, count", [(C38, 524288), (D36, 262144)], ids=["C38", "D36"])
 def test_cross_check_at_scale(capsys, argv, count):
-    code, r = _enumerate(capsys, argv)
+    tracemalloc.start()
+    try:
+        code, r = _enumerate(capsys, argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert (code, r["count_algorithm"], r["count_oracle"], r["match"]) == (0, count, count, True)
+    assert peak < 1 << 20
 
 
 def test_a_dropped_answer_at_scale_exits_4(capsys, monkeypatch):

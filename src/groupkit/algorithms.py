@@ -23,16 +23,19 @@ same chain from the uncovered remainder and grows X to a middle transversal
 (at the price of directness).  AlgoTrace.validate() reruns the search with
 the recorded picks as its script, compares the runs and returns the blocks
 the rerun built; the extension validates the msfa trace it is given and
-continues over those blocks.  The exhaustive enumerations build every output
-at once: a pick removes its whole block, so the outputs are the sets taking
-one element from each block inside the seed, the Cartesian product of those
-cells, built as int masks by _enumerate.  The enumerate_all_* functions
-return them as a set of ElementSets, or with as_masks=True as the list of
-masks in _enumerate's order, the order in which the oracle's all_* functions
-list theirs.
+continues over those blocks.  The exhaustive enumerations need no search: a
+pick removes its whole block, so the outputs are the sets taking one element
+from each block inside the seed, the Cartesian product of those cells, built
+as int masks by _enumerate.  The enumerate_all_* functions return them as a
+set of ElementSets, or with as_masks=True as an iterator of rows: lists of
+about ROW masks, multiplied out as they are read, whose concatenation lists
+the masks in _enumerate's order, the order in which the oracle's all_*
+functions list theirs.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from . import config
 from .errors import (
@@ -357,9 +360,15 @@ def _extend(trace: AlgoTrace, blocks: list[int], chooser: _Chooser) -> AlgoTrace
 # -- exhaustive enumeration ---------------------------------------------------
 
 
-def _enumerate(seed_mask: int, blocks: list[int], limit: int | None) -> list[int]:
+# masks per row of an enumeration's output: rows near this size keep the
+# per-row cost small beside the ORs; a row holds at most max(ROW, the right
+# half's product) masks, as it takes whole right halves
+ROW = 4096
+
+
+def _enumerate(seed_mask: int, blocks: list[int], limit: int | None) -> Iterator[list[int]]:
     """The mask of every output of the chain search started on seed_mask,
-    each once.
+    each once, as rows of masks.
 
     A pick removes its whole block, so the outputs are exactly the sets
     that take one element from each cell (a block cut down to the seed):
@@ -369,9 +378,12 @@ def _enumerate(seed_mask: int, blocks: list[int], limit: int | None) -> list[int
     split into two halves: the first half multiplies out from the base and
     the second from 0, each cell multiplying the half's list of partial
     masks by its elements, and the answers are every left mask ORed with
-    every right one.  That is the list a one-cell-at-a-time product gives,
-    in its order, with one OR per answer instead of one per answer and
-    cell.  Every mask lies inside the seed, so no range check is needed.
+    every right one, left slowest.  That is the list a one-cell-at-a-time
+    product gives, in its order, with one OR per answer instead of one per
+    answer and cell.  The halves are built here; the answers are built a
+    row at a time as the returned iterator is read, each row every right
+    mask ORed onto a run of max(1, ROW // len(right)) left masks.  Every
+    mask lies inside the seed, so no range check is needed.
     """
     cap = config.enum_cap(limit)
     base = 0
@@ -391,9 +403,7 @@ def _enumerate(seed_mask: int, blocks: list[int], limit: int | None) -> list[int
             f"{total} results exceed the cap of {cap}; raise the limit to continue"
         )
     half = len(cells) // 2
-    left = _products(base, cells[:half])
-    right = _products(0, cells[half:])
-    return [m | b for m in left for b in right]
+    return _rows(_products(base, cells[:half]), _products(0, cells[half:]))
 
 
 def _products(base: int, cells: list[int]) -> list[int]:
@@ -406,11 +416,18 @@ def _products(base: int, cells: list[int]) -> list[int]:
     return out
 
 
+def _rows(left: list[int], right: list[int]) -> Iterator[list[int]]:
+    """Every left mask ORed with every right one, left slowest, in rows."""
+    step = max(1, ROW // len(right))
+    for i in range(0, len(left), step):
+        yield [m | b for m in left[i:i + step] for b in right]
+
+
 def enumerate_all_right_transversals(
     h: ElementSet, *, limit: int | None = None, as_masks: bool = False
-) -> set[ElementSet] | list[int]:
+) -> set[ElementSet] | Iterator[list[int]]:
     """Every right transversal of H: the middle transversals of (H, {1}).
-    With as_masks, the list of their int masks, in the order
+    With as_masks, the rows of their int masks, in the order
     enumerate_all_middle_transversals gives."""
     return enumerate_all_middle_transversals(
         h, h.group.trivial_subgroup(), limit=limit, as_masks=as_masks
@@ -419,18 +436,18 @@ def enumerate_all_right_transversals(
 
 def enumerate_all_middle_transversals(
     h: ElementSet, k: ElementSet, *, limit: int | None = None, as_masks: bool = False
-) -> set[ElementSet] | list[int]:
-    """Every middle transversal of (H, K).  With as_masks, the list of their
+) -> set[ElementSet] | Iterator[list[int]]:
+    """Every middle transversal of (H, K).  With as_masks, the rows of their
     int masks in _enumerate's order."""
-    masks = _enumerate(*_seed_and_blocks(h, k, False), limit)
-    return masks if as_masks else {ElementSet._from_mask(h.group, m) for m in masks}
+    rows = _enumerate(*_seed_and_blocks(h, k, False), limit)
+    return rows if as_masks else {ElementSet._from_mask(h.group, m) for row in rows for m in row}
 
 
 def enumerate_all_middle_subfactors(
     h: ElementSet, k: ElementSet, *, limit: int | None = None, as_masks: bool = False
-) -> set[ElementSet] | list[int]:
+) -> set[ElementSet] | Iterator[list[int]]:
     """Every maximal direct middle X for (H, K); raises MidEmpty when none
-    exist.  With as_masks, the list of their int masks in _enumerate's
+    exist.  With as_masks, the rows of their int masks in _enumerate's
     order."""
-    masks = _enumerate(*_seed_and_blocks(h, k, True), limit)
-    return masks if as_masks else {ElementSet._from_mask(h.group, m) for m in masks}
+    rows = _enumerate(*_seed_and_blocks(h, k, True), limit)
+    return rows if as_masks else {ElementSet._from_mask(h.group, m) for row in rows for m in row}

@@ -16,6 +16,8 @@ import os
 import sys
 import time
 import warnings as _warnings
+from collections.abc import Iterable
+from itertools import chain, islice
 
 from . import config, products
 from .algorithms import (
@@ -32,7 +34,7 @@ from .algorithms import (
 from .errors import GroupKitError, InvalidSpec, quote
 from .groups import ElementSet, Group, bit_indices, build_group
 from .report import RunReport, trace_payload
-from .words import parse_element, parse_subset
+from .words import _split_items, parse_element, parse_subset
 
 FAULT_ENV = "GROUPKIT_FAULT_INJECT"
 CLOSED_STDOUT = 141
@@ -87,7 +89,7 @@ def _parse_policy(g: Group, text: str) -> ChoicePolicy:
             raise InvalidSpec(f"--policy random needs an integer seed, got {quote(arg)}")
         return ChoicePolicy.random(seed)
     if mode == "script" and sep:
-        picks = [parse_element(g, part) for part in arg.split(",") if part.strip()]
+        picks = [parse_element(g, part) for part in _split_items(arg) if part.strip()]
         return ChoicePolicy.scripted(picks)
     raise InvalidSpec(
         f"--policy {quote(text)} not understood; use smallest, random:<seed> or script:<e1,e2,...>"
@@ -293,43 +295,74 @@ def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
         "middle-subfactors": (enumerate_all_middle_subfactors, oracle.all_maximal_direct_triples),
     }[args.what]
     result: dict = {"what": args.what, "via": args.via}
-    # both sides stay as the int-mask lists they return, and --list names
-    # its sets straight from them
-    algo_masks = oracle_masks = None
+    # each side is an iterator of rows of int masks, multiplied out as they
+    # are read, so that without --list neither side's whole list is held;
+    # --list names every set, so it reads each side into one row first
+    sides = {}
     if args.via != "oracle":
-        algo_masks = search(*operands, limit=limit, as_masks=True)
-        if os.environ.get(FAULT_ENV) == "drop-algorithm-set" and algo_masks:
-            # test hook: force a cross-check mismatch deterministically
-            algo_masks.remove(max(algo_masks))
-        result["count_algorithm"] = len(algo_masks)
+        rows = search(*operands, limit=limit, as_masks=True)
+        if os.environ.get(FAULT_ENV) == "drop-algorithm-set":
+            # test hook: force a cross-check mismatch deterministically by
+            # dropping the last mask, which takes each cell's largest element
+            # and so is also the largest
+            rows = [list(chain.from_iterable(rows))[:-1]]
+        sides["algorithm"] = rows
     if args.via != "algorithm":
-        oracle_masks = brute(*operands, limit=limit, as_masks=True)
-        result["count_oracle"] = len(oracle_masks)
+        sides["oracle"] = brute(*operands, limit=limit, as_masks=True)
+    if args.list:
+        sides = {side: [list(chain.from_iterable(rows))] for side, rows in sides.items()}
     match = True
     if args.via == "both":
-        # Both sides build their masks on the same g, so equal masks are equal
-        # sets, and both multiply out the same cells in the same order (cells
-        # by least element, each ascending, the first slowest), so equal
-        # lists settle it with one compare.  Lists that differ may still be
-        # the same answers in another order: then each oracle mask is struck
-        # off against the search's list, and the counts must agree, so the
-        # list holds every oracle mask exactly once and an answer the search
-        # gives twice fails the check.
-        match = algo_masks == oracle_masks
-        if not match:
-            missing = set(oracle_masks).difference(algo_masks)
-            match = not missing and len(algo_masks) == result["count_oracle"]
-        result["match"] = match
+        count_algorithm, count_oracle, match = _cross_check(sides["algorithm"], sides["oracle"])
+        result |= {"count_algorithm": count_algorithm, "count_oracle": count_oracle,
+                   "match": match}
+    else:
+        result[f"count_{args.via}"] = sum(map(len, sides[args.via]))
     if args.list:
         # the sets in order of their index tuples, each tuple replaced by its
-        # names in place, so that no tuple outlives its names
-        shown = oracle_masks if algo_masks is None else algo_masks
+        # names in place, so that no tuple outlives its names; the search's
+        # when it ran
+        [shown] = next(iter(sides.values()))
         sets = sorted(map(tuple, map(bit_indices, shown)))
         name = g.names.__getitem__
         for i, indices in enumerate(sets):
             sets[i] = list(map(name, indices))
         result["sets"] = sets
     return RunReport("enumerate", g, inputs, result, exit_code=0 if match else 4)
+
+
+def _cross_check(
+    algo_rows: Iterable[list[int]], oracle_rows: Iterable[list[int]]
+) -> tuple[int, int, bool]:
+    """The count of each side's masks and whether the search's are the
+    oracle's answers, each once.
+
+    Both sides build their masks on the same g, so equal masks are equal
+    sets, and both multiply out the same cells in the same order (cells by
+    least element, each ascending, the first slowest), so on a correct run
+    the two concatenations are equal.  Each search row is compared with as
+    many masks taken off the oracle's flattened stream, which leans on no
+    common cut into rows, and then the oracle's stream must be empty.  From
+    the first row that differs both sides are read to their ends, and what
+    follows the common prefix is checked free of order: each oracle mask is
+    struck off against the search's masks, and the counts must agree.  As
+    the oracle lists each answer once, the search then lists every answer
+    exactly once, in any order, and an answer it gives twice, drops or makes
+    up fails the check."""
+    algo_rows = iter(algo_rows)
+    oracle_masks = chain.from_iterable(oracle_rows)
+    same = 0
+    for row in algo_rows:
+        taken = list(islice(oracle_masks, len(row)))
+        if row != taken:
+            break
+        same += len(row)
+    else:
+        row = taken = []
+    algo_rest = row + list(chain.from_iterable(algo_rows))
+    oracle_rest = taken + list(oracle_masks)
+    match = len(algo_rest) == len(oracle_rest) and set(algo_rest).issuperset(oracle_rest)
+    return same + len(algo_rest), same + len(oracle_rest), match
 
 
 def _cmd_verify(args: argparse.Namespace) -> RunReport:

@@ -12,13 +12,16 @@ a naive closure in tests/suites.py.
 The enumerations build each answer as an int mask, in lexicographic order
 over the cells: cells by least element, each cell ascending, the first cell
 varying slowest.  By default they wrap the masks as a set of ElementSets;
-with as_masks=True they return the list of masks in that order, which is how
-`enumerate --via both` compares them with the search's list.
+with as_masks=True they return an iterator of rows, lists of about ROW
+masks built as they are read, whose concatenation lists the masks in that
+order, which is how `enumerate --via both` compares them with the search's
+rows.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from operator import itemgetter
 
 from . import config
@@ -31,6 +34,10 @@ __all__ = [
     "all_middle_transversals",
     "all_maximal_direct_triples",
 ]
+
+# masks per row of an enumeration's output, or one right half's product
+# when that is larger
+ROW = 4096
 
 
 def _require_subgroup(s: ElementSet, label: str) -> None:
@@ -84,12 +91,14 @@ def _double_cosets(g: Group, h: ElementSet, k: ElementSet) -> list[int]:
     return blocks
 
 
-def _one_per_cell(cells: list[tuple[int, ...]], limit: int | None) -> list[int]:
+def _one_per_cell(cells: list[tuple[int, ...]], limit: int | None) -> Iterator[list[int]]:
     """The mask of every set holding exactly one element of each cell (a
-    tuple of element indices), as a list in the order of a plain product
-    over the cells as given, the first cell slowest.  Built by a plain
-    product over the first half of the cells and one over the second, then
-    every left mask added to every right one, left slowest."""
+    tuple of element indices), as rows that list them in the order of a
+    plain product over the cells as given, the first cell slowest.  Built
+    by a plain product over the first half of the cells and one over the
+    second, here, then every left mask added to every right one, left
+    slowest, a row of max(1, ROW // len(right)) left masks at a time as the
+    rows are read."""
     cap = config.enum_cap(limit)
     total = 1
     for cell in cells:
@@ -103,28 +112,35 @@ def _one_per_cell(cells: list[tuple[int, ...]], limit: int | None) -> list[int]:
     half = len(bit_cells) // 2
     left = list(map(sum, itertools.product(*bit_cells[:half])))
     right = list(map(sum, itertools.product(*bit_cells[half:])))
-    return [a + b for a in left for b in right]
+    return _sums(left, right)
+
+
+def _sums(left: list[int], right: list[int]) -> Iterator[list[int]]:
+    """Every left mask added to every right one, left slowest, in rows."""
+    step = max(1, ROW // len(right))
+    for i in range(0, len(left), step):
+        yield [a + b for a in left[i:i + step] for b in right]
 
 
 def all_right_transversals(
     h: ElementSet, *, limit: int | None = None, as_masks: bool = False
-) -> set[ElementSet] | list[int]:
+) -> set[ElementSet] | Iterator[list[int]]:
     """Every set holding exactly one element of each right coset of H: the
-    middle transversals of (H, {1}).  With as_masks, the list of their int
+    middle transversals of (H, {1}).  With as_masks, the rows of their int
     masks, in the order all_middle_transversals gives."""
     return all_middle_transversals(h, h.group.trivial_subgroup(), limit=limit, as_masks=as_masks)
 
 
 def all_middle_transversals(
     h: ElementSet, k: ElementSet, *, limit: int | None = None, as_masks: bool = False
-) -> set[ElementSet] | list[int]:
+) -> set[ElementSet] | Iterator[list[int]]:
     """Every set holding exactly one element of each double coset of (H, K).
-    With as_masks, the list of their int masks, in the order of the product
+    With as_masks, the rows of their int masks, in the order of the product
     over the double cosets by least element, each ascending, the first
     slowest."""
     g = _require_subgroup_pair(h, k)
-    masks = _one_per_cell([tuple(bit_indices(b)) for b in _double_cosets(g, h, k)], limit)
-    return masks if as_masks else set(map(g.subset_from_mask, masks))
+    rows = _one_per_cell([tuple(bit_indices(b)) for b in _double_cosets(g, h, k)], limit)
+    return rows if as_masks else set(map(g.subset_from_mask, itertools.chain.from_iterable(rows)))
 
 
 def _raw_mid_mask(g: Group, hmask: int, kmask: int) -> int:
@@ -147,9 +163,9 @@ def _raw_mid_mask(g: Group, hmask: int, kmask: int) -> int:
 
 def all_maximal_direct_triples(
     h: ElementSet, k: ElementSet, *, limit: int | None = None, as_masks: bool = False
-) -> set[ElementSet] | list[int]:
+) -> set[ElementSet] | Iterator[list[int]]:
     """Every maximal X with H*X*K direct: one element of Mid per double
-    coset meeting Mid.  With as_masks, the list of their int masks, in the
+    coset meeting Mid.  With as_masks, the rows of their int masks, in the
     order of the product over the cells (each double coset cut down to Mid)
     by least element, each ascending, the first slowest.  Raises MidEmpty
     when the middle director is empty."""
@@ -162,6 +178,6 @@ def all_maximal_direct_triples(
     # union of blocks, so that is the blocks' order, but the oracle does not
     # lean on that
     cells = sorted(tuple(bit_indices(b & mid)) for b in blocks if b & mid)
-    masks = _one_per_cell(cells, limit)
-    return masks if as_masks else set(map(g.subset_from_mask, masks))
+    rows = _one_per_cell(cells, limit)
+    return rows if as_masks else set(map(g.subset_from_mask, itertools.chain.from_iterable(rows)))
 

@@ -9,6 +9,9 @@ An element expression is resolved in this order:
 
 Exponents and indices take the ASCII digits 0-9 only.
 
+A comma list is cut at its commas outside parentheses, so that names that
+hold commas, as a direct product's "(0,b)" does, can be listed.
+
 A failed parse raises ParseError (IndexOutOfRange for an index past the
 group's order) with the reason of the route that failed: the word's own
 error, unless the text is all ASCII digits and so is left to the index
@@ -99,6 +102,27 @@ def parse_element(group: Group, text: str) -> int:
     raise ParseError(f"cannot parse {quote(text)} as an element of {group.description}")
 
 
+def _split_items(text: str) -> list[str]:
+    """The items of a comma list: text cut at each comma outside
+    parentheses, where as many '(' as ')' come before it.  Text whose
+    parentheses do not balance (more ')' than '(' before a comma, or not as
+    many in all) is cut at every comma, so that a name that holds a lone
+    parenthesis can still be given; text that names nothing fails in
+    parse_element."""
+    parts = text.split(",")
+    items: list[str] = []
+    depth = 0
+    for part in parts:
+        if depth:
+            items[-1] += "," + part
+        else:
+            items.append(part)
+        depth += part.count("(") - part.count(")")
+        if depth < 0:
+            return parts
+    return parts if depth else items
+
+
 def parse_subset(group: Group, text: str) -> ElementSet:
     """Parse a comma-separated list of element expressions.
 
@@ -108,7 +132,7 @@ def parse_subset(group: Group, text: str) -> ElementSet:
     if not text.strip():
         return group.empty_set()
     mask = 0
-    for pos, part in enumerate(text.split(","), start=1):
+    for pos, part in enumerate(_split_items(text), start=1):
         try:
             idx = parse_element(group, part)
         except (ParseError, IndexOutOfRange) as exc:

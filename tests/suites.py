@@ -764,6 +764,11 @@ ALL_SUITES = [
 # -- enumeration agreement (search vs brute force) -----------------------------
 
 
+def masks(enumerate_all, *args, **kwargs) -> list[int]:
+    """The masks enumerate_all lists with as_masks=True: its rows joined."""
+    return list(itertools.chain.from_iterable(enumerate_all(*args, as_masks=True, **kwargs)))
+
+
 def run_enumeration_agreement(groups: list[Group], limit: int = 10 ** 6,
                               subgroups=subgroups_of):
     """Compare exhaustive search enumeration against brute force for every
@@ -901,7 +906,7 @@ def pick_order_problems(cap: int) -> tuple[list[str], dict]:
         ):
             case = f"{g.description} {name} H={h!r} K={k!r}"
             try:
-                answers = answers_of(h, k, as_masks=True)
+                answers = masks(answers_of, h, k)
             except MidEmpty:
                 continue
             seed = reduce(or_, answers)

@@ -29,6 +29,7 @@ from groupkit import (
     rta,
 )
 from groupkit import algorithms, cli, oracle, products
+from groupkit.groups import bit_indices
 from groupkit.words import parse_element, parse_subset
 import suites
 
@@ -528,13 +529,62 @@ def test_enumeration_cap_is_exact(z12, d12, what):
     bit_cells = [[1 << i for i in cell.indices()] for cell in sorted(cells, key=min)]
     plain = list(map(sum, itertools.product(*bit_cells)))
     assert len(plain) == count and set(plain) == {s.mask for s in want}
-    search_masks = functools.partial(search, as_masks=True)
-    brute_masks = functools.partial(brute, as_masks=True)
+    search_masks = functools.partial(suites.masks, search)
+    brute_masks = functools.partial(suites.masks, brute)
     for enumerate_all, expected in ((search, want), (brute, want), (search_masks, plain),
                                     (brute_masks, plain)):
         assert enumerate_all(*args, limit=count) == expected
         with pytest.raises(EnumerationLimitExceeded):
             enumerate_all(*args, limit=count - 1)
+
+
+def _row_cases(g, subgroups):
+    """(search, oracle, operands, cells) for each enumeration of g: the
+    right transversals of each of subgroups, and for each pair of them the
+    middle transversals and, when Mid is not empty, the maximal direct
+    middles.  The cells are the blocks, cut down to Mid for the latter."""
+    trivial = g.trivial_subgroup()
+    for h in subgroups:
+        yield (enumerate_all_right_transversals, oracle.all_right_transversals, (h,),
+               [b.mask for b in oracle.double_coset_partition(h, trivial)])
+    for h, k in itertools.product(subgroups, repeat=2):
+        blocks = [b.mask for b in oracle.double_coset_partition(h, k)]
+        yield (enumerate_all_middle_transversals, oracle.all_middle_transversals, (h, k), blocks)
+        mid = products.mid_director(h, k).mask
+        if mid:
+            yield (enumerate_all_middle_subfactors, oracle.all_maximal_direct_triples, (h, k),
+                   [b & mid for b in blocks if b & mid])
+
+
+def _check_rows(g, subgroups):
+    # each side's rows, joined, are the plain product over the cells by least
+    # element, each ascending, the first slowest, and no row is longer than
+    # the side's ROW or its right half: the product of the second half of the
+    # cells it multiplies, the search's without its size-1 cells
+    for search, brute, operands, cells in _row_cases(g, subgroups):
+        cells = sorted(cells, key=lambda c: c & -c)
+        plain = list(map(sum, itertools.product(*([1 << i for i in bit_indices(c)] for c in cells))))
+        sizes = [c.bit_count() for c in cells]
+        for enumerate_all, row_size, halved in ((search, algorithms.ROW, [s for s in sizes if s > 1]),
+                                                (brute, oracle.ROW, sizes)):
+            rows = list(enumerate_all(*operands, as_masks=True))
+            assert list(itertools.chain.from_iterable(rows)) == plain, (enumerate_all, operands)
+            right = math.prod(halved[len(halved) // 2:])
+            assert max(map(len, rows)) <= max(row_size, right)
+            assert len(rows) >= len(plain) / row_size
+
+
+@pytest.mark.parametrize("g", [*suites.small_fleet(), build_group({"kind": "dihedral", "n": 6})],
+                         ids=lambda g: g.description)
+def test_rows_are_the_plain_product_in_order(g):
+    _check_rows(g, suites.subgroups_of(g))
+
+
+def test_a_large_product_is_cut_into_rows():
+    # Z32 with H = {0, 16}: 65,536 right transversals, and as many middle
+    # transversals of (H, H), at most ROW masks a row
+    g = build_group({"kind": "cyclic", "n": 32})
+    _check_rows(g, [g.subset([0, 16])])
 
 
 @pytest.mark.parametrize("n_cells", [0, 1, 2, 3, 7])
@@ -553,7 +603,7 @@ def test_split_products_match_plain_products(n_cells):
     # the cells as its callers pass them: by least element, each ascending
     ordered = sorted(tuple(sorted(cell)) for cell in cells)
     bit_cells = [[1 << i for i in cell] for cell in ordered]
-    masks = oracle._one_per_cell(ordered, total)
+    masks = list(itertools.chain.from_iterable(oracle._one_per_cell(ordered, total)))
     assert masks == list(map(sum, itertools.product(*bit_cells)))
     assert len(set(masks)) == len(masks) == total
     # the search's halves against one cell at a time, cells by least element
@@ -567,7 +617,7 @@ def test_split_products_match_plain_products(n_cells):
     want = [0]
     for cell in sorted(cells, key=min):
         want = [m | 1 << i for m in want for i in sorted(cell)]
-    assert algorithms._enumerate(seed, blocks, total) == want
+    assert list(itertools.chain.from_iterable(algorithms._enumerate(seed, blocks, total))) == want
     if total > 1:
         with pytest.raises(EnumerationLimitExceeded,
                            match=rf"^\d+\+ combinations exceed the cap of {total - 1};"):

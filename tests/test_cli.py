@@ -513,9 +513,9 @@ def test_oracle_side_mismatch_exits_4(capsys, monkeypatch, tamper, count_oracle)
     honest = oracle.all_right_transversals
 
     def tampered(*args, **kwargs):
-        masks = set(honest(*args, **kwargs))
+        masks = set(itertools.chain.from_iterable(honest(*args, **kwargs)))
         tamper(masks)
-        return masks
+        return [list(masks)]
 
     monkeypatch.setattr(oracle, "all_right_transversals", tampered)
     code, data = run_json(capsys, ["enumerate", "--group", "cyclic:12", "-H", "0,3,6,9",
@@ -544,9 +544,9 @@ def test_search_side_duplicate_exits_4(capsys, monkeypatch, tamper, count_algori
     honest = cli.enumerate_all_right_transversals
 
     def tampered(*args, **kwargs):
-        masks = honest(*args, **kwargs)
+        masks = list(itertools.chain.from_iterable(honest(*args, **kwargs)))
         tamper(masks)
-        return masks
+        return [masks]
 
     monkeypatch.setattr(cli, "enumerate_all_right_transversals", tampered)
     code, data = run_json(capsys, ["enumerate", "--group", "cyclic:12", "-H", "0,3,6,9",
@@ -586,9 +586,9 @@ def test_a_reordered_search_list_is_checked_as_a_set(capsys, monkeypatch, what, 
     honest = getattr(cli, search)
 
     def tampered(*args, **kwargs):
-        masks = honest(*args, **kwargs)
+        masks = list(itertools.chain.from_iterable(honest(*args, **kwargs)))
         tamper(masks)
-        return masks
+        return [masks]
 
     monkeypatch.setattr(cli, search, tampered)
     got, data = run_json(capsys, ["enumerate", "--group", D12, "-H", h, "-K", k, "--what", what])
@@ -625,6 +625,55 @@ def test_enumerate_calls_its_public_search_once_for_masks(capsys, monkeypatch, w
     code, data = run_json(capsys, ["enumerate", "--group", D12, *subgroups, "--what", what])
     assert code == 0 and data["result"]["match"] is True
     assert calls == {name: [True]}
+
+
+@pytest.mark.parametrize("cut", [1, 3, 5000], ids=["one", "three", "all"])
+@pytest.mark.parametrize("h, what", [("0,16", "right-transversals"),
+                                     ("0,8,16,24", "middle-transversals")], ids=["rt", "mt"])
+def test_the_cross_check_leans_on_no_common_cut_into_rows(capsys, monkeypatch, cut, h, what):
+    # the oracle's masks re-cut into rows of another length still match the
+    # search's rows, and are all counted: 16 cells of 2 masks, then 8 of 4
+    from groupkit import oracle
+
+    name = {"right-transversals": "all_right_transversals",
+            "middle-transversals": "all_middle_transversals"}[what]
+    honest = getattr(oracle, name)
+
+    def recut(*args, **kwargs):
+        masks = itertools.chain.from_iterable(honest(*args, **kwargs))
+        return iter(lambda: list(itertools.islice(masks, cut)), [])
+
+    monkeypatch.setattr(oracle, name, recut)
+    k = ["-K", "0,16"] if what == "middle-transversals" else []
+    code, data = run_json(capsys, ["enumerate", "--group", "cyclic:32", "-H", h, *k,
+                                   "--what", what])
+    r = data["result"]
+    assert (code, r["count_algorithm"], r["count_oracle"], r["match"]) == (0, 65536, 65536, True)
+
+
+def test_the_cross_check_holds_one_row_at_a_time(capsys):
+    # 65,536 right transversals of Z32 with H = {0, 16}: the two whole lists
+    # of masks took 5.3 MiB; each side's rows are read as they are compared
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = main(["enumerate", "--group", "cyclic:32", "-H", "0,16",
+                     "--what", "right-transversals"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "match: yes" in capsys.readouterr().out
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("via, field", [("algorithm", "count_algorithm"),
+                                        ("oracle", "count_oracle")])
+def test_one_side_counts_its_rows(capsys, via, field):
+    code, data = run_json(capsys, ["enumerate", "--via", via, "--group", "cyclic:32",
+                                   "-H", "0,16", "--what", "right-transversals"])
+    assert (code, data["result"][field]) == (0, 65536)
+    assert set(data["result"]) == {"what", "via", field}
 
 
 # -- relabeling: answers do not depend on the element order ------------------------

@@ -120,7 +120,7 @@ def test_maximal_direct_middles_by_definition():
                         enumerate_all(h, k)
                 continue
             for enumerate_all in searches:
-                listed = enumerate_all(h, k, as_masks=True)
+                listed = suites.masks(enumerate_all, h, k)
                 assert len(listed) == len(maximal) and set(listed) == maximal, (spec, h, k)
     assert (pairs, subsets, found, empty) == (428, 240896, 3235, 199)
 

@@ -87,7 +87,7 @@ def _mapped(perm: list[int], masks: list[int]) -> list[int]:
 
 def _answers(enumerate_all, h, k):
     try:
-        return sorted(enumerate_all(h, k, as_masks=True))
+        return sorted(suites.masks(enumerate_all, h, k))
     except MidEmpty:
         return None
 

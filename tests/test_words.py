@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupkit import GroupKitError, IndexOutOfRange, ParseError, UnknownSymbol, build_group
-from groupkit.cli import main
+from groupkit.cli import _parse_policy, main
 from groupkit.words import parse_element, parse_subset
 import suites
 
@@ -139,6 +140,83 @@ WORD_PIECES = st.one_of(
 def test_word_parser_only_raises_groupkit_errors(d12, z12, text):
     for g in (d12, z12):
         for parse in (parse_element, parse_subset):
+            try:
+                parse(g, text)
+            except GroupKitError:
+                pass
+
+
+
+# direct products name their elements (x,y), with a comma inside, and a nested
+# product nests them: ((0,0),(2 3))
+C2_D3 = {"kind": "direct_product",
+         "factors": [{"kind": "cyclic", "n": 2}, {"kind": "dihedral", "n": 3}]}
+NESTED = {"kind": "direct_product", "factors": [
+    {"kind": "direct_product", "factors": [{"kind": "cyclic", "n": 2}, {"kind": "cyclic", "n": 2}]},
+    {"kind": "symmetric", "n": 3},
+]}
+
+
+@pytest.mark.parametrize("spec, h, k", [
+    (C2_D3, ["(0,1)", "(1,1)"], ["(0,1)", "(0,b)"]),
+    (C2_D3, ["(0,1)"], ["(0,1)", "(0,a)", "(0,a^2)"]),
+    (NESTED, ["((0,0),())", "((1,0),())"], ["((0,0),())", "((0,0),(2 3))"]),
+], ids=["C2xD3", "C2xD3 one name", "nested"])
+def test_names_with_commas_in_a_comma_list(capsys, spec, h, k):
+    # a comma list is cut at its commas outside parentheses, in -H, -K and
+    # script: alike; each search's own picks, spelled by name, rerun it
+    group = json.dumps(spec)
+    for argv, inputs in ((["rta", "-H", ",".join(h)], {"H": h}),
+                         (["mta", "-H", ",".join(h), "-K", ", ".join(k)], {"H": h, "K": k})):
+        argv = [*argv, "--group", group, "--format", "json"]
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert {key: data["inputs"][key] for key in inputs} == inputs
+        chosen = data["result"]["trace"]["chosen"]
+        assert main([*argv, "--policy", "script:" + ",".join(chosen)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["trace"]["chosen"] == chosen
+
+
+@pytest.mark.parametrize("flags, reason", [
+    (["-H", "(0,1"], "-H: item 1 ('(0'): cannot parse '(0'"),
+    (["-H", "(0,1),(1,1))"], "-H: item 1 ('(0'): cannot parse '(0'"),
+    (["-H", "(0,1)", "-K", ")(0,1)("], "-K: item 1 (')(0'): cannot parse ')(0'"),
+    (["-H", "(0,1)", "-K", "(0,1)", "--policy", "script:(0,1),((0,a)"], "cannot parse '(0'"),
+], ids=["H open", "H close", "K", "script"])
+def test_unbalanced_parentheses_exit_2(capsys, flags, reason):
+    # text whose parentheses do not balance is cut at every comma, and a
+    # product names nothing by half a name
+    argv = ["mta" if "-K" in flags else "rta", "--group", json.dumps(C2_D3), *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and reason in err
+
+
+# Z3 whose names each hold a lone parenthesis, "(" the identity
+LONE = {"kind": "cayley", "names": ["(", "f(", "g)"],
+        "table": [[(i + j) % 3 for j in range(3)] for i in range(3)]}
+
+
+def test_names_with_a_lone_parenthesis(capsys):
+    g = build_group(LONE)
+    assert [parse_subset(g, text).mask for text in ("(", "f(", "g)", "(,f(,g)", "g), (")] == \
+        [0b001, 0b010, 0b100, 0b111, 0b101]
+    assert _parse_policy(g, "script:g),f(").script == (2, 1)
+    for h, names in (("(", ["("]), ("(,f(,g)", ["(", "f(", "g)"])):
+        assert main(["rta", "--group", json.dumps(LONE), "-H", h, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["inputs"]["H"] == names
+
+
+PRODUCT_PIECES = st.sampled_from(["(", ")", ",", " ", "0", "1", "a", "b", "^2", "(1 2)",
+                                  "(0,1)", "(1,ba)", "((0,0),())", "((1,1),(2 3))"])
+
+
+@pytest.mark.filterwarnings("ignore:duplicate element")
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(PRODUCT_PIECES, max_size=10).map("".join))
+def test_comma_lists_of_product_names_only_raise_groupkit_errors(text):
+    for g in (build_group(C2_D3), build_group(NESTED)):
+        for parse in (parse_subset, lambda g, text: _parse_policy(g, "script:" + text)):
             try:
                 parse(g, text)
             except GroupKitError:
