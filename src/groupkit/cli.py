@@ -16,13 +16,14 @@ import os
 import sys
 import time
 import warnings as _warnings
-from collections.abc import Iterable
 from itertools import chain, islice
 
 from . import config, products
 from .algorithms import (
     SMALLEST,
     ChoicePolicy,
+    Enumeration,
+    _masks as _search_masks,
     enumerate_all_middle_subfactors,
     enumerate_all_middle_transversals,
     enumerate_all_right_transversals,
@@ -295,35 +296,42 @@ def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
         "middle-subfactors": (enumerate_all_middle_subfactors, oracle.all_maximal_direct_triples),
     }[args.what]
     result: dict = {"what": args.what, "via": args.via}
-    # each side is an iterator of rows of int masks, multiplied out as they
-    # are read, so that without --list neither side's whole list is held;
-    # --list names every set, so it reads each side into one row first
+    # each side is (count, lanes, rows): its count, the answers per int and
+    # an iterator of rows of ints, multiplied out as they are read, so that
+    # without --list neither side's whole list is held, and one side alone
+    # builds no mask; --list names every set, so it reads each side into one
+    # row first
     sides = {}
     if args.via != "oracle":
-        rows = search(*operands, limit=limit, as_masks=True)
+        count, lanes, rows = search(*operands, limit=limit, as_masks=True)
         if os.environ.get(FAULT_ENV) == "drop-algorithm-set":
             # test hook: force a cross-check mismatch deterministically by
             # dropping the last mask, which takes each cell's largest element
             # and so is also the largest
-            rows = [list(chain.from_iterable(rows))[:-1]]
-        sides["algorithm"] = rows
+            masks = list(_search_masks(g.order, lanes, chain.from_iterable(rows)))[:-1]
+            count, lanes, rows = len(masks), 1, [masks]
+        sides["algorithm"] = count, lanes, rows
     if args.via != "algorithm":
         sides["oracle"] = brute(*operands, limit=limit, as_masks=True)
     if args.list:
-        sides = {side: [list(chain.from_iterable(rows))] for side, rows in sides.items()}
+        sides = {side: (count, lanes, [list(chain.from_iterable(rows))])
+                 for side, (count, lanes, rows) in sides.items()}
     match = True
     if args.via == "both":
-        count_algorithm, count_oracle, match = _cross_check(sides["algorithm"], sides["oracle"])
+        count_algorithm, count_oracle, match = _cross_check(
+            g.order, sides["algorithm"], sides["oracle"]
+        )
         result |= {"count_algorithm": count_algorithm, "count_oracle": count_oracle,
                    "match": match}
     else:
-        result[f"count_{args.via}"] = sum(map(len, sides[args.via]))
+        result[f"count_{args.via}"] = sides[args.via][0]
     if args.list:
         # the sets in order of their index tuples, each tuple replaced by its
         # names in place, so that no tuple outlives its names; the search's
         # when it ran
-        [shown] = next(iter(sides.values()))
-        sets = sorted(map(tuple, map(bit_indices, shown)))
+        side, (_, lanes, [shown]) = next(iter(sides.items()))
+        masks = (_search_masks if side == "algorithm" else oracle._masks)(g.order, lanes, shown)
+        sets = sorted(map(tuple, map(bit_indices, masks)))
         name = g.names.__getitem__
         for i, indices in enumerate(sets):
             sets[i] = list(map(name, indices))
@@ -331,36 +339,46 @@ def _cmd_enumerate(args: argparse.Namespace) -> RunReport:
     return RunReport("enumerate", g, inputs, result, exit_code=0 if match else 4)
 
 
-def _cross_check(
-    algo_rows: Iterable[list[int]], oracle_rows: Iterable[list[int]]
-) -> tuple[int, int, bool]:
-    """The count of each side's masks and whether the search's are the
-    oracle's answers, each once.
+def _cross_check(n: int, algo: Enumeration, brute: Enumeration) -> tuple[int, int, bool]:
+    """The count of each side's answers and whether the search's are the
+    oracle's answers, each once, for a group of order n.
 
-    Both sides build their masks on the same g, so equal masks are equal
-    sets, and both multiply out the same cells in the same order (cells by
-    least element, each ascending, the first slowest), so on a correct run
-    the two concatenations are equal.  Each search row is compared with as
-    many masks taken off the oracle's flattened stream, which leans on no
-    common cut into rows, and then the oracle's stream must be empty.  From
-    the first row that differs both sides are read to their ends, and what
-    follows the common prefix is checked free of order: each oracle mask is
-    struck off against the search's masks, and the counts must agree.  As
-    the oracle lists each answer once, the search then lists every answer
-    exactly once, in any order, and an answer it gives twice, drops or makes
-    up fails the check."""
+    Each side is (count, lanes, rows), as the enumerators return it with
+    as_masks; the stated counts are not read here, and the answers are
+    counted as they are compared.  Both sides build their masks on the same
+    g, so equal masks are equal sets, and both multiply out the same cells
+    in the same order (cells by least element, each ascending, the first
+    slowest), packing the answers that share a left mask into one int in
+    lanes of one width, lowest lane first.  So on a correct run with equal
+    lanes the two streams of ints are equal, and one int compare checks
+    every lane.  Each search row is compared with as many ints taken off
+    the oracle's flattened stream, which leans on no common cut into rows,
+    and then the oracle's stream must be empty.  From the first row that
+    differs, or from the start when the lanes differ, both sides are read to
+    their ends and decoded into masks, each by its own side's decoder, and
+    what follows the common prefix is checked free of order: each oracle
+    mask is struck off against the search's masks, and the counts must
+    agree.  As the oracle lists each answer once, the search then lists
+    every answer exactly once, in any order, and an answer it gives twice,
+    drops or makes up fails the check."""
+    from . import oracle
+
+    _, algo_lanes, algo_rows = algo
+    _, oracle_lanes, oracle_rows = brute
     algo_rows = iter(algo_rows)
-    oracle_masks = chain.from_iterable(oracle_rows)
+    oracle_ints = chain.from_iterable(oracle_rows)
     same = 0
-    for row in algo_rows:
-        taken = list(islice(oracle_masks, len(row)))
-        if row != taken:
-            break
-        same += len(row)
-    else:
-        row = taken = []
-    algo_rest = row + list(chain.from_iterable(algo_rows))
-    oracle_rest = taken + list(oracle_masks)
+    row = taken = []
+    if algo_lanes == oracle_lanes:
+        for row in algo_rows:
+            taken = list(islice(oracle_ints, len(row)))
+            if row != taken:
+                break
+            same += len(row) * algo_lanes
+        else:
+            row = taken = []
+    algo_rest = list(_search_masks(n, algo_lanes, chain(row, chain.from_iterable(algo_rows))))
+    oracle_rest = list(oracle._masks(n, oracle_lanes, chain(taken, oracle_ints)))
     match = len(algo_rest) == len(oracle_rest) and set(algo_rest).issuperset(oracle_rest)
     return same + len(algo_rest), same + len(oracle_rest), match
 

@@ -11,17 +11,22 @@ subgroup test the searches share; the subgroups the tests feed in come from
 a naive closure in tests/suites.py.
 The enumerations build each answer as an int mask, in lexicographic order
 over the cells: cells by least element, each cell ascending, the first cell
-varying slowest.  By default they wrap the masks as a set of ElementSets;
-with as_masks=True they return an iterator of rows, lists of about ROW
-masks built as they are read, whose concatenation lists the masks in that
-order, which is how `enumerate --via both` compares them with the search's
-rows.
+varying slowest.  By default they wrap the masks as a set of ElementSets.
+With as_masks=True they return (count, lanes, rows): the number of answers,
+the product of the cell sizes taken before any mask is built; the answers
+per int; and an iterator of rows of ints built as they are read.  For a
+group of order n <= LANE_ORDER (64) each int holds the answers that share a
+choice in the first half of the cells, in lanes of 8*ceil(n/8) bits, lowest
+lane first; above it an int is one mask.  The cells are cut after half of
+those larger than 1, which is where the search cuts its own, so on a correct
+run both sides give equal ints, and `enumerate --via both` compares ints.
+The packing is this module's own arithmetic, as is its decoder (_masks).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from operator import itemgetter
 
 from . import config
@@ -35,9 +40,18 @@ __all__ = [
     "all_maximal_direct_triples",
 ]
 
-# masks per row of an enumeration's output, or one right half's product
+# answers per row of an enumeration's output, or one right half's product
 # when that is larger
 ROW = 4096
+
+# the largest order whose answers are packed several to an int; above it
+# an int holds one answer, as a many-digit left mask would cost more to
+# spread across the lanes than the packing saves
+LANE_ORDER = 64
+
+# (count, lanes, rows): the number of answers, the answers per int, and the
+# rows of ints that hold them
+Enumeration = tuple[int, int, Iterator[list[int]]]
 
 
 def _require_subgroup(s: ElementSet, label: str) -> None:
@@ -91,14 +105,19 @@ def _double_cosets(g: Group, h: ElementSet, k: ElementSet) -> list[int]:
     return blocks
 
 
-def _one_per_cell(cells: list[tuple[int, ...]], limit: int | None) -> Iterator[list[int]]:
-    """The mask of every set holding exactly one element of each cell (a
-    tuple of element indices), as rows that list them in the order of a
-    plain product over the cells as given, the first cell slowest.  Built
-    by a plain product over the first half of the cells and one over the
-    second, here, then every left mask added to every right one, left
-    slowest, a row of max(1, ROW // len(right)) left masks at a time as the
-    rows are read."""
+def _one_per_cell(cells: list[tuple[int, ...]], limit: int | None, n: int) -> Enumeration:
+    """The number of sets holding exactly one element of each cell (a tuple
+    of element indices of a group of order n), the answers per int, and
+    rows of ints holding the mask of every such set, in the order of a
+    plain product over the cells as given, the first cell slowest.
+
+    The cells are cut just before the first cell larger than 1 of the
+    second half of those (half rounded down to the left), size-1 cells
+    staying where they are.  A plain product over each part gives the left
+    and the right masks, on the first read of the rows; every left mask is
+    then added to every right one, left slowest.  For n <= LANE_ORDER the
+    sums that share a left mask go into one int, lowest lane first, in
+    lanes of 8*ceil(n/8) bits (_sums); above it an int is one mask."""
     cap = config.enum_cap(limit)
     total = 1
     for cell in cells:
@@ -107,40 +126,83 @@ def _one_per_cell(cells: list[tuple[int, ...]], limit: int | None) -> Iterator[l
             raise EnumerationLimitExceeded(
                 f"{total}+ combinations exceed the cap of {cap}; raise the limit to continue"
             )
-    bit_cells = [[1 << i for i in cell] for cell in cells]
-    # the cells are disjoint, so the sum of one bit from each is their union
-    half = len(bit_cells) // 2
-    left = list(map(sum, itertools.product(*bit_cells[:half])))
-    right = list(map(sum, itertools.product(*bit_cells[half:])))
-    return _sums(left, right)
+    larger = [i for i, cell in enumerate(cells) if len(cell) > 1]
+    cut = larger[len(larger) // 2] if larger else len(cells)
+    lanes = 1
+    if n <= LANE_ORDER:
+        for cell in cells[cut:]:
+            lanes *= len(cell)
+    return total, lanes, _sums(n, lanes, cells[:cut], cells[cut:])
 
 
-def _sums(left: list[int], right: list[int]) -> Iterator[list[int]]:
-    """Every left mask added to every right one, left slowest, in rows."""
-    step = max(1, ROW // len(right))
+def _sums(
+    n: int, lanes: int, left_cells: list[tuple[int, ...]], right_cells: list[tuple[int, ...]]
+) -> Iterator[list[int]]:
+    """Every left mask added to every right one, left slowest, in rows of
+    about ROW answers.  With several lanes the right masks are laid
+    side by side in one int, R, and the left mask m, times the int with a 1
+    at the foot of each lane, lands in every lane: m*ONES + R.  The cells
+    are disjoint, so the sum of one bit from each is their union, and a sum
+    stays below 2**n: no lane carries into the next."""
+    left, right = (list(map(sum, itertools.product(*[[1 << i for i in c] for c in cells])))
+                   for cells in (left_cells, right_cells))
+    if lanes == 1:
+        step = max(1, ROW // len(right))
+        for i in range(0, len(left), step):
+            yield [a + b for a in left[i:i + step] for b in right]
+        return
+    width = 8 * -(-n // 8)
+    ones = ((1 << width * lanes) - 1) // ((1 << width) - 1)
+    packed = int.from_bytes(b"".join(r.to_bytes(width // 8, "little") for r in right), "little")
+    step = max(1, ROW // lanes)
     for i in range(0, len(left), step):
-        yield [a + b for a in left[i:i + step] for b in right]
+        yield [a * ones + packed for a in left[i:i + step]]
+
+
+def _masks(n: int, lanes: int, ints: Iterable[int]) -> Iterator[int]:
+    """The masks held by ints of the given lanes of 8*ceil(n/8) bits each,
+    lowest lane first, and what an int holds above its last lane, which no
+    int of _sums has, as one more mask: no bit goes unread."""
+    if lanes == 1:
+        yield from ints
+        return
+    size = -(-n // 8)
+    span = 8 * size * lanes
+    for packed in ints:
+        raw = (packed & (1 << span) - 1).to_bytes(size * lanes, "little")
+        for at in range(0, size * lanes, size):
+            yield int.from_bytes(raw[at:at + size], "little")
+        if packed >> span:
+            yield packed >> span
+
+
+def _answers(g: Group, enumeration: Enumeration, as_masks: bool) -> set[ElementSet] | Enumeration:
+    """The enumeration with as_masks, else its sets as ElementSets."""
+    if as_masks:
+        return enumeration
+    _, lanes, rows = enumeration
+    return set(map(g.subset_from_mask, _masks(g.order, lanes, itertools.chain.from_iterable(rows))))
 
 
 def all_right_transversals(
     h: ElementSet, *, limit: int | None = None, as_masks: bool = False
-) -> set[ElementSet] | Iterator[list[int]]:
+) -> set[ElementSet] | Enumeration:
     """Every set holding exactly one element of each right coset of H: the
-    middle transversals of (H, {1}).  With as_masks, the rows of their int
-    masks, in the order all_middle_transversals gives."""
+    middle transversals of (H, {1}).  With as_masks, (count, lanes, rows)
+    as all_middle_transversals gives them."""
     return all_middle_transversals(h, h.group.trivial_subgroup(), limit=limit, as_masks=as_masks)
 
 
 def all_middle_transversals(
     h: ElementSet, k: ElementSet, *, limit: int | None = None, as_masks: bool = False
-) -> set[ElementSet] | Iterator[list[int]]:
+) -> set[ElementSet] | Enumeration:
     """Every set holding exactly one element of each double coset of (H, K).
-    With as_masks, the rows of their int masks, in the order of the product
-    over the double cosets by least element, each ascending, the first
-    slowest."""
+    With as_masks, their count, the answers per int and the rows of ints
+    (_one_per_cell), in the order of the product over the double cosets by
+    least element, each ascending, the first slowest."""
     g = _require_subgroup_pair(h, k)
-    rows = _one_per_cell([tuple(bit_indices(b)) for b in _double_cosets(g, h, k)], limit)
-    return rows if as_masks else set(map(g.subset_from_mask, itertools.chain.from_iterable(rows)))
+    cells = [tuple(bit_indices(b)) for b in _double_cosets(g, h, k)]
+    return _answers(g, _one_per_cell(cells, limit, g.order), as_masks)
 
 
 def _raw_mid_mask(g: Group, hmask: int, kmask: int) -> int:
@@ -163,12 +225,13 @@ def _raw_mid_mask(g: Group, hmask: int, kmask: int) -> int:
 
 def all_maximal_direct_triples(
     h: ElementSet, k: ElementSet, *, limit: int | None = None, as_masks: bool = False
-) -> set[ElementSet] | Iterator[list[int]]:
+) -> set[ElementSet] | Enumeration:
     """Every maximal X with H*X*K direct: one element of Mid per double
-    coset meeting Mid.  With as_masks, the rows of their int masks, in the
-    order of the product over the cells (each double coset cut down to Mid)
-    by least element, each ascending, the first slowest.  Raises MidEmpty
-    when the middle director is empty."""
+    coset meeting Mid.  With as_masks, their count, the answers per int and
+    the rows of ints (_one_per_cell), in the order of the product over the
+    cells (each double coset cut down to Mid) by least element, each
+    ascending, the first slowest.  Raises MidEmpty when the middle director
+    is empty."""
     g = _require_subgroup_pair(h, k)
     mid = _raw_mid_mask(g, h.mask, k.mask)
     if mid == 0:
@@ -178,6 +241,5 @@ def all_maximal_direct_triples(
     # union of blocks, so that is the blocks' order, but the oracle does not
     # lean on that
     cells = sorted(tuple(bit_indices(b & mid)) for b in blocks if b & mid)
-    rows = _one_per_cell(cells, limit)
-    return rows if as_masks else set(map(g.subset_from_mask, itertools.chain.from_iterable(rows)))
+    return _answers(g, _one_per_cell(cells, limit, g.order), as_masks)
 

@@ -19,7 +19,8 @@ that _coset_blocks builds for the searches too; Mid is the union of its
 blocks of |H||K| elements.  mid_director_subgroups conjugates the smaller
 subgroup instead: at most n*(min(|H|, |K|) - 1) lookups.  The two rules
 share no code, and msfa's output check (direct_middle_verdict) takes Mid
-from the conjugate test, so it does not repeat the walk that seeds msfa.
+from the conjugate test, so it does not repeat the walk that seeds msfa; it
+tests X and what lies outside H*X*K, as Mid is a union of double cosets.
 """
 
 from __future__ import annotations
@@ -162,15 +163,19 @@ def mid_director(a: ElementSet, b: ElementSet) -> ElementSet:
     return g.subset_from_mask(_mask_of(x for x in range(g.order) if len(cell_of(x)) == size))
 
 
-def mid_director_subgroups(h: ElementSet, k: ElementSet) -> ElementSet:
+def mid_director_subgroups(
+    h: ElementSet, k: ElementSet, *, among: ElementSet | None = None
+) -> ElementSet:
     """The middle director of subgroups via the conjugate test
-    H ∩ K^x = {1}; agrees with mid_director on subgroup inputs.
+    H ∩ K^x = {1}; agrees with mid_director on subgroup inputs.  With
+    among, only its members are tested: the part of Mid inside it.
 
     H ∩ xKx⁻¹ = x(x⁻¹Hx ∩ K)x⁻¹, so x is tested by conjugating the
     non-identity members of the smaller side into the other, up to the first
-    that lands in it: at most n*(min(|H|, |K|) - 1) lookups.  Empty when
-    |H||K| > n, as no double coset is that large."""
-    g = _subgroup_pair(h, k)
+    that lands in it: at most n*(min(|H|, |K|) - 1) lookups, or as many per
+    member of among.  Empty when |H||K| > n, as no double coset is that
+    large."""
+    g = _subgroup_pair(h, k) if among is None else _subgroup_pair(h, k, among)
     n = g.order
     if len(h) * len(k) > n:
         return g.empty_set()
@@ -182,7 +187,7 @@ def mid_director_subgroups(h: ElementSet, k: ElementSet) -> ElementSet:
     sbits = [s for s in bit_indices(small.mask) if s != g.identity]
     inside = set(bit_indices(other.mask))
     mask = 0
-    for x in range(n):
+    for x in range(n) if among is None else bit_indices(among.mask):
         row, y = t[left[x]], right[x]
         for s in sbits:
             if t[row[s]][y] in inside:
@@ -229,9 +234,22 @@ def direct_middle_verdict(h: ElementSet, x: ElementSet, k: ElementSet) -> dict:
     its key order.  X is maximal when all of Mid lies in H*X*K.  Mid comes
     from the conjugate test (mid_director_subgroups), which shares no code
     with the partition walk that seeds the search, so a fault in the walk
-    cannot hide from this check."""
+    cannot hide from this check.
+
+    Mid is a union of double cosets: y = a*x*b has K^y = a*K^x*a⁻¹ (a in
+    H), which meets H as K^x does.  So the test runs only on X and on G
+    outside H*X*K, in one call.  When all of X passes, H*X*K lies in Mid:
+    Mid is H*X*K and what the test finds outside it, and X is maximal when
+    it finds nothing there.  Otherwise X is not direct, and the test runs
+    again on all of G."""
     g = _same_group(h, x, k)
     hxk = set_product(set_product(h, x), k)
-    mid = mid_director_subgroups(h, k)
     covers, direct = len(hxk) == g.order, len(hxk) == len(h) * len(x) * len(k)
-    return {"mid_size": len(mid), "covers_group": covers, "direct": direct, "maximal": mid <= hxk}
+    tested = g.subset_from_mask(x.mask | g.full_mask & ~hxk.mask)
+    found = mid_director_subgroups(h, k, among=tested)
+    if x <= found:
+        mid_size, maximal = len(hxk) + len(found) - len(x), found == x
+    else:
+        mid = mid_director_subgroups(h, k)
+        mid_size, maximal = len(mid), mid <= hxk
+    return {"mid_size": mid_size, "covers_group": covers, "direct": direct, "maximal": maximal}

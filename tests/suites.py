@@ -764,9 +764,26 @@ ALL_SUITES = [
 # -- enumeration agreement (search vs brute force) -----------------------------
 
 
+def unpack(n: int, lanes: int, rows) -> list[int]:
+    """The masks that rows of ints hold, for a group of order n: each int's
+    lanes of 8*ceil(n/8) bits, lowest first, read off by shifts rather than
+    by the bytes that both sides decode with.  No int may hold more."""
+    width = 8 * -(-n // 8)
+    lane = (1 << width) - 1
+    out = []
+    for packed in itertools.chain.from_iterable(rows):
+        assert packed >> width * lanes == 0, (packed, lanes)
+        out += (packed >> width * j & lane for j in range(lanes))
+    return out
+
+
 def masks(enumerate_all, *args, **kwargs) -> list[int]:
-    """The masks enumerate_all lists with as_masks=True: its rows joined."""
-    return list(itertools.chain.from_iterable(enumerate_all(*args, as_masks=True, **kwargs)))
+    """The masks enumerate_all lists with as_masks=True: its rows joined
+    and unpacked, after a check that they are as many as its stated count."""
+    count, lanes, rows = enumerate_all(*args, as_masks=True, **kwargs)
+    out = unpack(args[0].group.order, lanes, rows)
+    assert len(out) == count, (enumerate_all, count, len(out))
+    return out
 
 
 def run_enumeration_agreement(groups: list[Group], limit: int = 10 ** 6,

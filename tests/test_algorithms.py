@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import inspect
 import io
 import itertools
 import json
@@ -557,21 +558,37 @@ def _row_cases(g, subgroups):
 
 
 def _check_rows(g, subgroups):
-    # each side's rows, joined, are the plain product over the cells by least
-    # element, each ascending, the first slowest, and no row is longer than
-    # the side's ROW or its right half: the product of the second half of the
-    # cells it multiplies, the search's without its size-1 cells
+    # each side states its count, and its rows, unpacked, are the plain
+    # product over the cells by least element, each ascending, the first
+    # slowest.  Up to LANE_ORDER both pack as many answers into each int as
+    # the product of the second half of the cells larger than 1, and one
+    # above it; no row holds more answers than the side's ROW or that
+    # product
     for search, brute, operands, cells in _row_cases(g, subgroups):
         cells = sorted(cells, key=lambda c: c & -c)
         plain = list(map(sum, itertools.product(*([1 << i for i in bit_indices(c)] for c in cells))))
-        sizes = [c.bit_count() for c in cells]
-        for enumerate_all, row_size, halved in ((search, algorithms.ROW, [s for s in sizes if s > 1]),
-                                                (brute, oracle.ROW, sizes)):
-            rows = list(enumerate_all(*operands, as_masks=True))
-            assert list(itertools.chain.from_iterable(rows)) == plain, (enumerate_all, operands)
-            right = math.prod(halved[len(halved) // 2:])
-            assert max(map(len, rows)) <= max(row_size, right)
-            assert len(rows) >= len(plain) / row_size
+        larger = [c.bit_count() for c in cells if c & (c - 1)]
+        right = math.prod(larger[len(larger) // 2:])
+        lanes = right if g.order <= algorithms.LANE_ORDER else 1
+        for enumerate_all, row_size in ((search, algorithms.ROW), (brute, oracle.ROW)):
+            count, got_lanes, rows = enumerate_all(*operands, as_masks=True)
+            rows = list(rows)
+            assert (count, got_lanes) == (len(plain), lanes), (enumerate_all, operands)
+            assert suites.unpack(g.order, lanes, rows) == plain, (enumerate_all, operands)
+            assert max(map(len, rows)) * lanes <= max(row_size, right)
+
+
+@pytest.mark.parametrize("g", [*suites.small_fleet(), build_group({"kind": "dihedral", "n": 6})],
+                         ids=lambda g: g.description)
+def test_each_enumerator_states_its_count_before_any_mask(g):
+    # all six enumerators, on every subgroup (pair) of g: with as_masks the
+    # count comes back while the rows are still an unstarted generator, so
+    # no mask is built for it, and it is the number of masks they then hold
+    for search, brute, operands, _ in _row_cases(g, suites.subgroups_of(g)):
+        for enumerate_all in (search, brute):
+            count, lanes, rows = enumerate_all(*operands, as_masks=True)
+            assert inspect.getgeneratorstate(rows) == inspect.GEN_CREATED
+            assert count == len(suites.unpack(g.order, lanes, rows)), (enumerate_all, operands)
 
 
 @pytest.mark.parametrize("g", [*suites.small_fleet(), build_group({"kind": "dihedral", "n": 6})],
@@ -582,9 +599,20 @@ def test_rows_are_the_plain_product_in_order(g):
 
 def test_a_large_product_is_cut_into_rows():
     # Z32 with H = {0, 16}: 65,536 right transversals, and as many middle
-    # transversals of (H, H), at most ROW masks a row
+    # transversals of (H, H), at most ROW answers a row
     g = build_group({"kind": "cyclic", "n": 32})
     _check_rows(g, [g.subset([0, 16])])
+
+
+def test_above_the_lane_order_an_int_holds_one_answer():
+    # Z72 with H of index 2: two cells of 36, 1,296 answers on each side, one
+    # per int, and in rows of at most ROW answers
+    g = build_group({"kind": "cyclic", "n": 72})
+    assert g.order > algorithms.LANE_ORDER == oracle.LANE_ORDER
+    h = g.subset(range(0, 72, 2))
+    for enumerate_all in (enumerate_all_right_transversals, oracle.all_right_transversals):
+        assert enumerate_all(h, as_masks=True)[:2] == (1296, 1)
+    _check_rows(g, [h])
 
 
 @pytest.mark.parametrize("n_cells", [0, 1, 2, 3, 7])
@@ -603,11 +631,13 @@ def test_split_products_match_plain_products(n_cells):
     # the cells as its callers pass them: by least element, each ascending
     ordered = sorted(tuple(sorted(cell)) for cell in cells)
     bit_cells = [[1 << i for i in cell] for cell in ordered]
-    masks = list(itertools.chain.from_iterable(oracle._one_per_cell(ordered, total)))
+    n = len(elements)
+    count, lanes, rows = oracle._one_per_cell(ordered, total, n)
+    masks = suites.unpack(n, lanes, rows)
     assert masks == list(map(sum, itertools.product(*bit_cells)))
-    assert len(set(masks)) == len(masks) == total
+    assert len(set(masks)) == len(masks) == count == total
     # the search's halves against one cell at a time, cells by least element
-    blocks = [0] * len(elements)
+    blocks = [0] * n
     seed = 0
     for cell in cells:
         mask = sum(1 << i for i in cell)
@@ -617,11 +647,12 @@ def test_split_products_match_plain_products(n_cells):
     want = [0]
     for cell in sorted(cells, key=min):
         want = [m | 1 << i for m in want for i in sorted(cell)]
-    assert list(itertools.chain.from_iterable(algorithms._enumerate(seed, blocks, total))) == want
+    count, lanes, rows = algorithms._enumerate(seed, blocks, total)
+    assert suites.unpack(n, lanes, rows) == want and count == total
     if total > 1:
         with pytest.raises(EnumerationLimitExceeded,
                            match=rf"^\d+\+ combinations exceed the cap of {total - 1};"):
-            oracle._one_per_cell(cells, total - 1)
+            oracle._one_per_cell(cells, total - 1, n)
         with pytest.raises(EnumerationLimitExceeded,
                            match=f"^{total} results exceed the cap of {total - 1};"):
             algorithms._enumerate(seed, blocks, total - 1)

@@ -512,10 +512,11 @@ def test_oracle_side_mismatch_exits_4(capsys, monkeypatch, tamper, count_oracle)
 
     honest = oracle.all_right_transversals
 
-    def tampered(*args, **kwargs):
-        masks = set(itertools.chain.from_iterable(honest(*args, **kwargs)))
+    def tampered(h, **kwargs):
+        _, lanes, rows = honest(h, **kwargs)
+        masks = set(suites.unpack(h.group.order, lanes, rows))
         tamper(masks)
-        return [list(masks)]
+        return len(masks), 1, [list(masks)]
 
     monkeypatch.setattr(oracle, "all_right_transversals", tampered)
     code, data = run_json(capsys, ["enumerate", "--group", "cyclic:12", "-H", "0,3,6,9",
@@ -544,9 +545,10 @@ def test_search_side_duplicate_exits_4(capsys, monkeypatch, tamper, count_algori
     honest = cli.enumerate_all_right_transversals
 
     def tampered(*args, **kwargs):
-        masks = list(itertools.chain.from_iterable(honest(*args, **kwargs)))
+        _, lanes, rows = honest(*args, **kwargs)
+        masks = suites.unpack(args[0].group.order, lanes, rows)
         tamper(masks)
-        return [masks]
+        return len(masks), 1, [masks]
 
     monkeypatch.setattr(cli, "enumerate_all_right_transversals", tampered)
     code, data = run_json(capsys, ["enumerate", "--group", "cyclic:12", "-H", "0,3,6,9",
@@ -586,9 +588,10 @@ def test_a_reordered_search_list_is_checked_as_a_set(capsys, monkeypatch, what, 
     honest = getattr(cli, search)
 
     def tampered(*args, **kwargs):
-        masks = list(itertools.chain.from_iterable(honest(*args, **kwargs)))
+        _, lanes, rows = honest(*args, **kwargs)
+        masks = suites.unpack(args[0].group.order, lanes, rows)
         tamper(masks)
-        return [masks]
+        return len(masks), 1, [masks]
 
     monkeypatch.setattr(cli, search, tampered)
     got, data = run_json(capsys, ["enumerate", "--group", D12, "-H", h, "-K", k, "--what", what])
@@ -596,6 +599,115 @@ def test_a_reordered_search_list_is_checked_as_a_set(capsys, monkeypatch, what, 
     r = data["result"]
     assert r["count_oracle"] >= 2
     assert (r["count_algorithm"], r["match"]) == (r["count_oracle"], code == 0)
+
+
+# Z24 with H = {0, 12}: 12 cells of 2, so both sides pack 4,096 right
+# transversals as 64 ints of 64 lanes of 24 bits
+Z24_RT = ["enumerate", "--group", "cyclic:24", "-H", "0,12", "--what", "right-transversals"]
+
+
+def _tamper_ints(monkeypatch, tamper, side="search"):
+    """Make one side's right transversals the honest ones, read into one
+    row of ints and passed with their lanes to tamper, which returns the
+    (count, lanes, rows) the CLI then gets from that side."""
+    from groupkit import cli, oracle
+
+    owner, name = {"search": (cli, "enumerate_all_right_transversals"),
+                   "oracle": (oracle, "all_right_transversals")}[side]
+    honest = getattr(owner, name)
+
+    def tampered(h, **kwargs):
+        count, lanes, rows = honest(h, **kwargs)
+        assert lanes == 64
+        return tamper(count, lanes, list(itertools.chain.from_iterable(rows)))
+
+    monkeypatch.setattr(owner, name, tampered)
+
+
+@pytest.mark.parametrize("lane", [63, 31], ids=["highest", "middle"])
+def test_a_tampered_lane_exits_4(capsys, monkeypatch, lane):
+    # one lane of a middle int takes the first answer: the counts agree and
+    # every lane holds an answer, but one answer is given twice
+    def tamper(count, lanes, ints):
+        at, width = lane * 24, (1 << 24) - 1
+        old = ints[32] >> at & width
+        ints[32] += ((ints[0] & width) - old) << at
+        assert old != ints[0] & width and ints[32] >> at & width == ints[0] & width
+        return count, lanes, [ints]
+
+    _tamper_ints(monkeypatch, tamper)
+    code, data = run_json(capsys, Z24_RT)
+    r = data["result"]
+    assert (code, r["count_algorithm"], r["count_oracle"], r["match"]) == (4, 4096, 4096, False)
+
+
+@pytest.mark.parametrize("side", ["search", "oracle"])
+@pytest.mark.parametrize("stated, count", [(32, 64 * 33), (128, 8192)], ids=["fewer", "more"])
+def test_the_same_ints_stated_with_other_lanes_exit_4(capsys, monkeypatch, side, stated, count):
+    # one side's honest ints, said to hold 32 or 128 answers each: equal
+    # ints must not pass for equal answers when the lanes differ.  Read as
+    # 32 lanes, each int leaves its upper half as one more mask; read as
+    # 128, it gives 64 empty masks more
+    _tamper_ints(monkeypatch, lambda _, lanes, ints: (4096, stated, [ints]), side)
+    code, data = run_json(capsys, Z24_RT)
+    r = data["result"]
+    counts = (count, 4096) if side == "search" else (4096, count)
+    assert (code, r["count_algorithm"], r["count_oracle"], r["match"]) == (4, *counts, False)
+
+
+def _ints_reversed(count, lanes, ints):
+    return count, lanes, [ints[::-1]]
+
+
+def _two_lanes(count, lanes, ints):
+    # the same masks, in order, two to an int
+    masks = suites.unpack(24, lanes, [ints])
+    return count, 2, [[a | b << 24 for a, b in zip(masks[::2], masks[1::2])]]
+
+
+@pytest.mark.parametrize("tamper", [_ints_reversed, _two_lanes], ids=["reordered", "repacked"])
+def test_the_same_answers_packed_otherwise_match_through_the_fallback(capsys, monkeypatch,
+                                                                      tamper):
+    # the ints differ from the oracle's, so the verdict comes from the
+    # order-free check over the masks, each side unpacked with its own lanes;
+    # an untampered run compares ints only and unpacks no oracle mask
+    from groupkit import oracle
+
+    unpacked = []
+    oracle_masks = oracle._masks
+
+    def counted(n, lanes, ints):
+        for mask in oracle_masks(n, lanes, ints):
+            unpacked.append(mask)
+            yield mask
+
+    monkeypatch.setattr(oracle, "_masks", counted)
+    assert main(Z24_RT) == 0 and "match: yes" in capsys.readouterr().out
+    assert unpacked == []
+    _tamper_ints(monkeypatch, tamper)
+    code, data = run_json(capsys, Z24_RT)
+    r = data["result"]
+    assert (code, r["count_algorithm"], r["count_oracle"], r["match"]) == (0, 4096, 4096, True)
+    assert len(unpacked) == 4096
+
+
+@pytest.mark.parametrize("via, calls", [("algorithm", 0), ("both", 2)])
+def test_one_side_alone_builds_no_mask(capsys, monkeypatch, via, calls):
+    # the stated count is the product of the cell sizes: --via algorithm
+    # reports it without multiplying out either half of the search's cells
+    from groupkit import algorithms
+
+    made = []
+    products = algorithms._products
+
+    def counted(base, cells):
+        made.append(cells)
+        return products(base, cells)
+
+    monkeypatch.setattr(algorithms, "_products", counted)
+    code, data = run_json(capsys, ["enumerate", "--via", via, *Z24_RT[1:]])
+    assert code == 0 and 4096 in data["result"].values()
+    assert len(made) == calls
 
 
 @pytest.mark.parametrize("what, name, subgroups", [
@@ -631,8 +743,9 @@ def test_enumerate_calls_its_public_search_once_for_masks(capsys, monkeypatch, w
 @pytest.mark.parametrize("h, what", [("0,16", "right-transversals"),
                                      ("0,8,16,24", "middle-transversals")], ids=["rt", "mt"])
 def test_the_cross_check_leans_on_no_common_cut_into_rows(capsys, monkeypatch, cut, h, what):
-    # the oracle's masks re-cut into rows of another length still match the
-    # search's rows, and are all counted: 16 cells of 2 masks, then 8 of 4
+    # the oracle's ints re-cut into rows of another length still match the
+    # search's rows, and are all counted: 16 cells of 2 elements, then 8 of
+    # 4, each 256 ints of 256 answers
     from groupkit import oracle
 
     name = {"right-transversals": "all_right_transversals",
@@ -640,8 +753,9 @@ def test_the_cross_check_leans_on_no_common_cut_into_rows(capsys, monkeypatch, c
     honest = getattr(oracle, name)
 
     def recut(*args, **kwargs):
-        masks = itertools.chain.from_iterable(honest(*args, **kwargs))
-        return iter(lambda: list(itertools.islice(masks, cut)), [])
+        count, lanes, rows = honest(*args, **kwargs)
+        ints = itertools.chain.from_iterable(rows)
+        return count, lanes, iter(lambda: list(itertools.islice(ints, cut)), [])
 
     monkeypatch.setattr(oracle, name, recut)
     k = ["-K", "0,16"] if what == "middle-transversals" else []

@@ -322,6 +322,19 @@ def test_mid_director_subgroups_conjugates_over_the_smaller_side(spec):
     assert smaller == {"H", "K"}
 
 
+def test_mid_director_subgroups_among_tests_only_its_members(d12):
+    # the part of Mid inside among, for every subgroup pair and a seeded
+    # sample of subsets; among must be a set of the same group
+    rng = random.Random(3)
+    for h, k in suites.subgroup_pairs(d12):
+        mid = mid_director_subgroups(h, k)
+        for among in (d12.empty_set(), d12.full_set(), d12.subset(rng.sample(range(12), 5))):
+            assert mid_director_subgroups(h, k, among=among) == mid & among, (h, k, among)
+    with pytest.raises(GroupMismatch):
+        mid_director_subgroups(d12.trivial_subgroup(), d12.trivial_subgroup(),
+                               among=build_group({"kind": "cyclic", "n": 12}).full_set())
+
+
 def test_mid_director_subgroups_rejects_non_subgroup(d12):
     with pytest.raises(NotASubgroup):
         mid_director_subgroups(d12.subset([1]), d12.trivial_subgroup())
